@@ -38,6 +38,7 @@ from .graph import (
     Graph,
     ball_bound,
     bfs_distance,
+    bfs_distances,
     components,
     min_cut,
     neighborhood_size,

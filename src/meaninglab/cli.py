@@ -22,7 +22,6 @@ from pathlib import Path
 
 from .bounds import bound_report
 from .experiments import emit_heatmap_csv, emit_svg_heatmap, heatmap
-from .graph import write_edge_list
 from .meaning import (
     MeaningGraph,
     NO_SUCH_PAIR,

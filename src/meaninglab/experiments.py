@@ -14,7 +14,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-from .graph import UNREACHABLE, bfs_distance
+from .graph import bfs_distances
 from .meaning import NO_SUCH_PAIR, MeaningGraph, pick_disconnected_pair, pick_pair_at_distance
 from .rng import STREAM_HEATMAP_CELL, STREAM_HEATMAP_ROW, stream, subseed
 from .sampler import SampleParams, sample_symbol_graph
@@ -104,25 +104,38 @@ def _heatmap_row(
     params = replace(params_base, p_minus=p_minus)
     sg = sample_symbol_graph(gm, params, subseed(seed, STREAM_HEATMAP_ROW, row_index))
     lam = params.lam
-    row: list[float | EmptyCell] = []
-    # One symbol graph serves every column of the row; only the probed
-    # pairs change between cells.
+    # Pick every cell's pairs first; one symbol graph serves the whole row,
+    # so all of its probes then go through one batched BFS call.
+    picked: list[list[tuple[int, int]] | None] = []
     for col in range(1, d_max + 2):
         disconnected = col == d_max + 1
         rng = stream(seed, STREAM_HEATMAP_CELL, row_index, 0 if disconnected else col)
-        total = 0.0
-        cell: float | EmptyCell | None = None
+        pairs: list[tuple[int, int]] | None = []
         for _ in range(pairs_per_cell):
             if disconnected:
                 pair = pick_disconnected_pair(gm, rng)
             else:
                 pair = pick_pair_at_distance(gm, col, rng)
             if pair is NO_SUCH_PAIR:
-                cell = EMPTY
+                pairs = None
                 break
-            dist = bfs_distance(sg.graph, lam * pair[0], lam * pair[1], cap=cap)
-            total += cap if dist is UNREACHABLE else dist
-        row.append(cell if cell is not None else total / pairs_per_cell)
+            pairs.append(pair)
+        picked.append(pairs)
+    probes = [pair for pairs in picked if pairs is not None for pair in pairs]
+    src = [lam * u for u, _ in probes]
+    dst = [lam * v for _, v in probes]
+    dists = iter(bfs_distances(sg.graph, src, dst, cap=cap).tolist())
+    row: list[float | EmptyCell] = []
+    for pairs in picked:
+        if pairs is None:
+            row.append(EMPTY)
+            continue
+        # Summed in pick order from 0.0, so the mean keeps its bytes.
+        total = 0.0
+        for _ in pairs:
+            dist = next(dists)
+            total += cap if dist < 0 else dist
+        row.append(total / pairs_per_cell)
     return tuple(row)
 
 

@@ -5,13 +5,25 @@ graphs, sampled symbol graphs, induced subgraphs for spectral work) is
 built on this one representation, so the operations here are deliberately
 small: BFS with an explicit cap, neighborhood counting, unit-capacity
 minimum cut, connected components, and a plain text edge-list format.
+
+Traversal comes in two forms. :func:`bfs_distances` answers many capped
+(source, target) queries at once with a level-synchronous multi-source
+BFS: 64 sources share one ``uint64`` word per node, and each level is a
+single ``bitwise_or.reduceat`` over CSR arrays that the graph builds on
+first use. :func:`ball_bound` counts the same bitsets. A single query
+(:func:`bfs_distance`, and the separator built on it) stays on a plain
+deque BFS, which stops at its target and costs less than one numpy level
+pass on graphs of a few thousand nodes.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
+from itertools import chain
 from typing import Iterable, Iterator
+
+import numpy as np
 
 
 class Unreachable:
@@ -42,7 +54,7 @@ class Graph:
     built on top, is deterministic.
     """
 
-    __slots__ = ("n", "_adj", "_edge_count")
+    __slots__ = ("n", "_adj", "_edge_count", "_csr")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -58,6 +70,7 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_adj", tuple(tuple(sorted(s)) for s in adj))
         object.__setattr__(self, "_edge_count", sum(len(a) for a in adj) // 2)
+        object.__setattr__(self, "_csr", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -94,6 +107,17 @@ class Graph:
     def _check_node(self, u: int) -> None:
         if not 0 <= u < self.n:
             raise ValueError(f"node {u} out of range for {self.n} nodes")
+
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, indices)``: node u's sorted neighbors are
+        ``indices[indptr[u]:indptr[u + 1]]``. Built on first call, then cached."""
+        if self._csr is None:
+            indptr = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum([len(a) for a in self._adj], out=indptr[1:])
+            indices = np.fromiter(chain.from_iterable(self._adj), dtype=np.int64, count=int(indptr[-1]))
+            indptr.flags.writeable = indices.flags.writeable = False
+            object.__setattr__(self, "_csr", (indptr, indices))
+        return self._csr
 
     def remove_edges(self, edges: Iterable[tuple[int, int]]) -> "Graph":
         """New graph with the given edges deleted; absent edges are an error."""
@@ -173,11 +197,94 @@ def neighborhood_size(g: Graph, s: int, d: int) -> int:
     return sum(1 for x in levels if x >= 0)
 
 
+# Bit j of a node's word marks source j of the current 64-source pass.
+_WORD = 64
+_BITS = np.left_shift(np.uint64(1), np.arange(_WORD, dtype=np.uint64))
+
+
+def _bit_levels(g: Graph, src: np.ndarray, cap: int | None) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Level-synchronous BFS from up to 64 sources at once.
+
+    Yields ``(level, front, seen)`` for level 0 (the sources) and every
+    later level up to ``cap`` that reaches a new node: ``front[x]`` has
+    bit j set when x is at exactly that distance from ``src[j]``, and
+    ``seen`` (updated in place) accumulates all levels so far.
+    """
+    indptr, indices = g.csr()
+    seen = np.zeros(g.n, dtype=np.uint64)
+    # A source may repeat within a pass; each copy keeps its own bit.
+    np.bitwise_or.at(seen, src, _BITS[: len(src)])
+    front = seen.copy()
+    yield 0, front, seen
+    if len(indices) == 0:
+        return
+    # reduceat over an empty segment returns the element at its start, and
+    # an isolated last node starts one past the end: pad with a zero word
+    # and clear degree-0 nodes after each level.
+    gathered = np.zeros(len(indices) + 1, dtype=np.uint64)
+    starts = indptr[:-1]
+    isolated = np.flatnonzero(indptr[1:] == starts)
+    level = 0
+    while cap is None or level < cap:
+        np.take(front, indices, out=gathered[:-1])
+        front = np.bitwise_or.reduceat(gathered, starts)
+        if isolated.size:
+            front[isolated] = 0
+        front &= ~seen
+        if not front.any():
+            return
+        seen |= front
+        level += 1
+        yield level, front, seen
+
+
+def _as_nodes(g: Graph, nodes) -> np.ndarray:
+    arr = np.asarray(nodes, dtype=np.int64)
+    if arr.ndim != 1:
+        raise ValueError("node lists must be one-dimensional")
+    if arr.size and (arr.min() < 0 or arr.max() >= g.n):
+        bad = arr[(arr < 0) | (arr >= g.n)][0]
+        raise ValueError(f"node {bad} out of range for {g.n} nodes")
+    return arr
+
+
+def bfs_distances(g: Graph, src, dst, cap: int | None = None) -> np.ndarray:
+    """Shortest-path lengths for the pairs ``(src[i], dst[i])``, batched.
+
+    Same answers as :func:`bfs_distance` on every pair, with -1 for
+    UNREACHABLE. Pairs are processed 64 to a pass; a pass stops as soon as
+    all its targets are found, its frontier empties, or it reaches ``cap``.
+    """
+    src = _as_nodes(g, src)
+    dst = _as_nodes(g, dst)
+    if len(src) != len(dst):
+        raise ValueError(f"{len(src)} sources but {len(dst)} targets")
+    if cap is not None and cap < 0:
+        raise ValueError(f"cap must be nonnegative, got {cap}")
+    out = np.full(len(src), -1, dtype=np.int64)
+    for lo in range(0, len(src), _WORD):
+        s, t, res = src[lo : lo + _WORD], dst[lo : lo + _WORD], out[lo : lo + _WORD]
+        bits = _BITS[: len(s)]
+        for level, front, _ in _bit_levels(g, s, cap):
+            res[(front[t] & bits) != 0] = level
+            if res.min() >= 0:
+                break
+    return out
+
+
 def ball_bound(g: Graph, d: int) -> int:
     """Largest d-neighborhood size over all start nodes (0 on the empty graph)."""
     if d < 0:
         raise ValueError(f"radius must be nonnegative, got {d}")
-    return max((neighborhood_size(g, s, d) for s in range(g.n)), default=0)
+    best = 0
+    for lo in range(0, g.n, _WORD):
+        src = np.arange(lo, min(lo + _WORD, g.n), dtype=np.int64)
+        for _, _, seen in _bit_levels(g, src, d):
+            pass
+        # Column j of the unpacked words is source j's visited set.
+        bits = np.unpackbits(seen.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
+        best = max(best, int(bits.sum(axis=0, dtype=np.int64).max()))
+    return best
 
 
 def components(g: Graph) -> list[list[int]]:

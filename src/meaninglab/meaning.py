@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -23,6 +24,7 @@ from .graph import (
     _bfs_levels,
     ball_bound,
     bfs_distance,
+    bfs_distances,
     components,
     min_cut,
 )
@@ -81,6 +83,20 @@ class MeaningGraph:
     @property
     def edge_count(self) -> int:
         return self.graph.edge_count
+
+    @cached_property
+    def _component_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(comp_of, sizes, cum_weights)`` for disconnected-pair draws.
+
+        ``comp_of[u]`` is u's component number, ``sizes`` the component
+        sizes, and ``cum_weights`` the running sum of ``n - sizes[comp_of]``.
+        """
+        comps = components(self.graph)
+        comp_of = np.zeros(self.n, dtype=np.int64)
+        for ci, comp in enumerate(comps):
+            comp_of[comp] = ci
+        sizes = np.array([len(c) for c in comps], dtype=np.int64)
+        return comp_of, sizes, np.cumsum(self.n - sizes[comp_of])
 
 
 @dataclass(frozen=True)
@@ -255,6 +271,10 @@ def _as_rng(seed) -> np.random.Generator:
     return stream(seed, STREAM_PAIR_AT_DISTANCE)
 
 
+# Rejection attempts tested per batched BFS pass (one uint64 word of sources).
+_ATTEMPT_BATCH = 64
+
+
 def pick_pair_at_distance(
     gm: MeaningGraph, d: int, seed, max_attempts: int | None = None
 ) -> tuple[int, int] | NoSuchPair:
@@ -273,13 +293,23 @@ def pick_pair_at_distance(
         return NO_SUCH_PAIR
     rng = _as_rng(seed)
     attempts = 10 * n if max_attempts is None else max_attempts
-    for _ in range(attempts):
-        u = int(rng.integers(n))
-        v = int(rng.integers(n))
-        if u == v:
-            continue
-        if bfs_distance(g, u, v, cap=d) == d:
-            return (u, v)
+    # Attempts are drawn a batch at a time, as the interleaved anchor and
+    # target draws the one-at-a-time loop would make, and tested together.
+    # On a hit the stream is rewound and exactly the attempts up to it are
+    # redrawn, so the caller's generator ends where that loop left it.
+    done = 0
+    while done < attempts:
+        b = min(_ATTEMPT_BATCH, attempts - done)
+        state = rng.bit_generator.state
+        draws = rng.integers(n, size=2 * b)
+        us, vs = draws[0::2], draws[1::2]
+        hits = np.flatnonzero(bfs_distances(g, us, vs, cap=d) == d)
+        if hits.size:
+            i = int(hits[0])
+            rng.bit_generator.state = state
+            rng.integers(n, size=2 * (i + 1))
+            return (int(us[i]), int(vs[i]))
+        done += b
     pairs: list[tuple[int, int]] = []
     for u in range(n):
         levels = _bfs_levels(g, u, cap=d)
@@ -296,31 +326,19 @@ def pick_disconnected_pair(gm: MeaningGraph, seed) -> tuple[int, int] | NoSuchPa
     drawn with weight (n - size of its component), the partner uniformly
     from the other components.
     """
-    g = gm.graph
-    n = g.n
-    comps = components(g)
-    if len(comps) < 2:
+    n = gm.n
+    comp_of, sizes, cum_weights = gm._component_index
+    if len(sizes) < 2:
         return NO_SUCH_PAIR
     if isinstance(seed, np.random.Generator):
         rng = seed
     else:
         rng = stream(seed, STREAM_PAIR_DISCONNECTED)
-    comp_of = [0] * n
-    for ci, comp in enumerate(comps):
-        for u in comp:
-            comp_of[u] = ci
-    sizes = [len(c) for c in comps]
-    weights = np.array([n - sizes[comp_of[u]] for u in range(n)], dtype=np.int64)
-    total = int(weights.sum())
-    r = int(rng.integers(total))
-    u = int(np.searchsorted(np.cumsum(weights), r, side="right"))
-    k = int(rng.integers(n - sizes[comp_of[u]]))
-    for v in range(n):
-        if comp_of[v] != comp_of[u]:
-            if k == 0:
-                return (u, v)
-            k -= 1
-    raise AssertionError("unreachable: partner index exhausted")
+    r = int(rng.integers(int(cum_weights[-1])))
+    u = int(np.searchsorted(cum_weights, r, side="right"))
+    cu = comp_of[u]
+    k = int(rng.integers(n - int(sizes[cu])))
+    return (u, int(np.flatnonzero(comp_of != cu)[k]))
 
 
 def make_cut_pair(gm: MeaningGraph, m: int, m_prime: int) -> CutPair:

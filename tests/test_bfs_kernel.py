@@ -1,0 +1,146 @@
+"""The batched bitset BFS against networkx as an independent oracle."""
+
+from __future__ import annotations
+
+import networkx as nx
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from meaninglab.graph import Graph, ball_bound, bfs_distances, neighborhood_size
+
+
+def oracle_distances(g: Graph, src, dst, cap) -> list[int]:
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.edges())
+    out = []
+    for s, t in zip(src, dst):
+        lengths = nx.single_source_shortest_path_length(nxg, int(s), cutoff=cap)
+        out.append(lengths.get(int(t), -1))
+    return out
+
+
+@st.composite
+def graphs_with_queries(draw):
+    # Up to 150 nodes: several 64-source passes, n rarely a multiple of 64,
+    # and sparse edge lists leave isolated nodes anywhere in the range.
+    n = draw(st.integers(min_value=1, max_value=150))
+    node = st.integers(min_value=0, max_value=n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    g = Graph(n, [(u, v) for u, v in edges if u != v])
+    k = draw(st.integers(min_value=0, max_value=200))
+    src = draw(st.lists(node, min_size=k, max_size=k))
+    dst = draw(st.lists(node, min_size=k, max_size=k))
+    cap = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=8)))
+    return g, src, dst, cap
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs_with_queries())
+def test_matches_networkx(case):
+    g, src, dst, cap = case
+    got = bfs_distances(g, src, dst, cap=cap)
+    assert got.dtype == np.int64
+    assert got.tolist() == oracle_distances(g, src, dst, cap)
+
+
+@pytest.mark.parametrize("n", [5, 63, 64, 65, 130])
+def test_isolated_nodes_mid_range_and_last(n):
+    # Path over the even nodes only: every odd node is isolated, and so is
+    # the last node whenever n is even.
+    g = Graph(n, [(u, u + 2) for u in range(0, n - 2, 2)])
+    src = list(range(n)) * 2
+    dst = list(reversed(range(n))) * 2
+    for cap in (None, 0, 1, 3):
+        assert bfs_distances(g, src, dst, cap=cap).tolist() == oracle_distances(g, src, dst, cap)
+
+
+def test_isolated_last_node_reports_unreachable():
+    g = Graph(4, [(0, 1), (1, 2)])
+    assert bfs_distances(g, [3, 0, 3], [0, 3, 3]).tolist() == [-1, -1, 0]
+
+
+def test_repeated_sources_keep_their_own_targets():
+    g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    src = [2, 2, 2, 2, 2, 0, 2]
+    dst = [0, 1, 2, 4, 5, 4, 3]
+    assert bfs_distances(g, src, dst).tolist() == [2, 1, 0, 2, -1, 4, 1]
+
+
+def test_src_equals_dst_is_zero_even_at_cap_zero():
+    g = Graph(3, [(0, 1)])
+    assert bfs_distances(g, [0, 1, 2], [0, 1, 2], cap=0).tolist() == [0, 0, 0]
+
+
+def test_cap_zero_hides_every_other_node():
+    g = Graph(3, [(0, 1), (1, 2)])
+    assert bfs_distances(g, [0, 0], [1, 2], cap=0).tolist() == [-1, -1]
+
+
+def test_cap_excludes_longer_paths():
+    g = Graph(5, [(i, i + 1) for i in range(4)])
+    assert bfs_distances(g, [0] * 5, range(5), cap=2).tolist() == [0, 1, 2, -1, -1]
+
+
+def test_edgeless_graph():
+    g = Graph(70, [])
+    src = np.arange(70)
+    assert bfs_distances(g, src, src).tolist() == [0] * 70
+    assert bfs_distances(g, src, (src + 1) % 70).tolist() == [-1] * 70
+
+
+def test_empty_graph_and_empty_query():
+    g = Graph(0, [])
+    assert bfs_distances(g, [], []).tolist() == []
+    assert bfs_distances(Graph(3, [(0, 1)]), [], [], cap=2).tolist() == []
+
+
+def test_rejects_bad_queries():
+    g = Graph(3, [(0, 1)])
+    with pytest.raises(ValueError, match="out of range"):
+        bfs_distances(g, [0, 3], [1, 1])
+    with pytest.raises(ValueError, match="out of range"):
+        bfs_distances(g, [0], [-1])
+    with pytest.raises(ValueError, match="targets"):
+        bfs_distances(g, [0, 1], [1])
+    with pytest.raises(ValueError, match="cap"):
+        bfs_distances(g, [0], [1], cap=-1)
+    with pytest.raises(ValueError, match="out of range"):
+        bfs_distances(Graph(0, []), [0], [0])
+
+
+def test_csr_is_built_once_and_matches_neighbors():
+    g = Graph(5, [(0, 3), (3, 1), (1, 0)])
+    indptr, indices = g.csr()
+    assert g.csr()[0] is indptr
+    for u in range(g.n):
+        assert tuple(indices[indptr[u] : indptr[u + 1]].tolist()) == g.neighbors(u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs_with_queries(), st.integers(min_value=0, max_value=6))
+def test_ball_bound_is_largest_neighborhood(case, d):
+    g = case[0]
+    assert ball_bound(g, d) == max(neighborhood_size(g, s, d) for s in range(g.n))
+
+
+def test_ball_bound_matches_networkx_ego_graphs():
+    rng = np.random.default_rng(4)
+    edges = rng.integers(200, size=(260, 2))
+    g = Graph(200, [(int(u), int(v)) for u, v in edges if u != v])
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.edges())
+    for d in (0, 1, 2, 5):
+        want = max(len(nx.single_source_shortest_path_length(nxg, s, cutoff=d)) for s in range(g.n))
+        assert ball_bound(g, d) == want
+
+
+def test_ball_bound_edge_cases():
+    assert ball_bound(Graph(0, []), 3) == 0
+    assert ball_bound(Graph(65, []), 4) == 1
+    assert ball_bound(Graph(3, [(0, 1), (1, 2)]), 0) == 1
+    with pytest.raises(ValueError, match="radius"):
+        ball_bound(Graph(3, []), -1)
