@@ -12,8 +12,9 @@ BFS: 64 sources share one ``uint64`` word per node, and each level is a
 single ``bitwise_or.reduceat`` over CSR arrays that the graph builds on
 first use. :func:`ball_bound` counts the same bitsets. A single query
 (:func:`bfs_distance`, and the separator built on it) stays on a plain
-deque BFS, which stops at its target and costs less than one numpy level
-pass on graphs of a few thousand nodes.
+deque BFS: it stops at its target, and for one query on a graph of a few
+thousand nodes it costs less than a numpy BFS whose every level is a pass
+over the whole graph.
 """
 
 from __future__ import annotations
