@@ -3,9 +3,12 @@
 Every case runs one CLI command and compares the sha256 of each output
 file (or of stdout, for commands that write no files) against
 ``tests/data/golden_sha256.json``. The first seven cases are the
-``test_11`` commands; the last two are large enough that heat-map probes
-span several 64-source BFS chunks and pair picking draws several batches
-of rejection attempts.
+``test_11`` commands; ``heatmap-large`` and ``gamma-large`` are large
+enough that heat-map probes span several 64-source BFS chunks and pair
+picking draws several batches of rejection attempts. The two extra
+``sample`` cases run the cross-cluster similarity pass: without folding
+it writes edges that carry both an ``S`` and an ``R`` line, and with
+``--fold`` its noise moves into the structural passes.
 
 A change that alters output bytes on purpose regenerates the file with
 ``PYTHONPATH=src python tests/test_golden.py`` and says why in CHANGES.md.
@@ -30,6 +33,16 @@ GOLDEN = DATA / "golden_sha256.json"
 # name -> (argv, writes files under --out)
 CASES = {
     "sample": (["sample", "--er", "40", "0.1", "--graph-seed", "2", "--seed", "9"], True),
+    "sample-dual-kind": (
+        ["sample", "--er", "40", "0.1", "--graph-seed", "2", "--lambda", "3",
+         "--p-minus", "0.01", "--eps-minus", "0.02", "--seed", "9"],
+        True,
+    ),
+    "sample-fold": (
+        ["sample", "--er", "40", "0.1", "--graph-seed", "2", "--lambda", "3",
+         "--p-minus", "0.01", "--eps-minus", "0.02", "--fold", "--seed", "9"],
+        True,
+    ),
     "gamma": (
         ["gamma", "--er", "50", "0.06", "--graph-seed", "1", "--d", "2",
          "--trials", "12", "--seed", "3", "--allow-trivial"],
