@@ -83,7 +83,6 @@ from .sampler import (
 from .spectral import (
     SpectralNormResult,
     SpectralTrial,
-    adjacency_norm_ratio,
     coupled_cut_trial,
     laplacian_of,
     spectral_norm,

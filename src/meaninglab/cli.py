@@ -20,6 +20,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .bounds import bound_report
 from .experiments import emit_heatmap_csv, emit_svg_heatmap, heatmap
 from .meaning import (
@@ -40,7 +42,7 @@ from .reasoning import (
     estimate_gamma,
 )
 from .rng import STREAM_SPECTRAL_TRIAL, stream, subseed
-from .sampler import SampleParams, sample_symbol_graph, write_symbol_graph
+from .sampler import SIMILARITY, STRUCTURAL, SampleParams, sample_symbol_graph, write_symbol_graph
 from .spectral import SPECTRAL_CSV_HEADER, coupled_cut_trial, spectral_csv_record
 
 
@@ -156,46 +158,51 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("check", parents=[common, source, params], help="nontriviality screen")
     sp.add_argument("--d", type=int, default=2)
     sp.set_defaults(handler=_cmd_check)
+    parser.commands = sub.choices
     return parser
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
-    """Overlay config-file values under explicit command-line flags."""
-    if args.config is None:
-        return
-    with open(args.config, "r", encoding="utf-8") as fh:
+def _config_tokens(parser: argparse.ArgumentParser, path: Path) -> list[str]:
+    """A JSON config file as ``--flag value`` tokens for ``parser``.
+
+    Placed ahead of the command line, they are parsed with the same types
+    and choices as typed flags, and any explicit flag after them wins.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
         try:
             cfg = json.load(fh)
         except json.JSONDecodeError as exc:
             raise CliArgumentError(f"bad config JSON: {exc}")
     if not isinstance(cfg, dict):
         raise CliArgumentError("config must be a JSON object")
-    explicit = set()
-    for token in argv:
-        if token.startswith("--"):
-            explicit.add(token.split("=", 1)[0].lstrip("-").replace("-", "_"))
+    tokens: list[str] = []
     for key, value in cfg.items():
-        dest = key.replace("-", "_")
-        if dest == "lambda":
-            dest = "lam"
-        if not hasattr(args, dest):
+        flag = "--" + key.replace("_", "-")
+        action = parser._option_string_actions.get(flag)
+        if action is None or action.dest in ("help", "config"):
             raise CliArgumentError(f"unknown config key {key!r}")
-        if dest in explicit or (dest == "lam" and "lambda" in explicit):
+        if action.nargs == 0:
+            if not isinstance(value, bool):
+                raise CliArgumentError(f"config key {key!r} must be true or false, got {value!r}")
+            tokens += [flag] if value else []
             continue
-        if dest in ("out", "triples", "config"):
-            value = Path(value)
-        setattr(args, dest, value)
+        values = value if isinstance(value, list) else [value]
+        # A number must be a JSON number: "10" or true is a mistake, not 10.
+        if action.type in (int, float) and any(isinstance(v, (str, bool)) for v in values):
+            raise CliArgumentError(f"config key {key!r} must be a number, got {value!r}")
+        tokens += [flag, *(str(v) for v in values)]
+    return tokens
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
     if hasattr(args, "p_plus"):
         params = SampleParams(
-            p_plus=float(args.p_plus),
-            p_minus=float(args.p_minus),
-            eps_plus=float(args.eps_plus),
-            eps_minus=float(args.eps_minus),
-            lam=int(args.lam),
-            fold=bool(args.fold),
+            p_plus=args.p_plus,
+            p_minus=args.p_minus,
+            eps_plus=args.eps_plus,
+            eps_minus=args.eps_minus,
+            lam=args.lam,
+            fold=args.fold,
         )
     else:
         # Commands without sampling parameters (ingest) never touch these.
@@ -203,10 +210,10 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         command=args.command,
         params=params,
-        seed=int(args.seed),
+        seed=args.seed,
         out=args.out,
-        threads=int(args.threads),
-        allow_trivial=bool(args.allow_trivial),
+        threads=args.threads,
+        allow_trivial=args.allow_trivial,
     )
 
 
@@ -247,9 +254,10 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     sg = sample_symbol_graph(gm, rc.params, rc.seed)
     path = _outdir(rc) / "symbol_graph.tsv"
     write_symbol_graph(sg, path)
+    kinds = sg.kind_array
     print(
-        f"symbol graph: {sg.graph.n} nodes, {len(sg.structural)} structural,"
-        f" {len(sg.similarity)} similarity -> {path}"
+        f"symbol graph: {sg.graph.n} nodes, {np.count_nonzero(kinds & STRUCTURAL)} structural,"
+        f" {np.count_nonzero(kinds & SIMILARITY)} similarity -> {path}"
     )
     return 0
 
@@ -389,7 +397,10 @@ def cli(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config(args, argv)
+        if getattr(args, "config", None) is not None:
+            # The command name is the first token: the top level has no options.
+            tokens = _config_tokens(parser.commands[args.command], args.config)
+            args = parser.parse_args(argv[:1] + tokens + argv[1:])
         return args.handler(args)
     except CliArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)

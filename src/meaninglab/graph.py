@@ -6,22 +6,21 @@ built on this one representation, so the operations here are deliberately
 small: BFS with an explicit cap, neighborhood counting, unit-capacity
 minimum cut, connected components, and a plain text edge-list format.
 
-Traversal comes in two forms. :func:`bfs_distances` answers many capped
-(source, target) queries at once with a level-synchronous multi-source
-BFS: 64 sources share one ``uint64`` word per node, and each level is a
-single ``bitwise_or.reduceat`` over CSR arrays that the graph builds on
-first use. :func:`ball_bound` counts the same bitsets. A single query
-(:func:`bfs_distance`, and the separator built on it) stays on a plain
-deque BFS: it stops at its target, and for one query on a graph of a few
-thousand nodes it costs less than a numpy BFS whose every level is a pass
-over the whole graph.
+A graph is stored only as CSR arrays: node u's sorted neighbours are
+``indices[indptr[u]:indptr[u + 1]]``. Every traversal runs on one kernel,
+a level-synchronous BFS from up to 64 sources at once: each source owns
+one bit of a ``uint64`` word per node, and each level is a single
+``bitwise_or.reduceat`` of the frontier words over the CSR arrays.
+Batched distance queries, single distance queries, neighborhood counts,
+ball bounds and the exhaustive pair scan all read its levels, and
+connected components come from the same gather-and-reduce step with
+``minimum`` in place of ``bitwise_or``. Only :func:`min_cut` keeps its
+own search, over the residual graph of its augmenting paths.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
-from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -47,31 +46,55 @@ class Unreachable:
 UNREACHABLE = Unreachable()
 
 
+def _pair_array(edges) -> np.ndarray:
+    """Edges as an ``(E, 2)`` int64 array, from an array or any iterable of pairs."""
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    arr = np.asarray(edges, dtype=np.int64)
+    if arr.size == 0:
+        return arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"edges must be (u, v) pairs, got shape {arr.shape}")
+    return arr
+
+
 class Graph:
     """Simple undirected graph, immutable after construction.
 
-    Self-loops are rejected; duplicate edges collapse. Neighbor lists are
-    kept sorted so traversal order, and therefore every seeded algorithm
-    built on top, is deterministic.
+    Self-loops are rejected; duplicate edges collapse. Stored as read-only
+    CSR arrays with each node's neighbours sorted, so traversal order, and
+    therefore every seeded algorithm built on top, is deterministic.
     """
 
-    __slots__ = ("n", "_adj", "_edge_count", "_csr")
+    __slots__ = ("n", "indptr", "indices")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray = ()):
         if n < 0:
             raise ValueError(f"node count must be nonnegative, got {n}")
-        adj: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for {n} nodes")
-            if u == v:
-                raise ValueError(f"self-loop at node {u}")
-            adj[u].add(v)
-            adj[v].add(u)
+        arr = _pair_array(edges)
+        u, v = arr[:, 0], arr[:, 1]
+        bad = np.flatnonzero((u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v))
+        if bad.size:
+            a, b = arr[bad[0]].tolist()
+            if a == b and 0 <= a < n:
+                raise ValueError(f"self-loop at node {a}")
+            raise ValueError(f"edge ({a}, {b}) out of range for {n} nodes")
+        # One key per direction, src * n + dst: sorting groups each node's
+        # neighbours in order, and equal neighbours (duplicates) sit together.
+        keys = np.concatenate((u * n + v, v * n + u))
+        keys.sort()
+        keep = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+        keys = keys[keep]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        indices = keys
+        if n:
+            np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+            indices = keys % n
+        indptr.flags.writeable = indices.flags.writeable = False
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_adj", tuple(tuple(sorted(s)) for s in adj))
-        object.__setattr__(self, "_edge_count", sum(len(a) for a in adj) // 2)
-        object.__setattr__(self, "_csr", None)
+        object.__setattr__(self, "indptr", indptr)
+        object.__setattr__(self, "indices", indices)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -80,127 +103,94 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return self._edge_count
+        return len(self.indices) // 2
 
     def neighbors(self, u: int) -> tuple[int, ...]:
-        return self._adj[u]
+        return tuple(self.indices[self.indptr[u] : self.indptr[u + 1]].tolist())
 
     def degree(self, u: int) -> int:
-        return len(self._adj[u])
+        return int(self.indptr[u + 1] - self.indptr[u])
 
     def max_degree(self) -> int:
-        return max((len(a) for a in self._adj), default=0)
+        return int(np.diff(self.indptr).max(initial=0))
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_node(u)
         self._check_node(v)
-        row = self._adj[u]
-        k = bisect_left(row, v)
-        return k < len(row) and row[k] == v
+        row = self.indices[self.indptr[u] : self.indptr[u + 1]]
+        k = int(np.searchsorted(row, v))
+        return k < len(row) and int(row[k]) == v
+
+    def edge_array(self) -> np.ndarray:
+        """All edges as an ``(E, 2)`` array of (u, v) with u < v, lexicographically sorted."""
+        src = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
+        upper = self.indices > src
+        return np.column_stack((src[upper], self.indices[upper]))
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, lexicographically sorted."""
-        for u in range(self.n):
-            for v in self._adj[u]:
-                if v > u:
-                    yield (u, v)
+        arr = self.edge_array()
+        return zip(arr[:, 0].tolist(), arr[:, 1].tolist())
 
     def _check_node(self, u: int) -> None:
         if not 0 <= u < self.n:
             raise ValueError(f"node {u} out of range for {self.n} nodes")
 
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(indptr, indices)``: node u's sorted neighbors are
-        ``indices[indptr[u]:indptr[u + 1]]``. Built on first call, then cached."""
-        if self._csr is None:
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum([len(a) for a in self._adj], out=indptr[1:])
-            indices = np.fromiter(chain.from_iterable(self._adj), dtype=np.int64, count=int(indptr[-1]))
-            indptr.flags.writeable = indices.flags.writeable = False
-            object.__setattr__(self, "_csr", (indptr, indices))
-        return self._csr
-
     def remove_edges(self, edges: Iterable[tuple[int, int]]) -> "Graph":
         """New graph with the given edges deleted; absent edges are an error."""
-        drop = set()
-        for u, v in edges:
-            if not self.has_edge(u, v):
-                raise ValueError(f"cannot remove absent edge ({u}, {v})")
-            drop.add((min(u, v), max(u, v)))
-        kept = (e for e in self.edges() if e not in drop)
-        return Graph(self.n, kept)
+        drop = _pair_array(edges)
+        _as_nodes(self, drop.ravel())
+        have = self.edge_array()
+        keys = have[:, 0] * self.n + have[:, 1]
+        want = drop.min(axis=1) * self.n + drop.max(axis=1)
+        absent = np.flatnonzero(~np.isin(want, keys))
+        if absent.size:
+            u, v = drop[absent[0]].tolist()
+            raise ValueError(f"cannot remove absent edge ({u}, {v})")
+        return Graph(self.n, have[~np.isin(keys, want)])
 
     def __reduce__(self):
-        return (Graph, (self.n, tuple(self.edges())))
+        return (Graph, (self.n, self.edge_array()))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self._adj == other._adj
+        return (
+            isinstance(other, Graph)
+            and self.n == other.n
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
+        )
 
     def __hash__(self) -> int:
-        return hash((self.n, self._adj))
+        return hash((self.n, self.indices.tobytes()))
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, edges={self._edge_count})"
-
-
-def _bfs_levels(g: Graph, s: int, cap: int | None = None) -> list[int]:
-    """Distance from s to every node, -1 where unreached (internal)."""
-    dist = [-1] * g.n
-    dist[s] = 0
-    q = deque([s])
-    while q:
-        u = q.popleft()
-        du = dist[u]
-        if cap is not None and du >= cap:
-            continue
-        for v in g.neighbors(u):
-            if dist[v] < 0:
-                dist[v] = du + 1
-                q.append(v)
-    return dist
-
-
-def bfs_distance(g: Graph, u: int, v: int, cap: int | None = None) -> int | Unreachable:
-    """Shortest-path length from u to v, or UNREACHABLE.
-
-    With a cap, any distance strictly greater than ``cap`` reports
-    UNREACHABLE and the search never expands past depth ``cap``.
-    """
-    g._check_node(u)
-    g._check_node(v)
-    if cap is not None and cap < 0:
-        raise ValueError(f"cap must be nonnegative, got {cap}")
-    if u == v:
-        return 0
-    dist = [-1] * g.n
-    dist[u] = 0
-    q = deque([u])
-    while q:
-        x = q.popleft()
-        dx = dist[x]
-        if cap is not None and dx >= cap:
-            continue
-        for y in g.neighbors(x):
-            if dist[y] < 0:
-                if y == v:
-                    return dx + 1
-                dist[y] = dx + 1
-                q.append(y)
-    return UNREACHABLE
-
-
-def neighborhood_size(g: Graph, s: int, d: int) -> int:
-    """Number of nodes within distance d of s, counting s itself."""
-    g._check_node(s)
-    if d < 0:
-        raise ValueError(f"radius must be nonnegative, got {d}")
-    levels = _bfs_levels(g, s, cap=d)
-    return sum(1 for x in levels if x >= 0)
+        return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
 # Bit j of a node's word marks source j of the current 64-source pass.
 _WORD = 64
 _BITS = np.left_shift(np.uint64(1), np.arange(_WORD, dtype=np.uint64))
+
+
+def _neighbor_reduce(g: Graph, ufunc, empty, dtype):
+    """Step function: per-node values -> ``ufunc`` over each node's neighbours.
+
+    Degree-0 nodes get ``empty``. ``reduceat`` over an empty segment returns
+    the element at its start, and an isolated last node starts one past the
+    end, so the gathered array carries one padding slot and degree-0 nodes
+    are overwritten after each reduction.
+    """
+    starts = g.indptr[:-1]
+    isolated = np.flatnonzero(g.indptr[1:] == starts)
+    gathered = np.full(len(g.indices) + 1, empty, dtype=dtype)
+
+    def step(values: np.ndarray) -> np.ndarray:
+        np.take(values, g.indices, out=gathered[:-1])
+        out = ufunc.reduceat(gathered, starts)
+        out[isolated] = empty
+        return out
+
+    return step
 
 
 def _bit_levels(g: Graph, src: np.ndarray, cap: int | None) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
@@ -211,32 +201,28 @@ def _bit_levels(g: Graph, src: np.ndarray, cap: int | None) -> Iterator[tuple[in
     bit j set when x is at exactly that distance from ``src[j]``, and
     ``seen`` (updated in place) accumulates all levels so far.
     """
-    indptr, indices = g.csr()
     seen = np.zeros(g.n, dtype=np.uint64)
     # A source may repeat within a pass; each copy keeps its own bit.
     np.bitwise_or.at(seen, src, _BITS[: len(src)])
     front = seen.copy()
     yield 0, front, seen
-    if len(indices) == 0:
+    if len(g.indices) == 0:
         return
-    # reduceat over an empty segment returns the element at its start, and
-    # an isolated last node starts one past the end: pad with a zero word
-    # and clear degree-0 nodes after each level.
-    gathered = np.zeros(len(indices) + 1, dtype=np.uint64)
-    starts = indptr[:-1]
-    isolated = np.flatnonzero(indptr[1:] == starts)
+    step = _neighbor_reduce(g, np.bitwise_or, 0, np.uint64)
     level = 0
     while cap is None or level < cap:
-        np.take(front, indices, out=gathered[:-1])
-        front = np.bitwise_or.reduceat(gathered, starts)
-        if isolated.size:
-            front[isolated] = 0
+        front = step(front)
         front &= ~seen
         if not front.any():
             return
         seen |= front
         level += 1
         yield level, front, seen
+
+
+def _source_bits(words: np.ndarray) -> np.ndarray:
+    """``(n, 64)`` 0/1 matrix: column j is bit j (source j) of each node's word."""
+    return np.unpackbits(words.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
 
 
 def _as_nodes(g: Graph, nodes) -> np.ndarray:
@@ -249,19 +235,23 @@ def _as_nodes(g: Graph, nodes) -> np.ndarray:
     return arr
 
 
+def _check_radius(d: int | None, what: str) -> None:
+    if d is not None and d < 0:
+        raise ValueError(f"{what} must be nonnegative, got {d}")
+
+
 def bfs_distances(g: Graph, src, dst, cap: int | None = None) -> np.ndarray:
     """Shortest-path lengths for the pairs ``(src[i], dst[i])``, batched.
 
-    Same answers as :func:`bfs_distance` on every pair, with -1 for
-    UNREACHABLE. Pairs are processed 64 to a pass; a pass stops as soon as
-    all its targets are found, its frontier empties, or it reaches ``cap``.
+    -1 marks a pair with no path of length at most ``cap``. Pairs are
+    processed 64 to a pass; a pass stops as soon as all its targets are
+    found, its frontier empties, or it reaches ``cap``.
     """
     src = _as_nodes(g, src)
     dst = _as_nodes(g, dst)
     if len(src) != len(dst):
         raise ValueError(f"{len(src)} sources but {len(dst)} targets")
-    if cap is not None and cap < 0:
-        raise ValueError(f"cap must be nonnegative, got {cap}")
+    _check_radius(cap, "cap")
     out = np.full(len(src), -1, dtype=np.int64)
     for lo in range(0, len(src), _WORD):
         s, t, res = src[lo : lo + _WORD], dst[lo : lo + _WORD], out[lo : lo + _WORD]
@@ -273,41 +263,74 @@ def bfs_distances(g: Graph, src, dst, cap: int | None = None) -> np.ndarray:
     return out
 
 
+def bfs_distance(g: Graph, u: int, v: int, cap: int | None = None) -> int | Unreachable:
+    """Shortest-path length from u to v, or UNREACHABLE.
+
+    With a cap, any distance strictly greater than ``cap`` reports
+    UNREACHABLE and the search never expands past depth ``cap``.
+    """
+    g._check_node(u)
+    g._check_node(v)
+    _check_radius(cap, "cap")
+    for level, front, _ in _bit_levels(g, np.array([u], dtype=np.int64), cap):
+        if front[v]:
+            return level
+    return UNREACHABLE
+
+
+def neighborhood_size(g: Graph, s: int, d: int) -> int:
+    """Number of nodes within distance d of s, counting s itself."""
+    g._check_node(s)
+    _check_radius(d, "radius")
+    for _, _, seen in _bit_levels(g, np.array([s], dtype=np.int64), d):
+        pass
+    return int(np.count_nonzero(seen))
+
+
 def ball_bound(g: Graph, d: int) -> int:
     """Largest d-neighborhood size over all start nodes (0 on the empty graph)."""
-    if d < 0:
-        raise ValueError(f"radius must be nonnegative, got {d}")
+    _check_radius(d, "radius")
     best = 0
     for lo in range(0, g.n, _WORD):
         src = np.arange(lo, min(lo + _WORD, g.n), dtype=np.int64)
         for _, _, seen in _bit_levels(g, src, d):
             pass
-        # Column j of the unpacked words is source j's visited set.
-        bits = np.unpackbits(seen.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
-        best = max(best, int(bits.sum(axis=0, dtype=np.int64).max()))
+        best = max(best, int(_source_bits(seen).sum(axis=0, dtype=np.int64).max()))
     return best
+
+
+def _pairs_at_distance(g: Graph, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every ordered pair at exact distance ``d`` as arrays ``(us, vs)``, by u then v."""
+    us, vs = [], []
+    for lo in range(0, g.n, _WORD):
+        src = np.arange(lo, min(lo + _WORD, g.n), dtype=np.int64)
+        for level, front, _ in _bit_levels(g, src, d):
+            if level == d:
+                j, v = np.nonzero(_source_bits(front).T)
+                us.append(lo + j)
+                vs.append(v)
+    if not us:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    return np.concatenate(us), np.concatenate(vs)
 
 
 def components(g: Graph) -> list[list[int]]:
     """Connected components as sorted node lists, ordered by smallest member."""
-    seen = [False] * g.n
-    out: list[list[int]] = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for v in g.neighbors(u):
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    q.append(v)
-        comp.sort()
-        out.append(comp)
-    return out
+    label = np.arange(g.n, dtype=np.int64)
+    if len(g.indices):
+        # Min-label propagation: every node takes the smallest label among
+        # itself and its neighbours, then jumps to its label's label, until
+        # nothing changes. Each component ends labelled by its smallest node.
+        step = _neighbor_reduce(g, np.minimum, g.n, np.int64)
+        while True:
+            new = np.minimum(label, step(label))
+            new = new[new]
+            if np.array_equal(new, label):
+                break
+            label = new
+    order = np.argsort(label, kind="stable")
+    cuts = np.flatnonzero(np.diff(label[order])) + 1
+    return [c.tolist() for c in np.split(order, cuts)] if g.n else []
 
 
 def min_cut(g: Graph, s: int, t: int) -> list[tuple[int, int]]:

@@ -21,7 +21,7 @@ import numpy as np
 from .graph import (
     UNREACHABLE,
     Graph,
-    _bfs_levels,
+    _pairs_at_distance,
     ball_bound,
     bfs_distance,
     bfs_distances,
@@ -189,7 +189,7 @@ def gen_er(n: int, p: float, seed: int) -> MeaningGraph:
     rng = stream(seed, STREAM_ER)
     hits = skip_sample(rng, pair_count(n), p)
     us, vs = index_to_pair(hits, n)
-    return MeaningGraph(Graph(n, zip(us.tolist(), vs.tolist())))
+    return MeaningGraph(Graph(n, np.column_stack((us, vs))))
 
 
 def load_triples(path, relation_prefix: str) -> MeaningGraph:
@@ -310,13 +310,11 @@ def pick_pair_at_distance(
             rng.integers(n, size=2 * (i + 1))
             return (int(us[i]), int(vs[i]))
         done += b
-    pairs: list[tuple[int, int]] = []
-    for u in range(n):
-        levels = _bfs_levels(g, u, cap=d)
-        pairs.extend((u, v) for v in range(n) if levels[v] == d)
-    if not pairs:
+    us, vs = _pairs_at_distance(g, d)
+    if not len(us):
         return NO_SUCH_PAIR
-    return pairs[int(rng.integers(len(pairs)))]
+    k = int(rng.integers(len(us)))
+    return (int(us[k]), int(vs[k]))
 
 
 def pick_disconnected_pair(gm: MeaningGraph, seed) -> tuple[int, int] | NoSuchPair:
@@ -355,7 +353,7 @@ def make_cut_pair(gm: MeaningGraph, m: int, m_prime: int) -> CutPair:
     if d == 0:
         raise ValueError("cut pair endpoints must differ")
     cut = tuple(min_cut(g, m, m_prime))
-    b1 = ball_bound(g, 1)
+    b1 = g.max_degree() + 1  # ball_bound(g, 1): a node plus its neighbours
     if len(cut) > b1:
         log.warning("min cut size %d exceeds 1-ball bound %d", len(cut), b1)
     g_prime = g.remove_edges(cut)

@@ -106,19 +106,29 @@ def edge_probability(params: SampleParams, pair_class: PairClass) -> float:
     return 1.0 - params.eps_plus
 
 
+# Kind bits of a union edge; an edge both channels drew carries both.
+STRUCTURAL = 1
+SIMILARITY = 2
+
+
+def _pair_keys(pairs: np.ndarray, n: int) -> np.ndarray:
+    """``u * n + v`` per (u, v) row; for u < v, sorted keys follow ``Graph.edges()`` order."""
+    return pairs[:, 0] * n + pairs[:, 1]
+
+
 @dataclass(frozen=True)
 class SymbolGraph:
     """A sampled symbol graph with its origin map and provenance.
 
     ``graph`` is the union of structural and similarity edges over
     ``lam * n_meaning`` nodes; symbol ``w`` descends from meaning node
-    ``w // lam``. The two kind sets may overlap when both channels fire
-    for the same cross-cluster pair.
+    ``w // lam``. ``kinds`` holds one byte per union edge, in
+    ``graph.edges()`` order: ``STRUCTURAL``, ``SIMILARITY`` or both, when
+    both channels fire for the same cross-cluster pair.
     """
 
     graph: Graph
-    structural: frozenset
-    similarity: frozenset
+    kinds: bytes
     lam: int
     n_meaning: int
     params: SampleParams
@@ -129,12 +139,33 @@ class SymbolGraph:
             raise ValueError(
                 f"{self.graph.n} symbol nodes but lam*n = {self.lam * self.n_meaning}"
             )
-        union = self.structural | self.similarity
-        if union != set(self.graph.edges()):
-            raise ValueError("union of kind sets does not match the graph")
-        for u, v in self.structural:
-            if u // self.lam == v // self.lam:
-                raise ValueError(f"structural edge ({u}, {v}) inside a cluster")
+        kinds = self.kind_array
+        if len(kinds) != self.graph.edge_count or not np.all((kinds >= 1) & (kinds <= 3)):
+            raise ValueError("need one nonzero kind per union edge")
+        edges = self.graph.edge_array()
+        inside = (kinds & STRUCTURAL).astype(bool) & (edges[:, 0] // self.lam == edges[:, 1] // self.lam)
+        if inside.any():
+            u, v = edges[np.flatnonzero(inside)[0]].tolist()
+            raise ValueError(f"structural edge ({u}, {v}) inside a cluster")
+
+    @property
+    def kind_array(self) -> np.ndarray:
+        """``kinds`` as a read-only uint8 array aligned with ``graph.edge_array()``."""
+        return np.frombuffer(self.kinds, dtype=np.uint8)
+
+    def _kind_set(self, kind: int) -> frozenset:
+        edges = self.graph.edge_array()[(self.kind_array & kind).astype(bool)]
+        return frozenset(zip(edges[:, 0].tolist(), edges[:, 1].tolist()))
+
+    @property
+    def structural(self) -> frozenset:
+        """Structural edges as (u, v) pairs with u < v."""
+        return self._kind_set(STRUCTURAL)
+
+    @property
+    def similarity(self) -> frozenset:
+        """Similarity edges as (u, v) pairs with u < v."""
+        return self._kind_set(SIMILARITY)
 
     def origin(self, w: int) -> int:
         """Meaning node this symbol descends from."""
@@ -158,6 +189,19 @@ class SymbolGraph:
         return self.lam * m
 
 
+def _symbol_graph(structural, similarity, lam: int, n_meaning: int, params: SampleParams, seed: int) -> SymbolGraph:
+    """Assemble a SymbolGraph from its two kind lists of (u, v) pairs, u < v."""
+    structural = np.asarray(structural, dtype=np.int64).reshape(-1, 2)
+    similarity = np.asarray(similarity, dtype=np.int64).reshape(-1, 2)
+    n = lam * n_meaning
+    graph = Graph(n, np.concatenate((structural, similarity)))
+    keys = _pair_keys(graph.edge_array(), n)
+    kinds = np.zeros(len(keys), dtype=np.uint8)
+    kinds[np.searchsorted(keys, _pair_keys(structural, n))] |= STRUCTURAL
+    kinds[np.searchsorted(keys, _pair_keys(similarity, n))] |= SIMILARITY
+    return SymbolGraph(graph, kinds.tobytes(), lam, n_meaning, params, seed)
+
+
 def node_pair_connectivity(sg: SymbolGraph, w: int, w_prime: int) -> bool:
     """Whether two distinct symbols share an edge of either kind."""
     if w == w_prime:
@@ -168,54 +212,65 @@ def node_pair_connectivity(sg: SymbolGraph, w: int, w_prime: int) -> bool:
 # -- sampling passes ----------------------------------------------------
 
 
-def _edge_array(g: Graph) -> np.ndarray:
-    edges = np.fromiter(
-        (x for e in g.edges() for x in e), dtype=np.int64, count=2 * g.edge_count
-    )
-    return edges.reshape(-1, 2)
-
-
-def _positive_uniforms(seed: int, n_edges: int, lam: int) -> np.ndarray:
-    rng = stream(seed, STREAM_STRUCT_POS)
-    return rng.random((n_edges, lam * lam))
-
-
-def _slots_to_symbol_pairs(m1, m2, slot, lam):
-    j1 = slot // lam
-    j2 = slot % lam
-    return lam * m1 + j1, lam * m2 + j2
+def _symbol_pairs(m1, m2, slot, lam) -> np.ndarray:
+    """Symbol pairs of meaning pairs (m1 < m2) at replica slot ``slot``."""
+    return np.column_stack((lam * m1 + slot // lam, lam * m2 + slot % lam))
 
 
 def _negative_hits(seed: int, n: int, lam: int, p: float, stream_id: int):
     """Hit slots of a Bernoulli(p) pass over every cross-cluster slot."""
     rng = stream(seed, stream_id)
     hits = skip_sample(rng, pair_count(n) * lam * lam, p)
-    pidx = hits // (lam * lam)
-    slot = hits % (lam * lam)
-    m1, m2 = index_to_pair(pidx, n)
-    return pidx, m1, m2, slot
+    m1, m2 = index_to_pair(hits // (lam * lam), n)
+    return m1, m2, hits % (lam * lam)
 
 
-def _intra_mask(seed: int, n: int, lam: int, eps_plus: float):
-    """Presence mask for the C(lam, 2) similarity slots of each cluster."""
-    if lam < 2:
-        return None, None, None
-    pairs = [(a, b) for a in range(lam) for b in range(a + 1, lam)]
-    rng = stream(seed, STREAM_SIM_INTRA)
-    mask = rng.random((n, len(pairs))) < (1.0 - eps_plus)
-    a = np.array([p[0] for p in pairs], dtype=np.int64)
-    b = np.array([p[1] for p in pairs], dtype=np.int64)
-    return mask, a, b
+def _sample(gm: MeaningGraph, params: SampleParams, seed: int, cut=None) -> list[SymbolGraph]:
+    """The four sampling passes for ``gm``, assembled into symbol graphs.
 
+    Without ``cut`` this returns one graph. With a cut (edges of ``gm``) it
+    returns a second graph for the world where those edges are meaning
+    non-edges: the same draws, except that the uniforms on the cut-edge
+    slots are compared against p_minus instead of p_plus.
+    """
+    eff = params.effective()
+    n = gm.n
+    lam = eff.lam
+    edges = gm.graph.edge_array()
+    edge_keys = _pair_keys(edges, n)
 
-def _edge_pair_indices(g: Graph) -> np.ndarray:
-    """Sorted unordered-pair indices of a graph's edges."""
-    n = g.n
-    out = np.fromiter(
-        (u * n - u * (u + 1) // 2 + (v - u - 1) for u, v in g.edges()),
-        dtype=np.int64,
-        count=g.edge_count,
-    )
+    # Structural pass over meaning edges.
+    u = stream(seed, STREAM_STRUCT_POS).random((len(edges), lam * lam))
+    hit = u < eff.p_plus
+    worlds = [hit]
+    if cut is not None:
+        in_cut = np.isin(edge_keys, _pair_keys(np.sort(np.reshape(cut, (-1, 2)), axis=1), n))
+        hit_gp = hit.copy()
+        hit_gp[in_cut] = u[in_cut] < eff.p_minus
+        worlds.append(hit_gp)
+
+    # Structural pass over meaning non-edges: sample the whole slot space
+    # sparsely, then drop hits that landed on actual meaning edges (the
+    # cut edges included: their g'-side draw happened above).
+    m1, m2, slot = _negative_hits(seed, n, lam, eff.p_minus, STREAM_STRUCT_NEG)
+    keep = ~np.isin(m1 * n + m2, edge_keys)
+    negative = _symbol_pairs(m1[keep], m2[keep], slot[keep], lam)
+
+    # Similarity inside clusters, one slot per replica pair a < b.
+    a, b = np.triu_indices(lam, 1)
+    midx, k = np.nonzero(stream(seed, STREAM_SIM_INTRA).random((n, len(a))) < (1.0 - eff.eps_plus))
+    intra = np.column_stack((lam * midx + a[k], lam * midx + b[k]))
+
+    # Similarity false positives across clusters (absent when folded).
+    m1, m2, slot = _negative_hits(seed, n, lam, eff.eps_minus, STREAM_SIM_CROSS)
+    similarity = np.concatenate((intra, _symbol_pairs(m1, m2, slot, lam)))
+
+    out = []
+    for world in worlds:
+        eidx, slot = np.nonzero(world)
+        positive = _symbol_pairs(edges[eidx, 0], edges[eidx, 1], slot, lam)
+        structural = np.concatenate((positive, negative))
+        out.append(_symbol_graph(structural, similarity, lam, n, params, seed))
     return out
 
 
@@ -226,54 +281,7 @@ def sample_symbol_graph(gm: MeaningGraph, params: SampleParams, seed: int) -> Sy
     named stream, so the same seed yields the same graph regardless of
     how the passes are scheduled.
     """
-    eff = params.effective()
-    n = gm.n
-    lam = eff.lam
-    structural: list[tuple[int, int]] = []
-    similarity: list[tuple[int, int]] = []
-
-    # Structural pass over meaning edges.
-    edges = _edge_array(gm.graph)
-    if len(edges):
-        u = _positive_uniforms(seed, len(edges), lam)
-        eidx, slot = np.nonzero(u < eff.p_plus)
-        w1, w2 = _slots_to_symbol_pairs(edges[eidx, 0], edges[eidx, 1], slot, lam)
-        structural.extend(zip(w1.tolist(), w2.tolist()))
-
-    # Structural pass over meaning non-edges: sample the whole slot space
-    # sparsely, then drop hits that landed on actual meaning edges.
-    pidx, m1, m2, slot = _negative_hits(seed, n, lam, eff.p_minus, STREAM_STRUCT_NEG)
-    if len(pidx):
-        keep = ~np.isin(pidx, _edge_pair_indices(gm.graph))
-        w1, w2 = _slots_to_symbol_pairs(m1[keep], m2[keep], slot[keep], lam)
-        structural.extend(zip(w1.tolist(), w2.tolist()))
-
-    # Similarity inside clusters.
-    mask, a, b = _intra_mask(seed, n, lam, eff.eps_plus)
-    if mask is not None:
-        midx, k = np.nonzero(mask)
-        w1 = lam * midx + a[k]
-        w2 = lam * midx + b[k]
-        similarity.extend(zip(w1.tolist(), w2.tolist()))
-
-    # Similarity false positives across clusters (absent when folded).
-    _, m1, m2, slot = _negative_hits(seed, n, lam, eff.eps_minus, STREAM_SIM_CROSS)
-    if len(m1):
-        w1, w2 = _slots_to_symbol_pairs(m1, m2, slot, lam)
-        similarity.extend(zip(w1.tolist(), w2.tolist()))
-
-    structural_set = frozenset(structural)
-    similarity_set = frozenset(similarity)
-    union = Graph(lam * n, structural_set | similarity_set)
-    return SymbolGraph(
-        graph=union,
-        structural=structural_set,
-        similarity=similarity_set,
-        lam=lam,
-        n_meaning=n,
-        params=params,
-        seed=seed,
-    )
+    return _sample(gm, params, seed)[0]
 
 
 def sample_coupled(cp: CutPair, params: SampleParams, seed: int) -> tuple[SymbolGraph, SymbolGraph]:
@@ -285,82 +293,20 @@ def sample_coupled(cp: CutPair, params: SampleParams, seed: int) -> tuple[Symbol
     are identical by construction. The first component equals
     ``sample_symbol_graph(cp.g, params, seed)`` draw for draw.
     """
-    eff = params.effective()
-    n = cp.g.n
-    lam = eff.lam
-    cut_set = set(cp.cut)
-
-    struct_g: list[tuple[int, int]] = []
-    struct_gp: list[tuple[int, int]] = []
-
-    edges = _edge_array(cp.g.graph)
-    if len(edges):
-        u = _positive_uniforms(seed, len(edges), lam)
-        in_cut = np.fromiter(
-            ((int(e[0]), int(e[1])) in cut_set for e in edges),
-            dtype=bool,
-            count=len(edges),
-        )
-        thresh_gp = np.where(in_cut, eff.p_minus, eff.p_plus)
-        eidx, slot = np.nonzero(u < eff.p_plus)
-        w1, w2 = _slots_to_symbol_pairs(edges[eidx, 0], edges[eidx, 1], slot, lam)
-        struct_g.extend(zip(w1.tolist(), w2.tolist()))
-        eidx, slot = np.nonzero(u < thresh_gp[:, None])
-        w1, w2 = _slots_to_symbol_pairs(edges[eidx, 0], edges[eidx, 1], slot, lam)
-        struct_gp.extend(zip(w1.tolist(), w2.tolist()))
-
-    pidx, m1, m2, slot = _negative_hits(seed, n, lam, eff.p_minus, STREAM_STRUCT_NEG)
-    if len(pidx):
-        # Cut pairs are edges of g, so this shared pass skips them for
-        # both worlds; their g'-side p_minus draw happened above.
-        keep = ~np.isin(pidx, _edge_pair_indices(cp.g.graph))
-        w1, w2 = _slots_to_symbol_pairs(m1[keep], m2[keep], slot[keep], lam)
-        shared = list(zip(w1.tolist(), w2.tolist()))
-        struct_g.extend(shared)
-        struct_gp.extend(shared)
-
-    similarity: list[tuple[int, int]] = []
-    mask, a, b = _intra_mask(seed, n, lam, eff.eps_plus)
-    if mask is not None:
-        midx, k = np.nonzero(mask)
-        w1 = lam * midx + a[k]
-        w2 = lam * midx + b[k]
-        similarity.extend(zip(w1.tolist(), w2.tolist()))
-    _, m1, m2, slot = _negative_hits(seed, n, lam, eff.eps_minus, STREAM_SIM_CROSS)
-    if len(m1):
-        w1, w2 = _slots_to_symbol_pairs(m1, m2, slot, lam)
-        similarity.extend(zip(w1.tolist(), w2.tolist()))
-
-    similarity_set = frozenset(similarity)
-
-    def build(struct_list) -> SymbolGraph:
-        structural_set = frozenset(struct_list)
-        union = Graph(lam * n, structural_set | similarity_set)
-        return SymbolGraph(
-            graph=union,
-            structural=structural_set,
-            similarity=similarity_set,
-            lam=lam,
-            n_meaning=n,
-            params=params,
-            seed=seed,
-        )
-
-    return build(struct_g), build(struct_gp)
+    sg, sgp = _sample(cp.g, params, seed, cp.cut)
+    return sg, sgp
 
 
 def count_edges_by_class(sg: SymbolGraph, gm: MeaningGraph) -> dict[PairClass, int]:
     """Union-graph edge counts split by pair class (test and audit helper)."""
-    counts = {c: 0 for c in PairClass}
-    for u, v in sg.graph.edges():
-        mu, mv = u // sg.lam, v // sg.lam
-        if mu == mv:
-            counts[PairClass.INTRA_CLUSTER] += 1
-        elif gm.graph.has_edge(mu, mv):
-            counts[PairClass.MEANING_EDGE] += 1
-        else:
-            counts[PairClass.MEANING_NON_EDGE] += 1
-    return counts
+    origin = sg.graph.edge_array() // sg.lam
+    intra = origin[:, 0] == origin[:, 1]
+    on_edge = np.isin(_pair_keys(origin, gm.n), _pair_keys(gm.graph.edge_array(), gm.n))
+    return {
+        PairClass.MEANING_EDGE: int(np.count_nonzero(on_edge)),
+        PairClass.MEANING_NON_EDGE: int(np.count_nonzero(~on_edge & ~intra)),
+        PairClass.INTRA_CLUSTER: int(np.count_nonzero(intra)),
+    }
 
 
 # -- serialization ------------------------------------------------------
@@ -381,13 +327,16 @@ def write_symbol_graph(sg: SymbolGraph, path) -> None:
             f" eps_plus={p.eps_plus!r} eps_minus={p.eps_minus!r}"
             f" fold={int(p.fold)}\n"
         )
-        for w in range(sg.graph.n):
-            fh.write(f"#origin {w} {w // sg.lam}\n")
-        for u, v in sg.graph.edges():
-            if (u, v) in sg.structural:
-                fh.write(f"{u}\t{v}\tS\n")
-            if (u, v) in sg.similarity:
-                fh.write(f"{u}\t{v}\tR\n")
+        fh.writelines(f"#origin {w} {w // sg.lam}\n" for w in range(sg.graph.n))
+        # An edge of both kinds writes its S line, then its R line.
+        edges = np.repeat(sg.graph.edge_array(), 2, axis=0)
+        kind = np.tile(np.array([STRUCTURAL, SIMILARITY], dtype=np.uint8), sg.graph.edge_count)
+        lines = (np.repeat(sg.kind_array, 2) & kind) != 0
+        tag = {STRUCTURAL: "S", SIMILARITY: "R"}
+        fh.writelines(
+            f"{u}\t{v}\t{tag[k]}\n"
+            for u, v, k in zip(edges[lines, 0].tolist(), edges[lines, 1].tolist(), kind[lines].tolist())
+        )
 
 
 def read_symbol_graph(path) -> SymbolGraph:
@@ -395,8 +344,8 @@ def read_symbol_graph(path) -> SymbolGraph:
     meta: dict[str, str] = {}
     par: dict[str, str] = {}
     origin: dict[int, int] = {}
-    structural: set[tuple[int, int]] = set()
-    similarity: set[tuple[int, int]] = set()
+    structural: list[tuple[int, int]] = []
+    similarity: list[tuple[int, int]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -420,7 +369,7 @@ def read_symbol_graph(path) -> SymbolGraph:
                 raise ValueError(f"{path}:{lineno}: expected 'u<TAB>v<TAB>S|R', got {line!r}")
             u, v = int(fields[0]), int(fields[1])
             edge = (min(u, v), max(u, v))
-            (structural if fields[2] == "S" else similarity).add(edge)
+            (structural if fields[2] == "S" else similarity).append(edge)
     try:
         n_meaning = int(meta["meaning-nodes"])
         lam = int(meta["lambda"])
@@ -438,13 +387,4 @@ def read_symbol_graph(path) -> SymbolGraph:
     for w, m in origin.items():
         if w // lam != m:
             raise ValueError(f"{path}: origin line maps {w} to {m}, expected {w // lam}")
-    union = Graph(lam * n_meaning, structural | similarity)
-    return SymbolGraph(
-        graph=union,
-        structural=frozenset(structural),
-        similarity=frozenset(similarity),
-        lam=lam,
-        n_meaning=n_meaning,
-        params=params,
-        seed=seed,
-    )
+    return _symbol_graph(structural, similarity, lam, n_meaning, params, seed)

@@ -10,15 +10,14 @@ closeness bound.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .bounds import laplacian_diff_bound
-from .graph import Graph, _bfs_levels, ball_bound
-from .meaning import CutPair, gen_er
+from .graph import Graph, _as_nodes, _bit_levels
+from .meaning import CutPair
 from .sampler import SampleParams, SymbolGraph, sample_coupled
 
 # Fixed entropy for the power-iteration start vector. Deterministic on
@@ -41,42 +40,23 @@ def laplacian_of(g: Graph, nodes: Sequence[int]) -> np.ndarray:
     the matrix is symmetric by construction. Duplicate nodes are refused
     rather than silently collapsed.
     """
-    idx = {}
-    for pos, u in enumerate(nodes):
-        g._check_node(u)
-        if u in idx:
-            raise ValueError(f"duplicate node {u} in induced subset")
-        idx[u] = pos
-    k = len(idx)
+    nodes = _as_nodes(g, list(nodes))
+    k = len(nodes)
+    pos = np.full(g.n, -1, dtype=np.int64)
+    pos[nodes] = np.arange(k)
+    # A repeated node keeps only its last position.
+    repeat = np.flatnonzero(pos[nodes] != np.arange(k))
+    if repeat.size:
+        raise ValueError(f"duplicate node {nodes[repeat[0]]} in induced subset")
+    # Both directions of every edge are CSR entries; keep those inside the subset.
+    pu = np.repeat(pos, np.diff(g.indptr))
+    pv = pos[g.indices]
+    inside = (pu >= 0) & (pv >= 0)
+    pu, pv = pu[inside], pv[inside]
     lap = np.zeros((k, k), dtype=np.float64)
-    for u, pu in idx.items():
-        for v in g.neighbors(u):
-            pv = idx.get(v)
-            if pv is not None and pv > pu:
-                lap[pu, pv] = -1.0
-                lap[pv, pu] = -1.0
-                lap[pu, pu] += 1.0
-                lap[pv, pv] += 1.0
+    lap[pu, pv] = -1.0
+    lap[np.arange(k), np.arange(k)] = np.bincount(pu, minlength=k)
     return lap
-
-
-def adjacency_of(g: Graph, nodes: Sequence[int]) -> np.ndarray:
-    """0/1 adjacency matrix of the induced subgraph on ``nodes``."""
-    idx = {}
-    for pos, u in enumerate(nodes):
-        g._check_node(u)
-        if u in idx:
-            raise ValueError(f"duplicate node {u} in induced subset")
-        idx[u] = pos
-    k = len(idx)
-    adj = np.zeros((k, k), dtype=np.float64)
-    for u, pu in idx.items():
-        for v in g.neighbors(u):
-            pv = idx.get(v)
-            if pv is not None and pv > pu:
-                adj[pu, pv] = 1.0
-                adj[pv, pu] = 1.0
-    return adj
 
 
 def spectral_norm(m: np.ndarray, tol: float = 1e-9, max_iter: int = 10_000) -> SpectralNormResult:
@@ -144,12 +124,13 @@ class SpectralTrial:
 
 
 def _local_nodes(sg: SymbolGraph, sgp: SymbolGraph, w: int, w_prime: int, d_tilde: int) -> list[int]:
-    seen: set[int] = set()
+    """Sorted nodes within d_tilde of w or w_prime in either world's graph."""
+    local = np.zeros(sg.graph.n, dtype=bool)
     for g in (sg.graph, sgp.graph):
-        for s in (w, w_prime):
-            levels = _bfs_levels(g, s, cap=d_tilde)
-            seen.update(u for u, lv in enumerate(levels) if lv >= 0)
-    return sorted(seen)
+        for _, _, seen in _bit_levels(g, np.array([w, w_prime], dtype=np.int64), d_tilde):
+            pass
+        local |= seen != 0
+    return np.flatnonzero(local).tolist()
 
 
 def coupled_cut_trial(
@@ -194,7 +175,7 @@ def coupled_cut_trial(
     lt = lap / norm_l if norm_l > 0 else lap
     ltp = lap_p / norm_lp if norm_lp > 0 else lap_p
     res_diff = spectral_norm(lt - ltp, tol=tol)
-    bound = laplacian_diff_bound(cp.g.n, params.lam, ball_bound(cp.g.graph, 1))
+    bound = laplacian_diff_bound(cp.g.n, params.lam, cp.g.graph.max_degree() + 1)
     return SpectralTrial(
         seed=seed,
         n=cp.g.n,
@@ -223,19 +204,3 @@ def spectral_csv_record(trial: SpectralTrial) -> str:
         trial.diff_normalized, trial.analytic_bound, int(trial.within_bound),
     ]
     return ",".join(repr(f) if isinstance(f, float) else str(f) for f in fields)
-
-
-def adjacency_norm_ratio(n: int, p: float, seed: int) -> float:
-    """Diagnostic only: adjacency spectral norm over sqrt(2 n ln n).
-
-    Recorded for the empirical report; no inequality is asserted on it
-    anywhere in the package.
-    """
-    if n < 2:
-        raise ValueError(f"need at least two nodes, got {n}")
-    if n > MAX_LOCAL_NODES:
-        raise ValueError(f"dense diagnostic capped at {MAX_LOCAL_NODES} nodes")
-    gm = gen_er(n, p, seed)
-    adj = adjacency_of(gm.graph, range(n))
-    norm = spectral_norm(adj).value
-    return norm / math.sqrt(2.0 * n * math.log(n))

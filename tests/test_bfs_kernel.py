@@ -111,19 +111,19 @@ def test_rejects_bad_queries():
         bfs_distances(Graph(0, []), [0], [0])
 
 
-def test_csr_is_built_once_and_matches_neighbors():
-    g = Graph(5, [(0, 3), (3, 1), (1, 0)])
-    indptr, indices = g.csr()
-    assert g.csr()[0] is indptr
-    for u in range(g.n):
-        assert tuple(indices[indptr[u] : indptr[u + 1]].tolist()) == g.neighbors(u)
-
-
 @settings(max_examples=60, deadline=None)
 @given(graphs_with_queries(), st.integers(min_value=0, max_value=6))
 def test_ball_bound_is_largest_neighborhood(case, d):
     g = case[0]
     assert ball_bound(g, d) == max(neighborhood_size(g, s, d) for s in range(g.n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs_with_queries())
+def test_one_ball_is_max_degree_plus_one(case):
+    # The 1-ball of a simple graph is a node plus its neighbours.
+    g = case[0]
+    assert ball_bound(g, 1) == g.max_degree() + 1
 
 
 def test_ball_bound_matches_networkx_ego_graphs():

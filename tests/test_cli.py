@@ -279,6 +279,38 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "mystery" in stderr
 
 
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        ({"handler": "x"}, "unknown config key 'handler'"),
+        ({"trials": "10"}, "config key 'trials' must be a number"),
+        ({"seed": 1.7}, "invalid int value: '1.7'"),
+        ({"lambda": 2.5}, "invalid int value: '2.5'"),
+    ],
+)
+def test_config_values_get_flag_types(tmp_path, capsys, cfg, message):
+    # Each used to end in a traceback or a silently truncated value.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, _, stderr = run(
+        capsys, "gamma", "--er", "10", "0.2", "--allow-trivial",
+        "--config", str(path), "--out", str(tmp_path / "run"),
+    )
+    assert code == 1
+    assert message in stderr
+    assert not (tmp_path / "run").exists()
+
+
+def test_config_flags_and_lists(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"er": [10, 0.2], "fold": True, "eps_minus": 0.1, "allow-trivial": False}))
+    out = tmp_path / "run"
+    code, _, _ = run(capsys, "sample", "--config", str(cfg), "--out", str(out))
+    assert code == 0
+    sg = read_symbol_graph(out / "symbol_graph.tsv")
+    assert sg.n_meaning == 10 and sg.params.fold and sg.params.eps_minus == 0.1
+
+
 def test_bad_config_json_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")

@@ -1,9 +1,13 @@
-"""Graph primitive tests: BFS, balls, min cut against brute force, I/O."""
+"""Graph primitive tests: CSR storage, BFS, balls, components and min cut
+against brute force and networkx, I/O."""
 
 from __future__ import annotations
 
 import itertools
+import pickle
 
+import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,6 +81,47 @@ def test_immutable():
     g = path_graph(3)
     with pytest.raises(AttributeError):
         g.n = 5
+
+
+def test_csr_arrays_are_sorted_and_read_only():
+    g = Graph(5, [(3, 0), (1, 3), (0, 1), (3, 1)])
+    assert g.indptr.tolist() == [0, 2, 4, 4, 6, 6]
+    assert g.indices.tolist() == [1, 3, 0, 3, 0, 1]
+    assert [g.neighbors(u) for u in range(5)] == [(1, 3), (0, 3), (), (0, 1), ()]
+    with pytest.raises(ValueError):
+        g.indices[0] = 2
+    with pytest.raises(ValueError):
+        g.indptr[0] = 1
+
+
+def test_array_and_pair_inputs_build_equal_graphs():
+    pairs = [(0, 4), (2, 1), (4, 0), (3, 2)]
+    a = Graph(5, pairs)
+    b = Graph(5, np.array(pairs))
+    c = Graph(5, iter(pairs))
+    assert a == b == c and hash(a) == hash(b)
+    assert list(a.edges()) == [(0, 4), (1, 2), (2, 3)]
+    assert a.edge_array().tolist() == [[0, 4], [1, 2], [2, 3]]
+    assert a != Graph(6, pairs) and a != Graph(5, pairs[:2])
+    assert pickle.loads(pickle.dumps(a)) == a
+
+
+def test_edge_checks_report_the_first_bad_edge():
+    with pytest.raises(ValueError, match=r"edge \(0, 7\) out of range"):
+        Graph(4, np.array([[0, 1], [0, 7], [2, 2]]))
+    with pytest.raises(ValueError, match="self-loop at node 2"):
+        Graph(4, [(0, 1), (2, 2), (0, 7)])
+    with pytest.raises(ValueError, match="pairs"):
+        Graph(4, [(0, 1, 2)])
+
+
+def test_has_edge_and_degrees():
+    g = Graph(5, [(0, 1), (1, 2), (1, 4)])
+    assert g.has_edge(1, 4) and g.has_edge(4, 1) and not g.has_edge(0, 4)
+    assert [g.degree(u) for u in range(5)] == [1, 3, 1, 0, 1]
+    assert g.max_degree() == 3 and Graph(0).max_degree() == 0
+    with pytest.raises(ValueError, match="out of range"):
+        g.has_edge(0, 5)
 
 
 def test_remove_edges():
@@ -241,6 +286,49 @@ def test_min_cut_matches_brute_force(g: Graph, data):
     assert len(cut) == brute_force_min_cut_size(g, s, t)
     # The returned edges really are a cut.
     assert bfs_distance(g.remove_edges(cut), s, t) is UNREACHABLE
+
+
+# -- networkx oracles ---------------------------------------------------
+
+
+@st.composite
+def sparse_graphs(draw, max_nodes=60):
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    node = st.integers(min_value=0, max_value=n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    return Graph(n, [(u, v) for u, v in edges if u != v])
+
+
+def to_networkx(g: Graph) -> nx.Graph:
+    ref = nx.Graph()
+    ref.add_nodes_from(range(g.n))
+    ref.add_edges_from(g.edges())
+    return ref
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_graphs(max_nodes=150))
+def test_components_match_networkx(g: Graph):
+    want = sorted(sorted(c) for c in nx.connected_components(to_networkx(g)))
+    assert components(g) == want
+
+
+def test_components_of_long_path_and_isolated_nodes():
+    # Labels must travel the whole length of a path, against its order.
+    n = 500
+    g = Graph(n + 2, [(i + 1, i) for i in range(1, n)])
+    assert components(g) == [[0], list(range(1, n + 1)), [n + 1]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_graphs(max_nodes=30), st.data())
+def test_min_cut_size_matches_networkx(g: Graph, data):
+    if g.n < 2:
+        return
+    s = data.draw(st.integers(min_value=0, max_value=g.n - 1))
+    t = data.draw(st.integers(min_value=0, max_value=g.n - 2))
+    t += t >= s
+    assert len(min_cut(g, s, t)) == nx.edge_connectivity(to_networkx(g), s, t)
 
 
 def test_min_cut_deterministic():

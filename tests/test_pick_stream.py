@@ -1,17 +1,22 @@
 """Batched pair picking consumes the caller's stream exactly as before.
 
 The references below are copies of the one-attempt-at-a-time pickers
-that the batched versions replace. Each comparison shares one Generator
-across many consecutive picks, so any difference in how many values a
-pick draws shifts every later pick and shows up here.
+that the batched versions replace, with networkx for every distance and
+component, so they share no traversal code with the package. Each
+comparison shares one Generator across many consecutive picks, so any
+difference in how many values a pick draws shifts every later pick and
+shows up here.
 """
 
 from __future__ import annotations
 
+import functools
+
+import networkx as nx
 import numpy as np
 import pytest
 
-from meaninglab.graph import Graph, _bfs_levels, bfs_distance, components
+from meaninglab.graph import Graph
 from meaninglab.meaning import (
     NO_SUCH_PAIR,
     MeaningGraph,
@@ -22,32 +27,39 @@ from meaninglab.meaning import (
 from meaninglab.rng import stream
 
 
+@functools.lru_cache(maxsize=None)
+def nx_graph(g: Graph) -> nx.Graph:
+    ref = nx.Graph()
+    ref.add_nodes_from(range(g.n))
+    ref.add_edges_from(g.edges())
+    return ref
+
+
 def reference_pick_pair_at_distance(gm, d, rng, max_attempts=None):
-    g = gm.graph
-    n = g.n
+    n = gm.n
     if n < 2:
         return NO_SUCH_PAIR
+    ref = nx_graph(gm.graph)
     attempts = 10 * n if max_attempts is None else max_attempts
     for _ in range(attempts):
         u = int(rng.integers(n))
         v = int(rng.integers(n))
         if u == v:
             continue
-        if bfs_distance(g, u, v, cap=d) == d:
+        if nx.single_source_shortest_path_length(ref, u, cutoff=d).get(v) == d:
             return (u, v)
     pairs = []
     for u in range(n):
-        levels = _bfs_levels(g, u, cap=d)
-        pairs.extend((u, v) for v in range(n) if levels[v] == d)
+        levels = nx.single_source_shortest_path_length(ref, u, cutoff=d)
+        pairs.extend((u, v) for v in range(n) if levels.get(v) == d)
     if not pairs:
         return NO_SUCH_PAIR
     return pairs[int(rng.integers(len(pairs)))]
 
 
 def reference_pick_disconnected_pair(gm, rng):
-    g = gm.graph
-    n = g.n
-    comps = components(g)
+    n = gm.n
+    comps = sorted(sorted(c) for c in nx.connected_components(nx_graph(gm.graph)))
     if len(comps) < 2:
         return NO_SUCH_PAIR
     comp_of = [0] * n

@@ -13,6 +13,8 @@ from meaninglab.graph import Graph, components
 from meaninglab.meaning import MeaningGraph, gen_er, make_cut_pair
 from meaninglab.rng import pair_count
 from meaninglab.sampler import (
+    SIMILARITY,
+    STRUCTURAL,
     PairClass,
     SampleParams,
     SymbolGraph,
@@ -345,13 +347,13 @@ def test_dual_kind_edge_round_trip(tmp_path):
     # A cross-cluster pair can carry both kinds; both survive a round trip.
     sg = SymbolGraph(
         graph=Graph(4, [(0, 1), (0, 3)]),
-        structural=frozenset({(0, 3)}),
-        similarity=frozenset({(0, 1), (0, 3)}),
+        kinds=bytes([SIMILARITY, STRUCTURAL | SIMILARITY]),
         lam=2,
         n_meaning=2,
         params=params(),
         seed=0,
     )
+    assert sg.structural == {(0, 3)} and sg.similarity == {(0, 1), (0, 3)}
     path = tmp_path / "dual.tsv"
     write_symbol_graph(sg, path)
     text = path.read_text()
@@ -370,10 +372,28 @@ def test_symbol_graph_constructor_rejects_intra_structural():
     with pytest.raises(ValueError, match="inside a cluster"):
         SymbolGraph(
             graph=Graph(4, [(0, 1)]),
-            structural=frozenset({(0, 1)}),
-            similarity=frozenset(),
+            kinds=bytes([STRUCTURAL]),
             lam=2,
             n_meaning=2,
             params=params(),
             seed=0,
         )
+
+
+@pytest.mark.parametrize("kinds", [b"", bytes([1, 0]), bytes([1, 4]), bytes([1, 2, 3])])
+def test_symbol_graph_constructor_rejects_bad_kinds(kinds):
+    with pytest.raises(ValueError, match="one nonzero kind per union edge"):
+        SymbolGraph(
+            graph=Graph(4, [(0, 2), (1, 3)]),
+            kinds=kinds,
+            lam=2,
+            n_meaning=2,
+            params=params(),
+            seed=0,
+        )
+
+
+def test_symbol_graph_constructor_rejects_wrong_node_count():
+    with pytest.raises(ValueError, match="lam\\*n"):
+        SymbolGraph(Graph(5, []), b"", 2, 2, params(), 0)
+

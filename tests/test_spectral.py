@@ -13,8 +13,6 @@ from meaninglab.sampler import SampleParams
 from meaninglab.spectral import (
     MAX_LOCAL_NODES,
     SPECTRAL_CSV_HEADER,
-    adjacency_norm_ratio,
-    adjacency_of,
     coupled_cut_trial,
     laplacian_of,
     spectral_csv_record,
@@ -52,16 +50,8 @@ def test_laplacian_row_sums_zero_random():
 
 def test_induced_matrices_reject_duplicates():
     g = Graph(3, [(0, 1)])
-    with pytest.raises(ValueError, match="duplicate"):
+    with pytest.raises(ValueError, match="duplicate node 0"):
         laplacian_of(g, [0, 1, 0])
-    with pytest.raises(ValueError, match="duplicate"):
-        adjacency_of(g, [1, 1])
-
-
-def test_adjacency_of_values():
-    g = Graph(3, [(0, 1), (1, 2)])
-    adj = adjacency_of(g, [2, 1])
-    assert np.array_equal(adj, np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 # -- power iteration ----------------------------------------------------
@@ -204,19 +194,3 @@ def test_spectral_csv_record_matches_header():
     assert fields[0] == "7" and fields[1] == "50"
     assert fields[-1] in ("0", "1")
     assert repr(trial.diff_normalized) == fields[10]
-
-
-# -- diagnostics --------------------------------------------------------
-
-
-def test_adjacency_norm_ratio_smoke():
-    r = adjacency_norm_ratio(100, 0.1, seed=1)
-    assert 0.0 < r < 10.0
-    assert adjacency_norm_ratio(100, 0.1, seed=1) == r
-
-
-def test_adjacency_norm_ratio_validation():
-    with pytest.raises(ValueError):
-        adjacency_norm_ratio(1, 0.1, seed=1)
-    with pytest.raises(ValueError):
-        adjacency_norm_ratio(MAX_LOCAL_NODES + 1, 0.1, seed=1)
