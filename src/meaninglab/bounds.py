@@ -13,23 +13,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .sampler import fold_noise
+from .sentinel import Sentinel
 
 
-class Inapplicable:
+class Inapplicable(Sentinel, name="INAPPLICABLE"):
     """Sentinel: the bound's validity precondition fails for these inputs."""
-
-    _instance = None
-
-    def __new__(cls) -> "Inapplicable":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "INAPPLICABLE"
-
-    def __reduce__(self):
-        return (Inapplicable, ())
 
 
 INAPPLICABLE = Inapplicable()

@@ -18,23 +18,11 @@ from .graph import bfs_distances
 from .meaning import NO_SUCH_PAIR, MeaningGraph, pick_disconnected_pair, pick_pair_at_distance
 from .rng import STREAM_HEATMAP_CELL, STREAM_HEATMAP_ROW, stream, subseed
 from .sampler import SampleParams, sample_symbol_graph
+from .sentinel import Sentinel
 
 
-class EmptyCell:
+class EmptyCell(Sentinel, name="EMPTY"):
     """Sentinel: the meaning graph has no pair for this cell."""
-
-    _instance = None
-
-    def __new__(cls) -> "EmptyCell":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "EMPTY"
-
-    def __reduce__(self):
-        return (EmptyCell, ())
 
 
 EMPTY = EmptyCell()
@@ -106,28 +94,20 @@ def _heatmap_row(
     lam = params.lam
     # Pick every cell's pairs first; one symbol graph serves the whole row,
     # so all of its probes then go through one batched BFS call.
-    picked: list[list[tuple[int, int]] | None] = []
-    for col in range(1, d_max + 2):
-        disconnected = col == d_max + 1
-        rng = stream(seed, STREAM_HEATMAP_CELL, row_index, 0 if disconnected else col)
-        pairs: list[tuple[int, int]] | None = []
-        for _ in range(pairs_per_cell):
-            if disconnected:
-                pair = pick_disconnected_pair(gm, rng)
-            else:
-                pair = pick_pair_at_distance(gm, col, rng)
-            if pair is NO_SUCH_PAIR:
-                pairs = None
-                break
-            pairs.append(pair)
-        picked.append(pairs)
-    probes = [pair for pairs in picked if pairs is not None for pair in pairs]
+    picked = [
+        pick_pair_at_distance(gm, d, stream(seed, STREAM_HEATMAP_CELL, row_index, d), count=pairs_per_cell)
+        for d in range(1, d_max + 1)
+    ]
+    rng = stream(seed, STREAM_HEATMAP_CELL, row_index, 0)
+    pairs = [pick_disconnected_pair(gm, rng) for _ in range(pairs_per_cell)]
+    picked.append(NO_SUCH_PAIR if NO_SUCH_PAIR in pairs else pairs)
+    probes = [pair for pairs in picked if pairs is not NO_SUCH_PAIR for pair in pairs]
     src = [lam * u for u, _ in probes]
     dst = [lam * v for _, v in probes]
     dists = iter(bfs_distances(sg.graph, src, dst, cap=cap).tolist())
     row: list[float | EmptyCell] = []
     for pairs in picked:
-        if pairs is None:
+        if pairs is NO_SUCH_PAIR:
             row.append(EMPTY)
             continue
         # Summed in pick order from 0.0, so the mean keeps its bytes.

@@ -12,10 +12,12 @@ a level-synchronous BFS from up to 64 sources at once: each source owns
 one bit of a ``uint64`` word per node, and each level is a single
 ``bitwise_or.reduceat`` of the frontier words over the CSR arrays.
 Batched distance queries, single distance queries, neighborhood counts,
-ball bounds and the exhaustive pair scan all read its levels, and
-connected components come from the same gather-and-reduce step with
-``minimum`` in place of ``bitwise_or``. Only :func:`min_cut` keeps its
-own search, over the residual graph of its augmenting paths.
+ball bounds and the exhaustive pair scan all read its levels. Batched
+queries group their pairs by source, so a pass runs 64 distinct sources
+and serves every pair that starts at one of them. Connected components
+come from the same gather-and-reduce step with ``minimum`` in place of
+``bitwise_or``. Only :func:`min_cut` keeps its own search, over the
+residual graph of its augmenting paths.
 """
 
 from __future__ import annotations
@@ -25,22 +27,11 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .sentinel import Sentinel
 
-class Unreachable:
+
+class Unreachable(Sentinel, name="UNREACHABLE"):
     """Sentinel for "no path within the cap"; never compares equal to an int."""
-
-    _instance = None
-
-    def __new__(cls) -> "Unreachable":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "UNREACHABLE"
-
-    def __reduce__(self):
-        return (Unreachable, ())
 
 
 UNREACHABLE = Unreachable()
@@ -244,8 +235,10 @@ def bfs_distances(g: Graph, src, dst, cap: int | None = None) -> np.ndarray:
     """Shortest-path lengths for the pairs ``(src[i], dst[i])``, batched.
 
     -1 marks a pair with no path of length at most ``cap``. Pairs are
-    processed 64 to a pass; a pass stops as soon as all its targets are
-    found, its frontier empties, or it reaches ``cap``.
+    grouped by source and each pass runs 64 distinct sources, so every
+    pair with a given source reads that source's lane; a pass stops as
+    soon as all its targets are found, its frontier empties, or it
+    reaches ``cap``.
     """
     src = _as_nodes(g, src)
     dst = _as_nodes(g, dst)
@@ -253,13 +246,19 @@ def bfs_distances(g: Graph, src, dst, cap: int | None = None) -> np.ndarray:
         raise ValueError(f"{len(src)} sources but {len(dst)} targets")
     _check_radius(cap, "cap")
     out = np.full(len(src), -1, dtype=np.int64)
-    for lo in range(0, len(src), _WORD):
-        s, t, res = src[lo : lo + _WORD], dst[lo : lo + _WORD], out[lo : lo + _WORD]
-        bits = _BITS[: len(s)]
-        for level, front, _ in _bit_levels(g, s, cap):
+    sources, lane = np.unique(src, return_inverse=True)
+    order = np.argsort(lane, kind="stable")
+    # Pair positions order[cut[p]:cut[p + 1]] have their source in pass p.
+    cut = np.searchsorted(lane[order], np.arange(0, len(sources) + _WORD, _WORD))
+    for p, lo in enumerate(range(0, len(sources), _WORD)):
+        idx = order[cut[p] : cut[p + 1]]
+        t, bits = dst[idx], _BITS[lane[idx] - lo]
+        res = np.full(len(idx), -1, dtype=np.int64)
+        for level, front, _ in _bit_levels(g, sources[lo : lo + _WORD], cap):
             res[(front[t] & bits) != 0] = level
             if res.min() >= 0:
                 break
+        out[idx] = res
     return out
 
 

@@ -29,6 +29,7 @@ from .graph import (
     min_cut,
 )
 from .rng import STREAM_ER, STREAM_PAIR_AT_DISTANCE, STREAM_PAIR_DISCONNECTED, index_to_pair, pair_count, skip_sample, stream
+from .sentinel import Sentinel
 
 if TYPE_CHECKING:
     from .sampler import SampleParams
@@ -36,21 +37,8 @@ if TYPE_CHECKING:
 log = logging.getLogger(__name__)
 
 
-class NoSuchPair:
+class NoSuchPair(Sentinel, name="NO_SUCH_PAIR"):
     """Sentinel: the requested pair does not exist in this graph."""
-
-    _instance = None
-
-    def __new__(cls) -> "NoSuchPair":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "NO_SUCH_PAIR"
-
-    def __reduce__(self):
-        return (NoSuchPair, ())
 
 
 NO_SUCH_PAIR = NoSuchPair()
@@ -271,22 +259,34 @@ def _as_rng(seed) -> np.random.Generator:
     return stream(seed, STREAM_PAIR_AT_DISTANCE)
 
 
-# Rejection attempts tested per batched BFS pass (one uint64 word of sources).
-_ATTEMPT_BATCH = 64
+# Rejection attempts per batch: at least one uint64 word of BFS sources,
+# at most enough to keep a batch's arrays small.
+_BATCH = 64
+_MAX_BATCH = 4096
 
 
 def pick_pair_at_distance(
-    gm: MeaningGraph, d: int, seed, max_attempts: int | None = None
-) -> tuple[int, int] | NoSuchPair:
+    gm: MeaningGraph, d: int, seed, max_attempts: int | None = None, count: int | None = None
+) -> tuple[int, int] | list[tuple[int, int]] | NoSuchPair:
     """Uniformly sample an ordered node pair at exact distance d.
 
     Rejection over uniformly drawn (anchor, target) pairs keeps the sample
     unbiased; after ``max_attempts`` misses (default 10n) an exhaustive
     scan either settles the draw or proves no such pair exists.
     ``seed`` may be an int or a Generator to embed in a caller's stream.
+
+    With ``count``, returns a list of ``count`` consecutive picks from the
+    one stream: the same pairs, and the stream left in the same place, as
+    ``count`` calls without it. If no pair is at distance d it returns
+    NO_SUCH_PAIR, with the stream where the first such call leaves it.
     """
     if d < 1:
         raise ValueError(f"distance must be positive, got {d}")
+    if count is not None and count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
+    want = 1 if count is None else count
+    if want == 0:
+        return []
     g = gm.graph
     n = g.n
     if n < 2:
@@ -295,26 +295,51 @@ def pick_pair_at_distance(
     attempts = 10 * n if max_attempts is None else max_attempts
     # Attempts are drawn a batch at a time, as the interleaved anchor and
     # target draws the one-at-a-time loop would make, and tested together.
-    # On a hit the stream is rewound and exactly the attempts up to it are
-    # redrawn, so the caller's generator ends where that loop left it.
-    done = 0
-    while done < attempts:
-        b = min(_ATTEMPT_BATCH, attempts - done)
+    # Each pick takes the first hit inside its own window of ``attempts``;
+    # where the picks end, or a window runs out, the stream is rewound and
+    # exactly the attempts consumed are redrawn, so the caller's generator
+    # sits where that loop would have left it.
+    picks: list[tuple[int, int]] = []
+    room = attempts  # attempts left in the current pick's window
+    tried = hits = 0  # attempts drawn so far and hits among them
+    scan = None  # the exhaustive scan, made at the first fallback
+    while len(picks) < want:
+        if room <= 0:
+            if scan is None:
+                scan = _pairs_at_distance(g, d)
+            us, vs = scan
+            if not len(us):
+                return NO_SUCH_PAIR
+            k = int(rng.integers(len(us)))
+            picks.append((int(us[k]), int(vs[k])))
+            room = attempts
+            continue
+        left = want - len(picks)
+        # Enough attempts for ``left`` hits at the running hit rate; until a
+        # hit shows that rate, one word of sources, which is all a single
+        # pick usually needs. No batch runs past the last window it could use.
+        b = -(-left * tried // hits) if hits else _BATCH
+        b = min(max(b, _BATCH), _MAX_BATCH, room + (left - 1) * attempts)
         state = rng.bit_generator.state
         draws = rng.integers(n, size=2 * b)
         us, vs = draws[0::2], draws[1::2]
-        hits = np.flatnonzero(bfs_distances(g, us, vs, cap=d) == d)
-        if hits.size:
-            i = int(hits[0])
+        hit = np.flatnonzero(bfs_distances(g, us, vs, cap=d) == d)
+        tried += b
+        hits += len(hit)
+        pos = 0  # attempts of this batch consumed so far
+        for h in hit.tolist():
+            if len(picks) == want or h >= pos + room:
+                break
+            picks.append((int(us[h]), int(vs[h])))
+            pos, room = h + 1, attempts
+        if len(picks) < want:
+            step = min(b - pos, room)
+            pos += step
+            room -= step
+        if pos < b:
             rng.bit_generator.state = state
-            rng.integers(n, size=2 * (i + 1))
-            return (int(us[i]), int(vs[i]))
-        done += b
-    us, vs = _pairs_at_distance(g, d)
-    if not len(us):
-        return NO_SUCH_PAIR
-    k = int(rng.integers(len(us)))
-    return (int(us[k]), int(vs[k]))
+            rng.integers(n, size=2 * pos)
+    return picks if count is not None else picks[0]
 
 
 def pick_disconnected_pair(gm: MeaningGraph, seed) -> tuple[int, int] | NoSuchPair:

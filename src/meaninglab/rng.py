@@ -83,29 +83,47 @@ def pair_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
+# Largest node count whose pair indices all fit int64:
+# pair_count(2**32) = 2**63 - 2**31.
+MAX_PAIR_NODES = 2**32
+
+
+def _triangle(r: np.ndarray) -> np.ndarray:
+    """``r * (r + 1) // 2`` for ``0 <= r < 2**32``; the product is formed in uint64, where it fits."""
+    u = r.astype(np.uint64)
+    return (u * (u + 1) // 2).astype(np.int64)
+
+
 def index_to_pair(k: np.ndarray | int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Invert the lexicographic unordered-pair index for node count ``n``.
 
     Pair (i, j) with i < j has index ``i*n - i*(i+1)/2 + (j - i - 1)``;
-    this maps index arrays back to (i, j) arrays. Exact for every n that
-    fits the float64 integer range, and fixed up against off-by-one from
-    the square root anyway.
+    this maps index arrays back to (i, j) arrays. Exact for every n up to
+    ``MAX_PAIR_NODES``, where pair indices stop fitting int64; a larger n
+    raises ValueError.
     """
+    if n > MAX_PAIR_NODES:
+        raise ValueError(f"index_to_pair supports at most {MAX_PAIR_NODES} nodes, got {n}")
     k = np.asarray(k, dtype=np.int64)
-    if k.size and (k.min() < 0 or k.max() >= pair_count(n)):
+    total = pair_count(n)
+    if k.size and (k.min() < 0 or k.max() >= total):
         raise ValueError("pair index out of range")
-    b = 2 * n - 1
-    i = ((b - np.sqrt(b * b - 8.0 * k)) // 2).astype(np.int64)
-    i = np.clip(i, 0, n - 2)
-    # The float guess is off by at most a couple of rows; correct both ways.
-    for _ in range(3):
-        start = i * (2 * n - i - 1) // 2
-        i = np.where((start > k) & (i > 0), i - 1, i)
-    for _ in range(3):
-        start = i * (2 * n - i - 1) // 2
-        i = np.where((k - start >= n - 1 - i) & (i < n - 2), i + 1, i)
-    start = i * (2 * n - i - 1) // 2
-    j = k - start + i + 1
+    # Counted from the end, row r (i = n - 2 - r) holds r + 1 pairs and the
+    # rows after it hold triangle(r). The float guess for r is the square
+    # root of a number float64 holds to 2**-53 relative, so it is off by at
+    # most one near row boundaries; the integer loop then settles r exactly.
+    # Clipping to real rows keeps triangle(r + 1) within int64.
+    back = (total - 1) - k
+    r = np.clip(((np.sqrt(8.0 * back + 1.0) - 1.0) // 2).astype(np.int64), 0, max(n - 2, 0))
+    while True:
+        start = _triangle(r)
+        low = start > back
+        high = start + r + 1 <= back
+        if not (low.any() or high.any()):
+            break
+        r = r - low + high
+    i = n - 2 - r
+    j = i + 1 + r - (back - start)
     return i, j
 
 

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import meaninglab.graph as graph
 from meaninglab.graph import Graph, ball_bound, bfs_distances, neighborhood_size
 
 
@@ -55,6 +58,35 @@ def test_isolated_nodes_mid_range_and_last(n):
     dst = list(reversed(range(n))) * 2
     for cap in (None, 0, 1, 3):
         assert bfs_distances(g, src, dst, cap=cap).tolist() == oracle_distances(g, src, dst, cap)
+
+
+@st.composite
+def graphs_with_shared_sources(draw):
+    # Up to 200 distinct sources (so often more than one 64-source pass),
+    # each repeated with different targets, in shuffled order.
+    n = draw(st.integers(min_value=2, max_value=200))
+    node = st.integers(min_value=0, max_value=n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    g = Graph(n, [(u, v) for u, v in edges if u != v])
+    sources = draw(st.lists(node, min_size=1, max_size=n, unique=True))
+    src = draw(st.permutations(sources * draw(st.integers(min_value=1, max_value=4))))
+    dst = draw(st.lists(node, min_size=len(src), max_size=len(src)))
+    cap = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=6)))
+    return g, src, dst, cap
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs_with_shared_sources())
+def test_pairs_with_one_source_share_its_lane(case):
+    g, src, dst, cap = case
+    passes = []
+    real = graph._bit_levels
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_bit_levels", lambda g, s, cap: passes.append(s.tolist()) or real(g, s, cap))
+        got = bfs_distances(g, src, dst, cap=cap)
+    assert got.tolist() == oracle_distances(g, src, dst, cap)
+    assert len(passes) == math.ceil(len(set(src)) / 64)
+    assert sorted(s for p in passes for s in p) == sorted(set(src))
 
 
 def test_isolated_last_node_reports_unreachable():

@@ -5,7 +5,8 @@ that the batched versions replace, with networkx for every distance and
 component, so they share no traversal code with the package. Each
 comparison shares one Generator across many consecutive picks, so any
 difference in how many values a pick draws shifts every later pick and
-shows up here.
+shows up here. A count pick (one call for a whole heat-map cell) is
+compared with as many scalar reference picks from one Generator.
 """
 
 from __future__ import annotations
@@ -35,26 +36,45 @@ def nx_graph(g: Graph) -> nx.Graph:
     return ref
 
 
+# Distances and the exhaustive pair list depend only on the graph, so the
+# reference caches them; the draws it makes are unchanged.
+@functools.lru_cache(maxsize=None)
+def nx_levels(g: Graph, u: int, d: int) -> dict[int, int]:
+    return nx.single_source_shortest_path_length(nx_graph(g), u, cutoff=d)
+
+
+@functools.lru_cache(maxsize=None)
+def reference_pairs_at_distance(g: Graph, d: int) -> list[tuple[int, int]]:
+    return [(u, v) for u in range(g.n) for v in range(g.n) if nx_levels(g, u, d).get(v) == d]
+
+
 def reference_pick_pair_at_distance(gm, d, rng, max_attempts=None):
     n = gm.n
     if n < 2:
         return NO_SUCH_PAIR
-    ref = nx_graph(gm.graph)
     attempts = 10 * n if max_attempts is None else max_attempts
     for _ in range(attempts):
         u = int(rng.integers(n))
         v = int(rng.integers(n))
         if u == v:
             continue
-        if nx.single_source_shortest_path_length(ref, u, cutoff=d).get(v) == d:
+        if nx_levels(gm.graph, u, d).get(v) == d:
             return (u, v)
-    pairs = []
-    for u in range(n):
-        levels = nx.single_source_shortest_path_length(ref, u, cutoff=d)
-        pairs.extend((u, v) for v in range(n) if levels.get(v) == d)
+    pairs = reference_pairs_at_distance(gm.graph, d)
     if not pairs:
         return NO_SUCH_PAIR
     return pairs[int(rng.integers(len(pairs)))]
+
+
+def reference_cell(gm, d, rng, count, max_attempts=None):
+    """``count`` scalar picks, stopping at the first NO_SUCH_PAIR as a heat-map cell does."""
+    pairs = []
+    for _ in range(count):
+        pair = reference_pick_pair_at_distance(gm, d, rng, max_attempts)
+        if pair is NO_SUCH_PAIR:
+            return NO_SUCH_PAIR
+        pairs.append(pair)
+    return pairs
 
 
 def reference_pick_disconnected_pair(gm, rng):
@@ -128,6 +148,41 @@ def test_absent_distance_matches_scalar_loop():
         assert pick_pair_at_distance(gm, 2, new) is NO_SUCH_PAIR
         assert reference_pick_pair_at_distance(gm, 2, ref) is NO_SUCH_PAIR
     assert_same_stream_position(new, ref)
+
+
+@pytest.mark.parametrize("max_attempts", [0, 1, 5, 70, 130, None])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_count_picks_match_scalar_loop(sparse_graph, d, max_attempts):
+    key = 10**6 if max_attempts is None else max_attempts
+    new, ref = stream(31, d, key), stream(31, d, key)
+    got = pick_pair_at_distance(sparse_graph, d, new, max_attempts, count=200)
+    assert got == reference_cell(sparse_graph, d, ref, 200, max_attempts)
+    assert_same_stream_position(new, ref)
+
+
+@pytest.mark.parametrize("max_attempts", [0, 5, None])
+def test_count_picks_at_and_beyond_the_diameter(max_attempts):
+    # A 30-node path plus two isolated nodes: the only pairs at distance 29
+    # are its two ends, so most picks fall back to the exhaustive scan, and
+    # no pair is at distance 30, so that cell ends with NO_SUCH_PAIR.
+    gm = MeaningGraph(Graph(32, [(i, i + 1) for i in range(29)]))
+    for d in (29, 30):
+        new, ref = stream(4, d), stream(4, d)
+        got = pick_pair_at_distance(gm, d, new, max_attempts, count=50)
+        want = reference_cell(gm, d, ref, 50, max_attempts)
+        assert got == want
+        assert_same_stream_position(new, ref)
+    assert want is NO_SUCH_PAIR
+
+
+def test_count_zero_and_one(sparse_graph):
+    new, ref = stream(6), stream(6)
+    assert pick_pair_at_distance(sparse_graph, 3, new, count=0) == []
+    assert_same_stream_position(new, ref)
+    assert pick_pair_at_distance(sparse_graph, 3, new, count=1) == [pick_pair_at_distance(sparse_graph, 3, ref)]
+    assert_same_stream_position(new, ref)
+    with pytest.raises(ValueError):
+        pick_pair_at_distance(sparse_graph, 3, new, count=-1)
 
 
 def test_interleaved_picks_share_one_stream(sparse_graph):

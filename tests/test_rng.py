@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meaninglab.rng import (
+    MAX_PAIR_NODES,
     index_to_pair,
     pair_count,
     pair_to_index,
@@ -58,6 +59,50 @@ def test_pair_index_round_trip_spot(n: int, data):
 def test_pair_index_rejects_out_of_range():
     with pytest.raises(ValueError):
         index_to_pair(np.array([pair_count(5)]), 5)
+    with pytest.raises(ValueError):
+        index_to_pair(np.array([0]), MAX_PAIR_NODES + 1)
+
+
+@st.composite
+def pairs_of_large_graphs(draw, lo: int, hi: int):
+    n = draw(st.integers(min_value=lo, max_value=hi))
+    # The last rows are the short ones, where a float square root of
+    # ``(2n - 1)**2 - 8k`` loses the row; draw there as often as anywhere.
+    i = draw(st.one_of(st.integers(0, n - 2), st.integers(n - 3000, n - 2)))
+    j = draw(st.one_of(st.just(i + 1), st.just(n - 1), st.integers(i + 1, n - 1)))
+    return n, i, j
+
+
+def assert_inverts(n: int, i: int, j: int):
+    # pair_to_index is exact integer arithmetic, so it is the reference.
+    k = pair_to_index(i, j, n)
+    got_i, got_j = index_to_pair(np.array([k]), n)
+    assert (int(got_i[0]), int(got_j[0])) == (i, j)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs_of_large_graphs(10**8 - 10**4, 10**8 + 10**4))
+def test_pair_index_exact_near_1e8(case):
+    assert_inverts(*case)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs_of_large_graphs(10**8, MAX_PAIR_NODES))
+def test_pair_index_exact_up_to_the_node_limit(case):
+    assert_inverts(*case)
+
+
+def test_pair_index_exact_at_1e9():
+    n = 10**9
+    i, j = index_to_pair(np.array([499999999499999971]), n)
+    assert (int(i[0]), int(j[0])) == (999999991, 999999999)
+    # First and last pair of each of the last 2000 rows, in one call.
+    rows = range(n - 2001, n - 1)
+    want = [(r, c) for r in rows for c in (r + 1, n - 1)]
+    got_i, got_j = index_to_pair(np.array([pair_to_index(r, c, n) for r, c in want]), n)
+    assert list(zip(got_i.tolist(), got_j.tolist())) == want
+    assert_inverts(MAX_PAIR_NODES, MAX_PAIR_NODES - 2, MAX_PAIR_NODES - 1)
+    assert_inverts(MAX_PAIR_NODES, 0, 1)
 
 
 def test_skip_sample_edges_of_probability():
