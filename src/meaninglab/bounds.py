@@ -263,8 +263,9 @@ def theorem_preconditions(
     if n < 1 or d < 1 or ball_d < 1:
         raise ValueError("n, d and ball_d must be positive")
     _check_common(lam, p_plus, p_minus, eps_minus)
-    if c2 <= 0 or c3 <= 0:
-        raise ValueError("regime constants must be positive")
+    # Written so that NaN fails too; an infinite constant has no regime.
+    if not (0 < c2 < math.inf and 0 < c3 < math.inf):
+        raise ValueError(f"regime constants must be finite and positive, got c2={c2}, c3={c3}")
     q = fold_noise(p_minus, eps_minus)
     t1 = TheoremRegime(
         holds=q * ball_d**2 < 1.0 / (2.0 * math.e * lam**2 * n),

@@ -17,7 +17,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -55,20 +54,15 @@ class _Parser(argparse.ArgumentParser):
         raise CliArgumentError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated common core of a CLI run."""
-
-    command: str
-    params: SampleParams
-    seed: int
-    out: Path
-    threads: int
-    allow_trivial: bool
-
-    def __post_init__(self):
-        if self.threads < 1:
-            raise ValueError(f"threads must be positive, got {self.threads}")
+def _positive_int(text: str) -> int:
+    """Argument type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
 
 
 def _common_parent() -> argparse.ArgumentParser:
@@ -76,7 +70,7 @@ def _common_parent() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="root seed for every stream")
     p.add_argument("--config", type=Path, default=None, help="JSON file with default argument values")
     p.add_argument("--out", type=Path, default=Path("."), help="output directory")
-    p.add_argument("--threads", type=int, default=1, help="worker processes for trial loops")
+    p.add_argument("--threads", type=_positive_int, default=1, help="worker processes for trial loops")
     p.add_argument(
         "--allow-trivial",
         action="store_true",
@@ -116,16 +110,16 @@ def build_parser() -> _Parser:
     sp.set_defaults(handler=_cmd_sample)
 
     sp = sub.add_parser("gamma", parents=[common, source, params], help="estimate hypothesis separation")
-    sp.add_argument("--d", type=int, default=2, help="meaning distance for the connected hypothesis")
+    sp.add_argument("--d", type=_positive_int, default=2, help="meaning distance for the connected hypothesis")
     sp.add_argument("--d-tilde", type=int, default=None, help="symbol search radius (default lam*d+lam-1)")
-    sp.add_argument("--trials", type=int, default=100)
+    sp.add_argument("--trials", type=_positive_int, default=100)
     sp.add_argument("--representative", choices=("first", "uniform"), default="first")
     sp.add_argument("--fixed-pairs", action="store_true", help="reuse one fixture pair across trials")
     sp.set_defaults(handler=_cmd_gamma)
 
     sp = sub.add_parser("bounds", parents=[common, params], help="evaluate the closed-form bounds")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--d", type=int, required=True)
+    sp.add_argument("--d", type=_positive_int, required=True)
     sp.add_argument("--ball-d", type=int, required=True, help="d-neighborhood size bound B(d)")
     sp.add_argument("--ball-1", type=int, default=1, help="1-neighborhood size bound B(1)")
     sp.add_argument("--c2", type=float, default=2.0)
@@ -134,8 +128,8 @@ def build_parser() -> _Parser:
     sp.set_defaults(handler=_cmd_bounds)
 
     sp = sub.add_parser("heatmap", parents=[common, source, params], help="noise-versus-distance sweep")
-    sp.add_argument("--d-max", type=int, default=5)
-    sp.add_argument("--pairs-per-cell", type=int, default=20)
+    sp.add_argument("--d-max", type=_positive_int, default=5)
+    sp.add_argument("--pairs-per-cell", type=_positive_int, default=20)
     sp.add_argument(
         "--p-minus-grid",
         type=str,
@@ -145,9 +139,9 @@ def build_parser() -> _Parser:
     sp.set_defaults(handler=_cmd_heatmap)
 
     sp = sub.add_parser("spectral", parents=[common, source, params], help="coupled cut-world trials")
-    sp.add_argument("--d", type=int, default=None, help="meaning pair distance (default ceil(ln n)+1)")
+    sp.add_argument("--d", type=_positive_int, default=None, help="meaning pair distance (default ceil(ln n)+1)")
     sp.add_argument("--d-tilde", type=int, default=None, help="neighborhood radius (default lam*d)")
-    sp.add_argument("--trials", type=int, default=20)
+    sp.add_argument("--trials", type=_positive_int, default=20)
     sp.set_defaults(handler=_cmd_spectral)
 
     sp = sub.add_parser("ingest", parents=[common], help="triples file to edge list")
@@ -156,7 +150,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(handler=_cmd_ingest)
 
     sp = sub.add_parser("check", parents=[common, source, params], help="nontriviality screen")
-    sp.add_argument("--d", type=int, default=2)
+    sp.add_argument("--d", type=_positive_int, default=2)
     sp.set_defaults(handler=_cmd_check)
     parser.commands = sub.choices
     return parser
@@ -188,32 +182,20 @@ def _config_tokens(parser: argparse.ArgumentParser, path: Path) -> list[str]:
             continue
         values = value if isinstance(value, list) else [value]
         # A number must be a JSON number: "10" or true is a mistake, not 10.
-        if action.type in (int, float) and any(isinstance(v, (str, bool)) for v in values):
+        if action.type in (int, _positive_int, float) and any(isinstance(v, (str, bool)) for v in values):
             raise CliArgumentError(f"config key {key!r} must be a number, got {value!r}")
         tokens += [flag, *(str(v) for v in values)]
     return tokens
 
 
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    if hasattr(args, "p_plus"):
-        params = SampleParams(
-            p_plus=args.p_plus,
-            p_minus=args.p_minus,
-            eps_plus=args.eps_plus,
-            eps_minus=args.eps_minus,
-            lam=args.lam,
-            fold=args.fold,
-        )
-    else:
-        # Commands without sampling parameters (ingest) never touch these.
-        params = SampleParams(0.0, 0.0, 0.0, 0.0, 1)
-    return RunConfig(
-        command=args.command,
-        params=params,
-        seed=args.seed,
-        out=args.out,
-        threads=args.threads,
-        allow_trivial=args.allow_trivial,
+def _params(args: argparse.Namespace) -> SampleParams:
+    return SampleParams(
+        p_plus=args.p_plus,
+        p_minus=args.p_minus,
+        eps_plus=args.eps_plus,
+        eps_minus=args.eps_minus,
+        lam=args.lam,
+        fold=args.fold,
     )
 
 
@@ -232,27 +214,27 @@ def _load_graph(args: argparse.Namespace) -> MeaningGraph:
     return load_triples(args.triples, args.prefix)
 
 
-def _gate_nontrivial(rc: RunConfig, gm: MeaningGraph, d: int) -> None:
-    report = check_nontrivial(gm, rc.params, d)
-    if not report.overall and not rc.allow_trivial:
+def _gate_nontrivial(args: argparse.Namespace, gm: MeaningGraph, params: SampleParams, d: int) -> None:
+    report = check_nontrivial(gm, params, d)
+    if not report.overall and not args.allow_trivial:
         raise CliArgumentError(
             "nontriviality screen failed (use --allow-trivial to override):\n" + report.render()
         )
 
 
-def _outdir(rc: RunConfig) -> Path:
-    rc.out.mkdir(parents=True, exist_ok=True)
-    return rc.out
+def _outdir(args: argparse.Namespace) -> Path:
+    args.out.mkdir(parents=True, exist_ok=True)
+    return args.out
 
 
 # -- handlers -----------------------------------------------------------
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    rc = _run_config(args)
+    params = _params(args)
     gm = _load_graph(args)
-    sg = sample_symbol_graph(gm, rc.params, rc.seed)
-    path = _outdir(rc) / "symbol_graph.tsv"
+    sg = sample_symbol_graph(gm, params, args.seed)
+    path = _outdir(args) / "symbol_graph.tsv"
     write_symbol_graph(sg, path)
     kinds = sg.kind_array
     print(
@@ -263,27 +245,25 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_gamma(args: argparse.Namespace) -> int:
-    rc = _run_config(args)
+    params = _params(args)
     gm = _load_graph(args)
-    if args.d < 1:
-        raise CliArgumentError(f"--d must be positive, got {args.d}")
-    _gate_nontrivial(rc, gm, args.d)
+    _gate_nontrivial(args, gm, params, args.d)
     d_tilde = args.d_tilde
     if d_tilde is None:
-        d_tilde = choose_d_tilde(DTildeMode.POSSIBILITY, rc.params.lam, args.d)
+        d_tilde = choose_d_tilde(DTildeMode.POSSIBILITY, params.lam, args.d)
     est = estimate_gamma(
         gm,
         args.d,
-        rc.params,
+        params,
         d_tilde,
         args.trials,
-        rc.seed,
+        args.seed,
         representative=args.representative,
         fixed_pairs=args.fixed_pairs,
-        threads=rc.threads,
+        threads=args.threads,
     )
     record = est.csv_record()
-    path = _outdir(rc) / "gamma.csv"
+    path = _outdir(args) / "gamma.csv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(CSV_HEADER + "\n" + record + "\n")
     print(record)
@@ -291,15 +271,15 @@ def _cmd_gamma(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    rc = _run_config(args)
+    params = _params(args)
     report = bound_report(
         n=args.n,
         d=args.d,
-        lam=rc.params.lam,
-        p_plus=rc.params.p_plus,
-        p_minus=rc.params.p_minus,
-        eps_plus=rc.params.eps_plus,
-        eps_minus=rc.params.eps_minus,
+        lam=params.lam,
+        p_plus=params.p_plus,
+        p_minus=params.p_minus,
+        eps_plus=params.eps_plus,
+        eps_minus=params.eps_minus,
         ball_d=args.ball_d,
         ball_1=args.ball_1,
         c2=args.c2,
@@ -313,25 +293,23 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_heatmap(args: argparse.Namespace) -> int:
-    rc = _run_config(args)
+    params = _params(args)
     gm = _load_graph(args)
     try:
         grid = [float(x) for x in args.p_minus_grid.split(",") if x]
     except ValueError:
         raise CliArgumentError(f"bad --p-minus-grid {args.p_minus_grid!r}")
-    if args.d_max < 1:
-        raise CliArgumentError(f"--d-max must be positive, got {args.d_max}")
-    _gate_nontrivial(rc, gm, args.d_max)
+    _gate_nontrivial(args, gm, params, args.d_max)
     table = heatmap(
         gm,
         grid,
         args.d_max,
         args.pairs_per_cell,
-        rc.params,
-        rc.seed,
-        threads=rc.threads,
+        params,
+        args.seed,
+        threads=args.threads,
     )
-    out = _outdir(rc)
+    out = _outdir(args)
     emit_heatmap_csv(table, out / "heatmap.csv")
     emit_svg_heatmap(table, out / "heatmap.svg")
     print(f"heatmap: {len(table.p_minus_grid)} rows x {table.d_max + 1} columns -> {out / 'heatmap.csv'}")
@@ -339,26 +317,22 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectral(args: argparse.Namespace) -> int:
-    rc = _run_config(args)
+    params = _params(args)
     gm = _load_graph(args)
     d = args.d if args.d is not None else math.ceil(math.log(max(gm.n, 2))) + 1
-    if d < 1:
-        raise CliArgumentError(f"--d must be positive, got {d}")
-    _gate_nontrivial(rc, gm, d)
-    d_tilde = args.d_tilde if args.d_tilde is not None else rc.params.lam * d
+    _gate_nontrivial(args, gm, params, d)
+    d_tilde = args.d_tilde if args.d_tilde is not None else params.lam * d
     records = []
     within = 0
     for t in range(args.trials):
-        pair = pick_pair_at_distance(gm, d, stream(rc.seed, STREAM_SPECTRAL_TRIAL, t, 0))
+        pair = pick_pair_at_distance(gm, d, stream(args.seed, STREAM_SPECTRAL_TRIAL, t, 0))
         if pair is NO_SUCH_PAIR:
             raise NoFixtureError(f"no pair at distance {d} in the meaning graph")
         cp = make_cut_pair(gm, *pair)
-        trial = coupled_cut_trial(
-            cp, rc.params, d_tilde, subseed(rc.seed, STREAM_SPECTRAL_TRIAL, t, 1)
-        )
+        trial = coupled_cut_trial(cp, params, d_tilde, subseed(args.seed, STREAM_SPECTRAL_TRIAL, t, 1))
         within += int(trial.within_bound)
         records.append(spectral_csv_record(trial))
-    path = _outdir(rc) / "spectral.csv"
+    path = _outdir(args) / "spectral.csv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(SPECTRAL_CSV_HEADER + "\n")
         fh.write("\n".join(records) + "\n")
@@ -367,9 +341,8 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    rc = _run_config(args)
     gm = load_triples(args.triples, args.prefix)
-    path = _outdir(rc) / "meaning_graph.tsv"
+    path = _outdir(args) / "meaning_graph.tsv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# nodes {gm.n}\n")
         if gm.labels:
@@ -382,11 +355,9 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    rc = _run_config(args)
+    params = _params(args)
     gm = _load_graph(args)
-    if args.d < 1:
-        raise CliArgumentError(f"--d must be positive, got {args.d}")
-    report = check_nontrivial(gm, rc.params, args.d)
+    report = check_nontrivial(gm, params, args.d)
     print(report.render())
     return 0
 

@@ -16,13 +16,13 @@ ball bounds and the exhaustive pair scan all read its levels. Batched
 queries group their pairs by source, so a pass runs 64 distinct sources
 and serves every pair that starts at one of them. Connected components
 come from the same gather-and-reduce step with ``minimum`` in place of
-``bitwise_or``. Only :func:`min_cut` keeps its own search, over the
-residual graph of its augmenting paths.
+``bitwise_or``. Only :func:`min_cut` keeps its own search: it runs on
+the same CSR arcs, with one ``int8`` net flow per arc, and follows only
+arcs with residual capacity, which the undirected kernel cannot express.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -114,7 +114,7 @@ class Graph:
 
     def edge_array(self) -> np.ndarray:
         """All edges as an ``(E, 2)`` array of (u, v) with u < v, lexicographically sorted."""
-        src = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
+        src = _arc_tails(self)
         upper = self.indices > src
         return np.column_stack((src[upper], self.indices[upper]))
 
@@ -156,6 +156,11 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count})"
+
+
+def _arc_tails(g: Graph) -> np.ndarray:
+    """Tail node of each arc, aligned with ``g.indices`` (the heads)."""
+    return np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
 
 
 # Bit j of a node's word marks source j of the current 64-source pass.
@@ -335,61 +340,45 @@ def components(g: Graph) -> list[list[int]]:
 def min_cut(g: Graph, s: int, t: int) -> list[tuple[int, int]]:
     """Minimum s-t edge cut via shortest augmenting paths, unit capacities.
 
-    Returns the cut edges as sorted (u, v) pairs with u < v. If s and t
-    are already disconnected the cut is empty. The graph is not modified.
+    Returns the cut edges as sorted (u, v) pairs with u < v: the minimum
+    cut closest to s, whose s side is every node s reaches in the residual
+    graph of a maximum flow. If s and t are already disconnected the cut
+    is empty. The graph is not modified.
     """
     g._check_node(s)
     g._check_node(t)
     if s == t:
         raise ValueError("min_cut endpoints must differ")
-    # Residual capacity per directed arc; each undirected edge gives one
-    # unit in each direction.
-    residual: dict[tuple[int, int], int] = {}
-    for u, v in g.edges():
-        residual[(u, v)] = 1
-        residual[(v, u)] = 1
-
-    def augment() -> bool:
-        parent = {s: s}
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            if u == t:
-                break
-            for v in g.neighbors(u):
-                if v not in parent and residual[(u, v)] > 0:
-                    parent[v] = u
-                    q.append(v)
-        if t not in parent:
-            return False
-        v = t
+    tail, head = _arc_tails(g), g.indices
+    # Arc keys tail * n + head are already sorted, so one search finds
+    # each arc's reverse. Net flow per arc is -1, 0 or 1 (unit capacity
+    # each way); an arc has residual capacity while its flow is below 1.
+    rev = np.searchsorted(tail * g.n + head, head * g.n + tail)
+    flow = np.zeros(len(head), dtype=np.int8)
+    while True:
+        arcs = np.flatnonzero(flow < 1)
+        via = np.full(g.n, -1, dtype=np.int64)
+        reached = np.zeros(g.n, dtype=bool)
+        reached[s] = True
+        front = reached.copy()
+        while front.any() and not reached[t]:
+            hit = arcs[front[tail[arcs]] & ~reached[head[arcs]]]
+            via[head[hit]] = hit
+            front = np.zeros(g.n, dtype=bool)
+            front[head[hit]] = True
+            reached |= front
+        if not reached[t]:
+            break
+        path, v = [], t
         while v != s:
-            u = parent[v]
-            residual[(u, v)] -= 1
-            residual[(v, u)] += 1
-            v = u
-        return True
-
-    while augment():
-        pass
-
-    # Nodes reachable from s in the residual graph define the cut side.
-    side = {s}
-    q = deque([s])
-    while q:
-        u = q.popleft()
-        for v in g.neighbors(u):
-            if v not in side and residual[(u, v)] > 0:
-                side.add(v)
-                q.append(v)
-    cut = [
-        (min(u, v), max(u, v))
-        for u in side
-        for v in g.neighbors(u)
-        if v not in side
-    ]
-    cut.sort()
-    return cut
+            path.append(int(via[v]))
+            v = int(tail[path[-1]])
+        flow[path] += 1
+        flow[rev[path]] -= 1
+    # The last search, which missed t, reached exactly the source side of
+    # the minimum cut: the same node set for every maximum flow.
+    edges = g.edge_array()
+    return list(map(tuple, edges[reached[edges[:, 0]] != reached[edges[:, 1]]].tolist()))
 
 
 def write_edge_list(g: Graph, path) -> None:

@@ -45,7 +45,7 @@ NO_SUCH_PAIR = NoSuchPair()
 
 
 class TriplesFormatError(ValueError):
-    """Raised for a malformed line in a triples TSV file."""
+    """Raised for a malformed line in a triples TSV file, or one that is not UTF-8."""
 
 
 @dataclass(frozen=True)
@@ -186,7 +186,8 @@ def load_triples(path, relation_prefix: str) -> MeaningGraph:
     Keeps triples whose relation starts with ``relation_prefix``. Entities
     become nodes in first-seen order; parallel and reversed duplicates
     collapse to one undirected edge; self-loop triples keep their entity
-    but produce no edge. Malformed lines raise with the line number.
+    but produce no edge. Malformed lines raise with the line number, and a
+    file that is not UTF-8 raises with its path.
     """
     index: dict[str, int] = {}
     labels: list[str] = []
@@ -201,21 +202,25 @@ def load_triples(path, relation_prefix: str) -> MeaningGraph:
         return k
 
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise TriplesFormatError(
-                    f"{path}:{lineno}: expected head<TAB>relation<TAB>tail, got {line!r}"
-                )
-            head, rel, tail = fields
-            if not rel.startswith(relation_prefix):
-                continue
-            u, v = node(head), node(tail)
-            if u != v:
-                edges.add((min(u, v), max(u, v)))
+        try:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw.rstrip("\n").rstrip("\r")
+                if not line:
+                    continue
+                fields = line.split("\t")
+                if len(fields) != 3:
+                    raise TriplesFormatError(
+                        f"{path}:{lineno}: expected head<TAB>relation<TAB>tail, got {line!r}"
+                    )
+                head, rel, tail = fields
+                if not rel.startswith(relation_prefix):
+                    continue
+                u, v = node(head), node(tail)
+                if u != v:
+                    edges.add((min(u, v), max(u, v)))
+        except UnicodeDecodeError as exc:
+            # The file is decoded a block at a time, so no line number is known.
+            raise TriplesFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return MeaningGraph(Graph(len(labels), sorted(edges)), tuple(labels))
 
 

@@ -287,6 +287,15 @@ def test_regimes_validation():
         theorem_preconditions(100, 2, 2, 0.9, 1e-6, 0.0, 3, c2=0.0)
 
 
+@pytest.mark.parametrize("c2, c3", [(math.nan, 2.0), (2.0, math.nan), (math.inf, 2.0), (2.0, math.inf)])
+def test_regimes_reject_non_finite_constants(c2, c3):
+    # NaN slipped past a plain <= 0 check and reached the JSON report.
+    with pytest.raises(ValueError, match="finite and positive"):
+        theorem_preconditions(100, 2, 2, 0.9, 1e-6, 0.0, 3, c2=c2, c3=c3)
+    with pytest.raises(ValueError, match="finite and positive"):
+        bound_report(100, 2, 2, 0.9, 1e-6, 1e-4, 0.0, 3, 1, c2=c2, c3=c3)
+
+
 # -- report -------------------------------------------------------------
 
 

@@ -214,6 +214,51 @@ def test_malformed_triples_is_io_error(tmp_path, capsys):
     assert ":1" in stderr
 
 
+def test_non_utf8_triples_is_io_error(tmp_path, capsys):
+    bad = tmp_path / "utf16.tsv"
+    bad.write_bytes(b"\xff\xfe/m/a\t/rel/road\t/m/b\n")
+    code, _, stderr = run(capsys, "ingest", "--triples", str(bad), "--out", str(tmp_path / "run"))
+    assert code == 2
+    assert str(bad) in stderr and "UTF-8" in stderr
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectral", "--trials", "0"],
+        ["spectral", "--trials", "-1"],
+        ["spectral", "--d", "0"],
+        ["gamma", "--trials", "0"],
+        ["gamma", "--d", "0"],
+        ["heatmap", "--pairs-per-cell", "0"],
+        ["heatmap", "--d-max", "0"],
+        ["check", "--d", "0"],
+        ["sample", "--threads", "0"],
+        ["gamma", "--threads", "-2"],
+    ],
+)
+def test_counts_below_one_are_usage_errors(tmp_path, capsys, argv):
+    # spectral --trials 0 and -1 used to exit 0 and write an empty record.
+    out = tmp_path / "run"
+    code, _, stderr = run(
+        capsys, *argv, "--er", "30", "0.1", "--allow-trivial", "--out", str(out)
+    )
+    assert code == 1
+    assert f"argument {argv[1]}: must be positive" in stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--c2", "nan"), ("--c3", "nan"), ("--c3", "inf")])
+def test_bounds_rejects_non_finite_constants(capsys, flag, value):
+    code, stdout, stderr = run(
+        capsys, "bounds", "--n", "10", "--d", "1", "--ball-d", "1", flag, value, "--json"
+    )
+    assert code == 1
+    assert stdout == ""
+    assert "finite and positive" in stderr
+
+
 def test_no_disconnected_fixture_exits_three(tmp_path, capsys):
     # A dense ER graph is connected, so the H2 fixture cannot exist.
     code, _, stderr = run(

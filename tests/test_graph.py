@@ -7,9 +7,10 @@ import itertools
 import pickle
 
 import networkx as nx
+from networkx.algorithms.flow import edmonds_karp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meaninglab.graph import (
@@ -329,6 +330,54 @@ def test_min_cut_size_matches_networkx(g: Graph, data):
     t = data.draw(st.integers(min_value=0, max_value=g.n - 2))
     t += t >= s
     assert len(min_cut(g, s, t)) == nx.edge_connectivity(to_networkx(g), s, t)
+
+
+def residual_side_cut(g: Graph, s: int, t: int) -> list[tuple[int, int]]:
+    """Edges leaving the nodes s reaches in a maximum flow's residual graph.
+
+    That node set is the same for every maximum flow, so it pins the exact
+    cut edges. (``nx.minimum_cut`` closes on the sink side instead.)
+    """
+    ref = nx.DiGraph()
+    ref.add_nodes_from(range(g.n))
+    for u, v in g.edges():
+        ref.add_edge(u, v, capacity=1)
+        ref.add_edge(v, u, capacity=1)
+    res = edmonds_karp(ref, s, t)
+    open_arcs = nx.DiGraph()
+    open_arcs.add_node(s)
+    open_arcs.add_edges_from((u, v) for u, v, a in res.edges(data=True) if a["capacity"] - a["flow"] > 0)
+    side = nx.descendants(open_arcs, s) | {s}
+    return sorted((u, v) for u, v in g.edges() if (u in side) != (v in side))
+
+
+@st.composite
+def cut_cases(draw):
+    n = draw(st.integers(min_value=2, max_value=60))
+    node = st.integers(min_value=0, max_value=n - 1)
+    edges = [(u, v) for u, v in draw(st.lists(st.tuples(node, node), max_size=3 * n)) if u != v]
+    g = Graph(n, edges)
+    if edges and draw(st.booleans()):
+        s, t = draw(st.sampled_from(edges))
+    else:
+        s = draw(node)
+        t = draw(node.filter(lambda x: x != s))
+    return g, s, t
+
+
+@settings(max_examples=150, deadline=None)
+@given(cut_cases())
+@example((Graph(4, [(0, 1), (2, 3)]), 0, 3))  # s and t disconnected
+@example((Graph(6, [(0, 1), (1, 2), (0, 2), (2, 4)]), 1, 0))  # adjacent, isolated 3 and 5
+@example((Graph(5, [(1, 2), (2, 3)]), 0, 3))  # s isolated
+@example((Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 3)]), 0, 2))  # several minimum cuts
+@example(  # the fourth augmenting path must cancel flow on (2, 4)
+    (Graph(9, [(0, 2), (0, 6), (1, 3), (1, 5), (1, 8), (2, 4), (2, 7), (3, 4), (3, 8), (4, 5), (4, 6),
+               (5, 7), (5, 8), (6, 7), (7, 8)]), 7, 2)
+)
+def test_min_cut_edges_match_networkx_residual_side(case):
+    g, s, t = case
+    assert min_cut(g, s, t) == residual_side_cut(g, s, t)
 
 
 def test_min_cut_deterministic():
