@@ -74,7 +74,6 @@ from .sampler import (
     SymbolGraph,
     edge_probability,
     fold_noise,
-    node_pair_connectivity,
     read_symbol_graph,
     sample_coupled,
     sample_symbol_graph,

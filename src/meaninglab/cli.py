@@ -23,6 +23,7 @@ import numpy as np
 
 from .bounds import bound_report
 from .experiments import emit_heatmap_csv, emit_svg_heatmap, heatmap
+from .graph import write_edge_list
 from .meaning import (
     MeaningGraph,
     NO_SUCH_PAIR,
@@ -343,13 +344,7 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
 def _cmd_ingest(args: argparse.Namespace) -> int:
     gm = load_triples(args.triples, args.prefix)
     path = _outdir(args) / "meaning_graph.tsv"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# nodes {gm.n}\n")
-        if gm.labels:
-            for i, label in enumerate(gm.labels):
-                fh.write(f"# label {i} {label}\n")
-        for u, v in gm.graph.edges():
-            fh.write(f"{u}\t{v}\n")
+    write_edge_list(gm.graph, path, gm.labels)
     print(f"ingested: nodes={gm.n} edges={gm.edge_count} -> {path}")
     return 0
 

@@ -23,7 +23,7 @@ arcs with residual capacity, which the undirected kernel cannot express.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -381,14 +381,16 @@ def min_cut(g: Graph, s: int, t: int) -> list[tuple[int, int]]:
     return list(map(tuple, edges[reached[edges[:, 0]] != reached[edges[:, 1]]].tolist()))
 
 
-def write_edge_list(g: Graph, path) -> None:
+def write_edge_list(g: Graph, path, labels: Sequence[str] | None = None) -> None:
     """Write the plain text edge-list form: one ``u<TAB>v`` pair per line.
 
-    A ``# nodes N`` comment preserves isolated nodes across a round trip;
-    readers that skip comments still get every edge.
+    A ``# nodes N`` comment keeps isolated nodes and ``# label i name``
+    comments carry ``labels``; readers that skip comments get every edge.
     """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# nodes {g.n}\n")
+        for i, label in enumerate(labels or ()):
+            fh.write(f"# label {i} {label}\n")
         for u, v in g.edges():
             fh.write(f"{u}\t{v}\n")
 
@@ -397,11 +399,12 @@ def read_edge_list(path, n: int | None = None) -> Graph:
     """Parse the edge-list format written by :func:`write_edge_list`.
 
     Lines starting with ``#`` are comments; a ``# nodes N`` comment, when
-    present, fixes the node count. Otherwise the count is ``n`` or the
-    largest index seen plus one.
+    present, fixes the node count, and a negative count or an edge
+    endpoint at or above it is an error. Otherwise the count is the larger
+    of ``n`` and the largest index seen plus one.
     """
     edges: list[tuple[int, int]] = []
-    declared = None
+    declared = declared_at = None
     max_seen = -1
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -412,7 +415,7 @@ def read_edge_list(path, n: int | None = None) -> Graph:
                 fields = line[1:].split()
                 if len(fields) == 2 and fields[0] == "nodes":
                     try:
-                        declared = int(fields[1])
+                        declared, declared_at = int(fields[1]), lineno
                     except ValueError:
                         raise ValueError(f"{path}:{lineno}: bad node count {fields[1]!r}")
                 continue
@@ -425,5 +428,9 @@ def read_edge_list(path, n: int | None = None) -> Graph:
                 raise ValueError(f"{path}:{lineno}: non-integer node id in {line!r}")
             edges.append((u, v))
             max_seen = max(max_seen, u, v)
-    count = declared if declared is not None else (n if n is not None else max_seen + 1)
-    return Graph(max(count, max_seen + 1), edges)
+    if declared is None:
+        return Graph(max(n or 0, max_seen + 1), edges)
+    if declared <= max_seen:  # max_seen >= -1, so every negative count lands here
+        why = "is negative" if declared < 0 else f"but edges use node {max_seen}"
+        raise ValueError(f"{path}:{declared_at}: node count {declared} {why}")
+    return Graph(declared, edges)

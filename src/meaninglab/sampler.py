@@ -202,13 +202,6 @@ def _symbol_graph(structural, similarity, lam: int, n_meaning: int, params: Samp
     return SymbolGraph(graph, kinds.tobytes(), lam, n_meaning, params, seed)
 
 
-def node_pair_connectivity(sg: SymbolGraph, w: int, w_prime: int) -> bool:
-    """Whether two distinct symbols share an edge of either kind."""
-    if w == w_prime:
-        raise ValueError("symbols must be distinct")
-    return sg.graph.has_edge(w, w_prime)
-
-
 # -- sampling passes ----------------------------------------------------
 
 

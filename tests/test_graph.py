@@ -422,3 +422,28 @@ def test_edge_list_byte_stable(tmp_path):
     write_edge_list(g, a)
     write_edge_list(g, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_edge_list_writes_label_block(tmp_path):
+    g = Graph(3, [(0, 2)])
+    path = tmp_path / "g.tsv"
+    write_edge_list(g, path, ("a", "b c", "d"))
+    assert path.read_text() == "# nodes 3\n# label 0 a\n# label 1 b c\n# label 2 d\n0\t2\n"
+    assert read_edge_list(path) == g
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("# nodes 5\n7\t8\n", ":1: node count 5 but edges use node 8"),
+        ("# nodes 5\n0\t5\n", ":1: node count 5 but edges use node 5"),
+        ("# nodes -3\n", ":1: node count -3 is negative"),
+        ("0\t1\n0\t6\n# nodes 5\n", ":3: node count 5 but edges use node 6"),
+    ],
+    ids=["edge-above-count", "edge-at-count", "negative-count", "count-after-edges"],
+)
+def test_edge_list_rejects_bad_node_count(tmp_path, text, where):
+    path = tmp_path / "g.tsv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=where):
+        read_edge_list(path)

@@ -21,7 +21,6 @@ from meaninglab.sampler import (
     count_edges_by_class,
     edge_probability,
     fold_noise,
-    node_pair_connectivity,
     read_symbol_graph,
     sample_coupled,
     sample_symbol_graph,
@@ -226,16 +225,6 @@ def test_cluster_connectivity_respects_gilbert_bound():
     frequency = connected / trials
     bound = gilbert_bounds(5, 0.75).exact
     assert frequency >= bound - 4 * math.sqrt(0.25 / trials)
-
-
-def test_node_pair_connectivity():
-    gm = gen_er(30, 0.1, 4)
-    sg = sample_symbol_graph(gm, params(), seed=11)
-    u, v = next(iter(sorted(sg.graph.edges())))
-    assert node_pair_connectivity(sg, u, v)
-    assert node_pair_connectivity(sg, v, u)
-    with pytest.raises(ValueError):
-        node_pair_connectivity(sg, 3, 3)
 
 
 # -- coupled sampling ---------------------------------------------------

@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
+import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meaninglab.graph import Graph, components
 from meaninglab.meaning import gen_er, make_cut_pair
-from meaninglab.sampler import SampleParams
+from meaninglab.sampler import SampleParams, sample_coupled
 from meaninglab.spectral import (
-    MAX_LOCAL_NODES,
     SPECTRAL_CSV_HEADER,
     coupled_cut_trial,
     laplacian_of,
@@ -24,28 +27,100 @@ def complete_graph(n: int) -> Graph:
     return Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
 
 
-# -- induced matrices ---------------------------------------------------
+def to_networkx(g: Graph) -> nx.Graph:
+    ref = nx.Graph()
+    ref.add_nodes_from(range(g.n))
+    ref.add_edges_from(g.edges())
+    return ref
+
+
+def columns(lap) -> np.ndarray:
+    """The matrix of an operator, one ``lap @ e_j`` column at a time."""
+    return np.column_stack([lap @ e for e in np.eye(lap.shape[0])])
+
+
+# -- induced Laplacians -------------------------------------------------
 
 
 def test_laplacian_of_path():
     g = Graph(3, [(0, 1), (1, 2)])
     lap = laplacian_of(g, [0, 1, 2])
     want = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
-    assert np.array_equal(lap, want)
+    assert np.array_equal(columns(lap), want)
 
 
 def test_laplacian_uses_induced_degrees():
     g = Graph(3, [(0, 1), (1, 2)])
     lap = laplacian_of(g, [0, 1])
     # Node 1 has degree 2 in g but only 1 inside the subset.
-    assert np.array_equal(lap, np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    assert np.array_equal(columns(lap), np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
 
 def test_laplacian_row_sums_zero_random():
     g = gen_er(40, 0.15, 3).graph
-    lap = laplacian_of(g, range(25))
-    assert np.array_equal(lap, lap.T)
-    assert np.all(lap.sum(axis=1) == 0.0)
+    m = columns(laplacian_of(g, range(25)))
+    assert np.array_equal(m, m.T)
+    assert np.all(m.sum(axis=1) == 0.0)
+
+
+@st.composite
+def induced_subsets(draw, max_nodes=40):
+    """A sparse graph (isolated nodes likely) and an unsorted node subset."""
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    node = st.integers(min_value=0, max_value=n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    g = Graph(n, [(u, v) for u, v in edges if u != v])
+    nodes = draw(st.lists(node, min_size=1, max_size=n, unique=True))
+    return g, nodes
+
+
+@settings(max_examples=150, deadline=None)
+@given(induced_subsets(), st.data())
+def test_laplacian_matvec_matches_networkx(case, data):
+    g, nodes = case
+    want = nx.laplacian_matrix(to_networkx(g).subgraph(nodes), nodelist=nodes)
+    lap = laplacian_of(g, nodes)
+    assert lap.shape == want.shape
+    # Integer-valued x: every sum is exact, so the products must be equal.
+    ints = st.integers(min_value=-1000, max_value=1000)
+    x = np.array(data.draw(st.lists(ints, min_size=len(nodes), max_size=len(nodes))))
+    assert np.array_equal(lap @ x, want @ x)
+
+
+@pytest.mark.parametrize(
+    "g, nodes",
+    [
+        (Graph(1), [0]),
+        (Graph(4, [(0, 1), (2, 3)]), [3]),
+        (Graph(5, [(0, 4), (1, 4), (2, 3)]), [4, 2, 0, 3]),
+        (Graph(6, [(0, 1)]), [5, 2, 1]),
+    ],
+)
+def test_laplacian_matvec_matches_networkx_small_cases(g, nodes):
+    want = nx.laplacian_matrix(to_networkx(g).subgraph(nodes), nodelist=nodes)
+    x = np.arange(1, len(nodes) + 1) * 7
+    assert np.array_equal(laplacian_of(g, nodes) @ x, want @ x)
+
+
+def test_laplacian_of_empty_subset():
+    # networkx refuses a graph without nodes; the empty operator maps the
+    # empty vector to itself and has norm zero.
+    lap = laplacian_of(Graph(4, [(0, 1)]), [])
+    assert lap.shape == (0, 0)
+    assert (lap @ np.zeros(0)).shape == (0,)
+    assert spectral_norm(lap) == (0.0, True, 0)
+
+
+def test_spectral_norm_of_large_laplacian_matches_eigsh():
+    # A 6500-node local set; scipy's Lanczos solver on the networkx
+    # Laplacian is the independent oracle.
+    g = gen_er(7000, 4.0 / 7000, 21).graph
+    nodes = np.random.default_rng(4).permutation(7000)[:6500].tolist()
+    res = spectral_norm(laplacian_of(g, nodes), tol=1e-12)
+    assert res.converged
+    ref = nx.laplacian_matrix(to_networkx(g).subgraph(nodes), nodelist=nodes).astype(np.float64)
+    want = float(abs(scipy.sparse.linalg.eigsh(ref, k=1, which="LM", return_eigenvectors=False)[0]))
+    assert math.isclose(res.value, want, rel_tol=1e-6), (res, want)
 
 
 def test_induced_matrices_reject_duplicates():
@@ -130,7 +205,7 @@ def test_laplacian_norm_within_gershgorin_disc():
         nodes = rng.choice(18, size=size, replace=False)
         lap = laplacian_of(g, nodes.tolist())
         res = spectral_norm(lap, tol=1e-8)
-        max_deg = float(lap.diagonal().max(initial=0.0))
+        max_deg = float(columns(lap).diagonal().max(initial=0.0))
         assert res.value <= 2.0 * max_deg + 1e-9
 
 
@@ -150,7 +225,7 @@ def test_coupled_cut_trial_fields():
     assert trial.n == 50 and trial.lam == 2
     assert trial.cut_size == len(cp.cut)
     assert trial.d == cp.d
-    assert 2 <= trial.neighborhood_size <= MAX_LOCAL_NODES
+    assert trial.neighborhood_size >= 2
     assert trial.norm_l > 0.0 and trial.norm_l_prime > 0.0
     assert trial.diff_normalized >= 0.0
     assert trial.within_bound == (trial.diff_normalized <= trial.analytic_bound)
@@ -178,6 +253,44 @@ def test_coupled_cut_trial_identity_worlds_differ_only_by_cut():
     cp = cut_fixture()
     trial = coupled_cut_trial(cp, SampleParams(1.0, 0.0, 1.0, 0.0, 1), 4, seed=0)
     assert trial.diff_normalized > 0.0
+
+
+@pytest.mark.parametrize(
+    "params, seed",
+    [
+        (SampleParams(0.8, 0.01, 0.2, 0.0, 2), 7),
+        (SampleParams(1.0, 0.0, 1.0, 0.0, 1), 0),
+        (SampleParams(0.9, 0.02, 0.3, 0.01, 2), 3),
+    ],
+)
+def test_coupled_cut_trial_matches_dense_reference(params, seed):
+    # Local set from networkx BFS, Laplacians from networkx, every norm
+    # from numpy's dense 2-norm.
+    cp = cut_fixture()
+    trial = coupled_cut_trial(cp, params, 4, seed=seed, tol=1e-12)
+    sg, sgp = sample_coupled(cp, params, seed)
+    worlds = [to_networkx(sg.graph), to_networkx(sgp.graph)]
+    ends = (sg.representative(cp.m), sg.representative(cp.m_prime))
+    reach = (nx.single_source_shortest_path_length(ref, s, cutoff=4) for ref in worlds for s in ends)
+    nodes = sorted(set().union(*reach))
+    lap, lap_p = (nx.laplacian_matrix(ref.subgraph(nodes), nodelist=nodes).toarray() for ref in worlds)
+    norm, norm_p = np.linalg.norm(lap, 2), np.linalg.norm(lap_p, 2)
+    diff = np.linalg.norm(lap / (norm or 1.0) - lap_p / (norm_p or 1.0), 2)
+    assert trial.neighborhood_size == len(nodes)
+    assert math.isclose(trial.norm_l, norm, rel_tol=1e-8)
+    assert math.isclose(trial.norm_l_prime, norm_p, rel_tol=1e-8)
+    assert math.isclose(trial.diff_normalized, diff, rel_tol=1e-8)
+
+
+def test_coupled_cut_trial_above_old_node_cap():
+    # Local sets have no node cap: this one covers all 5000 symbols.
+    gm = gen_er(2500, 3.0 / 2500, 1)
+    big = max(components(gm.graph), key=len)
+    cp = make_cut_pair(gm, big[0], big[-1])
+    trial = coupled_cut_trial(cp, SampleParams(0.9, 0.0005, 0.01, 0.0, 2), 60, seed=0)
+    assert trial.neighborhood_size > 4000
+    assert trial.converged
+    assert 0.0 < trial.diff_normalized <= 2.0 + 1e-6
 
 
 def test_coupled_cut_trial_validation():
