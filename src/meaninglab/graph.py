@@ -19,6 +19,11 @@ come from the same gather-and-reduce step with ``minimum`` in place of
 ``bitwise_or``. Only :func:`min_cut` keeps its own search: it runs on
 the same CSR arcs, with one ``int8`` net flow per arc, and follows only
 arcs with residual capacity, which the undirected kernel cannot express.
+
+The text writers, here and in :mod:`sampler`, format a whole block of
+lines at once with :func:`_format_lines`: each integer column becomes a
+matrix of ASCII digits, the columns and literal separators are stacked
+side by side, and one mask compacts them into the file's bytes.
 """
 
 from __future__ import annotations
@@ -181,7 +186,9 @@ def _neighbor_reduce(g: Graph, ufunc, empty, dtype):
     gathered = np.full(len(g.indices) + 1, empty, dtype=dtype)
 
     def step(values: np.ndarray) -> np.ndarray:
-        np.take(values, g.indices, out=gathered[:-1])
+        # Indices are < n by construction, so "clip" never clips; it spares
+        # the buffered copy numpy makes for a bounds-checked take into ``out``.
+        np.take(values, g.indices, out=gathered[:-1], mode="clip")
         out = ufunc.reduceat(gathered, starts)
         out[isolated] = empty
         return out
@@ -381,18 +388,48 @@ def min_cut(g: Graph, s: int, t: int) -> list[tuple[int, int]]:
     return list(map(tuple, edges[reached[edges[:, 0]] != reached[edges[:, 1]]].tolist()))
 
 
+def _format_lines(*fields) -> bytes:
+    """One text line per row, built as a single byte matrix.
+
+    Each field is a ``bytes`` literal repeated on every line, an ``S``-dtype
+    array holding one string per line, or a nonnegative integer array
+    written in decimal. An integer column becomes right-aligned ASCII digits
+    as wide as its largest value, with leading zeros blanked to NUL; ``S``
+    arrays are NUL-padded already. The fields sit side by side and one mask
+    drops every NUL, so no literal or string may contain one.
+    """
+    rows = next(len(f) for f in fields if isinstance(f, np.ndarray))
+    blocks = []
+    for f in fields:
+        if isinstance(f, bytes):
+            blocks.append(np.broadcast_to(np.frombuffer(f, dtype=np.uint8), (rows, len(f))))
+        elif f.dtype.kind == "S":
+            blocks.append(f.view(np.uint8).reshape(rows, f.itemsize))
+        else:
+            width = len(str(int(f.max()))) if rows else 1
+            digits = np.empty((rows, width), dtype=np.uint8)
+            q = f
+            for j in range(width - 1, -1, -1):  # one pass per decimal place
+                q, digits[:, j] = np.divmod(q, 10)
+            digits += ord("0")
+            digits[:, :-1][f[:, None] < 10 ** np.arange(width - 1, 0, -1)] = 0
+            blocks.append(digits)
+    flat = np.hstack(blocks).ravel()
+    return flat[flat != 0].tobytes()
+
+
 def write_edge_list(g: Graph, path, labels: Sequence[str] | None = None) -> None:
     """Write the plain text edge-list form: one ``u<TAB>v`` pair per line.
 
     A ``# nodes N`` comment keeps isolated nodes and ``# label i name``
     comments carry ``labels``; readers that skip comments get every edge.
+    The edge lines are formatted in bulk by :func:`_format_lines`.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# nodes {g.n}\n")
-        for i, label in enumerate(labels or ()):
-            fh.write(f"# label {i} {label}\n")
-        for u, v in g.edges():
-            fh.write(f"{u}\t{v}\n")
+    head = f"# nodes {g.n}\n" + "".join(f"# label {i} {label}\n" for i, label in enumerate(labels or ()))
+    edges = g.edge_array()
+    with open(path, "wb") as fh:
+        fh.write(head.encode("utf-8"))
+        fh.write(_format_lines(edges[:, 0], b"\t", edges[:, 1], b"\n"))
 
 
 def read_edge_list(path, n: int | None = None) -> Graph:

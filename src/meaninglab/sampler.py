@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _format_lines
 from .meaning import CutPair, MeaningGraph
 from .rng import (
     STREAM_SIM_CROSS,
@@ -173,9 +173,6 @@ class SymbolGraph:
             raise ValueError(f"symbol {w} out of range")
         return w // self.lam
 
-    def origin_map(self) -> tuple[int, ...]:
-        return tuple(w // self.lam for w in range(self.graph.n))
-
     def cluster(self, m: int) -> range:
         """Symbol replicas of meaning node m."""
         if not 0 <= m < self.n_meaning:
@@ -309,27 +306,27 @@ def write_symbol_graph(sg: SymbolGraph, path) -> None:
     """Write the extended edge-list form with kind column and origin block.
 
     An edge carrying both kinds emits one ``S`` line and one ``R`` line;
-    readers merge them. Output is byte-stable for a given graph.
+    readers merge them. The origin and edge lines are formatted in bulk by
+    ``graph._format_lines``. Output is byte-stable for a given graph.
     """
     p = sg.params
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# symbol-graph meaning-nodes={sg.n_meaning} lambda={sg.lam} seed={sg.seed}\n")
-        fh.write(
-            "# params"
-            f" p_plus={p.p_plus!r} p_minus={p.p_minus!r}"
-            f" eps_plus={p.eps_plus!r} eps_minus={p.eps_minus!r}"
-            f" fold={int(p.fold)}\n"
-        )
-        fh.writelines(f"#origin {w} {w // sg.lam}\n" for w in range(sg.graph.n))
-        # An edge of both kinds writes its S line, then its R line.
-        edges = np.repeat(sg.graph.edge_array(), 2, axis=0)
-        kind = np.tile(np.array([STRUCTURAL, SIMILARITY], dtype=np.uint8), sg.graph.edge_count)
-        lines = (np.repeat(sg.kind_array, 2) & kind) != 0
-        tag = {STRUCTURAL: "S", SIMILARITY: "R"}
-        fh.writelines(
-            f"{u}\t{v}\t{tag[k]}\n"
-            for u, v, k in zip(edges[lines, 0].tolist(), edges[lines, 1].tolist(), kind[lines].tolist())
-        )
+    head = (
+        f"# symbol-graph meaning-nodes={sg.n_meaning} lambda={sg.lam} seed={sg.seed}\n"
+        "# params"
+        f" p_plus={p.p_plus!r} p_minus={p.p_minus!r}"
+        f" eps_plus={p.eps_plus!r} eps_minus={p.eps_minus!r}"
+        f" fold={int(p.fold)}\n"
+    )
+    w = np.arange(sg.graph.n, dtype=np.int64)
+    # Line slot 2i is edge i's S line and slot 2i + 1 its R line; an edge
+    # writes the slots its kind byte has, so a dual edge writes S, then R.
+    kind = np.tile(np.array([STRUCTURAL, SIMILARITY], dtype=np.uint8), sg.graph.edge_count)
+    slot = np.flatnonzero(np.repeat(sg.kind_array, 2) & kind)
+    edges = sg.graph.edge_array()[slot // 2]
+    with open(path, "wb") as fh:
+        fh.write(head.encode("utf-8"))
+        fh.write(_format_lines(b"#origin ", w, b" ", w // sg.lam, b"\n"))
+        fh.write(_format_lines(edges[:, 0], b"\t", edges[:, 1], b"\t", np.where(slot % 2, b"R", b"S"), b"\n"))
 
 
 def read_symbol_graph(path) -> SymbolGraph:

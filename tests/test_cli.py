@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from meaninglab.bounds import bound_report
-from meaninglab.cli import cli
+from meaninglab.cli import build_parser, cli
 from meaninglab.sampler import read_symbol_graph
 
 TRIPLES = """\
@@ -182,6 +183,19 @@ def test_both_sources_is_usage_error(triples_path, tmp_path, capsys):
 def test_unknown_flag_is_usage_error(capsys):
     code, _, _ = run(capsys, "sample", "--er", "10", "0.1", "--frobnicate")
     assert code == 1
+
+
+BENCH_SPEC = json.loads((Path(__file__).resolve().parents[1] / "bench" / "spec.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_SPEC["workloads"]))
+def test_benchmark_argv_parses(workload, tmp_path):
+    # bench/worker.py appends this suffix to every workload's argv, so a
+    # subcommand that stopped accepting one of these flags would fail
+    # every benchmark op; parsing alone shows it, and nothing runs.
+    argv = BENCH_SPEC["workloads"][workload]["argv"]
+    args = build_parser().parse_args(argv + ["--seed", "1", "--threads", "1", "--out", str(tmp_path)])
+    assert args.command == argv[0] and args.seed == 1 and args.out == tmp_path
 
 
 def test_bad_er_arguments(tmp_path, capsys):

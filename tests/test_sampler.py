@@ -97,7 +97,6 @@ def test_replication_and_origin():
     sg = sample_symbol_graph(gm, params(lam=3), seed=5)
     assert sg.graph.n == 60
     assert sg.origin(0) == 0 and sg.origin(5) == 1 and sg.origin(59) == 19
-    assert sg.origin_map() == tuple(w // 3 for w in range(60))
     assert list(sg.cluster(4)) == [12, 13, 14]
     assert sg.representative(4) == 12
 
