@@ -20,10 +20,8 @@ come from the same gather-and-reduce step with ``minimum`` in place of
 the same CSR arcs, with one ``int8`` net flow per arc, and follows only
 arcs with residual capacity, which the undirected kernel cannot express.
 
-The text writers, here and in :mod:`sampler`, format a whole block of
-lines at once with :func:`_format_lines`: each integer column becomes a
-matrix of ASCII digits, the columns and literal separators are stacked
-side by side, and one mask compacts them into the file's bytes.
+The text writers, here and in :mod:`sampler`, build each block of lines
+in bulk as one digit matrix with :func:`_format_lines`.
 """
 
 from __future__ import annotations
