@@ -66,11 +66,22 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _common_parent() -> argparse.ArgumentParser:
+def _config_parent() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--config", type=Path, default=None, help="JSON file with default argument values")
+    return p
+
+
+def _out_parent() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--out", type=Path, default=Path("."), help="output directory")
+    return p
+
+
+def _run_parent() -> argparse.ArgumentParser:
+    """Flags of the commands that sample: seed, worker count and the screen override."""
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--seed", type=int, default=0, help="root seed for every stream")
-    p.add_argument("--config", type=Path, default=None, help="JSON file with default argument values")
-    p.add_argument("--out", type=Path, default=Path("."), help="output directory")
     p.add_argument("--threads", type=_positive_int, default=1, help="worker processes for trial loops")
     p.add_argument(
         "--allow-trivial",
@@ -89,28 +100,33 @@ def _source_parent() -> argparse.ArgumentParser:
     return p
 
 
-def _params_parent() -> argparse.ArgumentParser:
+def _params_parent(fold: bool = True) -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--p-plus", type=float, default=0.9)
     p.add_argument("--p-minus", type=float, default=1e-6)
     p.add_argument("--eps-plus", type=float, default=1e-4)
     p.add_argument("--eps-minus", type=float, default=0.0)
     p.add_argument("--lambda", dest="lam", type=int, default=2, help="replicas per meaning node")
-    p.add_argument("--fold", action="store_true", help="fold eps_minus into the structural probabilities")
+    if fold:
+        p.add_argument("--fold", action="store_true", help="fold eps_minus into the structural probabilities")
     return p
 
 
 def build_parser() -> _Parser:
-    common = _common_parent()
-    source = _source_parent()
-    params = _params_parent()
+    # Each command takes only the flags it reads, except that the four
+    # sampling commands share one set: one "--seed N --threads 1 --out DIR"
+    # suffix drives them all, although sample and spectral start no workers
+    # and sample runs no screen.
+    config, out = _config_parent(), _out_parent()
+    source, params = _source_parent(), _params_parent()
+    sampling = [config, out, _run_parent(), source, params]
     parser = _Parser(prog="meaninglab", description="noisy symbol-graph reasoning lab")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("sample", parents=[common, source, params], help="draw one symbol graph")
+    sp = sub.add_parser("sample", parents=sampling, help="draw one symbol graph")
     sp.set_defaults(handler=_cmd_sample)
 
-    sp = sub.add_parser("gamma", parents=[common, source, params], help="estimate hypothesis separation")
+    sp = sub.add_parser("gamma", parents=sampling, help="estimate hypothesis separation")
     sp.add_argument("--d", type=_positive_int, default=2, help="meaning distance for the connected hypothesis")
     sp.add_argument("--d-tilde", type=int, default=None, help="symbol search radius (default lam*d+lam-1)")
     sp.add_argument("--trials", type=_positive_int, default=100)
@@ -118,7 +134,9 @@ def build_parser() -> _Parser:
     sp.add_argument("--fixed-pairs", action="store_true", help="reuse one fixture pair across trials")
     sp.set_defaults(handler=_cmd_gamma)
 
-    sp = sub.add_parser("bounds", parents=[common, params], help="evaluate the closed-form bounds")
+    sp = sub.add_parser(
+        "bounds", parents=[config, _params_parent(fold=False)], help="evaluate the closed-form bounds"
+    )
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--d", type=_positive_int, required=True)
     sp.add_argument("--ball-d", type=int, required=True, help="d-neighborhood size bound B(d)")
@@ -128,7 +146,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--json", action="store_true", help="print JSON instead of aligned text")
     sp.set_defaults(handler=_cmd_bounds)
 
-    sp = sub.add_parser("heatmap", parents=[common, source, params], help="noise-versus-distance sweep")
+    sp = sub.add_parser("heatmap", parents=sampling, help="noise-versus-distance sweep")
     sp.add_argument("--d-max", type=_positive_int, default=5)
     sp.add_argument("--pairs-per-cell", type=_positive_int, default=20)
     sp.add_argument(
@@ -139,18 +157,18 @@ def build_parser() -> _Parser:
     )
     sp.set_defaults(handler=_cmd_heatmap)
 
-    sp = sub.add_parser("spectral", parents=[common, source, params], help="coupled cut-world trials")
+    sp = sub.add_parser("spectral", parents=sampling, help="coupled cut-world trials")
     sp.add_argument("--d", type=_positive_int, default=None, help="meaning pair distance (default ceil(ln n)+1)")
     sp.add_argument("--d-tilde", type=int, default=None, help="neighborhood radius (default lam*d)")
     sp.add_argument("--trials", type=_positive_int, default=20)
     sp.set_defaults(handler=_cmd_spectral)
 
-    sp = sub.add_parser("ingest", parents=[common], help="triples file to edge list")
+    sp = sub.add_parser("ingest", parents=[config, out], help="triples file to edge list")
     sp.add_argument("--triples", type=Path, required=True)
     sp.add_argument("--prefix", type=str, default="")
     sp.set_defaults(handler=_cmd_ingest)
 
-    sp = sub.add_parser("check", parents=[common, source, params], help="nontriviality screen")
+    sp = sub.add_parser("check", parents=[config, source, params], help="nontriviality screen")
     sp.add_argument("--d", type=_positive_int, default=2)
     sp.set_defaults(handler=_cmd_check)
     parser.commands = sub.choices
@@ -196,7 +214,7 @@ def _params(args: argparse.Namespace) -> SampleParams:
         eps_plus=args.eps_plus,
         eps_minus=args.eps_minus,
         lam=args.lam,
-        fold=args.fold,
+        fold=getattr(args, "fold", False),  # bounds has no --fold: its formulas always fold
     )
 
 

@@ -9,12 +9,17 @@ minimum cut, connected components, and a plain text edge-list format.
 A graph is stored only as CSR arrays: node u's sorted neighbours are
 ``indices[indptr[u]:indptr[u + 1]]``. Every traversal runs on one kernel,
 a level-synchronous BFS from up to 64 sources at once: each source owns
-one bit of a ``uint64`` word per node, and each level is a single
-``bitwise_or.reduceat`` of the frontier words over the CSR arrays.
+one bit of a ``uint64`` word per node. A level steps in one of two
+directions. Bottom-up, it is a single ``bitwise_or.reduceat`` of the
+frontier words over the CSR arrays, O(n + E) whatever the frontier. A
+single-source pass whose frontier is small steps top-down instead and
+expands only the frontier's CSR slices (direction-optimizing BFS).
 Batched distance queries, single distance queries, neighborhood counts,
 ball bounds and the exhaustive pair scan all read its levels. Batched
 queries group their pairs by source, so a pass runs 64 distinct sources
-and serves every pair that starts at one of them. Connected components
+and serves every pair that starts at one of them. A single distance
+query is bidirectional: two single-source passes, one from each end,
+grown a level at a time until their balls meet. Connected components
 come from the same gather-and-reduce step with ``minimum`` in place of
 ``bitwise_or``. Only :func:`min_cut` keeps its own search: it runs on
 the same CSR arcs, with one ``int8`` net flow per arc, and follows only
@@ -58,9 +63,11 @@ class Graph:
     Self-loops are rejected; duplicate edges collapse. Stored as read-only
     CSR arrays with each node's neighbours sorted, so traversal order, and
     therefore every seeded algorithm built on top, is deterministic.
+    ``degrees`` holds each node's degree, ``indptr``'s differences, so a
+    BFS level sizes its frontier with one gather.
     """
 
-    __slots__ = ("n", "indptr", "indices")
+    __slots__ = ("n", "indptr", "indices", "degrees")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray = ()):
         if n < 0:
@@ -81,11 +88,13 @@ class Graph:
         np.not_equal(keys[1:], keys[:-1], out=keep[1:])
         keys = keys[keep]
         indptr = np.zeros(n + 1, dtype=np.int64)
-        indices = keys
+        indices, degrees = keys, np.zeros(n, dtype=np.int64)
         if n:
-            np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+            degrees = np.bincount(keys // n, minlength=n)
+            np.cumsum(degrees, out=indptr[1:])
             indices = keys % n
-        indptr.flags.writeable = indices.flags.writeable = False
+        indptr.flags.writeable = indices.flags.writeable = degrees.flags.writeable = False
+        object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "indptr", indptr)
         object.__setattr__(self, "indices", indices)
@@ -103,10 +112,10 @@ class Graph:
         return tuple(self.indices[self.indptr[u] : self.indptr[u + 1]].tolist())
 
     def degree(self, u: int) -> int:
-        return int(self.indptr[u + 1] - self.indptr[u])
+        return int(self.degrees[u])
 
     def max_degree(self) -> int:
-        return int(np.diff(self.indptr).max(initial=0))
+        return int(self.degrees.max(initial=0))
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_node(u)
@@ -163,12 +172,17 @@ class Graph:
 
 def _arc_tails(g: Graph) -> np.ndarray:
     """Tail node of each arc, aligned with ``g.indices`` (the heads)."""
-    return np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
+    return np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
 
 
 # Bit j of a node's word marks source j of the current 64-source pass.
 _WORD = 64
 _BITS = np.left_shift(np.uint64(1), np.arange(_WORD, dtype=np.uint64))
+
+# A single-source BFS level steps top-down while its frontier holds at most
+# 1/8 of all arcs, and bottom-up once it holds more: the alpha of
+# direction-optimizing BFS (Beamer, Asanovic & Patterson, SC 2012).
+_TOP_DOWN_SHARE = 8
 
 
 def _neighbor_reduce(g: Graph, ufunc, empty, dtype):
@@ -180,7 +194,7 @@ def _neighbor_reduce(g: Graph, ufunc, empty, dtype):
     are overwritten after each reduction.
     """
     starts = g.indptr[:-1]
-    isolated = np.flatnonzero(g.indptr[1:] == starts)
+    isolated = np.flatnonzero(g.degrees == 0)
     gathered = np.full(len(g.indices) + 1, empty, dtype=dtype)
 
     def step(values: np.ndarray) -> np.ndarray:
@@ -194,31 +208,79 @@ def _neighbor_reduce(g: Graph, ufunc, empty, dtype):
     return step
 
 
-def _bit_levels(g: Graph, src: np.ndarray, cap: int | None) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+def _bit_levels(
+    g: Graph, src: np.ndarray, cap: int | None
+) -> Iterator[tuple[int, np.ndarray | None, np.ndarray]]:
     """Level-synchronous BFS from up to 64 sources at once.
 
-    Yields ``(level, front, seen)`` for level 0 (the sources) and every
-    later level up to ``cap`` that reaches a new node: ``front[x]`` has
-    bit j set when x is at exactly that distance from ``src[j]``, and
-    ``seen`` (updated in place) accumulates all levels so far.
+    Yields ``(level, nodes, seen)`` for level 0 (the sources) and every
+    later level up to ``cap`` that reaches a new node. ``seen`` (updated in
+    place) holds one word per node, with bit j set once the node is within
+    that distance of ``src[j]``. A single-source pass also lists, in
+    ``nodes``, the nodes first reached at that level; a multi-source pass
+    yields None there.
+
+    Each level steps in one of two directions. A single-source pass whose
+    frontier holds at most ``1/_TOP_DOWN_SHARE`` of the graph's arcs steps
+    top-down: it gathers only the frontier's CSR slices, so the level costs
+    O(frontier arcs) and no O(n) work. Otherwise the step is bottom-up:
+    every node ORs its neighbours' frontier words in one ``reduceat`` over
+    all arcs. Multi-source passes always step bottom-up, since merging the
+    words that reach each head costs more than the reduceat saves.
     """
     seen = np.zeros(g.n, dtype=np.uint64)
-    # A source may repeat within a pass; each copy keeps its own bit.
-    np.bitwise_or.at(seen, src, _BITS[: len(src)])
-    front = seen.copy()
-    yield 0, front, seen
-    if len(g.indices) == 0:
-        return
-    step = _neighbor_reduce(g, np.bitwise_or, 0, np.uint64)
+    if len(src) == 1:
+        seen[src] = 1
+        nodes, front = src, None
+    else:
+        # A source may repeat within a pass; each copy keeps its own bit.
+        np.bitwise_or.at(seen, src, _BITS[: len(src)])
+        nodes, front = None, seen.copy()
+    yield 0, nodes, seen
+    step = None  # the bottom-up step, built when a level first needs it
     level = 0
     while cap is None or level < cap:
-        front = step(front)
-        front &= ~seen
-        if not front.any():
-            return
-        seen |= front
+        arcs = None if nodes is None else _arc_positions(g, nodes, len(g.indices) // _TOP_DOWN_SHARE)
+        if arcs is not None:
+            heads = g.indices[arcs]
+            heads.sort()
+            # Each new head once: unseen, and unlike the head before it.
+            # (np.unique takes several times as long on a few hundred heads.)
+            keep = seen[heads] == 0
+            keep[1:] &= heads[1:] != heads[:-1]
+            nodes = heads[keep]
+            if not len(nodes):
+                return
+            seen[nodes] = 1
+            front = None
+        else:
+            if step is None:
+                step = _neighbor_reduce(g, np.bitwise_or, 0, np.uint64)
+            if front is None:
+                front = np.zeros(g.n, dtype=np.uint64)
+                front[nodes] = 1
+            front = step(front)
+            front &= ~seen
+            if nodes is not None:
+                nodes = front.nonzero()[0]
+            if not np.count_nonzero(front):
+                return
+            seen |= front
         level += 1
-        yield level, front, seen
+        yield level, nodes, seen
+
+
+def _arc_positions(g: Graph, nodes: np.ndarray, limit: int) -> np.ndarray | None:
+    """Positions in ``g.indices`` of the arcs leaving ``nodes``, or None past ``limit`` arcs."""
+    if len(nodes) == 1:
+        lo, hi = g.indptr[nodes[0]], g.indptr[nodes[0] + 1]
+        return np.arange(lo, hi) if hi - lo <= limit else None
+    starts = g.indptr[nodes]
+    counts = g.degrees[nodes]
+    ends = np.add.accumulate(counts)
+    if ends[-1] > limit:
+        return None
+    return np.arange(ends[-1]) + (starts - ends + counts).repeat(counts)
 
 
 def _source_bits(words: np.ndarray) -> np.ndarray:
@@ -264,9 +326,10 @@ def bfs_distances(g: Graph, src, dst, cap: int | None = None) -> np.ndarray:
         idx = order[cut[p] : cut[p + 1]]
         t, bits = dst[idx], _BITS[lane[idx] - lo]
         res = np.full(len(idx), -1, dtype=np.int64)
-        for level, front, _ in _bit_levels(g, sources[lo : lo + _WORD], cap):
-            res[(front[t] & bits) != 0] = level
-            if res.min() >= 0:
+        for level, _, seen in _bit_levels(g, sources[lo : lo + _WORD], cap):
+            hit = (seen[t] & bits) != 0
+            res[hit & (res < 0)] = level
+            if np.count_nonzero(hit) == len(hit):
                 break
         out[idx] = res
     return out
@@ -276,14 +339,34 @@ def bfs_distance(g: Graph, u: int, v: int, cap: int | None = None) -> int | Unre
     """Shortest-path length from u to v, or UNREACHABLE.
 
     With a cap, any distance strictly greater than ``cap`` reports
-    UNREACHABLE and the search never expands past depth ``cap``.
+    UNREACHABLE. The search is bidirectional: one single-source pass of
+    the kernel from each end, always advancing the side whose frontier
+    holds fewer arcs. The balls of radius ``a`` around u and ``b`` around
+    v do not meet, so the first new frontier (level ``a + 1``, say) that
+    touches the other side's ball puts v at distance exactly ``a + 1 + b``.
+    The search stops there, at ``cap``, or once either side runs out of
+    new nodes.
     """
     g._check_node(u)
     g._check_node(v)
     _check_radius(cap, "cap")
-    for level, front, _ in _bit_levels(g, np.array([u], dtype=np.int64), cap):
-        if front[v]:
-            return level
+    if u == v:
+        return 0
+    passes = [_bit_levels(g, np.array([x], dtype=np.int64), cap) for x in (u, v)]
+    balls = [next(p)[2] for p in passes]  # each side's seen words, grown in place
+    arcs = [g.degree(u), g.degree(v)]  # arcs leaving each side's frontier
+    reach = 0  # the two sides' levels together
+    while cap is None or reach < cap:
+        side = 0 if arcs[0] <= arcs[1] else 1
+        grown = next(passes[side], None)
+        if grown is None:
+            return UNREACHABLE
+        reach += 1
+        nodes = grown[1]
+        if np.count_nonzero(balls[1 - side][nodes]):
+            return reach
+        if reach != cap:
+            arcs[side] = int(np.add.reduce(g.degrees[nodes]))
     return UNREACHABLE
 
 
@@ -313,9 +396,11 @@ def _pairs_at_distance(g: Graph, d: int) -> tuple[np.ndarray, np.ndarray]:
     us, vs = [], []
     for lo in range(0, g.n, _WORD):
         src = np.arange(lo, min(lo + _WORD, g.n), dtype=np.int64)
-        for level, front, _ in _bit_levels(g, src, d):
-            if level == d:
-                j, v = np.nonzero(_source_bits(front).T)
+        for level, _, seen in _bit_levels(g, src, d):
+            if level == d - 1:
+                inner = seen.copy()  # each source's ball of radius d - 1
+            elif level == d:
+                j, v = np.nonzero(_source_bits(seen & ~inner).T)
                 us.append(lo + j)
                 vs.append(v)
     if not us:

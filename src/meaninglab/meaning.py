@@ -21,6 +21,7 @@ import numpy as np
 from .graph import (
     UNREACHABLE,
     Graph,
+    _arc_tails,
     _pairs_at_distance,
     ball_bound,
     bfs_distance,
@@ -304,6 +305,10 @@ def pick_pair_at_distance(
     # where the picks end, or a window runs out, the stream is rewound and
     # exactly the attempts consumed are redrawn, so the caller's generator
     # sits where that loop would have left it.
+    # Distance 1 is adjacency: a batch's u * n + v keys are looked up among
+    # the sorted arc keys in one search, which n * n closes so that every
+    # search lands on a key; no attempt's key is n * n.
+    arcs = np.append(_arc_tails(g) * n + g.indices, n * n) if d == 1 else None
     picks: list[tuple[int, int]] = []
     room = attempts  # attempts left in the current pick's window
     tried = hits = 0  # attempts drawn so far and hits among them
@@ -328,7 +333,11 @@ def pick_pair_at_distance(
         state = rng.bit_generator.state
         draws = rng.integers(n, size=2 * b)
         us, vs = draws[0::2], draws[1::2]
-        hit = np.flatnonzero(bfs_distances(g, us, vs, cap=d) == d)
+        if arcs is None:
+            hit = np.flatnonzero(bfs_distances(g, us, vs, cap=d) == d)
+        else:
+            keys = us * n + vs
+            hit = np.flatnonzero(arcs[np.searchsorted(arcs, keys)] == keys)
         tried += b
         hits += len(hit)
         pos = 0  # attempts of this batch consumed so far

@@ -2,9 +2,14 @@
 
 The separator answers "are these two meaning nodes within distance d" by
 running a capped BFS between symbol representatives over the union of
-structural and similarity edges. ``estimate_gamma`` Monte-Carlos the gap
-between the acceptance probability under the connected hypothesis and
-under the disconnected one, with Wilson intervals on both.
+structural and similarity edges. The BFS is bidirectional
+(:func:`graph.bfs_distance`): it grows a ball around each representative,
+always the one with the smaller frontier, and stops when the balls meet
+or their radii add up to the cap, so on a small-world graph it touches
+far fewer nodes than one ball of the full radius. ``estimate_gamma``
+Monte-Carlos the gap between the acceptance probability under the
+connected hypothesis and under the disconnected one, with Wilson
+intervals on both.
 """
 
 from __future__ import annotations

@@ -48,7 +48,7 @@ class Laplacian(_Operator):
 
     def __init__(self, graph: Graph):
         self.graph = graph
-        self.degree = np.diff(graph.indptr).astype(np.float64)
+        self.degree = graph.degrees.astype(np.float64)
         step = _neighbor_reduce(graph, np.add, 0.0, np.float64)
         super().__init__(graph.n, lambda x: self.degree * x - step(x))
 

@@ -1,4 +1,4 @@
-"""The batched bitset BFS against networkx as an independent oracle."""
+"""The bitset BFS kernel and the queries built on it, against networkx as an independent oracle."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import meaninglab.graph as graph
-from meaninglab.graph import Graph, ball_bound, bfs_distances, neighborhood_size
+from meaninglab.graph import UNREACHABLE, Graph, ball_bound, bfs_distance, bfs_distances, neighborhood_size
 
 
 def oracle_distances(g: Graph, src, dst, cap) -> list[int]:
@@ -176,3 +176,115 @@ def test_ball_bound_edge_cases():
     assert ball_bound(Graph(3, [(0, 1), (1, 2)]), 0) == 1
     with pytest.raises(ValueError, match="radius"):
         ball_bound(Graph(3, []), -1)
+
+
+# -- single-pair queries: the bidirectional bfs_distance ------------------
+
+
+def oracle_distance(g: Graph, u: int, v: int, cap):
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.edges())
+    try:
+        dist = nx.shortest_path_length(nxg, u, v)
+    except nx.NetworkXNoPath:
+        return UNREACHABLE
+    return UNREACHABLE if cap is not None and dist > cap else dist
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs_with_queries())
+def test_bfs_distance_matches_networkx(case):
+    # Sparse random graphs leave isolated nodes and several components, so
+    # disconnected endpoints are common; every source is also asked for itself.
+    g, src, dst, cap = case
+    pairs = list(zip(src, dst))[:40] + [(s, s) for s in src[:5]]
+    for u, v in pairs:
+        got = bfs_distance(g, u, v, cap=cap)
+        want = oracle_distance(g, u, v, cap)
+        assert got is want if want is UNREACHABLE else got == want and type(got) is int
+
+
+def path(n: int) -> Graph:
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def bottom_up_steps(mp: pytest.MonkeyPatch) -> list[int]:
+    """Count the kernel's bottom-up steps: each pass builds its step once."""
+    built = []
+    real = graph._neighbor_reduce
+    mp.setattr(graph, "_neighbor_reduce", lambda *a: built.append(1) or real(*a))
+    return built
+
+
+def test_long_path_stays_top_down():
+    # Every frontier holds at most 4 of the path's 598 arcs.
+    g = path(300)
+    with pytest.MonkeyPatch.context() as mp:
+        built = bottom_up_steps(mp)
+        assert bfs_distance(g, 0, 299) == 299
+        assert bfs_distance(g, 17, 250, cap=233) == 233
+        assert bfs_distance(g, 17, 250, cap=232) is UNREACHABLE
+        assert bfs_distance(g, 299, 150) == 149
+    assert built == []
+
+
+def two_stars(k: int) -> Graph:
+    """Centres 0 and 1 joined by an edge, each with k leaves of its own."""
+    edges = [(0, 1)] + [(0, 2 + i) for i in range(k)] + [(1, 2 + k + i) for i in range(k)]
+    return Graph(2 + 2 * k, edges)
+
+
+def test_star_frontier_steps_bottom_up():
+    # From two leaves both sides first reach a centre; the next frontier
+    # holds all of one star's arcs, past the switch, and meets the other
+    # side there at distance 3.
+    g = two_stars(40)
+    with pytest.MonkeyPatch.context() as mp:
+        built = bottom_up_steps(mp)
+        assert bfs_distance(g, 2, 2 + 40) == 3
+        assert built
+        assert bfs_distance(g, 2, 2 + 40, cap=3) == 3
+        assert bfs_distance(g, 2, 2 + 40, cap=2) is UNREACHABLE
+        assert bfs_distance(g, 2, 3) == 2
+        assert bfs_distance(g, 0, 2 + 40) == 2
+
+
+def test_dense_graph_switches_direction_mid_pass():
+    # One node's ~24 arcs are under 1/8 of the ~1900, so each pass starts
+    # top-down; the second level's frontier holds most arcs and steps
+    # bottom-up.
+    rng = np.random.default_rng(11)
+    n = 80
+    iu, ju = np.triu_indices(n, 1)
+    keep = rng.random(len(iu)) < 0.3
+    g = Graph(n, np.column_stack((iu[keep], ju[keep])))
+    nxg = nx.Graph(list(g.edges()))
+    with pytest.MonkeyPatch.context() as mp:
+        built = bottom_up_steps(mp)
+        for u, v in rng.integers(n, size=(60, 2)).tolist():
+            assert neighborhood_size(g, u, 2) == len(nx.single_source_shortest_path_length(nxg, u, cutoff=2))
+            assert bfs_distance(g, u, v) == nx.shortest_path_length(nxg, u, v)
+    assert built
+
+
+@pytest.mark.parametrize("k", range(1, 12))
+def test_meets_at_odd_and_even_distances(k):
+    # On a path the two sides meet in the middle, or one past it for odd k;
+    # a cycle of length 2k (even) or 2k + 1 (odd) has its antipode at k.
+    g = path(k + 5)
+    assert bfs_distance(g, 2, 2 + k) == k
+    assert bfs_distance(g, 2 + k, 2) == k
+    for m in (2 * k, 2 * k + 1):
+        if m >= 3:
+            cycle = Graph(m, [(i, (i + 1) % m) for i in range(m)])
+            assert bfs_distance(cycle, 0, k) == k
+            assert bfs_distance(cycle, k, 0, cap=k) == k
+
+
+@pytest.mark.parametrize("cap", range(0, 9))
+def test_distance_at_cap_is_found_and_one_past_is_not(cap):
+    g = path(12)
+    assert bfs_distance(g, 1, 1 + cap, cap=cap) == cap
+    assert bfs_distance(g, 1, 2 + cap, cap=cap) is UNREACHABLE
+    assert bfs_distance(g, 2 + cap, 1, cap=cap) is UNREACHABLE

@@ -198,6 +198,52 @@ def test_benchmark_argv_parses(workload, tmp_path):
     assert args.command == argv[0] and args.seed == 1 and args.out == tmp_path
 
 
+BOUNDS_ARGV = ["bounds", "--n", "10", "--d", "1", "--ball-d", "1", "--json"]
+CHECK_ARGV = ["check", "--er", "20", "0.1", "--d", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (BOUNDS_ARGV, ["--fold"]),
+        (BOUNDS_ARGV, ["--threads", "1"]),
+        (BOUNDS_ARGV, ["--allow-trivial"]),
+        (BOUNDS_ARGV, ["--seed", "3"]),
+        (BOUNDS_ARGV, ["--out", "OUT"]),
+        (CHECK_ARGV, ["--threads", "1"]),
+        (CHECK_ARGV, ["--seed", "3"]),
+        (CHECK_ARGV, ["--out", "OUT"]),
+        (CHECK_ARGV, ["--allow-trivial"]),
+        (["ingest", "--triples", "TRIPLES"], ["--threads", "1"]),
+        (["ingest", "--triples", "TRIPLES"], ["--seed", "3"]),
+        (["ingest", "--triples", "TRIPLES"], ["--allow-trivial"]),
+    ],
+)
+def test_flags_a_command_never_reads_are_usage_errors(triples_path, tmp_path, capsys, argv, flag):
+    # Each of these used to be accepted and silently ignored.
+    out = tmp_path / "run"
+    subst = {"OUT": str(out), "TRIPLES": str(triples_path)}
+    argv = [subst.get(a, a) for a in argv + flag]
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 1
+    assert stdout == ""
+    assert f"unrecognized arguments: {flag[0]}" in stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [(BOUNDS_ARGV, "fold"), (BOUNDS_ARGV, "seed"), (CHECK_ARGV, "threads"), (CHECK_ARGV, "allow-trivial")],
+)
+def test_config_keys_a_command_never_reads_are_unknown(tmp_path, capsys, argv, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: True if key in ("fold", "allow-trivial") else 1}))
+    code, stdout, stderr = run(capsys, *argv, "--config", str(cfg))
+    assert code == 1
+    assert stdout == ""
+    assert f"unknown config key {key!r}" in stderr
+
+
 def test_bad_er_arguments(tmp_path, capsys):
     code, _, _ = run(capsys, "sample", "--er", "ten", "0.1", "--out", str(tmp_path))
     assert code == 1

@@ -89,10 +89,14 @@ def test_csr_arrays_are_sorted_and_read_only():
     assert g.indptr.tolist() == [0, 2, 4, 4, 6, 6]
     assert g.indices.tolist() == [1, 3, 0, 3, 0, 1]
     assert [g.neighbors(u) for u in range(5)] == [(1, 3), (0, 3), (), (0, 1), ()]
+    assert g.degrees.tolist() == [2, 2, 0, 2, 0]
     with pytest.raises(ValueError):
         g.indices[0] = 2
     with pytest.raises(ValueError):
         g.indptr[0] = 1
+    with pytest.raises(ValueError):
+        g.degrees[0] = 1
+    assert Graph(0).degrees.tolist() == []
 
 
 def test_array_and_pair_inputs_build_equal_graphs():
