@@ -229,6 +229,7 @@ def _bit_levels(
     words that reach each head costs more than the reduceat saves.
     """
     seen = np.zeros(g.n, dtype=np.uint64)
+    # ``front`` holds the frontier's words while levels step bottom-up.
     if len(src) == 1:
         seen[src] = 1
         nodes, front = src, None
