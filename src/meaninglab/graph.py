@@ -57,6 +57,35 @@ def _pair_array(edges) -> np.ndarray:
     return arr
 
 
+def _check_edges(n: int, arr: np.ndarray) -> None:
+    """Reject a negative ``n``, then the first ``(u, v)`` row with an endpoint outside ``0..n-1`` or ``u == v``."""
+    if n < 0:
+        raise ValueError(f"node count must be nonnegative, got {n}")
+    u, v = arr[:, 0], arr[:, 1]
+    bad = np.flatnonzero((u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v))
+    if bad.size:
+        a, b = arr[bad[0]].tolist()
+        if a == b and 0 <= a < n:
+            raise ValueError(f"self-loop at node {a}")
+        raise ValueError(f"edge ({a}, {b}) out of range for {n} nodes")
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """A sorted array with each value kept once."""
+    keep = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
+def _lookup(keys: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of ``probes`` in the sorted array ``keys``, and whether each is there."""
+    pos = np.searchsorted(keys, probes)
+    if not len(keys):
+        return pos, np.zeros(len(probes), dtype=bool)
+    # A probe above every key clips onto the last one, which is smaller.
+    return pos, keys.take(pos, mode="clip") == probes
+
+
 class Graph:
     """Simple undirected graph, immutable after construction.
 
@@ -70,29 +99,35 @@ class Graph:
     __slots__ = ("n", "indptr", "indices", "degrees")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray = ()):
-        if n < 0:
-            raise ValueError(f"node count must be nonnegative, got {n}")
         arr = _pair_array(edges)
+        _check_edges(n, arr)
         u, v = arr[:, 0], arr[:, 1]
-        bad = np.flatnonzero((u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v))
-        if bad.size:
-            a, b = arr[bad[0]].tolist()
-            if a == b and 0 <= a < n:
-                raise ValueError(f"self-loop at node {a}")
-            raise ValueError(f"edge ({a}, {b}) out of range for {n} nodes")
         # One key per direction, src * n + dst: sorting groups each node's
         # neighbours in order, and equal neighbours (duplicates) sit together.
         keys = np.concatenate((u * n + v, v * n + u))
         keys.sort()
-        keep = np.ones(len(keys), dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-        keys = keys[keep]
+        self._build(n, _distinct(keys))
+
+    @classmethod
+    def _from_keys(cls, n: int, keys: np.ndarray) -> "Graph":
+        """Graph whose edges have the sorted, distinct keys ``u * n + v`` (u < v), unchecked."""
+        u = keys // n
+        arcs = np.concatenate((keys, (keys - u * n) * n + u))
+        arcs.sort()
+        g = object.__new__(cls)
+        g._build(n, arcs)
+        return g
+
+    def _build(self, n: int, arcs: np.ndarray) -> None:
+        """Set the CSR arrays from sorted, distinct arc keys ``src * n + dst``, both ways per edge."""
         indptr = np.zeros(n + 1, dtype=np.int64)
-        indices, degrees = keys, np.zeros(n, dtype=np.int64)
+        indices, degrees = arcs, np.zeros(n, dtype=np.int64)
         if n:
-            degrees = np.bincount(keys // n, minlength=n)
+            # ``//`` by a scalar has a fast path that ``%`` lacks.
+            tails = arcs // n
+            degrees = np.bincount(tails, minlength=n)
             np.cumsum(degrees, out=indptr[1:])
-            indices = keys % n
+            indices = arcs - tails * n
         indptr.flags.writeable = indices.flags.writeable = degrees.flags.writeable = False
         object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "n", n)
@@ -126,14 +161,12 @@ class Graph:
 
     def edge_array(self) -> np.ndarray:
         """All edges as an ``(E, 2)`` array of (u, v) with u < v, lexicographically sorted."""
-        src = _arc_tails(self)
-        upper = self.indices > src
-        return np.column_stack((src[upper], self.indices[upper]))
+        return np.column_stack(_upper_arcs(self))
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, lexicographically sorted."""
-        arr = self.edge_array()
-        return zip(arr[:, 0].tolist(), arr[:, 1].tolist())
+        u, v = _upper_arcs(self)
+        return zip(u.tolist(), v.tolist())
 
     def _check_node(self, u: int) -> None:
         if not 0 <= u < self.n:
@@ -143,14 +176,16 @@ class Graph:
         """New graph with the given edges deleted; absent edges are an error."""
         drop = _pair_array(edges)
         _as_nodes(self, drop.ravel())
-        have = self.edge_array()
-        keys = have[:, 0] * self.n + have[:, 1]
-        want = drop.min(axis=1) * self.n + drop.max(axis=1)
-        absent = np.flatnonzero(~np.isin(want, keys))
+        u, v = _upper_arcs(self)
+        keys = u * self.n + v
+        pos, found = _lookup(keys, drop.min(axis=1) * self.n + drop.max(axis=1))
+        absent = np.flatnonzero(~found)
         if absent.size:
             u, v = drop[absent[0]].tolist()
             raise ValueError(f"cannot remove absent edge ({u}, {v})")
-        return Graph(self.n, have[~np.isin(keys, want)])
+        keep = np.ones(len(keys), dtype=bool)
+        keep[pos] = False
+        return Graph._from_keys(self.n, keys[keep])
 
     def __reduce__(self):
         return (Graph, (self.n, self.edge_array()))
@@ -173,6 +208,13 @@ class Graph:
 def _arc_tails(g: Graph) -> np.ndarray:
     """Tail node of each arc, aligned with ``g.indices`` (the heads)."""
     return np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
+
+
+def _upper_arcs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Tails and heads of the arcs with tail < head: each edge once, in sorted order."""
+    tails = _arc_tails(g)
+    upper = np.flatnonzero(g.indices > tails)
+    return tails[upper], g.indices[upper]
 
 
 # Bit j of a node's word marks source j of the current 64-source pass.

@@ -22,7 +22,9 @@ from .graph import (
     UNREACHABLE,
     Graph,
     _arc_tails,
+    _lookup,
     _pairs_at_distance,
+    _upper_arcs,
     ball_bound,
     bfs_distance,
     bfs_distances,
@@ -72,6 +74,12 @@ class MeaningGraph:
     @property
     def edge_count(self) -> int:
         return self.graph.edge_count
+
+    @cached_property
+    def _sorted_edge_keys(self) -> np.ndarray:
+        """Sorted ``u * n + v`` (u < v) per edge, in ``graph.edge_array()`` order."""
+        u, v = _upper_arcs(self.graph)
+        return u * self.n + v
 
     @cached_property
     def _component_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -306,9 +314,8 @@ def pick_pair_at_distance(
     # exactly the attempts consumed are redrawn, so the caller's generator
     # sits where that loop would have left it.
     # Distance 1 is adjacency: a batch's u * n + v keys are looked up among
-    # the sorted arc keys in one search, which n * n closes so that every
-    # search lands on a key; no attempt's key is n * n.
-    arcs = np.append(_arc_tails(g) * n + g.indices, n * n) if d == 1 else None
+    # the sorted arc keys in one search.
+    arcs = _arc_tails(g) * n + g.indices if d == 1 else None
     picks: list[tuple[int, int]] = []
     room = attempts  # attempts left in the current pick's window
     tried = hits = 0  # attempts drawn so far and hits among them
@@ -336,8 +343,7 @@ def pick_pair_at_distance(
         if arcs is None:
             hit = np.flatnonzero(bfs_distances(g, us, vs, cap=d) == d)
         else:
-            keys = us * n + vs
-            hit = np.flatnonzero(arcs[np.searchsorted(arcs, keys)] == keys)
+            hit = np.flatnonzero(_lookup(arcs, us * n + vs)[1])
         tried += b
         hits += len(hit)
         pos = 0  # attempts of this batch consumed so far

@@ -13,6 +13,11 @@ skip-sampling over the pair-slot index space, so sampling costs
 O(expected edges) rather than O((lam*n)^2). Every pass draws from its own
 named stream, which makes samples independent of pass order and safe to
 reproduce across worker processes.
+
+The passes emit symbol edges as int64 keys ``u * N + v`` (u < v, N the
+symbol count), never as pair arrays. Each kind's keys are sorted once and
+merged; the merged keys give each edge its kind byte by one search per
+kind and, through the builder ``Graph`` itself uses, the CSR arrays.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .graph import Graph, _format_lines
+from .graph import Graph, _check_edges, _distinct, _format_lines, _lookup, _upper_arcs
 from .meaning import CutPair, MeaningGraph
 from .rng import (
     STREAM_SIM_CROSS,
@@ -111,11 +116,6 @@ STRUCTURAL = 1
 SIMILARITY = 2
 
 
-def _pair_keys(pairs: np.ndarray, n: int) -> np.ndarray:
-    """``u * n + v`` per (u, v) row; for u < v, sorted keys follow ``Graph.edges()`` order."""
-    return pairs[:, 0] * n + pairs[:, 1]
-
-
 @dataclass(frozen=True)
 class SymbolGraph:
     """A sampled symbol graph with its origin map and provenance.
@@ -142,11 +142,11 @@ class SymbolGraph:
         kinds = self.kind_array
         if len(kinds) != self.graph.edge_count or not np.all((kinds >= 1) & (kinds <= 3)):
             raise ValueError("need one nonzero kind per union edge")
-        edges = self.graph.edge_array()
-        inside = (kinds & STRUCTURAL).astype(bool) & (edges[:, 0] // self.lam == edges[:, 1] // self.lam)
+        u, v = _upper_arcs(self.graph)  # the edges, in ``kinds`` order
+        inside = (kinds & STRUCTURAL).astype(bool) & (u // self.lam == v // self.lam)
         if inside.any():
-            u, v = edges[np.flatnonzero(inside)[0]].tolist()
-            raise ValueError(f"structural edge ({u}, {v}) inside a cluster")
+            i = np.flatnonzero(inside)[0]
+            raise ValueError(f"structural edge ({u[i]}, {v[i]}) inside a cluster")
 
     @property
     def kind_array(self) -> np.ndarray:
@@ -187,32 +187,37 @@ class SymbolGraph:
 
 
 def _symbol_graph(structural, similarity, lam: int, n_meaning: int, params: SampleParams, seed: int) -> SymbolGraph:
-    """Assemble a SymbolGraph from its two kind lists of (u, v) pairs, u < v."""
-    structural = np.asarray(structural, dtype=np.int64).reshape(-1, 2)
-    similarity = np.asarray(similarity, dtype=np.int64).reshape(-1, 2)
-    n = lam * n_meaning
-    graph = Graph(n, np.concatenate((structural, similarity)))
-    keys = _pair_keys(graph.edge_array(), n)
+    """Assemble a SymbolGraph from the sorted keys ``u * (lam * n_meaning) + v`` (u < v) of its two edge kinds."""
+    keys = np.concatenate((structural, similarity))
+    keys.sort(kind="stable")  # two sorted runs, so one merge
+    keys = _distinct(keys)
     kinds = np.zeros(len(keys), dtype=np.uint8)
-    kinds[np.searchsorted(keys, _pair_keys(structural, n))] |= STRUCTURAL
-    kinds[np.searchsorted(keys, _pair_keys(similarity, n))] |= SIMILARITY
+    kinds[np.searchsorted(keys, structural)] = STRUCTURAL
+    kinds[np.searchsorted(keys, similarity)] |= SIMILARITY
+    graph = Graph._from_keys(lam * n_meaning, keys)
     return SymbolGraph(graph, kinds.tobytes(), lam, n_meaning, params, seed)
 
 
 # -- sampling passes ----------------------------------------------------
 
 
-def _symbol_pairs(m1, m2, slot, lam) -> np.ndarray:
-    """Symbol pairs of meaning pairs (m1 < m2) at replica slot ``slot``."""
-    return np.column_stack((lam * m1 + slot // lam, lam * m2 + slot % lam))
+def _symbol_keys(m1, m2, slot, lam: int, n: int) -> np.ndarray:
+    """Keys ``u * N + v`` (N = lam * n) of the symbol pairs of meaning pairs (m1 <= m2) at ``slot``.
+
+    Slot s joins replica s // lam of m1 to replica s % lam of m2, so a key
+    is ``lam * (m1 * N + m2)`` plus the slot's offset.
+    """
+    big = lam * n
+    offset = (np.arange(lam, dtype=np.int64)[:, None] * big + np.arange(lam)).ravel()
+    return lam * (m1 * big + m2) + offset[slot]
 
 
 def _negative_hits(seed: int, n: int, lam: int, p: float, stream_id: int):
     """Hit slots of a Bernoulli(p) pass over every cross-cluster slot."""
     rng = stream(seed, stream_id)
-    hits = skip_sample(rng, pair_count(n) * lam * lam, p)
-    m1, m2 = index_to_pair(hits // (lam * lam), n)
-    return m1, m2, hits % (lam * lam)
+    pair, slot = np.divmod(skip_sample(rng, pair_count(n) * lam * lam, p), lam * lam)
+    m1, m2 = index_to_pair(pair, n)
+    return m1, m2, slot
 
 
 def _sample(gm: MeaningGraph, params: SampleParams, seed: int, cut=None) -> list[SymbolGraph]:
@@ -226,15 +231,18 @@ def _sample(gm: MeaningGraph, params: SampleParams, seed: int, cut=None) -> list
     eff = params.effective()
     n = gm.n
     lam = eff.lam
-    edges = gm.graph.edge_array()
-    edge_keys = _pair_keys(edges, n)
+    edge_keys = gm._sorted_edge_keys
+    m1, m2 = np.divmod(edge_keys, n)
 
     # Structural pass over meaning edges.
-    u = stream(seed, STREAM_STRUCT_POS).random((len(edges), lam * lam))
+    u = stream(seed, STREAM_STRUCT_POS).random((len(edge_keys), lam * lam))
     hit = u < eff.p_plus
     worlds = [hit]
     if cut is not None:
-        in_cut = np.isin(edge_keys, _pair_keys(np.sort(np.reshape(cut, (-1, 2)), axis=1), n))
+        cut = np.asarray(cut, dtype=np.int64).reshape(-1, 2)
+        pos, found = _lookup(edge_keys, cut.min(axis=1) * n + cut.max(axis=1))
+        in_cut = np.zeros(len(edge_keys), dtype=bool)
+        in_cut[pos[found]] = True
         hit_gp = hit.copy()
         hit_gp[in_cut] = u[in_cut] < eff.p_minus
         worlds.append(hit_gp)
@@ -242,24 +250,25 @@ def _sample(gm: MeaningGraph, params: SampleParams, seed: int, cut=None) -> list
     # Structural pass over meaning non-edges: sample the whole slot space
     # sparsely, then drop hits that landed on actual meaning edges (the
     # cut edges included: their g'-side draw happened above).
-    m1, m2, slot = _negative_hits(seed, n, lam, eff.p_minus, STREAM_STRUCT_NEG)
-    keep = ~np.isin(m1 * n + m2, edge_keys)
-    negative = _symbol_pairs(m1[keep], m2[keep], slot[keep], lam)
+    n1, n2, slot = _negative_hits(seed, n, lam, eff.p_minus, STREAM_STRUCT_NEG)
+    keep = ~_lookup(edge_keys, n1 * n + n2)[1]
+    negative = _symbol_keys(n1[keep], n2[keep], slot[keep], lam, n)
 
     # Similarity inside clusters, one slot per replica pair a < b.
     a, b = np.triu_indices(lam, 1)
     midx, k = np.nonzero(stream(seed, STREAM_SIM_INTRA).random((n, len(a))) < (1.0 - eff.eps_plus))
-    intra = np.column_stack((lam * midx + a[k], lam * midx + b[k]))
+    intra = _symbol_keys(midx, midx, (a * lam + b)[k], lam, n)
 
     # Similarity false positives across clusters (absent when folded).
-    m1, m2, slot = _negative_hits(seed, n, lam, eff.eps_minus, STREAM_SIM_CROSS)
-    similarity = np.concatenate((intra, _symbol_pairs(m1, m2, slot, lam)))
+    n1, n2, slot = _negative_hits(seed, n, lam, eff.eps_minus, STREAM_SIM_CROSS)
+    similarity = np.concatenate((intra, _symbol_keys(n1, n2, slot, lam, n)))
+    similarity.sort()
 
     out = []
     for world in worlds:
         eidx, slot = np.nonzero(world)
-        positive = _symbol_pairs(edges[eidx, 0], edges[eidx, 1], slot, lam)
-        structural = np.concatenate((positive, negative))
+        structural = np.concatenate((_symbol_keys(m1[eidx], m2[eidx], slot, lam, n), negative))
+        structural.sort()
         out.append(_symbol_graph(structural, similarity, lam, n, params, seed))
     return out
 
@@ -291,7 +300,7 @@ def count_edges_by_class(sg: SymbolGraph, gm: MeaningGraph) -> dict[PairClass, i
     """Union-graph edge counts split by pair class (test and audit helper)."""
     origin = sg.graph.edge_array() // sg.lam
     intra = origin[:, 0] == origin[:, 1]
-    on_edge = np.isin(_pair_keys(origin, gm.n), _pair_keys(gm.graph.edge_array(), gm.n))
+    on_edge = _lookup(gm._sorted_edge_keys, origin[:, 0] * gm.n + origin[:, 1])[1]
     return {
         PairClass.MEANING_EDGE: int(np.count_nonzero(on_edge)),
         PairClass.MEANING_NON_EDGE: int(np.count_nonzero(~on_edge & ~intra)),
@@ -377,4 +386,8 @@ def read_symbol_graph(path) -> SymbolGraph:
     for w, m in origin.items():
         if w // lam != m:
             raise ValueError(f"{path}: origin line maps {w} to {m}, expected {w // lam}")
-    return _symbol_graph(structural, similarity, lam, n_meaning, params, seed)
+    n = lam * n_meaning
+    pairs = np.array(structural + similarity, dtype=np.int64).reshape(-1, 2)
+    _check_edges(n, pairs)  # before forming keys: an out-of-range key aliases another edge's
+    s, r = np.split(pairs[:, 0] * n + pairs[:, 1], [len(structural)])
+    return _symbol_graph(np.sort(s), np.sort(r), lam, n_meaning, params, seed)

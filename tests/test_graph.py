@@ -311,6 +311,36 @@ def to_networkx(g: Graph) -> nx.Graph:
     return ref
 
 
+@st.composite
+def node_pairs(draw, max_nodes=40):
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    node = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    return n, [(u, v) for u, v in pairs if u != v]
+
+
+@settings(max_examples=80, deadline=None)
+@given(node_pairs())
+def test_csr_build_matches_networkx(case):
+    # Duplicates and reversed pairs collapse to one edge; nodes no pair
+    # names stay as isolated nodes. Building from the sorted edge keys
+    # gives the same arrays.
+    n, pairs = case
+    pairs += [(v, u) for u, v in pairs[::2]] + pairs[::3]
+    g = Graph(n, pairs)
+    ref = nx.Graph()
+    ref.add_nodes_from(range(n))
+    ref.add_edges_from(pairs)
+    assert [g.neighbors(u) for u in range(n)] == [tuple(sorted(ref[u])) for u in range(n)]
+    assert g.degrees.tolist() == [ref.degree(u) for u in range(n)]
+    assert g.indptr.tolist() == [0, *itertools.accumulate(g.degrees.tolist())]
+    assert g.edge_count == ref.number_of_edges()
+    keys = np.array(sorted(min(e) * n + max(e) for e in ref.edges()), dtype=np.int64)
+    built = Graph._from_keys(n, keys)
+    for name in ("indptr", "indices", "degrees"):
+        assert np.array_equal(getattr(built, name), getattr(g, name)), name
+
+
 @settings(max_examples=80, deadline=None)
 @given(sparse_graphs(max_nodes=150))
 def test_components_match_networkx(g: Graph):

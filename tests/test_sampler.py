@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,16 @@ from hypothesis import strategies as st
 from meaninglab.bounds import gilbert_bounds
 from meaninglab.graph import Graph, components
 from meaninglab.meaning import MeaningGraph, gen_er, make_cut_pair
-from meaninglab.rng import pair_count
+from meaninglab.rng import (
+    STREAM_SIM_CROSS,
+    STREAM_SIM_INTRA,
+    STREAM_STRUCT_NEG,
+    STREAM_STRUCT_POS,
+    index_to_pair,
+    pair_count,
+    skip_sample,
+    stream,
+)
 from meaninglab.sampler import (
     SIMILARITY,
     STRUCTURAL,
@@ -311,6 +321,97 @@ def test_sampled_graph_invariants(n, p_edge, lam, seed):
     assert again.graph == sg.graph
 
 
+# -- key assembly against the pair-array reference ----------------------
+
+
+def reference_sample(gm, params, seed, cut=None):
+    """The pair-array assembly the edge-key passes replaced, as ``(graph, kinds)`` per world.
+
+    Each pass emits ``(u, v)`` rows, ``Graph`` sorts them, and the kind
+    bytes come from searching the graph's ``edge_array()`` keys.
+    """
+    eff = params.effective()
+    n, lam = gm.n, eff.lam
+    big = lam * n
+
+    def symbol_pairs(m1, m2, slot):
+        return np.column_stack((lam * m1 + slot // lam, lam * m2 + slot % lam))
+
+    def negative_hits(p, stream_id):
+        hits = skip_sample(stream(seed, stream_id), pair_count(n) * lam * lam, p)
+        m1, m2 = index_to_pair(hits // (lam * lam), n)
+        return m1, m2, hits % (lam * lam)
+
+    def assemble(structural, similarity):
+        structural = structural.reshape(-1, 2)
+        similarity = similarity.reshape(-1, 2)
+        graph = Graph(big, np.concatenate((structural, similarity)))
+        edges = graph.edge_array()
+        keys = edges[:, 0] * big + edges[:, 1]
+        kinds = np.zeros(len(keys), dtype=np.uint8)
+        kinds[np.searchsorted(keys, structural[:, 0] * big + structural[:, 1])] |= STRUCTURAL
+        kinds[np.searchsorted(keys, similarity[:, 0] * big + similarity[:, 1])] |= SIMILARITY
+        return graph, kinds.tobytes()
+
+    edges = gm.graph.edge_array()
+    edge_keys = edges[:, 0] * n + edges[:, 1]
+    u = stream(seed, STREAM_STRUCT_POS).random((len(edges), lam * lam))
+    hit = u < eff.p_plus
+    worlds = [hit]
+    if cut is not None:
+        cut = np.sort(np.reshape(cut, (-1, 2)), axis=1)
+        in_cut = np.isin(edge_keys, cut[:, 0] * n + cut[:, 1])
+        hit_gp = hit.copy()
+        hit_gp[in_cut] = u[in_cut] < eff.p_minus
+        worlds.append(hit_gp)
+    m1, m2, slot = negative_hits(eff.p_minus, STREAM_STRUCT_NEG)
+    keep = ~np.isin(m1 * n + m2, edge_keys)
+    negative = symbol_pairs(m1[keep], m2[keep], slot[keep])
+    a, b = np.triu_indices(lam, 1)
+    midx, k = np.nonzero(stream(seed, STREAM_SIM_INTRA).random((n, len(a))) < (1.0 - eff.eps_plus))
+    intra = np.column_stack((lam * midx + a[k], lam * midx + b[k]))
+    m1, m2, slot = negative_hits(eff.eps_minus, STREAM_SIM_CROSS)
+    similarity = np.concatenate((intra, symbol_pairs(m1, m2, slot)))
+    out = []
+    for world in worlds:
+        eidx, slot = np.nonzero(world)
+        positive = symbol_pairs(edges[eidx, 0], edges[eidx, 1], slot)
+        out.append(assemble(np.concatenate((positive, negative)), similarity))
+    return out
+
+
+def assert_same_assembly(sg: SymbolGraph, want) -> None:
+    graph, kinds = want
+    assert sg.graph.n == graph.n
+    for name in ("indptr", "indices", "degrees"):
+        assert np.array_equal(getattr(sg.graph, name), getattr(graph, name)), name
+    assert sg.kinds == kinds
+
+
+probability = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    p_edge=st.floats(0.0, 0.3),
+    probs=st.tuples(probability, probability, probability, probability),
+    lam=st.integers(1, 4),
+    fold=st.booleans(),
+    seed=st.integers(0, 10_000),
+)
+def test_edge_key_assembly_matches_pair_reference(n, p_edge, probs, lam, fold, seed):
+    gm = gen_er(n, p_edge, seed)
+    p = SampleParams(*probs, lam, fold)
+    assert_same_assembly(sample_symbol_graph(gm, p, seed=seed + 1), reference_sample(gm, p, seed + 1)[0])
+    big = max(components(gm.graph), key=len)
+    if len(big) > 1:
+        cp = make_cut_pair(gm, big[0], big[-1])
+        worlds = sample_coupled(cp, p, seed=seed + 2)
+        for sg, want in zip(worlds, reference_sample(cp.g, p, seed + 2, cp.cut), strict=True):
+            assert_same_assembly(sg, want)
+
+
 # -- serialization ------------------------------------------------------
 
 
@@ -354,6 +455,43 @@ def test_read_symbol_graph_rejects_bad_kind(tmp_path):
     path.write_text("# symbol-graph meaning-nodes=1 lambda=2 seed=0\n0\t1\tX\n")
     with pytest.raises(ValueError, match=":2"):
         read_symbol_graph(path)
+
+
+HEADER = "# symbol-graph meaning-nodes=2 lambda=2 seed=0\n# params p_plus=0.8 p_minus=0.01 eps_plus=0.2 eps_minus=0.05 fold=0\n"
+
+
+@pytest.mark.parametrize(
+    "lines, error",
+    [
+        ("0\t4\tS\n", r"edge \(0, 4\) out of range for 4 nodes"),
+        ("0\t6\tR\n", r"edge \(0, 6\) out of range for 4 nodes"),  # key 6 would alias (1, 2)
+        ("0\t2\tS\n-1\t3\tS\n", r"edge \(-1, 3\) out of range for 4 nodes"),
+        ("1\t1\tR\n", "self-loop at node 1"),
+        ("0\t1\tS\n", r"structural edge \(0, 1\) inside a cluster"),
+    ],
+)
+def test_read_symbol_graph_rejects_bad_edges(tmp_path, lines, error):
+    path = tmp_path / "bad.tsv"
+    path.write_text(HEADER + lines)
+    with pytest.raises(ValueError, match=error):
+        read_symbol_graph(path)
+
+
+@pytest.mark.parametrize(
+    "lines, kinds",
+    [
+        ("3\t0\tS\n1\t0\tR\n", {(0, 1): SIMILARITY, (0, 3): STRUCTURAL}),  # reversed lines
+        ("0\t3\tS\n0\t3\tS\n0\t1\tR\n0\t1\tR\n", {(0, 1): SIMILARITY, (0, 3): STRUCTURAL}),  # duplicates
+        ("0\t3\tS\n0\t3\tR\n", {(0, 3): STRUCTURAL | SIMILARITY}),
+        ("0\t3\tR\n1\t2\tS\n0\t3\tS\n", {(0, 3): STRUCTURAL | SIMILARITY, (1, 2): STRUCTURAL}),
+    ],
+)
+def test_read_symbol_graph_merges_edge_lines(tmp_path, lines, kinds):
+    path = tmp_path / "edges.tsv"
+    path.write_text(HEADER + lines)
+    sg = read_symbol_graph(path)
+    assert dict(zip(sg.graph.edges(), sg.kinds)) == kinds
+    assert sg.graph == Graph(4, list(kinds))
 
 
 def test_symbol_graph_constructor_rejects_intra_structural():
