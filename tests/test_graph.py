@@ -297,11 +297,15 @@ def test_min_cut_matches_brute_force(g: Graph, data):
 
 
 @st.composite
-def sparse_graphs(draw, max_nodes=60):
+def node_pairs(draw, max_nodes=60):
     n = draw(st.integers(min_value=1, max_value=max_nodes))
     node = st.integers(min_value=0, max_value=n - 1)
     edges = draw(st.lists(st.tuples(node, node), max_size=2 * n))
-    return Graph(n, [(u, v) for u, v in edges if u != v])
+    return n, [(u, v) for u, v in edges if u != v]
+
+
+def sparse_graphs(max_nodes=60) -> st.SearchStrategy[Graph]:
+    return node_pairs(max_nodes).map(lambda case: Graph(*case))
 
 
 def to_networkx(g: Graph) -> nx.Graph:
@@ -311,16 +315,8 @@ def to_networkx(g: Graph) -> nx.Graph:
     return ref
 
 
-@st.composite
-def node_pairs(draw, max_nodes=40):
-    n = draw(st.integers(min_value=1, max_value=max_nodes))
-    node = st.integers(min_value=0, max_value=n - 1)
-    pairs = draw(st.lists(st.tuples(node, node), max_size=3 * n))
-    return n, [(u, v) for u, v in pairs if u != v]
-
-
 @settings(max_examples=80, deadline=None)
-@given(node_pairs())
+@given(node_pairs(max_nodes=40))
 def test_csr_build_matches_networkx(case):
     # Duplicates and reversed pairs collapse to one edge; nodes no pair
     # names stay as isolated nodes. Building from the sorted edge keys
