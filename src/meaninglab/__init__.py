@@ -10,7 +10,6 @@ coupled cut worlds.
 """
 
 from .bounds import (
-    INAPPLICABLE,
     BoundReport,
     GilbertBounds,
     bound_report,
@@ -25,7 +24,6 @@ from .bounds import (
 )
 from .experiments import (
     DISCONNECTED,
-    EMPTY,
     HeatmapTable,
     distance_cap,
     emit_heatmap_csv,
@@ -34,7 +32,6 @@ from .experiments import (
     parse_heatmap_csv,
 )
 from .graph import (
-    UNREACHABLE,
     Graph,
     ball_bound,
     bfs_distance,
@@ -46,7 +43,6 @@ from .graph import (
     write_edge_list,
 )
 from .meaning import (
-    NO_SUCH_PAIR,
     CutPair,
     MeaningGraph,
     NontrivialityReport,

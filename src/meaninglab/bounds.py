@@ -13,14 +13,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .sampler import fold_noise
-from .sentinel import Sentinel
-
-
-class Inapplicable(Sentinel, name="INAPPLICABLE"):
-    """Sentinel: the bound's validity precondition fails for these inputs."""
-
-
-INAPPLICABLE = Inapplicable()
 
 
 def _clamp01(x: float) -> float:
@@ -64,17 +56,17 @@ def ub_disconnected_raw(n: int, lam: int, p_minus: float, eps_minus: float, ball
 
 def ub_disconnected(
     n: int, lam: int, p_minus: float, eps_minus: float, ball_d: int
-) -> float | Inapplicable:
+) -> float | None:
     """Upper bound on answering H1 when the pair is disconnected.
 
     Valid only while (lam*B(d))^2 * (p_minus + eps_minus fold) stays at or
-    below 1/(2en); outside that regime returns INAPPLICABLE rather than a
-    number that bounds nothing.
+    below 1/(2en); outside that regime returns None rather than a number
+    that bounds nothing.
     """
     raw = ub_disconnected_raw(n, lam, p_minus, eps_minus, ball_d)
     q = fold_noise(p_minus, eps_minus)
     if (lam * ball_d) ** 2 * q > 1.0 / (2.0 * math.e * n):
-        return INAPPLICABLE
+        return None
     return _clamp01(raw)
 
 
@@ -173,7 +165,7 @@ class TheoremRegime:
 class BoundReport:
     """Every closed-form quantity for one parameter point, plus regime flags.
 
-    ``ub_disconnected`` is INAPPLICABLE outside its validity regime; the
+    ``ub_disconnected`` is None outside its validity regime; the
     raw expression value is always retained. ``gamma_star`` uses the
     folded penalty so that, whenever the possibility regime holds,
     gamma_star == max(0, lb_connected - ub_disconnected) with identical
@@ -192,7 +184,7 @@ class BoundReport:
     c2: float
     c3: float
     lb_connected: float
-    ub_disconnected: float | Inapplicable
+    ub_disconnected: float | None
     ub_disconnected_raw: float
     gamma_star: float
     gamma_star_raw: float
@@ -201,7 +193,6 @@ class BoundReport:
     theorem3: TheoremRegime
 
     def to_json_dict(self) -> dict:
-        ub = self.ub_disconnected
         return {
             "n": self.n,
             "d": self.d,
@@ -215,8 +206,8 @@ class BoundReport:
             "c2": self.c2,
             "c3": self.c3,
             "lb_connected": self.lb_connected,
-            "ub_disconnected": None if ub is INAPPLICABLE else ub,
-            "ub_applicable": ub is not INAPPLICABLE,
+            "ub_disconnected": self.ub_disconnected,
+            "ub_applicable": self.ub_disconnected is not None,
             "ub_disconnected_raw": self.ub_disconnected_raw,
             "gamma_star": self.gamma_star,
             "gamma_star_raw": self.gamma_star_raw,

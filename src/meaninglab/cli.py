@@ -26,7 +26,6 @@ from .experiments import emit_heatmap_csv, emit_svg_heatmap, heatmap
 from .graph import write_edge_list
 from .meaning import (
     MeaningGraph,
-    NO_SUCH_PAIR,
     TriplesFormatError,
     check_nontrivial,
     gen_er,
@@ -345,7 +344,7 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
     within = 0
     for t in range(args.trials):
         pair = pick_pair_at_distance(gm, d, stream(args.seed, STREAM_SPECTRAL_TRIAL, t, 0))
-        if pair is NO_SUCH_PAIR:
+        if pair is None:
             raise NoFixtureError(f"no pair at distance {d} in the meaning graph")
         cp = make_cut_pair(gm, *pair)
         trial = coupled_cut_trial(cp, params, d_tilde, subseed(args.seed, STREAM_SPECTRAL_TRIAL, t, 1))

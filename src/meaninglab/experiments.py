@@ -15,17 +15,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .graph import bfs_distances
-from .meaning import NO_SUCH_PAIR, MeaningGraph, pick_disconnected_pair, pick_pair_at_distance
+from .meaning import MeaningGraph, pick_disconnected_pair, pick_pair_at_distance
 from .rng import STREAM_HEATMAP_CELL, STREAM_HEATMAP_ROW, stream, subseed
-from .sampler import SampleParams, sample_symbol_graph
-from .sentinel import Sentinel
-
-
-class EmptyCell(Sentinel, name="EMPTY"):
-    """Sentinel: the meaning graph has no pair for this cell."""
-
-
-EMPTY = EmptyCell()
+from .sampler import SampleParams, _Header, sample_symbol_graph
 
 DISCONNECTED = "disconnected"
 
@@ -44,7 +36,8 @@ class HeatmapTable:
     """Mean capped replica distances, rows by p_minus, columns by d.
 
     ``cells[r]`` has ``d_max + 1`` entries: columns d = 1..d_max followed
-    by the disconnected column. ``params_base.p_minus`` records the base
+    by the disconnected column. A cell is None when the meaning graph has
+    no pair for it. ``params_base.p_minus`` records the base
     parameter set; each row overrides p_minus with its grid value.
     """
 
@@ -54,7 +47,7 @@ class HeatmapTable:
     cap: int
     params_base: SampleParams
     seed: int
-    cells: tuple[tuple[float | EmptyCell, ...], ...]
+    cells: tuple[tuple[float | None, ...], ...]
 
     def __post_init__(self):
         if list(self.p_minus_grid) != sorted(set(self.p_minus_grid)):
@@ -70,14 +63,6 @@ class HeatmapTable:
     def column_labels(self) -> list[str]:
         return [f"d_{d}" for d in range(1, self.d_max + 1)] + [DISCONNECTED]
 
-    def cell(self, row: int, d: int | str) -> float | EmptyCell:
-        """Cell by grid row index and column (a distance or DISCONNECTED)."""
-        if d == DISCONNECTED:
-            return self.cells[row][self.d_max]
-        if not 1 <= d <= self.d_max:
-            raise ValueError(f"column {d!r} out of range")
-        return self.cells[row][d - 1]
-
 
 def _heatmap_row(
     gm: MeaningGraph,
@@ -88,7 +73,7 @@ def _heatmap_row(
     pairs_per_cell: int,
     cap: int,
     seed: int,
-) -> tuple[float | EmptyCell, ...]:
+) -> tuple[float | None, ...]:
     params = replace(params_base, p_minus=p_minus)
     sg = sample_symbol_graph(gm, params, subseed(seed, STREAM_HEATMAP_ROW, row_index))
     lam = params.lam
@@ -100,15 +85,15 @@ def _heatmap_row(
     ]
     rng = stream(seed, STREAM_HEATMAP_CELL, row_index, 0)
     pairs = [pick_disconnected_pair(gm, rng) for _ in range(pairs_per_cell)]
-    picked.append(NO_SUCH_PAIR if NO_SUCH_PAIR in pairs else pairs)
-    probes = [pair for pairs in picked if pairs is not NO_SUCH_PAIR for pair in pairs]
+    picked.append(None if None in pairs else pairs)
+    probes = [pair for pairs in picked if pairs is not None for pair in pairs]
     src = [lam * u for u, _ in probes]
     dst = [lam * v for _, v in probes]
     dists = iter(bfs_distances(sg.graph, src, dst, cap=cap).tolist())
-    row: list[float | EmptyCell] = []
+    row: list[float | None] = []
     for pairs in picked:
-        if pairs is NO_SUCH_PAIR:
-            row.append(EMPTY)
+        if pairs is None:
+            row.append(None)
             continue
         # Summed in pick order from 0.0, so the mean keeps its bytes.
         total = 0.0
@@ -179,16 +164,15 @@ def emit_heatmap_csv(table: HeatmapTable, path) -> None:
         fh.write("p_minus," + ",".join(table.column_labels()) + "\n")
         for p_minus, row in zip(table.p_minus_grid, table.cells):
             fields = [repr(p_minus)]
-            fields += ["" if c is EMPTY else repr(c) for c in row]
+            fields += ["" if c is None else repr(c) for c in row]
             fh.write(",".join(fields) + "\n")
 
 
 def parse_heatmap_csv(path) -> HeatmapTable:
     """Exact inverse of :func:`emit_heatmap_csv`."""
-    meta: dict[str, str] = {}
-    par: dict[str, str] = {}
+    meta = _Header(path, "heatmap", "params")
     grid: list[float] = []
-    cells: list[tuple[float | EmptyCell, ...]] = []
+    cells: list[tuple[float | None, ...]] = []
     header: list[str] | None = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -196,34 +180,22 @@ def parse_heatmap_csv(path) -> HeatmapTable:
             if not line:
                 continue
             if line.startswith("#"):
-                fields = line[1:].split()
-                if fields and fields[0] == "heatmap":
-                    meta.update(f.split("=", 1) for f in fields[1:])
-                elif fields and fields[0] == "params":
-                    par.update(f.split("=", 1) for f in fields[1:])
+                meta.read(line)
                 continue
             fields = line.split(",")
             if header is None:
                 header = fields
                 continue
             grid.append(float(fields[0]))
-            cells.append(tuple(EMPTY if f == "" else float(f) for f in fields[1:]))
+            cells.append(tuple(None if f == "" else float(f) for f in fields[1:]))
     if header is None:
         raise ValueError(f"{path}: no header row found")
-    params = SampleParams(
-        p_plus=float(par["p_plus"]),
-        p_minus=float(par["p_minus"]),
-        eps_plus=float(par["eps_plus"]),
-        eps_minus=float(par["eps_minus"]),
-        lam=int(par["lambda"]),
-        fold=bool(int(par["fold"])),
-    )
     return HeatmapTable(
         p_minus_grid=tuple(grid),
         d_max=int(meta["d_max"]),
         pairs_per_cell=int(meta["pairs_per_cell"]),
         cap=int(meta["cap"]),
-        params_base=params,
+        params_base=meta.params(),
         seed=int(meta["seed"]),
         cells=tuple(cells),
     )
@@ -251,7 +223,7 @@ def emit_svg_heatmap(table: HeatmapTable, path) -> None:
     Purely presentational and byte-stable; empty cells render as crossed
     outlines. The CSV, not this file, is the machine-readable output.
     """
-    values = [c for row in table.cells for c in row if c is not EMPTY]
+    values = [c for row in table.cells for c in row if c is not None]
     vmin = min(values) if values else 0.0
     vmax = max(values) if values else 0.0
     ncols = table.d_max + 1
@@ -276,7 +248,7 @@ def emit_svg_heatmap(table: HeatmapTable, path) -> None:
         for c in range(ncols):
             x = _MARGIN_LEFT + c * _CELL_W
             cell = table.cells[r][c]
-            if cell is EMPTY:
+            if cell is None:
                 out.append(
                     f'<rect x="{x}" y="{y}" width="{_CELL_W}" height="{_CELL_H}" fill="none" stroke="#999999"/>'
                 )

@@ -35,15 +35,6 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .sentinel import Sentinel
-
-
-class Unreachable(Sentinel, name="UNREACHABLE"):
-    """Sentinel for "no path within the cap"; never compares equal to an int."""
-
-
-UNREACHABLE = Unreachable()
-
 
 def _pair_array(edges) -> np.ndarray:
     """Edges as an ``(E, 2)`` int64 array, from an array or any iterable of pairs."""
@@ -143,21 +134,11 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.indices) // 2
 
-    def neighbors(self, u: int) -> tuple[int, ...]:
-        return tuple(self.indices[self.indptr[u] : self.indptr[u + 1]].tolist())
-
     def degree(self, u: int) -> int:
         return int(self.degrees[u])
 
     def max_degree(self) -> int:
         return int(self.degrees.max(initial=0))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_node(u)
-        self._check_node(v)
-        row = self.indices[self.indptr[u] : self.indptr[u + 1]]
-        k = int(np.searchsorted(row, v))
-        return k < len(row) and int(row[k]) == v
 
     def edge_array(self) -> np.ndarray:
         """All edges as an ``(E, 2)`` array of (u, v) with u < v, lexicographically sorted."""
@@ -349,7 +330,8 @@ def _check_radius(d: int | None, what: str) -> None:
 def bfs_distances(g: Graph, src, dst, cap: int | None = None) -> np.ndarray:
     """Shortest-path lengths for the pairs ``(src[i], dst[i])``, batched.
 
-    -1 marks a pair with no path of length at most ``cap``. Pairs are
+    -1 marks a pair with no path of length at most ``cap``: an int64
+    array cannot hold the None that :func:`bfs_distance` returns. Pairs are
     grouped by source and each pass runs 64 distinct sources, so every
     pair with a given source reads that source's lane; a pass stops as
     soon as all its targets are found, its frontier empties, or it
@@ -378,17 +360,17 @@ def bfs_distances(g: Graph, src, dst, cap: int | None = None) -> np.ndarray:
     return out
 
 
-def bfs_distance(g: Graph, u: int, v: int, cap: int | None = None) -> int | Unreachable:
-    """Shortest-path length from u to v, or UNREACHABLE.
+def bfs_distance(g: Graph, u: int, v: int, cap: int | None = None) -> int | None:
+    """Shortest-path length from u to v, or None when there is no path.
 
-    With a cap, any distance strictly greater than ``cap`` reports
-    UNREACHABLE. The search is bidirectional: one single-source pass of
-    the kernel from each end, always advancing the side whose frontier
-    holds fewer arcs. The balls of radius ``a`` around u and ``b`` around
-    v do not meet, so the first new frontier (level ``a + 1``, say) that
-    touches the other side's ball puts v at distance exactly ``a + 1 + b``.
-    The search stops there, at ``cap``, or once either side runs out of
-    new nodes.
+    With a cap, any distance strictly greater than ``cap`` reports None.
+    The search is bidirectional: one single-source pass of the kernel
+    from each end, always advancing the side whose frontier holds fewer
+    arcs. The balls of radius ``a`` around u and ``b`` around v do not
+    meet, so the first new frontier (level ``a + 1``, say) that touches
+    the other side's ball puts v at distance exactly ``a + 1 + b``. The
+    search stops there, at ``cap``, or once either side runs out of new
+    nodes.
     """
     g._check_node(u)
     g._check_node(v)
@@ -403,14 +385,14 @@ def bfs_distance(g: Graph, u: int, v: int, cap: int | None = None) -> int | Unre
         side = 0 if arcs[0] <= arcs[1] else 1
         grown = next(passes[side], None)
         if grown is None:
-            return UNREACHABLE
+            return None
         reach += 1
         nodes = grown[1]
         if np.count_nonzero(balls[1 - side][nodes]):
             return reach
         if reach != cap:
             arcs[side] = int(np.add.reduce(g.degrees[nodes]))
-    return UNREACHABLE
+    return None
 
 
 def neighborhood_size(g: Graph, s: int, d: int) -> int:

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .graph import (
-    UNREACHABLE,
     Graph,
     _arc_tails,
     _lookup,
@@ -32,19 +31,11 @@ from .graph import (
     min_cut,
 )
 from .rng import STREAM_ER, STREAM_PAIR_AT_DISTANCE, STREAM_PAIR_DISCONNECTED, index_to_pair, pair_count, skip_sample, stream
-from .sentinel import Sentinel
 
 if TYPE_CHECKING:
     from .sampler import SampleParams
 
 log = logging.getLogger(__name__)
-
-
-class NoSuchPair(Sentinel, name="NO_SUCH_PAIR"):
-    """Sentinel: the requested pair does not exist in this graph."""
-
-
-NO_SUCH_PAIR = NoSuchPair()
 
 
 class TriplesFormatError(ValueError):
@@ -115,7 +106,7 @@ class CutPair:
     def __post_init__(self):
         if bfs_distance(self.g.graph, self.m, self.m_prime) != self.d:
             raise ValueError("stored distance does not match g")
-        if bfs_distance(self.g_prime.graph, self.m, self.m_prime) is not UNREACHABLE:
+        if bfs_distance(self.g_prime.graph, self.m, self.m_prime) is not None:
             raise ValueError("pair still connected after cut removal")
         removed = set(self.cut)
         expect = [e for e in self.g.graph.edges() if e not in removed]
@@ -146,27 +137,15 @@ class NontrivialityReport:
 
     @property
     def overall(self) -> bool:
-        return all(c.passed for c in self._conditions())
+        return all(cond.passed for _, cond in self._conditions())
 
-    def _conditions(self) -> tuple[ConditionCheck, ...]:
-        return (
-            self.nonzero_noise,
-            self.incomplete_information,
-            self.noise_subordinate,
-            self.ball_small,
-            self.enough_edges,
-        )
+    def _conditions(self) -> list[tuple[str, ConditionCheck]]:
+        """Each condition in field order, named by its field with dashes."""
+        return [(f.name.replace("_", "-"), getattr(self, f.name)) for f in fields(self)]
 
     def render(self) -> str:
-        names = (
-            "nonzero-noise",
-            "incomplete-information",
-            "noise-subordinate",
-            "ball-small",
-            "enough-edges",
-        )
         lines = []
-        for name, cond in zip(names, self._conditions()):
+        for name, cond in self._conditions():
             flag = "pass" if cond.passed else "FAIL"
             lines.append(f"{name:24s} {flag}  {cond.message}")
         lines.append(f"{'overall':24s} {'pass' if self.overall else 'FAIL'}")
@@ -281,7 +260,7 @@ _MAX_BATCH = 4096
 
 def pick_pair_at_distance(
     gm: MeaningGraph, d: int, seed, max_attempts: int | None = None, count: int | None = None
-) -> tuple[int, int] | list[tuple[int, int]] | NoSuchPair:
+) -> tuple[int, int] | list[tuple[int, int]] | None:
     """Uniformly sample an ordered node pair at exact distance d.
 
     Rejection over uniformly drawn (anchor, target) pairs keeps the sample
@@ -292,7 +271,7 @@ def pick_pair_at_distance(
     With ``count``, returns a list of ``count`` consecutive picks from the
     one stream: the same pairs, and the stream left in the same place, as
     ``count`` calls without it. If no pair is at distance d it returns
-    NO_SUCH_PAIR, with the stream where the first such call leaves it.
+    None, with the stream where the first such call leaves it.
     """
     if d < 1:
         raise ValueError(f"distance must be positive, got {d}")
@@ -304,7 +283,7 @@ def pick_pair_at_distance(
     g = gm.graph
     n = g.n
     if n < 2:
-        return NO_SUCH_PAIR
+        return None
     rng = _as_rng(seed)
     attempts = 10 * n if max_attempts is None else max_attempts
     # Attempts are drawn a batch at a time, as the interleaved anchor and
@@ -326,7 +305,7 @@ def pick_pair_at_distance(
                 scan = _pairs_at_distance(g, d)
             us, vs = scan
             if not len(us):
-                return NO_SUCH_PAIR
+                return None
             k = int(rng.integers(len(us)))
             picks.append((int(us[k]), int(vs[k])))
             room = attempts
@@ -362,17 +341,18 @@ def pick_pair_at_distance(
     return picks if count is not None else picks[0]
 
 
-def pick_disconnected_pair(gm: MeaningGraph, seed) -> tuple[int, int] | NoSuchPair:
+def pick_disconnected_pair(gm: MeaningGraph, seed) -> tuple[int, int] | None:
     """Uniformly sample an ordered pair of nodes in different components.
 
     Exact weighted sampling over components, no rejection: the anchor is
     drawn with weight (n - size of its component), the partner uniformly
-    from the other components.
+    from the other components. Returns None when the graph has fewer than
+    two components.
     """
     n = gm.n
     comp_of, sizes, cum_weights = gm._component_index
     if len(sizes) < 2:
-        return NO_SUCH_PAIR
+        return None
     if isinstance(seed, np.random.Generator):
         rng = seed
     else:
@@ -393,7 +373,7 @@ def make_cut_pair(gm: MeaningGraph, m: int, m_prime: int) -> CutPair:
     """
     g = gm.graph
     d = bfs_distance(g, m, m_prime)
-    if d is UNREACHABLE:
+    if d is None:
         raise ValueError(f"nodes {m} and {m_prime} are already disconnected")
     if d == 0:
         raise ValueError("cut pair endpoints must differ")

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from enum import Enum
 from math import sqrt
 
-from .graph import UNREACHABLE, bfs_distance
-from .meaning import NO_SUCH_PAIR, MeaningGraph, pick_disconnected_pair, pick_pair_at_distance
+from .graph import bfs_distance
+from .meaning import MeaningGraph, pick_disconnected_pair, pick_pair_at_distance
 from .rng import STREAM_REPRESENTATIVE, STREAM_TRIAL, stream, subseed
 from .sampler import SampleParams, SymbolGraph, sample_symbol_graph
 
@@ -68,7 +68,7 @@ def separator(sg: SymbolGraph, w: int, w_prime: int, d_tilde: int) -> Hypothesis
     if d_tilde < 0:
         raise ValueError(f"search radius must be nonnegative, got {d_tilde}")
     dist = bfs_distance(sg.graph, w, w_prime, cap=d_tilde)
-    return Hypothesis.H2 if dist is UNREACHABLE else Hypothesis.H1
+    return Hypothesis.H2 if dist is None else Hypothesis.H1
 
 
 def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
@@ -117,25 +117,9 @@ class GammaEstimate:
         return self.p1 - self.p2
 
     @property
-    def accuracy_h1(self) -> float:
-        return self.p1
-
-    @property
-    def accuracy_h2(self) -> float:
-        return 1.0 - self.p2
-
-    @property
-    def ci_h1(self) -> tuple[float, float]:
-        return wilson_interval(self.positives_h1, self.trials)
-
-    @property
-    def ci_h2(self) -> tuple[float, float]:
-        return wilson_interval(self.positives_h2, self.trials)
-
-    @property
     def gamma_ci(self) -> tuple[float, float]:
-        lo1, hi1 = self.ci_h1
-        lo2, hi2 = self.ci_h2
+        lo1, hi1 = wilson_interval(self.positives_h1, self.trials)
+        lo2, hi2 = wilson_interval(self.positives_h2, self.trials)
         return (lo1 - hi2, hi1 - lo2)
 
     def std_error(self) -> float:
@@ -154,6 +138,20 @@ class GammaEstimate:
         return ",".join(repr(f) if isinstance(f, float) else str(f) for f in fields)
 
 
+def _pick_fixtures(gm: MeaningGraph, d: int, seed: int, t: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Trial ``t``'s connected pair at distance ``d`` and its disconnected pair.
+
+    Raises :class:`NoFixtureError` when the meaning graph has no such pair.
+    """
+    pair1 = pick_pair_at_distance(gm, d, stream(seed, STREAM_TRIAL, t, 0))
+    pair2 = pick_disconnected_pair(gm, stream(seed, STREAM_TRIAL, t, 1))
+    if pair1 is None:
+        raise NoFixtureError(f"no pair at distance {d} in the meaning graph")
+    if pair2 is None:
+        raise NoFixtureError("no disconnected pair in the meaning graph")
+    return pair1, pair2
+
+
 def _run_trials(
     gm: MeaningGraph,
     d: int,
@@ -167,15 +165,7 @@ def _run_trials(
     pos1 = pos2 = 0
     lam = params.lam
     for t in trial_ids:
-        if pairs is None:
-            pair1 = pick_pair_at_distance(gm, d, stream(seed, STREAM_TRIAL, t, 0))
-            pair2 = pick_disconnected_pair(gm, stream(seed, STREAM_TRIAL, t, 1))
-            if pair1 is NO_SUCH_PAIR:
-                raise NoFixtureError(f"no pair at distance {d} in the meaning graph")
-            if pair2 is NO_SUCH_PAIR:
-                raise NoFixtureError("no disconnected pair in the meaning graph")
-        else:
-            pair1, pair2 = pairs
+        pair1, pair2 = _pick_fixtures(gm, d, seed, t) if pairs is None else pairs
         sg = sample_symbol_graph(gm, params, subseed(seed, STREAM_TRIAL, t, 2))
         if representative == "first":
             reps = [lam * m for m in (*pair1, *pair2)]
@@ -213,15 +203,7 @@ def estimate_gamma(
         raise ValueError("need at least one trial")
     if representative not in ("first", "uniform"):
         raise ValueError(f"unknown representative policy {representative!r}")
-    pairs = None
-    if fixed_pairs:
-        pair1 = pick_pair_at_distance(gm, d, stream(seed, STREAM_TRIAL, 0, 0))
-        pair2 = pick_disconnected_pair(gm, stream(seed, STREAM_TRIAL, 0, 1))
-        if pair1 is NO_SUCH_PAIR:
-            raise NoFixtureError(f"no pair at distance {d} in the meaning graph")
-        if pair2 is NO_SUCH_PAIR:
-            raise NoFixtureError("no disconnected pair in the meaning graph")
-        pairs = (pair1, pair2)
+    pairs = _pick_fixtures(gm, d, seed, 0) if fixed_pairs else None
     ids = list(range(trials))
     if threads <= 1 or trials < 4:
         pos1, pos2 = _run_trials(gm, d, params, d_tilde, seed, ids, representative, pairs)

@@ -153,31 +153,11 @@ class SymbolGraph:
         """``kinds`` as a read-only uint8 array aligned with ``graph.edge_array()``."""
         return np.frombuffer(self.kinds, dtype=np.uint8)
 
-    def _kind_set(self, kind: int) -> frozenset:
-        edges = self.graph.edge_array()[(self.kind_array & kind).astype(bool)]
-        return frozenset(zip(edges[:, 0].tolist(), edges[:, 1].tolist()))
-
-    @property
-    def structural(self) -> frozenset:
-        """Structural edges as (u, v) pairs with u < v."""
-        return self._kind_set(STRUCTURAL)
-
-    @property
-    def similarity(self) -> frozenset:
-        """Similarity edges as (u, v) pairs with u < v."""
-        return self._kind_set(SIMILARITY)
-
     def origin(self, w: int) -> int:
         """Meaning node this symbol descends from."""
         if not 0 <= w < self.graph.n:
             raise ValueError(f"symbol {w} out of range")
         return w // self.lam
-
-    def cluster(self, m: int) -> range:
-        """Symbol replicas of meaning node m."""
-        if not 0 <= m < self.n_meaning:
-            raise ValueError(f"meaning node {m} out of range")
-        return range(self.lam * m, self.lam * (m + 1))
 
     def representative(self, m: int) -> int:
         """First replica of meaning node m."""
@@ -338,10 +318,45 @@ def write_symbol_graph(sg: SymbolGraph, path) -> None:
         fh.write(_format_lines(edges[:, 0], b"\t", edges[:, 1], b"\t", np.where(slot % 2, b"R", b"S"), b"\n"))
 
 
+class _Header(dict):
+    """The ``k=v`` fields of a text file's ``# tag k=v ...`` comment lines.
+
+    Only lines whose tag is one of ``tags`` count. Reading a field that no
+    such line gave raises ValueError naming the file and the field.
+    """
+
+    def __init__(self, path, *tags: str):
+        super().__init__()
+        self.path, self.tags = path, tags
+
+    def read(self, line: str) -> None:
+        """Take the fields of one ``#`` comment line, if it has one of the tags."""
+        fields = line[1:].split()
+        if fields and fields[0] in self.tags:
+            for field in fields[1:]:
+                name, eq, value = field.partition("=")
+                if not eq:
+                    raise ValueError(f"{self.path}: header field {field!r} is not name=value")
+                self[name] = value
+
+    def __missing__(self, name: str):
+        raise ValueError(f"{self.path}: missing header field {name!r}")
+
+    def params(self) -> SampleParams:
+        """The parameters the writers record: a ``# params`` line, and ``lambda``."""
+        return SampleParams(
+            p_plus=float(self["p_plus"]),
+            p_minus=float(self["p_minus"]),
+            eps_plus=float(self["eps_plus"]),
+            eps_minus=float(self["eps_minus"]),
+            lam=int(self["lambda"]),
+            fold=bool(int(self["fold"])),
+        )
+
+
 def read_symbol_graph(path) -> SymbolGraph:
     """Parse a file written by :func:`write_symbol_graph`."""
-    meta: dict[str, str] = {}
-    par: dict[str, str] = {}
+    meta = _Header(path, "symbol-graph", "params")
     origin: dict[int, int] = {}
     structural: list[tuple[int, int]] = []
     similarity: list[tuple[int, int]] = []
@@ -357,11 +372,7 @@ def read_symbol_graph(path) -> SymbolGraph:
                 origin[int(fields[1])] = int(fields[2])
                 continue
             if line.startswith("#"):
-                fields = line[1:].split()
-                if fields and fields[0] == "symbol-graph":
-                    meta.update(f.split("=", 1) for f in fields[1:])
-                elif fields and fields[0] == "params":
-                    par.update(f.split("=", 1) for f in fields[1:])
+                meta.read(line)
                 continue
             fields = line.split("\t")
             if len(fields) != 3 or fields[2] not in ("S", "R"):
@@ -369,20 +380,10 @@ def read_symbol_graph(path) -> SymbolGraph:
             u, v = int(fields[0]), int(fields[1])
             edge = (min(u, v), max(u, v))
             (structural if fields[2] == "S" else similarity).append(edge)
-    try:
-        n_meaning = int(meta["meaning-nodes"])
-        lam = int(meta["lambda"])
-        seed = int(meta["seed"])
-        params = SampleParams(
-            p_plus=float(par["p_plus"]),
-            p_minus=float(par["p_minus"]),
-            eps_plus=float(par["eps_plus"]),
-            eps_minus=float(par["eps_minus"]),
-            lam=lam,
-            fold=bool(int(par["fold"])),
-        )
-    except KeyError as missing:
-        raise ValueError(f"{path}: missing header field {missing}")
+    n_meaning = int(meta["meaning-nodes"])
+    seed = int(meta["seed"])
+    params = meta.params()
+    lam = params.lam
     for w, m in origin.items():
         if w // lam != m:
             raise ValueError(f"{path}: origin line maps {w} to {m}, expected {w // lam}")

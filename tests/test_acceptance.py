@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from meaninglab.bounds import (
-    INAPPLICABLE,
     gamma_star,
     gilbert_bounds,
     laplacian_diff_bound,
@@ -27,10 +26,9 @@ from meaninglab.bounds import (
     ub_disconnected,
 )
 from meaninglab.cli import cli
-from meaninglab.experiments import EMPTY, heatmap
+from meaninglab.experiments import heatmap
 from meaninglab.graph import Graph, ball_bound, components, min_cut
 from meaninglab.meaning import (
-    NO_SUCH_PAIR,
     gen_er,
     load_triples,
     make_cut_pair,
@@ -132,7 +130,7 @@ def test_03_connectivity_bounds_sandwich_empirical_rates():
     b2 = ball_bound(gm.graph, d)
     lb = lb_connected(d, params.lam, params.p_plus, params.eps_plus, params.eps_minus)
     ub = ub_disconnected(gm.n, params.lam, params.p_minus, params.eps_minus, b2)
-    assert ub is not INAPPLICABLE, "union-bound regime must hold for this fixture"
+    assert ub is not None, "union-bound regime must hold for this fixture"
     target = gamma_star(
         gm.n, d, params.lam, params.p_plus, params.p_minus,
         params.eps_plus, params.eps_minus, b2,
@@ -234,7 +232,7 @@ def test_07_cut_laplacian_norm_within_triple_edge_count():
         gm = gen_er(30, 0.15, 3000 + seed)
         seed += 1
         pair = pick_pair_at_distance(gm, 2, seed)
-        if pair is NO_SUCH_PAIR:
+        if pair is None:
             continue
         cut = min_cut(gm.graph, *pair)
         if not cut:
@@ -255,7 +253,7 @@ def test_08_coupled_worlds_laplacians_stay_close():
     n = 1000
     gm = gen_er(n, 2.0 / n, 0)
     pair = pick_pair_at_distance(gm, 7, 0)
-    assert pair is not NO_SUCH_PAIR and 7 > math.log(n)
+    assert pair is not None and 7 > math.log(n)
     cp = make_cut_pair(gm, *pair)
     params = SampleParams(0.9, 2.0 * math.log(n) / n, 0.01, 0.0, 2)
     d_tilde = choose_d_tilde(DTildeMode.IMPOSSIBILITY, params.lam, cp.d)
@@ -322,7 +320,7 @@ def test_10_heatmap_separates_noise_regimes():
         gm, [1e-6, 1e-2], d_max=5, pairs_per_cell=200, params_base=params, seed=7
     )
     low, high = table.cells
-    assert EMPTY not in low and EMPTY not in high
+    assert None not in low and None not in high
     # Low noise: truly adjacent pairs sit far below the capped
     # disconnected column. High noise: every column collapses onto it.
     low_gap = low[5] - low[0]

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import meaninglab.graph as graph
-from meaninglab.graph import UNREACHABLE, Graph, ball_bound, bfs_distance, bfs_distances, neighborhood_size
+from meaninglab.graph import Graph, ball_bound, bfs_distance, bfs_distances, neighborhood_size
 
 
 def oracle_distances(g: Graph, src, dst, cap) -> list[int]:
@@ -188,8 +188,8 @@ def oracle_distance(g: Graph, u: int, v: int, cap):
     try:
         dist = nx.shortest_path_length(nxg, u, v)
     except nx.NetworkXNoPath:
-        return UNREACHABLE
-    return UNREACHABLE if cap is not None and dist > cap else dist
+        return None
+    return None if cap is not None and dist > cap else dist
 
 
 @settings(max_examples=80, deadline=None)
@@ -202,7 +202,7 @@ def test_bfs_distance_matches_networkx(case):
     for u, v in pairs:
         got = bfs_distance(g, u, v, cap=cap)
         want = oracle_distance(g, u, v, cap)
-        assert got is want if want is UNREACHABLE else got == want and type(got) is int
+        assert got is want if want is None else got == want and type(got) is int
 
 
 def path(n: int) -> Graph:
@@ -224,7 +224,7 @@ def test_long_path_stays_top_down():
         built = bottom_up_steps(mp)
         assert bfs_distance(g, 0, 299) == 299
         assert bfs_distance(g, 17, 250, cap=233) == 233
-        assert bfs_distance(g, 17, 250, cap=232) is UNREACHABLE
+        assert bfs_distance(g, 17, 250, cap=232) is None
         assert bfs_distance(g, 299, 150) == 149
     assert built == []
 
@@ -245,7 +245,7 @@ def test_star_frontier_steps_bottom_up():
         assert bfs_distance(g, 2, 2 + 40) == 3
         assert built
         assert bfs_distance(g, 2, 2 + 40, cap=3) == 3
-        assert bfs_distance(g, 2, 2 + 40, cap=2) is UNREACHABLE
+        assert bfs_distance(g, 2, 2 + 40, cap=2) is None
         assert bfs_distance(g, 2, 3) == 2
         assert bfs_distance(g, 0, 2 + 40) == 2
 
@@ -286,5 +286,5 @@ def test_meets_at_odd_and_even_distances(k):
 def test_distance_at_cap_is_found_and_one_past_is_not(cap):
     g = path(12)
     assert bfs_distance(g, 1, 1 + cap, cap=cap) == cap
-    assert bfs_distance(g, 1, 2 + cap, cap=cap) is UNREACHABLE
-    assert bfs_distance(g, 2 + cap, 1, cap=cap) is UNREACHABLE
+    assert bfs_distance(g, 1, 2 + cap, cap=cap) is None
+    assert bfs_distance(g, 2 + cap, 1, cap=cap) is None

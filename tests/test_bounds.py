@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from meaninglab.bounds import (
-    INAPPLICABLE,
     bound_report,
     gamma_star,
     gamma_star_raw,
@@ -83,12 +82,12 @@ def test_lb_connected_validation():
 
 def test_ub_disconnected_frozen_value():
     got = ub_disconnected(100, 2, 1e-6, 0.0, 3)
-    assert got is not INAPPLICABLE
+    assert got is not None
     assert close(got, UB_REFERENCE)
 
 
 def test_ub_disconnected_out_of_regime():
-    assert ub_disconnected(100, 2, 1e-3, 0.0, 3) is INAPPLICABLE
+    assert ub_disconnected(100, 2, 1e-3, 0.0, 3) is None
     # The raw expression is still available for reporting.
     assert ub_disconnected_raw(100, 2, 1e-3, 0.0, 3) > 1.0
 
@@ -98,7 +97,7 @@ def test_ub_boundary_is_applicable():
     n, lam, ball = 100, 2, 3
     q = 1.0 / (2.0 * math.e * n) / (lam * ball) ** 2 * (1.0 - 1e-9)
     got = ub_disconnected(n, lam, q, 0.0, ball)
-    assert got is not INAPPLICABLE
+    assert got is not None
     assert close(got, 1.0, rel=1e-6)
 
 
@@ -303,7 +302,7 @@ def test_bound_report_applicable_point():
     rep = bound_report(100, 2, 2, 0.9, 1e-7, 1e-4, 0.0, 5, 5)
     assert close(rep.gamma_star, GAMMA_STAR_REFERENCE)
     assert rep.gamma_star == max(0.0, rep.gamma_star_raw)
-    assert rep.ub_disconnected is not INAPPLICABLE
+    assert rep.ub_disconnected is not None
     d = rep.to_json_dict()
     assert d["ub_applicable"] is True
     assert d["lambda"] == 2
@@ -312,7 +311,7 @@ def test_bound_report_applicable_point():
 
 def test_bound_report_inapplicable_point():
     rep = bound_report(100, 2, 2, 0.9, 1e-3, 1e-4, 0.0, 5, 5)
-    assert rep.ub_disconnected is INAPPLICABLE
+    assert rep.ub_disconnected is None
     assert rep.ub_disconnected_raw > 1.0
     d = rep.to_json_dict()
     assert d["ub_disconnected"] is None

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 
 from meaninglab.experiments import (
     DISCONNECTED,
-    EMPTY,
     HeatmapTable,
     distance_cap,
     emit_heatmap_csv,
@@ -41,9 +41,7 @@ def test_identity_heatmap_recovers_meaning_distances():
     # and the disconnected column pins at the cap.
     gm = fixture_graph()
     table = heatmap(gm, [0.0], d_max=4, pairs_per_cell=6, params_base=IDENTITY, seed=3)
-    for d in range(1, 5):
-        assert table.cell(0, d) == float(d)
-    assert table.cell(0, DISCONNECTED) == float(table.cap)
+    assert table.cells[0] == (1.0, 2.0, 3.0, 4.0, float(table.cap))
 
 
 def test_heatmap_rows_sorted_and_shaped():
@@ -59,10 +57,18 @@ def test_heatmap_empty_cells():
     # A connected 3-path has no disconnected pairs and nothing at d = 3.
     gm = MeaningGraph(Graph(3, [(0, 1), (1, 2)]))
     table = heatmap(gm, [0.0], d_max=3, pairs_per_cell=2, params_base=IDENTITY, seed=1)
-    assert table.cell(0, 1) == 1.0
-    assert table.cell(0, 2) == 2.0
-    assert table.cell(0, 3) is EMPTY
-    assert table.cell(0, DISCONNECTED) is EMPTY
+    assert table.cells[0][:2] == (1.0, 2.0)
+    assert table.cells[0][2] is None  # d = 3
+    assert table.cells[0][3] is None  # disconnected
+
+
+def test_empty_cells_come_back_from_worker_processes():
+    # The same 3-path, with each row computed in a worker process.
+    gm = MeaningGraph(Graph(3, [(0, 1), (1, 2)]))
+    params = SampleParams(1.0, 0.0, 0.0, 0.0, 1)
+    table = heatmap(gm, [0.0, 0.1], d_max=3, pairs_per_cell=2, params_base=params, seed=1, threads=2)
+    for row in table.cells:
+        assert row[2] is None and row[3] is None
 
 
 def test_heatmap_deterministic_and_thread_invariant():
@@ -80,8 +86,8 @@ def test_heatmap_noise_shrinks_disconnected_distance():
     gm = MeaningGraph(Graph(30, [(i, i + 1) for i in range(14)]))
     p = SampleParams(0.9, 0.0, 0.3, 0.0, 2)
     table = heatmap(gm, [0.0, 0.3], d_max=2, pairs_per_cell=5, params_base=p, seed=4)
-    quiet = table.cell(0, DISCONNECTED)
-    noisy = table.cell(1, DISCONNECTED)
+    quiet = table.cells[0][-1]  # the disconnected column
+    noisy = table.cells[1][-1]
     assert quiet == float(table.cap)
     assert noisy < quiet
 
@@ -94,9 +100,6 @@ def test_heatmap_validation():
         heatmap(gm, [0.1], d_max=2, pairs_per_cell=0, params_base=IDENTITY, seed=1)
     with pytest.raises(ValueError):
         HeatmapTable((0.2, 0.1), 2, 1, 10, IDENTITY, 0, ((1.0, 1.0, 1.0), (1.0, 1.0, 1.0)))
-    with pytest.raises(ValueError):
-        table = heatmap(gm, [0.1], d_max=2, pairs_per_cell=1, params_base=IDENTITY, seed=1)
-        table.cell(0, 3)
 
 
 # -- emitters -----------------------------------------------------------
@@ -135,6 +138,22 @@ def test_csv_structure(tmp_path):
     assert lines[2] == "p_minus,d_1,d_2,d_3,disconnected"
     assert len(lines) == 3 + 3
     assert lines[3].split(",")[0] == repr(0.001)
+
+
+@pytest.mark.parametrize(
+    "old, new, error",
+    [
+        ("# params", "#", "missing header field 'p_plus'"),
+        ("# heatmap", "#", "missing header field 'd_max'"),
+        (" cap=", " cap ", "header field 'cap' is not name=value"),
+    ],
+)
+def test_csv_reader_names_file_and_header_field(tmp_path, old, new, error):
+    path = tmp_path / "hm.csv"
+    emit_heatmap_csv(make_table(), path)
+    path.write_text(path.read_text().replace(old, new))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {error}")):
+        parse_heatmap_csv(path)
 
 
 def test_csv_byte_stable(tmp_path):

@@ -8,9 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from meaninglab.graph import UNREACHABLE, Graph, ball_bound, bfs_distance
+from meaninglab.graph import Graph, ball_bound, bfs_distance
 from meaninglab.meaning import (
-    NO_SUCH_PAIR,
     CutPair,
     MeaningGraph,
     TriplesFormatError,
@@ -55,7 +54,7 @@ def test_gen_er_edge_count_within_4_sigma():
 def test_gen_er_pairwise_frequency():
     # Presence of one fixed pair across seeds is Bernoulli(p), 4 sigma.
     p, runs = 0.2, 1500
-    hits = sum(1 for s in range(runs) if gen_er(12, p, s).graph.has_edge(3, 7))
+    hits = sum(1 for s in range(runs) if (3, 7) in gen_er(12, p, s).graph.edges())
     sd = math.sqrt(runs * p * (1 - p))
     assert abs(hits - runs * p) <= 4 * sd
 
@@ -77,7 +76,7 @@ def test_load_triples_film_subset():
     # First-seen order: heads before tails, line order.
     assert gm.labels[:3] == ("/m/f01", "/m/f02", "/m/f03")
     # Reverse and parallel duplicates collapsed to one undirected edge.
-    assert gm.graph.has_edge(0, 1)
+    assert (0, 1) in gm.graph.edges()
     # The self-loop triple contributed its entity but no edge.
     assert "/m/f06" in gm.labels
 
@@ -160,13 +159,13 @@ def test_pick_pair_at_distance_exact():
     gm = MeaningGraph(Graph(6, [(i, i + 1) for i in range(5)]))
     for d in (1, 2, 5):
         pair = pick_pair_at_distance(gm, d, seed=4)
-        assert pair is not NO_SUCH_PAIR
+        assert pair is not None
         assert bfs_distance(gm.graph, *pair) == d
 
 
 def test_pick_pair_no_such_distance():
     gm = MeaningGraph(Graph(4, [(0, 1), (1, 2), (2, 3)]))
-    assert pick_pair_at_distance(gm, 9, seed=0) is NO_SUCH_PAIR
+    assert pick_pair_at_distance(gm, 9, seed=0) is None
 
 
 def test_pick_pair_deterministic_and_generator_friendly():
@@ -195,13 +194,13 @@ def test_pick_pair_rejects_bad_distance():
 def test_pick_disconnected_pair():
     gm = MeaningGraph(Graph(5, [(0, 1), (2, 3)]))
     pair = pick_disconnected_pair(gm, seed=3)
-    assert pair is not NO_SUCH_PAIR
-    assert bfs_distance(gm.graph, *pair) is UNREACHABLE
+    assert pair is not None
+    assert bfs_distance(gm.graph, *pair) is None
 
 
 def test_pick_disconnected_pair_connected_graph():
     gm = MeaningGraph(Graph(4, [(0, 1), (1, 2), (2, 3)]))
-    assert pick_disconnected_pair(gm, seed=0) is NO_SUCH_PAIR
+    assert pick_disconnected_pair(gm, seed=0) is None
 
 
 def test_pick_disconnected_covers_cross_pairs():
@@ -234,7 +233,7 @@ def test_make_cut_pair_complete_graph():
     cp = make_cut_pair(gm, 0, 3)
     assert cp.d == 1
     assert len(cp.cut) == 3
-    assert bfs_distance(cp.g_prime.graph, 0, 3) is UNREACHABLE
+    assert bfs_distance(cp.g_prime.graph, 0, 3) is None
 
 
 def test_make_cut_pair_cycle_opposite():
@@ -279,7 +278,7 @@ def test_cut_size_never_exceeds_min_degree():
     for s in range(12):
         gm = gen_er(30, 0.1, s)
         pair = pick_pair_at_distance(gm, 2, seed=s)
-        if pair is NO_SUCH_PAIR:
+        if pair is None:
             continue
         cp = make_cut_pair(gm, *pair)
         assert len(cp.cut) <= min(gm.graph.degree(pair[0]), gm.graph.degree(pair[1]))

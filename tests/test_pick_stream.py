@@ -19,7 +19,6 @@ import pytest
 
 from meaninglab.graph import Graph
 from meaninglab.meaning import (
-    NO_SUCH_PAIR,
     MeaningGraph,
     gen_er,
     pick_disconnected_pair,
@@ -51,7 +50,7 @@ def reference_pairs_at_distance(g: Graph, d: int) -> list[tuple[int, int]]:
 def reference_pick_pair_at_distance(gm, d, rng, max_attempts=None):
     n = gm.n
     if n < 2:
-        return NO_SUCH_PAIR
+        return None
     attempts = 10 * n if max_attempts is None else max_attempts
     for _ in range(attempts):
         u = int(rng.integers(n))
@@ -62,17 +61,17 @@ def reference_pick_pair_at_distance(gm, d, rng, max_attempts=None):
             return (u, v)
     pairs = reference_pairs_at_distance(gm.graph, d)
     if not pairs:
-        return NO_SUCH_PAIR
+        return None
     return pairs[int(rng.integers(len(pairs)))]
 
 
 def reference_cell(gm, d, rng, count, max_attempts=None):
-    """``count`` scalar picks, stopping at the first NO_SUCH_PAIR as a heat-map cell does."""
+    """``count`` scalar picks, stopping at the first None as a heat-map cell does."""
     pairs = []
     for _ in range(count):
         pair = reference_pick_pair_at_distance(gm, d, rng, max_attempts)
-        if pair is NO_SUCH_PAIR:
-            return NO_SUCH_PAIR
+        if pair is None:
+            return None
         pairs.append(pair)
     return pairs
 
@@ -81,7 +80,7 @@ def reference_pick_disconnected_pair(gm, rng):
     n = gm.n
     comps = sorted(sorted(c) for c in nx.connected_components(nx_graph(gm.graph)))
     if len(comps) < 2:
-        return NO_SUCH_PAIR
+        return None
     comp_of = [0] * n
     for ci, comp in enumerate(comps):
         for u in comp:
@@ -145,8 +144,8 @@ def test_absent_distance_matches_scalar_loop():
     gm = MeaningGraph(Graph(70, [(i, i + 1) for i in range(0, 68, 2)]))
     new, ref = stream(2, 2), stream(2, 2)
     for _ in range(3):
-        assert pick_pair_at_distance(gm, 2, new) is NO_SUCH_PAIR
-        assert reference_pick_pair_at_distance(gm, 2, ref) is NO_SUCH_PAIR
+        assert pick_pair_at_distance(gm, 2, new) is None
+        assert reference_pick_pair_at_distance(gm, 2, ref) is None
     assert_same_stream_position(new, ref)
 
 
@@ -164,7 +163,7 @@ def test_count_picks_match_scalar_loop(sparse_graph, d, max_attempts):
 def test_count_picks_at_and_beyond_the_diameter(max_attempts):
     # A 30-node path plus two isolated nodes: the only pairs at distance 29
     # are its two ends, so most picks fall back to the exhaustive scan, and
-    # no pair is at distance 30, so that cell ends with NO_SUCH_PAIR.
+    # no pair is at distance 30, so that cell ends with None.
     gm = MeaningGraph(Graph(32, [(i, i + 1) for i in range(29)]))
     for d in (29, 30):
         new, ref = stream(4, d), stream(4, d)
@@ -172,7 +171,7 @@ def test_count_picks_at_and_beyond_the_diameter(max_attempts):
         want = reference_cell(gm, d, ref, 50, max_attempts)
         assert got == want
         assert_same_stream_position(new, ref)
-    assert want is NO_SUCH_PAIR
+    assert want is None
 
 
 def test_count_zero_and_one(sparse_graph):

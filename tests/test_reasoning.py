@@ -130,7 +130,6 @@ def test_estimate_gamma_identity_is_perfect():
     est = estimate_gamma(gm, 2, IDENTITY, d_tilde=2, trials=40, seed=5)
     assert est.p1 == 1.0 and est.p2 == 0.0
     assert est.gamma_hat == 1.0
-    assert est.accuracy_h1 == 1.0 and est.accuracy_h2 == 1.0
     assert est.gamma_ci[1] <= 1.0
 
 
@@ -139,7 +138,7 @@ def test_accuracy_identity_holds():
     p = SampleParams(0.7, 0.05, 0.2, 0.02, 2)
     est = estimate_gamma(gm, 2, p, d_tilde=5, trials=60, seed=8)
     assert math.isclose(
-        est.accuracy_h1 + est.accuracy_h2, 1.0 + est.gamma_hat, abs_tol=1e-12
+        est.p1 + (1.0 - est.p2), 1.0 + est.gamma_hat, abs_tol=1e-12
     )
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -40,6 +41,12 @@ from meaninglab.sampler import (
 
 def params(p_plus=0.8, p_minus=0.01, eps_plus=0.2, eps_minus=0.05, lam=2, fold=False):
     return SampleParams(p_plus, p_minus, eps_plus, eps_minus, lam, fold)
+
+
+def kind_edges(sg: SymbolGraph, kind: int) -> frozenset:
+    """The edges whose kind byte has ``kind``, as (u, v) pairs with u < v."""
+    edges = sg.graph.edge_array()[(sg.kind_array & kind).astype(bool)]
+    return frozenset(zip(edges[:, 0].tolist(), edges[:, 1].tolist()))
 
 
 # -- parameters and folding --------------------------------------------
@@ -98,8 +105,8 @@ def test_identity_channel_reproduces_meaning_graph():
     gm = gen_er(60, 0.08, 7)
     sg = sample_symbol_graph(gm, SampleParams(1.0, 0.0, 1.0, 0.0, 1), seed=3)
     assert sg.graph == gm.graph
-    assert sg.similarity == frozenset()
-    assert sg.structural == frozenset(gm.graph.edges())
+    assert kind_edges(sg, SIMILARITY) == frozenset()
+    assert kind_edges(sg, STRUCTURAL) == frozenset(gm.graph.edges())
 
 
 def test_replication_and_origin():
@@ -107,13 +114,12 @@ def test_replication_and_origin():
     sg = sample_symbol_graph(gm, params(lam=3), seed=5)
     assert sg.graph.n == 60
     assert sg.origin(0) == 0 and sg.origin(5) == 1 and sg.origin(59) == 19
-    assert list(sg.cluster(4)) == [12, 13, 14]
     assert sg.representative(4) == 12
 
 
 def test_no_structural_edge_inside_any_cluster():
     sg = sample_symbol_graph(gen_er(40, 0.1, 2), params(lam=3), seed=9)
-    for u, v in sg.structural:
+    for u, v in kind_edges(sg, STRUCTURAL):
         assert u // 3 != v // 3
 
 
@@ -129,7 +135,7 @@ def test_deterministic_in_seed():
     a = sample_symbol_graph(gm, params(), seed=11)
     b = sample_symbol_graph(gm, params(), seed=11)
     c = sample_symbol_graph(gm, params(), seed=12)
-    assert a.graph == b.graph and a.structural == b.structural and a.similarity == b.similarity
+    assert a.graph == b.graph and a.kinds == b.kinds
     assert c.graph != a.graph
 
 
@@ -144,7 +150,7 @@ def test_structural_count_within_4_sigma():
     total = 0
     runs = 40
     for s in range(runs):
-        total += len(sample_symbol_graph(gm, p, seed=s).structural)
+        total += len(kind_edges(sample_symbol_graph(gm, p, seed=s), STRUCTURAL))
     assert abs(total - runs * mean) <= 4 * math.sqrt(runs * var)
 
 
@@ -158,7 +164,7 @@ def test_similarity_count_within_4_sigma():
     total = 0
     runs = 40
     for s in range(runs):
-        total += len(sample_symbol_graph(gm, p, seed=s).similarity)
+        total += len(kind_edges(sample_symbol_graph(gm, p, seed=s), SIMILARITY))
     assert abs(total - runs * mean) <= 4 * math.sqrt(runs * var)
 
 
@@ -192,7 +198,7 @@ def test_folding_preserves_union_distribution():
 def test_folded_run_has_no_cross_similarity():
     gm = gen_er(30, 0.12, 8)
     sg = sample_symbol_graph(gm, params(eps_minus=0.1, fold=True), seed=1)
-    for u, v in sg.similarity:
+    for u, v in kind_edges(sg, SIMILARITY):
         assert u // sg.lam == v // sg.lam
 
 
@@ -204,9 +210,9 @@ def test_cluster_connectivity_matches_channel_probability():
     runs = 30
     connected = 0
     for s in range(runs):
-        sg = sample_symbol_graph(gm, p, seed=s)
+        edges = set(sample_symbol_graph(gm, p, seed=s).graph.edges())
         for m in range(150):
-            if sg.graph.has_edge(2 * m, 2 * m + 1):
+            if (2 * m, 2 * m + 1) in edges:
                 connected += 1
     trials = runs * 150
     mean, sd = trials * 0.7, math.sqrt(trials * 0.7 * 0.3)
@@ -227,8 +233,7 @@ def test_cluster_connectivity_respects_gilbert_bound():
             for w in comp:
                 comp_of[w] = ci
         for m in range(80):
-            cluster = list(sg.cluster(m))
-            if len({comp_of[w] for w in cluster}) == 1:
+            if len({comp_of[w] for w in range(5 * m, 5 * m + 5)}) == 1:
                 connected += 1
     trials = runs * 80
     frequency = connected / trials
@@ -252,17 +257,17 @@ def test_coupled_first_world_equals_plain_sample():
     sg, _ = sample_coupled(cp, p, seed=21)
     plain = sample_symbol_graph(cp.g, p, seed=21)
     assert sg.graph == plain.graph
-    assert sg.structural == plain.structural
-    assert sg.similarity == plain.similarity
+    assert kind_edges(sg, STRUCTURAL) == kind_edges(plain, STRUCTURAL)
+    assert kind_edges(sg, SIMILARITY) == kind_edges(plain, SIMILARITY)
 
 
 def test_coupled_worlds_differ_only_over_cut():
     cp = cut_fixture()
     p = params(p_plus=0.7, p_minus=0.05, lam=2)
     sg, sg_prime = sample_coupled(cp, p, seed=21)
-    assert sg.similarity == sg_prime.similarity
+    assert kind_edges(sg, SIMILARITY) == kind_edges(sg_prime, SIMILARITY)
     cut_set = set(cp.cut)
-    for u, v in sg.structural ^ sg_prime.structural:
+    for u, v in kind_edges(sg, STRUCTURAL) ^ kind_edges(sg_prime, STRUCTURAL):
         mu, mv = u // 2, v // 2
         assert (min(mu, mv), max(mu, mv)) in cut_set
 
@@ -270,7 +275,7 @@ def test_coupled_worlds_differ_only_over_cut():
 def test_coupled_monotone_when_p_minus_below_p_plus():
     cp = cut_fixture()
     sg, sg_prime = sample_coupled(cp, params(p_plus=0.7, p_minus=0.05, lam=2), seed=4)
-    assert sg_prime.structural <= sg.structural
+    assert kind_edges(sg_prime, STRUCTURAL) <= kind_edges(sg, STRUCTURAL)
 
 
 def test_coupled_cut_slot_marginal_frequency():
@@ -284,7 +289,7 @@ def test_coupled_cut_slot_marginal_frequency():
     hits = 0
     for s in range(runs):
         _, sg_prime = sample_coupled(cp, p, seed=s)
-        for u, v in sg_prime.structural:
+        for u, v in kind_edges(sg_prime, STRUCTURAL):
             if (u // 2, v // 2) in cut_set:
                 hits += 1
     mean = runs * slots * 0.15
@@ -314,8 +319,8 @@ def test_sampled_graph_invariants(n, p_edge, lam, seed):
     p = SampleParams(0.8, 0.05, 0.3, 0.1, lam)
     sg = sample_symbol_graph(gm, p, seed=seed + 1)
     assert sg.graph.n == lam * n
-    assert sg.structural | sg.similarity == set(sg.graph.edges())
-    for u, v in sg.structural:
+    assert kind_edges(sg, STRUCTURAL) | kind_edges(sg, SIMILARITY) == set(sg.graph.edges())
+    for u, v in kind_edges(sg, STRUCTURAL):
         assert u // lam != v // lam
     again = sample_symbol_graph(gm, p, seed=seed + 1)
     assert again.graph == sg.graph
@@ -442,12 +447,19 @@ def test_dual_kind_edge_round_trip(tmp_path):
         params=params(),
         seed=0,
     )
-    assert sg.structural == {(0, 3)} and sg.similarity == {(0, 1), (0, 3)}
+    assert kind_edges(sg, STRUCTURAL) == {(0, 3)} and kind_edges(sg, SIMILARITY) == {(0, 1), (0, 3)}
     path = tmp_path / "dual.tsv"
     write_symbol_graph(sg, path)
     text = path.read_text()
     assert "0\t3\tS\n" in text and "0\t3\tR\n" in text
     assert read_symbol_graph(path) == sg
+
+
+def test_read_symbol_graph_names_missing_header_field(tmp_path):
+    path = tmp_path / "bare.tsv"
+    path.write_text("# symbol-graph meaning-nodes=1 lambda=2 seed=0\n0\t1\tR\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: missing header field 'p_plus'")):
+        read_symbol_graph(path)
 
 
 def test_read_symbol_graph_rejects_bad_kind(tmp_path):
