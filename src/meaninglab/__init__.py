@@ -53,6 +53,7 @@ from .meaning import (
     make_cut_pair,
     pick_disconnected_pair,
     pick_pair_at_distance,
+    pick_pairs_at_distance,
 )
 from .reasoning import (
     DTildeMode,

@@ -15,7 +15,8 @@ frontier words over the CSR arrays, O(n + E) whatever the frontier. A
 single-source pass whose frontier is small steps top-down instead and
 expands only the frontier's CSR slices (direction-optimizing BFS).
 Batched distance queries, single distance queries, neighborhood counts,
-ball bounds and the exhaustive pair scan all read its levels. Batched
+ball bounds, the exhaustive pair scan and the distance-d rings that pair
+pickers test their attempts against all read its levels. Batched
 queries group their pairs by source, so a pass runs 64 distinct sources
 and serves every pair that starts at one of them. A single distance
 query is bidirectional: two single-source passes, one from each end,
@@ -135,6 +136,7 @@ class Graph:
         return len(self.indices) // 2
 
     def degree(self, u: int) -> int:
+        self._check_node(u)
         return int(self.degrees[u])
 
     def max_degree(self) -> int:
@@ -416,18 +418,30 @@ def ball_bound(g: Graph, d: int) -> int:
     return best
 
 
+def _ring_words(g: Graph, src: np.ndarray, d: int) -> np.ndarray:
+    """One word per node, with bit j set where the node is at exact distance ``d`` (>= 1) from ``src[j]``.
+
+    The ring is ``seen & ~inner`` of one pass: the ball of radius d minus
+    the ball of radius d - 1. A pass that runs out of new nodes before
+    level d leaves every ring empty.
+    """
+    inner = None
+    for level, _, seen in _bit_levels(g, src, d):
+        if level == d - 1:
+            inner = seen.copy()
+        elif level == d:
+            return seen & ~inner
+    return np.zeros(g.n, dtype=np.uint64)
+
+
 def _pairs_at_distance(g: Graph, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Every ordered pair at exact distance ``d`` as arrays ``(us, vs)``, by u then v."""
     us, vs = [], []
     for lo in range(0, g.n, _WORD):
         src = np.arange(lo, min(lo + _WORD, g.n), dtype=np.int64)
-        for level, _, seen in _bit_levels(g, src, d):
-            if level == d - 1:
-                inner = seen.copy()  # each source's ball of radius d - 1
-            elif level == d:
-                j, v = np.nonzero(_source_bits(seen & ~inner).T)
-                us.append(lo + j)
-                vs.append(v)
+        j, v = np.nonzero(_source_bits(_ring_words(g, src, d)).T)
+        us.append(lo + j)
+        vs.append(v)
     if not us:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     return np.concatenate(us), np.concatenate(vs)

@@ -6,6 +6,12 @@ triples file. This module generates them (Erdos-Renyi), loads them from
 TSV triples, screens out degenerate parameter regimes, and picks the node
 pairs (exact-distance pairs, disconnected pairs, cut pairs) that the
 estimation and spectral layers consume.
+
+Exact-distance pairs are drawn by rejection, and the attempts of one
+picking phase (a gamma run's trials, a heat-map row, the spectral
+command's trials) are tested against one bounded table of rings: the
+nodes at distance d from each anchor, built once per anchor by the
+bitset BFS kernel of :mod:`graph` and read with one gather per batch.
 """
 
 from __future__ import annotations
@@ -14,19 +20,20 @@ import logging
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
 from .graph import (
+    _BITS,
+    _WORD,
     Graph,
-    _arc_tails,
     _lookup,
     _pairs_at_distance,
+    _ring_words,
     _upper_arcs,
     ball_bound,
     bfs_distance,
-    bfs_distances,
     components,
     min_cut,
 )
@@ -257,6 +264,64 @@ def _as_rng(seed) -> np.random.Generator:
 _BATCH = 64
 _MAX_BATCH = 4096
 
+# A picking phase's ring table never holds more than this many bytes.
+_RING_BYTES = 1 << 20
+
+
+class _Rings:
+    """The ring of each anchor seen so far: the nodes at exact distance d.
+
+    Rows are the ring words of 64-anchor passes (``graph._ring_words``),
+    and anchor u's ring is bit ``slot[u] & 63`` of row ``slot[u] >> 6``, so
+    one gather tests a whole batch of attempts. A batch's uncovered anchors
+    go into passes of 64. While the whole graph's table fits in
+    ``_RING_BYTES``, each pass is topped up with the lowest uncovered ids,
+    so no graph needs more than ceil(n / 64) passes for one d. Past the
+    bound, a pass that finds the table full is used for its own batch and
+    dropped. The table lives as long as the picking phase that made it.
+    """
+
+    def __init__(self, g: Graph, d: int):
+        passes = -(-g.n // _WORD)
+        room = _RING_BYTES // (8 * g.n)
+        self.g, self.d = g, d
+        self.fill = room >= passes
+        self.table = np.empty((min(room, passes), g.n), dtype=np.uint64)
+        self.rows = 0
+        self.slot = np.full(g.n, -1, dtype=np.int64)
+        self.scan = None  # the exhaustive scan, made at the first fallback
+
+    def hits(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """Whether each ``vs[i]`` is at distance d from ``us[i]``."""
+        slot = self.slot
+        need = np.unique(us[slot[us] < 0])
+        hit = np.zeros(len(us), dtype=bool)
+        short = -len(need) % _WORD
+        if self.fill and short:
+            free = slot < 0
+            free[need] = False
+            need = np.concatenate((need, np.flatnonzero(free)[:short]))
+        for lo in range(0, len(need), _WORD):
+            src = need[lo : lo + _WORD]
+            ring = _ring_words(self.g, src, self.d)
+            if self.rows < len(self.table):
+                self.table[self.rows] = ring
+                slot[src] = self.rows * _WORD + np.arange(len(src))
+                self.rows += 1
+            else:
+                # ``need`` is sorted whenever a pass is not kept.
+                lane, here = _lookup(src, us)
+                hit[here] = _ring_hit(ring[None], lane[here], vs[here])
+        s = slot[us]
+        kept = s >= 0
+        hit[kept] = _ring_hit(self.table, s[kept], vs[kept])
+        return hit
+
+
+def _ring_hit(table: np.ndarray, s: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Whether ``vs[i]`` is in the ring at slot ``s[i]`` of ``table``."""
+    return (table[s >> 6, vs] & _BITS[s & 63]) != 0
+
 
 def pick_pair_at_distance(
     gm: MeaningGraph, d: int, seed, max_attempts: int | None = None, count: int | None = None
@@ -273,18 +338,44 @@ def pick_pair_at_distance(
     ``count`` calls without it. If no pair is at distance d it returns
     None, with the stream where the first such call leaves it.
     """
-    if d < 1:
-        raise ValueError(f"distance must be positive, got {d}")
-    if count is not None and count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
-    want = 1 if count is None else count
-    if want == 0:
-        return []
+    return next(pick_pairs_at_distance(gm, [(d, seed, count)], max_attempts))
+
+
+def pick_pairs_at_distance(
+    gm: MeaningGraph, requests: Iterable[tuple[int, object, int | None]], max_attempts: int | None = None
+) -> Iterator[tuple[int, int] | list[tuple[int, int]] | None]:
+    """One picking phase: yields ``pick_pair_at_distance(gm, d, seed, max_attempts, count)`` per request.
+
+    ``requests`` holds ``(d, seed, count)`` triples, read one at a time.
+    Each answer, and where each generator is left, are those of the one
+    call. Consecutive requests with the same d share one table of rings,
+    so an anchor's BFS runs once per phase rather than once per batch;
+    the table is freed when the requests run out or d changes.
+    """
     g = gm.graph
-    n = g.n
-    if n < 2:
-        return None
-    rng = _as_rng(seed)
+    rings = None
+    for d, seed, count in requests:
+        if d < 1:
+            raise ValueError(f"distance must be positive, got {d}")
+        if count is not None and count < 0:
+            raise ValueError(f"count must be nonnegative, got {count}")
+        if count == 0:
+            yield []
+            continue
+        if g.n < 2:
+            yield None
+            continue
+        if rings is None or rings.d != d:
+            rings = _Rings(g, d)
+        picks = _pick(rings, _as_rng(seed), 1 if count is None else count, max_attempts)
+        yield picks if count is not None or picks is None else picks[0]
+
+
+def _pick(
+    rings: _Rings, rng: np.random.Generator, want: int, max_attempts: int | None
+) -> list[tuple[int, int]] | None:
+    """``want`` consecutive rejection picks from ``rng``, or None if there is no pair at distance d."""
+    n = rings.g.n
     attempts = 10 * n if max_attempts is None else max_attempts
     # Attempts are drawn a batch at a time, as the interleaved anchor and
     # target draws the one-at-a-time loop would make, and tested together.
@@ -292,18 +383,14 @@ def pick_pair_at_distance(
     # where the picks end, or a window runs out, the stream is rewound and
     # exactly the attempts consumed are redrawn, so the caller's generator
     # sits where that loop would have left it.
-    # Distance 1 is adjacency: a batch's u * n + v keys are looked up among
-    # the sorted arc keys in one search.
-    arcs = _arc_tails(g) * n + g.indices if d == 1 else None
     picks: list[tuple[int, int]] = []
     room = attempts  # attempts left in the current pick's window
     tried = hits = 0  # attempts drawn so far and hits among them
-    scan = None  # the exhaustive scan, made at the first fallback
     while len(picks) < want:
         if room <= 0:
-            if scan is None:
-                scan = _pairs_at_distance(g, d)
-            us, vs = scan
+            if rings.scan is None:
+                rings.scan = _pairs_at_distance(rings.g, rings.d)
+            us, vs = rings.scan
             if not len(us):
                 return None
             k = int(rng.integers(len(us)))
@@ -319,10 +406,7 @@ def pick_pair_at_distance(
         state = rng.bit_generator.state
         draws = rng.integers(n, size=2 * b)
         us, vs = draws[0::2], draws[1::2]
-        if arcs is None:
-            hit = np.flatnonzero(bfs_distances(g, us, vs, cap=d) == d)
-        else:
-            hit = np.flatnonzero(_lookup(arcs, us * n + vs)[1])
+        hit = np.flatnonzero(rings.hits(us, vs))
         tried += b
         hits += len(hit)
         pos = 0  # attempts of this batch consumed so far
@@ -338,7 +422,7 @@ def pick_pair_at_distance(
         if pos < b:
             rng.bit_generator.state = state
             rng.integers(n, size=2 * pos)
-    return picks if count is not None else picks[0]
+    return picks
 
 
 def pick_disconnected_pair(gm: MeaningGraph, seed) -> tuple[int, int] | None:

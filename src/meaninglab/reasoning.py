@@ -20,7 +20,7 @@ from enum import Enum
 from math import sqrt
 
 from .graph import bfs_distance
-from .meaning import MeaningGraph, pick_disconnected_pair, pick_pair_at_distance
+from .meaning import MeaningGraph, pick_disconnected_pair, pick_pairs_at_distance
 from .rng import STREAM_REPRESENTATIVE, STREAM_TRIAL, stream, subseed
 from .sampler import SampleParams, SymbolGraph, sample_symbol_graph
 
@@ -138,18 +138,23 @@ class GammaEstimate:
         return ",".join(repr(f) if isinstance(f, float) else str(f) for f in fields)
 
 
-def _pick_fixtures(gm: MeaningGraph, d: int, seed: int, t: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Trial ``t``'s connected pair at distance ``d`` and its disconnected pair.
+def _pick_fixtures(gm: MeaningGraph, d: int, seed: int, trial_ids: list[int]) -> list[tuple[tuple, tuple]]:
+    """Each trial's connected pair at distance ``d`` and its disconnected pair.
 
-    Raises :class:`NoFixtureError` when the meaning graph has no such pair.
+    The connected pairs are one picking phase, so they share one table of
+    rings. Raises :class:`NoFixtureError` at the first trial that finds
+    the meaning graph has no such pair.
     """
-    pair1 = pick_pair_at_distance(gm, d, stream(seed, STREAM_TRIAL, t, 0))
-    pair2 = pick_disconnected_pair(gm, stream(seed, STREAM_TRIAL, t, 1))
-    if pair1 is None:
-        raise NoFixtureError(f"no pair at distance {d} in the meaning graph")
-    if pair2 is None:
-        raise NoFixtureError("no disconnected pair in the meaning graph")
-    return pair1, pair2
+    picks = pick_pairs_at_distance(gm, ((d, stream(seed, STREAM_TRIAL, t, 0), None) for t in trial_ids))
+    fixtures = []
+    for t, pair1 in zip(trial_ids, picks):
+        pair2 = pick_disconnected_pair(gm, stream(seed, STREAM_TRIAL, t, 1))
+        if pair1 is None:
+            raise NoFixtureError(f"no pair at distance {d} in the meaning graph")
+        if pair2 is None:
+            raise NoFixtureError("no disconnected pair in the meaning graph")
+        fixtures.append((pair1, pair2))
+    return fixtures
 
 
 def _run_trials(
@@ -164,8 +169,9 @@ def _run_trials(
 ) -> tuple[int, int]:
     pos1 = pos2 = 0
     lam = params.lam
-    for t in trial_ids:
-        pair1, pair2 = _pick_fixtures(gm, d, seed, t) if pairs is None else pairs
+    # Every fixture is picked before the first symbol graph is sampled.
+    fixtures = _pick_fixtures(gm, d, seed, trial_ids) if pairs is None else [pairs] * len(trial_ids)
+    for t, (pair1, pair2) in zip(trial_ids, fixtures):
         sg = sample_symbol_graph(gm, params, subseed(seed, STREAM_TRIAL, t, 2))
         if representative == "first":
             reps = [lam * m for m in (*pair1, *pair2)]
@@ -203,7 +209,7 @@ def estimate_gamma(
         raise ValueError("need at least one trial")
     if representative not in ("first", "uniform"):
         raise ValueError(f"unknown representative policy {representative!r}")
-    pairs = _pick_fixtures(gm, d, seed, 0) if fixed_pairs else None
+    pairs = _pick_fixtures(gm, d, seed, [0])[0] if fixed_pairs else None
     ids = list(range(trials))
     if threads <= 1 or trials < 4:
         pos1, pos2 = _run_trials(gm, d, params, d_tilde, seed, ids, representative, pairs)

@@ -342,15 +342,30 @@ class _Header(dict):
     def __missing__(self, name: str):
         raise ValueError(f"{self.path}: missing header field {name!r}")
 
+    def getint(self, name: str) -> int:
+        """Field ``name`` as an int; a malformed value raises ValueError naming the file and the field."""
+        return self._typed(name, int, "an integer")
+
+    def getfloat(self, name: str) -> float:
+        """Field ``name`` as a float; a malformed value raises ValueError naming the file and the field."""
+        return self._typed(name, float, "a number")
+
+    def _typed(self, name: str, kind, what: str):
+        value = self[name]
+        try:
+            return kind(value)
+        except ValueError:
+            raise ValueError(f"{self.path}: header field {name!r} is not {what}: {value!r}") from None
+
     def params(self) -> SampleParams:
         """The parameters the writers record: a ``# params`` line, and ``lambda``."""
         return SampleParams(
-            p_plus=float(self["p_plus"]),
-            p_minus=float(self["p_minus"]),
-            eps_plus=float(self["eps_plus"]),
-            eps_minus=float(self["eps_minus"]),
-            lam=int(self["lambda"]),
-            fold=bool(int(self["fold"])),
+            p_plus=self.getfloat("p_plus"),
+            p_minus=self.getfloat("p_minus"),
+            eps_plus=self.getfloat("eps_plus"),
+            eps_minus=self.getfloat("eps_minus"),
+            lam=self.getint("lambda"),
+            fold=bool(self.getint("fold")),
         )
 
 
@@ -380,8 +395,8 @@ def read_symbol_graph(path) -> SymbolGraph:
             u, v = int(fields[0]), int(fields[1])
             edge = (min(u, v), max(u, v))
             (structural if fields[2] == "S" else similarity).append(edge)
-    n_meaning = int(meta["meaning-nodes"])
-    seed = int(meta["seed"])
+    n_meaning = meta.getint("meaning-nodes")
+    seed = meta.getint("seed")
     params = meta.params()
     lam = params.lam
     for w, m in origin.items():

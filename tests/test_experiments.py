@@ -146,6 +146,8 @@ def test_csv_structure(tmp_path):
         ("# params", "#", "missing header field 'p_plus'"),
         ("# heatmap", "#", "missing header field 'd_max'"),
         (" cap=", " cap ", "header field 'cap' is not name=value"),
+        (" cap=", " cap=x", "header field 'cap' is not an integer: 'x"),
+        (" p_plus=0.9", " p_plus=0.9.1", "header field 'p_plus' is not a number: '0.9.1'"),
     ],
 )
 def test_csv_reader_names_file_and_header_field(tmp_path, old, new, error):

@@ -130,6 +130,16 @@ def test_has_edge_and_degrees():
     assert g.max_degree() == 3 and Graph(0).max_degree() == 0
 
 
+@pytest.mark.parametrize("u", [-1, 3])
+def test_degree_rejects_node_out_of_range(u):
+    # numpy would wrap -1 to node 2, whose degree is 0.
+    g = Graph(3, [(0, 1)])
+    with pytest.raises(ValueError, match=f"node {u} out of range for 3 nodes"):
+        g.degree(u)
+    with pytest.raises(ValueError, match=f"node {u} out of range for 3 nodes"):
+        bfs_distance(g, 0, u)
+
+
 def test_remove_edges():
     g = cycle_graph(4)
     h = g.remove_edges([(0, 1)])

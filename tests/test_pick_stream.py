@@ -16,13 +16,18 @@ import functools
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from meaninglab.graph import Graph
+import meaninglab.graph as graph
+import meaninglab.meaning as meaning
+from meaninglab.graph import Graph, bfs_distances
 from meaninglab.meaning import (
     MeaningGraph,
     gen_er,
     pick_disconnected_pair,
     pick_pair_at_distance,
+    pick_pairs_at_distance,
 )
 from meaninglab.rng import stream
 
@@ -238,3 +243,159 @@ def test_array_draws_equal_scalar_draws(n, offset):
         batch = a.integers(n, size=k)
         assert batch.tolist() == [int(b.integers(n)) for _ in range(k)]
         assert state_of(a) == state_of(b)
+
+
+# -- ring tables ------------------------------------------------------------
+#
+# A picking phase tests its attempts against a table of rings, the nodes at
+# exact distance d from each anchor. The table is capped at _RING_BYTES; the
+# budgets below keep every row ("all"), one row ("one"), or none ("none"),
+# so the kept, the partly kept and the built-used-and-dropped paths all run.
+
+BUDGETS = ("all", "one", "none")
+
+
+def ring_bytes(budget: str, n: int) -> int:
+    return {"all": meaning._RING_BYTES, "one": 8 * n, "none": 0}[budget]
+
+
+@st.composite
+def graphs_with_batches(draw):
+    # n < 64, n a multiple of 64 and not, isolated nodes, repeated anchors,
+    # and distances from 1 to beyond the diameter, where a pass ends early.
+    n = draw(st.one_of(st.integers(min_value=2, max_value=150), st.sampled_from([64, 128])))
+    node = st.integers(min_value=0, max_value=n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    g = Graph(n, [(u, v) for u, v in edges if u != v])
+    d = draw(st.integers(min_value=1, max_value=12))
+    batches = draw(
+        st.lists(st.lists(st.tuples(node, node), min_size=1, max_size=160), min_size=1, max_size=4)
+    )
+    return g, d, batches, draw(st.sampled_from(BUDGETS))
+
+
+@settings(max_examples=120, deadline=None)
+@given(graphs_with_batches())
+def test_ring_lookup_matches_bfs_distances(case):
+    g, d, batches, budget = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(meaning, "_RING_BYTES", ring_bytes(budget, g.n))
+        rings = meaning._Rings(g, d)
+        for batch in batches:
+            us, vs = (np.array(x, dtype=np.int64) for x in zip(*batch))
+            want = bfs_distances(g, us, vs, cap=d) == d
+            assert rings.hits(us, vs).tolist() == want.tolist()
+            assert rings.table.nbytes <= meaning._RING_BYTES
+
+
+def test_ring_beyond_the_diameter_is_empty():
+    # A 5-node path: every pass runs out of new nodes by level 4.
+    g = Graph(5, [(i, i + 1) for i in range(4)])
+    src = np.arange(5, dtype=np.int64)
+    assert graph._ring_words(g, src, 4).tolist() == [1 << 4, 0, 0, 0, 1 << 0]
+    assert not graph._ring_words(g, src, 5).any()
+    rings = meaning._Rings(g, 9)
+    assert not rings.hits(src, src[::-1]).any()
+
+
+def count_passes(mp: pytest.MonkeyPatch) -> list[int]:
+    """Record the anchor count of every ring pass the picker runs."""
+    passes = []
+    real = meaning._ring_words
+
+    def counted(g, src, d):
+        passes.append(len(src))
+        return real(g, src, d)
+
+    mp.setattr(meaning, "_ring_words", counted)
+    return passes
+
+
+@pytest.mark.parametrize("n", [2, 63, 64, 65, 300])
+def test_full_table_needs_at_most_one_pass_per_word_of_nodes(monkeypatch, sparse_graph, n):
+    passes = count_passes(monkeypatch)
+    g = sparse_graph.graph if n == 300 else Graph(n, [(i, i + 1) for i in range(n - 1)])
+    rings = meaning._Rings(g, 2)
+    assert rings.fill
+    rng = np.random.default_rng(n)
+    for size in (1, 5, 64, 700, 3000):
+        us, vs = rng.integers(n, size=(2, size))
+        rings.hits(us, vs)
+    assert sum(passes) <= n and len(passes) <= -(-n // 64)
+    assert rings.table.nbytes <= meaning._RING_BYTES
+
+
+@pytest.mark.parametrize("budget", ["one", "none"])
+def test_over_budget_batch_runs_no_more_passes_than_its_distinct_anchors(monkeypatch, sparse_graph, budget):
+    g = sparse_graph.graph
+    monkeypatch.setattr(meaning, "_RING_BYTES", ring_bytes(budget, g.n))
+    passes = count_passes(monkeypatch)
+    rings = meaning._Rings(g, 3)
+    assert not rings.fill
+    rng = np.random.default_rng(7)
+    for size in (1, 64, 200, 1000):
+        us, vs = rng.integers(g.n, size=(2, size))
+        before = len(passes)
+        assert rings.hits(us, vs).tolist() == (bfs_distances(g, us, vs, cap=3) == 3).tolist()
+        assert len(passes) - before <= -(-len(np.unique(us)) // 64)
+    assert rings.rows == len(rings.table) == (1 if budget == "one" else 0)
+
+
+@pytest.mark.parametrize("n", [2, 1000, 2880, 2881, 5000, 200_000])
+def test_no_table_exceeds_the_bound(n):
+    # 2880 nodes need 45 rows of 2880 words, 1,036,800 bytes; 2881 need 46.
+    rings = meaning._Rings(Graph(n), 1)
+    assert rings.table.nbytes <= meaning._RING_BYTES
+    assert rings.fill == (n <= 2880)
+
+
+def requests_for(sparse_graph_seed: int):
+    """Requests at grouped and interleaved distances, scalar and count picks, one generator used twice."""
+    shared = stream(sparse_graph_seed, 99)
+    return [
+        (2, stream(sparse_graph_seed, 0), None),
+        (2, stream(sparse_graph_seed, 1), 40),
+        (2, shared, 0),
+        (2, shared, None),
+        (5, stream(sparse_graph_seed, 2), 30),
+        (1, stream(sparse_graph_seed, 3), 25),
+        (1, 17, None),
+        (2, shared, 3),
+        (40, stream(sparse_graph_seed, 4), 2),
+        (4, stream(sparse_graph_seed, 5), None),
+    ]
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@pytest.mark.parametrize("max_attempts", [0, 5, 130, None])
+def test_batch_of_requests_matches_one_call_each(monkeypatch, sparse_graph, budget, max_attempts):
+    monkeypatch.setattr(meaning, "_RING_BYTES", ring_bytes(budget, sparse_graph.n))
+    new, ref = requests_for(12), requests_for(12)
+    got = list(pick_pairs_at_distance(sparse_graph, new, max_attempts))
+    want = [pick_pair_at_distance(sparse_graph, d, seed, max_attempts, count) for d, seed, count in ref]
+    assert got == want
+    assert got[8] is None  # no pair is 40 apart
+    for (_, a, _), (_, b, _) in zip(new, ref):
+        if isinstance(a, np.random.Generator):
+            assert state_of(a) == state_of(b)
+    assert_same_stream_position(new[3][1], ref[3][1])
+
+
+@pytest.mark.parametrize("budget", ["one", "none"])
+@pytest.mark.parametrize("d", [1, 3, 5])
+def test_count_picks_over_budget_match_scalar_loop(monkeypatch, sparse_graph, budget, d):
+    monkeypatch.setattr(meaning, "_RING_BYTES", ring_bytes(budget, sparse_graph.n))
+    new, ref = stream(32, d), stream(32, d)
+    got = pick_pair_at_distance(sparse_graph, d, new, count=200)
+    assert got == reference_cell(sparse_graph, d, ref, 200)
+    assert_same_stream_position(new, ref)
+
+
+def test_batch_reads_requests_lazily(sparse_graph):
+    # A caller that stops at the first answer leaves later generators untouched.
+    later = stream(3, 3)
+    picks = pick_pairs_at_distance(sparse_graph, iter([(2, stream(3, 2), None), (2, later, None)]))
+    next(picks)
+    assert_same_stream_position(later, stream(3, 3))
+    with pytest.raises(ValueError):
+        next(pick_pairs_at_distance(sparse_graph, [(0, 1, None)]))

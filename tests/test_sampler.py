@@ -462,6 +462,31 @@ def test_read_symbol_graph_names_missing_header_field(tmp_path):
         read_symbol_graph(path)
 
 
+@pytest.mark.parametrize(
+    "header, error",
+    [
+        ("meaning-nodes=1 lambda=two seed=0", "header field 'lambda' is not an integer: 'two'"),
+        ("meaning-nodes=1 lambda=2 seed=0.5", "header field 'seed' is not an integer: '0.5'"),
+    ],
+)
+def test_read_symbol_graph_names_malformed_header_field(tmp_path, header, error):
+    path = tmp_path / "bad-header.tsv"
+    params = "p_plus=0.9 p_minus=0.001 eps_plus=0.01 eps_minus=0.001 fold=0"
+    path.write_text(f"# symbol-graph {header}\n# params {params}\n0\t1\tR\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {error}")):
+        read_symbol_graph(path)
+
+
+def test_read_symbol_graph_names_malformed_params_float(tmp_path):
+    path = tmp_path / "bad-params.tsv"
+    path.write_text(
+        "# symbol-graph meaning-nodes=1 lambda=2 seed=0\n"
+        "# params p_plus=0.9 p_minus=1e-3x eps_plus=0.01 eps_minus=0.001 fold=0\n0\t1\tR\n"
+    )
+    with pytest.raises(ValueError, match=re.escape(f"{path}: header field 'p_minus' is not a number: '1e-3x'")):
+        read_symbol_graph(path)
+
+
 def test_read_symbol_graph_rejects_bad_kind(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("# symbol-graph meaning-nodes=1 lambda=2 seed=0\n0\t1\tX\n")
