@@ -28,6 +28,7 @@ from .graph import (
     _BITS,
     _WORD,
     Graph,
+    _distinct,
     _lookup,
     _pairs_at_distance,
     _ring_words,
@@ -294,7 +295,7 @@ class _Rings:
     def hits(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Whether each ``vs[i]`` is at distance d from ``us[i]``."""
         slot = self.slot
-        need = np.unique(us[slot[us] < 0])
+        need = _distinct(np.sort(us[slot[us] < 0]))
         hit = np.zeros(len(us), dtype=bool)
         short = -len(need) % _WORD
         if self.fill and short:
