@@ -10,8 +10,8 @@ estimation and spectral layers consume.
 Exact-distance pairs are drawn by rejection, and the attempts of one
 picking phase (a gamma run's trials, a heat-map row, the spectral
 command's trials) are tested against one bounded table of rings: the
-nodes at distance d from each anchor, built once per anchor by the
-bitset BFS kernel of :mod:`graph` and read with one gather per batch.
+nodes at distance d from each node, built once per phase by the bitset
+BFS kernel of :mod:`graph` and read with one gather per batch.
 """
 
 from __future__ import annotations
@@ -28,13 +28,14 @@ from .graph import (
     _BITS,
     _WORD,
     Graph,
-    _distinct,
+    _arc_tails,
     _lookup,
     _pairs_at_distance,
     _ring_words,
     _upper_arcs,
     ball_bound,
     bfs_distance,
+    bfs_distances,
     components,
     min_cut,
 )
@@ -270,58 +271,38 @@ _RING_BYTES = 1 << 20
 
 
 class _Rings:
-    """The ring of each anchor seen so far: the nodes at exact distance d.
+    """Tests attempts against the rings of every anchor: the nodes at exact distance d.
 
-    Rows are the ring words of 64-anchor passes (``graph._ring_words``),
-    and anchor u's ring is bit ``slot[u] & 63`` of row ``slot[u] >> 6``, so
-    one gather tests a whole batch of attempts. A batch's uncovered anchors
-    go into passes of 64. While the whole graph's table fits in
-    ``_RING_BYTES``, each pass is topped up with the lowest uncovered ids,
-    so no graph needs more than ceil(n / 64) passes for one d. Past the
-    bound, a pass that finds the table full is used for its own batch and
-    dropped. The table lives as long as the picking phase that made it.
+    While the graph's whole table of rings fits in ``_RING_BYTES``, it is
+    built when the picking phase starts, one row of ring words
+    (``graph._ring_words``) per 64 anchors, so anchor u's ring is bit
+    ``u & 63`` of row ``u >> 6`` and one gather tests a whole batch of
+    attempts. Past the bound there is no table: a batch at d = 1 looks
+    its ``u * n + v`` keys up among the sorted arc keys, and a batch at
+    a larger d runs its own capped BFS. The table lives as long as the
+    phase that made it.
     """
 
     def __init__(self, g: Graph, d: int):
-        passes = -(-g.n // _WORD)
-        room = _RING_BYTES // (8 * g.n)
         self.g, self.d = g, d
-        self.fill = room >= passes
-        self.table = np.empty((min(room, passes), g.n), dtype=np.uint64)
-        self.rows = 0
-        self.slot = np.full(g.n, -1, dtype=np.int64)
+        rows = -(-g.n // _WORD)
+        self.table = self.arcs = None
+        if 8 * g.n * rows <= _RING_BYTES:
+            self.table = np.empty((rows, g.n), dtype=np.uint64)
+            for r in range(rows):
+                src = np.arange(r * _WORD, min((r + 1) * _WORD, g.n), dtype=np.int64)
+                self.table[r] = _ring_words(g, src, d)
+        elif d == 1:
+            self.arcs = _arc_tails(g) * g.n + g.indices
         self.scan = None  # the exhaustive scan, made at the first fallback
 
     def hits(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Whether each ``vs[i]`` is at distance d from ``us[i]``."""
-        slot = self.slot
-        need = _distinct(np.sort(us[slot[us] < 0]))
-        hit = np.zeros(len(us), dtype=bool)
-        short = -len(need) % _WORD
-        if self.fill and short:
-            free = slot < 0
-            free[need] = False
-            need = np.concatenate((need, np.flatnonzero(free)[:short]))
-        for lo in range(0, len(need), _WORD):
-            src = need[lo : lo + _WORD]
-            ring = _ring_words(self.g, src, self.d)
-            if self.rows < len(self.table):
-                self.table[self.rows] = ring
-                slot[src] = self.rows * _WORD + np.arange(len(src))
-                self.rows += 1
-            else:
-                # ``need`` is sorted whenever a pass is not kept.
-                lane, here = _lookup(src, us)
-                hit[here] = _ring_hit(ring[None], lane[here], vs[here])
-        s = slot[us]
-        kept = s >= 0
-        hit[kept] = _ring_hit(self.table, s[kept], vs[kept])
-        return hit
-
-
-def _ring_hit(table: np.ndarray, s: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Whether ``vs[i]`` is in the ring at slot ``s[i]`` of ``table``."""
-    return (table[s >> 6, vs] & _BITS[s & 63]) != 0
+        if self.table is not None:
+            return (self.table[us >> 6, vs] & _BITS[us & 63]) != 0
+        if self.arcs is not None:
+            return _lookup(self.arcs, us * self.g.n + vs)[1]
+        return bfs_distances(self.g, us, vs, cap=self.d) == self.d
 
 
 def pick_pair_at_distance(
@@ -350,8 +331,9 @@ def pick_pairs_at_distance(
     ``requests`` holds ``(d, seed, count)`` triples, read one at a time.
     Each answer, and where each generator is left, are those of the one
     call. Consecutive requests with the same d share one table of rings,
-    so an anchor's BFS runs once per phase rather than once per batch;
-    the table is freed when the requests run out or d changes.
+    so, where the table fits, each node's BFS runs once per phase rather
+    than once per batch; the table is freed when the requests run out or
+    d changes.
     """
     g = gm.graph
     rings = None

@@ -249,14 +249,14 @@ def test_array_draws_equal_scalar_draws(n, offset):
 #
 # A picking phase tests its attempts against a table of rings, the nodes at
 # exact distance d from each anchor. The table is capped at _RING_BYTES; the
-# budgets below keep every row ("all"), one row ("one"), or none ("none"),
-# so the kept, the partly kept and the built-used-and-dropped paths all run.
+# budgets below let the whole table fit ("all") or not ("none"), so both the
+# table and the per-batch tests without one run.
 
-BUDGETS = ("all", "one", "none")
+BUDGETS = ("all", "none")
 
 
-def ring_bytes(budget: str, n: int) -> int:
-    return {"all": meaning._RING_BYTES, "one": 8 * n, "none": 0}[budget]
+def ring_bytes(budget: str) -> int:
+    return {"all": meaning._RING_BYTES, "none": 0}[budget]
 
 
 @st.composite
@@ -279,13 +279,13 @@ def graphs_with_batches(draw):
 def test_ring_lookup_matches_bfs_distances(case):
     g, d, batches, budget = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(meaning, "_RING_BYTES", ring_bytes(budget, g.n))
+        mp.setattr(meaning, "_RING_BYTES", ring_bytes(budget))
         rings = meaning._Rings(g, d)
+        assert (rings.table is None) == (budget == "none")
         for batch in batches:
             us, vs = (np.array(x, dtype=np.int64) for x in zip(*batch))
             want = bfs_distances(g, us, vs, cap=d) == d
             assert rings.hits(us, vs).tolist() == want.tolist()
-            assert rings.table.nbytes <= meaning._RING_BYTES
 
 
 def test_ring_beyond_the_diameter_is_empty():
@@ -312,41 +312,41 @@ def count_passes(mp: pytest.MonkeyPatch) -> list[int]:
 
 
 @pytest.mark.parametrize("n", [2, 63, 64, 65, 300])
-def test_full_table_needs_at_most_one_pass_per_word_of_nodes(monkeypatch, sparse_graph, n):
+def test_table_is_one_pass_per_word_of_nodes_built_once(monkeypatch, sparse_graph, n):
     passes = count_passes(monkeypatch)
     g = sparse_graph.graph if n == 300 else Graph(n, [(i, i + 1) for i in range(n - 1)])
     rings = meaning._Rings(g, 2)
-    assert rings.fill
+    assert passes == [64] * (n // 64) + ([n % 64] if n % 64 else [])
     rng = np.random.default_rng(n)
     for size in (1, 5, 64, 700, 3000):
         us, vs = rng.integers(n, size=(2, size))
-        rings.hits(us, vs)
-    assert sum(passes) <= n and len(passes) <= -(-n // 64)
-    assert rings.table.nbytes <= meaning._RING_BYTES
+        assert rings.hits(us, vs).tolist() == (bfs_distances(g, us, vs, cap=2) == 2).tolist()
+    assert len(passes) == -(-n // 64)
 
 
-@pytest.mark.parametrize("budget", ["one", "none"])
-def test_over_budget_batch_runs_no_more_passes_than_its_distinct_anchors(monkeypatch, sparse_graph, budget):
+@pytest.mark.parametrize("d", [1, 3])
+def test_over_budget_batches_keep_no_rings(monkeypatch, sparse_graph, d):
     g = sparse_graph.graph
-    monkeypatch.setattr(meaning, "_RING_BYTES", ring_bytes(budget, g.n))
+    monkeypatch.setattr(meaning, "_RING_BYTES", ring_bytes("none"))
     passes = count_passes(monkeypatch)
-    rings = meaning._Rings(g, 3)
-    assert not rings.fill
+    rings = meaning._Rings(g, d)
+    assert rings.table is None
+    if d == 1:
+        # Adjacency is a lookup among the arc keys, with no traversal.
+        monkeypatch.setattr(meaning, "bfs_distances", None)
     rng = np.random.default_rng(7)
     for size in (1, 64, 200, 1000):
         us, vs = rng.integers(g.n, size=(2, size))
-        before = len(passes)
-        assert rings.hits(us, vs).tolist() == (bfs_distances(g, us, vs, cap=3) == 3).tolist()
-        assert len(passes) - before <= -(-len(np.unique(us)) // 64)
-    assert rings.rows == len(rings.table) == (1 if budget == "one" else 0)
+        assert rings.hits(us, vs).tolist() == (bfs_distances(g, us, vs, cap=d) == d).tolist()
+    assert passes == []
 
 
 @pytest.mark.parametrize("n", [2, 1000, 2880, 2881, 5000, 200_000])
 def test_no_table_exceeds_the_bound(n):
     # 2880 nodes need 45 rows of 2880 words, 1,036,800 bytes; 2881 need 46.
     rings = meaning._Rings(Graph(n), 1)
-    assert rings.table.nbytes <= meaning._RING_BYTES
-    assert rings.fill == (n <= 2880)
+    assert (rings.table is not None) == (n <= 2880)
+    assert rings.table is None or rings.table.nbytes <= meaning._RING_BYTES
 
 
 def requests_for(sparse_graph_seed: int):
@@ -369,7 +369,7 @@ def requests_for(sparse_graph_seed: int):
 @pytest.mark.parametrize("budget", BUDGETS)
 @pytest.mark.parametrize("max_attempts", [0, 5, 130, None])
 def test_batch_of_requests_matches_one_call_each(monkeypatch, sparse_graph, budget, max_attempts):
-    monkeypatch.setattr(meaning, "_RING_BYTES", ring_bytes(budget, sparse_graph.n))
+    monkeypatch.setattr(meaning, "_RING_BYTES", ring_bytes(budget))
     new, ref = requests_for(12), requests_for(12)
     got = list(pick_pairs_at_distance(sparse_graph, new, max_attempts))
     want = [pick_pair_at_distance(sparse_graph, d, seed, max_attempts, count) for d, seed, count in ref]
@@ -381,10 +381,9 @@ def test_batch_of_requests_matches_one_call_each(monkeypatch, sparse_graph, budg
     assert_same_stream_position(new[3][1], ref[3][1])
 
 
-@pytest.mark.parametrize("budget", ["one", "none"])
 @pytest.mark.parametrize("d", [1, 3, 5])
-def test_count_picks_over_budget_match_scalar_loop(monkeypatch, sparse_graph, budget, d):
-    monkeypatch.setattr(meaning, "_RING_BYTES", ring_bytes(budget, sparse_graph.n))
+def test_count_picks_over_budget_match_scalar_loop(monkeypatch, sparse_graph, d):
+    monkeypatch.setattr(meaning, "_RING_BYTES", ring_bytes("none"))
     new, ref = stream(32, d), stream(32, d)
     got = pick_pair_at_distance(sparse_graph, d, new, count=200)
     assert got == reference_cell(sparse_graph, d, ref, 200)
