@@ -32,7 +32,7 @@ in bulk as one digit matrix with :func:`_format_lines`.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -314,6 +314,21 @@ def _source_bits(words: np.ndarray) -> np.ndarray:
     return np.unpackbits(words.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
 
 
+# Row v holds the eight bits of the byte value v, lowest first.
+_BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1
+
+
+def _lane_counts(words: np.ndarray) -> np.ndarray:
+    """How many of ``words`` have bit j set, for each j < 64: one popcount per source lane.
+
+    One histogram of each of the eight byte positions, then each bit's
+    count is the sum over the byte values that have it set.
+    """
+    octets = words.astype("<u8").view(np.uint8).reshape(-1, 8)
+    hist = np.bincount((octets + np.arange(0, 8 * 256, 256)).ravel(), minlength=8 * 256)
+    return (hist.reshape(8, 256) @ _BYTE_BITS).ravel()
+
+
 def _as_nodes(g: Graph, nodes) -> np.ndarray:
     arr = np.asarray(nodes, dtype=np.int64)
     if arr.ndim != 1:
@@ -406,42 +421,52 @@ def neighborhood_size(g: Graph, s: int, d: int) -> int:
     return int(np.count_nonzero(seen))
 
 
+def _sweep(
+    g: Graph, radius: int, keep: Container[int] = ()
+) -> Iterator[tuple[np.ndarray, dict[int, np.ndarray], int]]:
+    """The whole graph's multi-source BFS to level ``radius``: one pass per 64 consecutive nodes.
+
+    Yields, for the pass over sources ``64r .. 64r + 63`` (fewer in the
+    last pass), a tuple ``(balls, rings, reach)``: each source's ball
+    size at ``radius``; for every level d >= 1 in ``keep`` that the pass
+    reaches, its ring words ``seen_d & ~seen_{d-1}``, with bit j set where
+    the node is at exact distance d from source ``64r + j`` (a level the
+    pass does not reach has an empty ring and no entry); and the last
+    level the pass reached, below ``radius`` only when it ran out of new
+    nodes. The ball bound, the pickers' ring tables and the exhaustive
+    pair scan all read it.
+    """
+    for lo in range(0, g.n, _WORD):
+        src = np.arange(lo, min(lo + _WORD, g.n), dtype=np.int64)
+        rings, inner = {}, None
+        for level, _, seen in _bit_levels(g, src, radius):
+            if level in keep:
+                rings[level] = seen & ~inner
+            if level + 1 in keep:
+                inner = seen.copy()
+        yield _lane_counts(seen)[: len(src)], rings, level
+
+
 def ball_bound(g: Graph, d: int) -> int:
     """Largest d-neighborhood size over all start nodes (0 on the empty graph)."""
     _check_radius(d, "radius")
-    best = 0
-    for lo in range(0, g.n, _WORD):
-        src = np.arange(lo, min(lo + _WORD, g.n), dtype=np.int64)
-        for _, _, seen in _bit_levels(g, src, d):
-            pass
-        best = max(best, int(_source_bits(seen).sum(axis=0, dtype=np.int64).max()))
-    return best
+    return max((int(balls.max()) for balls, _, _ in _sweep(g, d)), default=0)
 
 
-def _ring_words(g: Graph, src: np.ndarray, d: int) -> np.ndarray:
-    """One word per node, with bit j set where the node is at exact distance ``d`` (>= 1) from ``src[j]``.
+def _pairs_at_distance(g: Graph, d: int, table: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Every ordered pair at exact distance ``d`` (>= 1) as arrays ``(us, vs)``, by u then v.
 
-    The ring is ``seen & ~inner`` of one pass: the ball of radius d minus
-    the ball of radius d - 1. A pass that runs out of new nodes before
-    level d leaves every ring empty.
+    Reads ``table``, the graph's ring words at d with row r from the pass
+    over sources ``64r ..``, when there is one, and otherwise the rings of
+    one sweep to d.
     """
-    inner = None
-    for level, _, seen in _bit_levels(g, src, d):
-        if level == d - 1:
-            inner = seen.copy()
-        elif level == d:
-            return seen & ~inner
-    return np.zeros(g.n, dtype=np.uint64)
-
-
-def _pairs_at_distance(g: Graph, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every ordered pair at exact distance ``d`` as arrays ``(us, vs)``, by u then v."""
+    rows = table if table is not None else (rings.get(d) for _, rings, _ in _sweep(g, d, (d,)))
     us, vs = [], []
-    for lo in range(0, g.n, _WORD):
-        src = np.arange(lo, min(lo + _WORD, g.n), dtype=np.int64)
-        j, v = np.nonzero(_source_bits(_ring_words(g, src, d)).T)
-        us.append(lo + j)
-        vs.append(v)
+    for r, words in enumerate(rows):
+        if words is not None:
+            j, v = np.nonzero(_source_bits(words).T)
+            us.append(r * _WORD + j)
+            vs.append(v)
     if not us:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     return np.concatenate(us), np.concatenate(vs)

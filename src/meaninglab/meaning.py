@@ -7,11 +7,16 @@ TSV triples, screens out degenerate parameter regimes, and picks the node
 pairs (exact-distance pairs, disconnected pairs, cut pairs) that the
 estimation and spectral layers consume.
 
-Exact-distance pairs are drawn by rejection, and the attempts of one
-picking phase (a gamma run's trials, a heat-map row, the spectral
-command's trials) are tested against one bounded table of rings: the
-nodes at distance d from each node, built once per phase by the bitset
-BFS kernel of :mod:`graph` and read with one gather per batch.
+Exact-distance pairs are drawn by rejection, and every batch of
+attempts is tested against a table of rings: the nodes at distance d
+from each node, read with one gather. A meaning graph keeps its tables,
+within 1 MiB in all, and one multi-source sweep of :mod:`graph`'s bitset
+BFS fills them: :func:`check_nontrivial`'s sweep to d, which also gives
+the ball bound, keeps every table up to d when they all fit and else
+d's, so the picking phases that follow it (a gamma run's trials, the
+heat-map rows, the spectral command's trials) traverse nothing. A
+request at a distance with no table builds one with its own sweep, if it
+fits; past the bound, batches are tested without a table.
 """
 
 from __future__ import annotations
@@ -31,9 +36,8 @@ from .graph import (
     _arc_tails,
     _lookup,
     _pairs_at_distance,
-    _ring_words,
+    _sweep,
     _upper_arcs,
-    ball_bound,
     bfs_distance,
     bfs_distances,
     components,
@@ -94,6 +98,11 @@ class MeaningGraph:
             comp_of[comp] = ci
         sizes = np.array([len(c) for c in comps], dtype=np.int64)
         return comp_of, sizes, np.cumsum(self.n - sizes[comp_of])
+
+    @cached_property
+    def _rings(self) -> "_RingTables":
+        """The graph's ring tables, filled by :func:`check_nontrivial` and the pickers."""
+        return _RingTables(self.graph)
 
 
 @dataclass(frozen=True)
@@ -242,7 +251,7 @@ def check_nontrivial(gm: MeaningGraph, params: "SampleParams", d: int) -> Nontri
         p_minus <= p_plus / 10 and eps_plus < 0.5 and p_plus > 0.5,
         f"p_minus={p_minus:g} vs p_plus/10={p_plus / 10:g}, eps_plus={eps_plus:g} < 0.5, p_plus={p_plus:g} > 0.5",
     )
-    ball = ball_bound(gm.graph, d)
+    ball = gm._rings.ball_bound(d)
     c4 = ConditionCheck(
         ball <= n / 4,
         f"ball_bound(d={d})={ball} vs n/4={n / 4:g}",
@@ -266,43 +275,109 @@ def _as_rng(seed) -> np.random.Generator:
 _BATCH = 64
 _MAX_BATCH = 4096
 
-# A picking phase's ring table never holds more than this many bytes.
+# All of a meaning graph's ring tables together never hold more than this many bytes.
 _RING_BYTES = 1 << 20
+
+
+class _RingTables:
+    """A meaning graph's tables of rings, kept as long as the graph, within ``_RING_BYTES`` in all.
+
+    The table at d marks, for each anchor u, the nodes at exact distance d
+    from u: bit ``u & 63`` of row ``u >> 6``, one word per node, so a
+    table is ceil(n/64) rows of n words. Tables come from sweeps of
+    :func:`graph._sweep`, whose pass over anchors ``64r ..`` fills row r
+    of every table it keeps. A sweep allocates a table only at a distance
+    some pass reaches: past the graph's depth every ring is empty.
+    ``depth`` is that depth once a sweep has run out of nodes before its
+    radius, and None before.
+    """
+
+    def __init__(self, g: Graph):
+        self.g = g
+        self.tables: dict[int, np.ndarray] = {}
+        self.depth: int | None = None
+        self.shape = (-(-g.n // _WORD), g.n)
+        self.size = 8 * self.shape[0] * g.n  # bytes in one table
+
+    def _fits(self, more: int) -> bool:
+        return self.size * (len(self.tables) + more) <= _RING_BYTES
+
+    def ball_bound(self, d: int) -> int:
+        """``graph.ball_bound(g, d)``, from one sweep to d that keeps the tables up to d.
+
+        It keeps every table at 1..d when they all fit, else only d's if
+        that fits.
+        """
+        if self._fits(d - sum(k <= d for k in self.tables)):
+            keep = range(1, d + 1)
+        else:
+            keep = (d,) if d not in self.tables and self._fits(1) else ()
+        return self._sweep(d, keep)
+
+    def empty(self, d: int) -> bool:
+        """Whether a sweep has shown that no pair is at distance d."""
+        return self.depth is not None and d > self.depth
+
+    def get(self, d: int) -> np.ndarray | None:
+        """The table at d, built by one sweep if it is new and fits; None if it does not fit or is empty."""
+        if d not in self.tables and not self.empty(d) and self._fits(1):
+            self._sweep(d, (d,))
+        return self.tables.get(d)
+
+    def _sweep(self, radius: int, keep) -> int:
+        """Sweep to ``radius``, filling the tables at the distances in ``keep``; returns the ball bound."""
+        best = reach = 0
+        for r, (balls, rings, level) in enumerate(_sweep(self.g, radius, keep)):
+            best = max(best, int(balls.max()))
+            reach = max(reach, level)
+            for k, words in rings.items():
+                if k not in self.tables:
+                    self.tables[k] = np.zeros(self.shape, dtype=np.uint64)
+                self.tables[k][r] = words
+        if reach < radius:
+            self.depth = reach
+        return best
 
 
 class _Rings:
     """Tests attempts against the rings of every anchor: the nodes at exact distance d.
 
-    While the graph's whole table of rings fits in ``_RING_BYTES``, it is
-    built when the picking phase starts, one row of ring words
-    (``graph._ring_words``) per 64 anchors, so anchor u's ring is bit
-    ``u & 63`` of row ``u >> 6`` and one gather tests a whole batch of
-    attempts. Past the bound there is no table: a batch at d = 1 looks
-    its ``u * n + v`` keys up among the sorted arc keys, and a batch at
-    a larger d runs its own capped BFS. The table lives as long as the
-    phase that made it.
+    With the meaning graph's table at d (:class:`_RingTables`), anchor u's
+    ring is bit ``u & 63`` of row ``u >> 6`` and one gather tests a whole
+    batch of attempts. Without one, ``keys`` holds the sorted
+    ``u * n + v`` keys of every pair at distance d where they cost no
+    traversal, and a batch looks its keys up there: none at all past the
+    graph's depth, the arcs at d = 1. Otherwise a batch runs its own
+    capped BFS.
     """
 
-    def __init__(self, g: Graph, d: int):
-        self.g, self.d = g, d
-        rows = -(-g.n // _WORD)
-        self.table = self.arcs = None
-        if 8 * g.n * rows <= _RING_BYTES:
-            self.table = np.empty((rows, g.n), dtype=np.uint64)
-            for r in range(rows):
-                src = np.arange(r * _WORD, min((r + 1) * _WORD, g.n), dtype=np.int64)
-                self.table[r] = _ring_words(g, src, d)
-        elif d == 1:
-            self.arcs = _arc_tails(g) * g.n + g.indices
-        self.scan = None  # the exhaustive scan, made at the first fallback
+    def __init__(self, gm: MeaningGraph, d: int):
+        g = self.g = gm.graph
+        self.d = d
+        self.table = gm._rings.get(d)
+        self.keys = self.scan = None
+        if self.table is None:
+            if gm._rings.empty(d):
+                self.keys = np.empty(0, dtype=np.int64)
+            elif d == 1:
+                self.keys = _arc_tails(g) * g.n + g.indices
 
     def hits(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Whether each ``vs[i]`` is at distance d from ``us[i]``."""
         if self.table is not None:
             return (self.table[us >> 6, vs] & _BITS[us & 63]) != 0
-        if self.arcs is not None:
-            return _lookup(self.arcs, us * self.g.n + vs)[1]
+        if self.keys is not None:
+            return _lookup(self.keys, us * self.g.n + vs)[1]
         return bfs_distances(self.g, us, vs, cap=self.d) == self.d
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The exhaustive scan: every pair at distance d as ``(us, vs)``, by u then v, made once."""
+        if self.scan is None:
+            if self.keys is not None:
+                self.scan = np.divmod(self.keys, self.g.n)
+            else:
+                self.scan = _pairs_at_distance(self.g, self.d, self.table)
+        return self.scan
 
 
 def pick_pair_at_distance(
@@ -330,10 +405,11 @@ def pick_pairs_at_distance(
 
     ``requests`` holds ``(d, seed, count)`` triples, read one at a time.
     Each answer, and where each generator is left, are those of the one
-    call. Consecutive requests with the same d share one table of rings,
-    so, where the table fits, each node's BFS runs once per phase rather
-    than once per batch; the table is freed when the requests run out or
-    d changes.
+    call. Every batch of attempts at d is tested against the meaning
+    graph's table of rings at d, which is built once for the graph, if it
+    fits, and kept with it (:class:`_RingTables`): after
+    :func:`check_nontrivial` at d, the phase runs no traversal at all.
+    Consecutive requests with the same d also share the exhaustive scan.
     """
     g = gm.graph
     rings = None
@@ -349,7 +425,7 @@ def pick_pairs_at_distance(
             yield None
             continue
         if rings is None or rings.d != d:
-            rings = _Rings(g, d)
+            rings = _Rings(gm, d)
         picks = _pick(rings, _as_rng(seed), 1 if count is None else count, max_attempts)
         yield picks if count is not None or picks is None else picks[0]
 
@@ -371,9 +447,7 @@ def _pick(
     tried = hits = 0  # attempts drawn so far and hits among them
     while len(picks) < want:
         if room <= 0:
-            if rings.scan is None:
-                rings.scan = _pairs_at_distance(rings.g, rings.d)
-            us, vs = rings.scan
+            us, vs = rings.pairs()
             if not len(us):
                 return None
             k = int(rng.integers(len(us)))

@@ -12,6 +12,7 @@ compared with as many scalar reference picks from one Generator.
 from __future__ import annotations
 
 import functools
+import pickle
 
 import networkx as nx
 import numpy as np
@@ -21,15 +22,19 @@ from hypothesis import strategies as st
 
 import meaninglab.graph as graph
 import meaninglab.meaning as meaning
+from meaninglab.experiments import heatmap
 from meaninglab.graph import Graph, bfs_distances
 from meaninglab.meaning import (
     MeaningGraph,
+    check_nontrivial,
     gen_er,
     pick_disconnected_pair,
     pick_pair_at_distance,
     pick_pairs_at_distance,
 )
+from meaninglab.reasoning import estimate_gamma
 from meaninglab.rng import stream
+from meaninglab.sampler import SampleParams
 
 
 @functools.lru_cache(maxsize=None)
@@ -247,12 +252,17 @@ def test_array_draws_equal_scalar_draws(n, offset):
 
 # -- ring tables ------------------------------------------------------------
 #
-# A picking phase tests its attempts against a table of rings, the nodes at
-# exact distance d from each anchor. The table is capped at _RING_BYTES; the
-# budgets below let the whole table fit ("all") or not ("none"), so both the
-# table and the per-batch tests without one run.
+# Attempts are tested against tables of rings, the nodes at exact distance d
+# from each anchor, which a meaning graph keeps within _RING_BYTES in all.
+# The budgets below let a table fit ("all") or not ("none"), so both the
+# tables and the per-batch tests without one run. A budget is tried on a
+# new MeaningGraph: the module's sparse_graph keeps the tables that earlier
+# tests built.
 
 BUDGETS = ("all", "none")
+
+# The channel flags of the ``check`` runs below; only the ball screen reads the graph.
+PARAMS = SampleParams(p_plus=0.9, p_minus=1e-4, eps_plus=1e-4, eps_minus=1e-3, lam=2)
 
 
 def ring_bytes(budget: str) -> int:
@@ -280,8 +290,10 @@ def test_ring_lookup_matches_bfs_distances(case):
     g, d, batches, budget = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(meaning, "_RING_BYTES", ring_bytes(budget))
-        rings = meaning._Rings(g, d)
-        assert (rings.table is None) == (budget == "none")
+        gm = MeaningGraph(g)
+        rings = meaning._Rings(gm, d)
+        # A table whenever it fits, unless its sweep showed the ring empty.
+        assert (rings.table is None) == (budget == "none" or gm._rings.empty(d))
         for batch in batches:
             us, vs = (np.array(x, dtype=np.int64) for x in zip(*batch))
             want = bfs_distances(g, us, vs, cap=d) == d
@@ -292,61 +304,216 @@ def test_ring_beyond_the_diameter_is_empty():
     # A 5-node path: every pass runs out of new nodes by level 4.
     g = Graph(5, [(i, i + 1) for i in range(4)])
     src = np.arange(5, dtype=np.int64)
-    assert graph._ring_words(g, src, 4).tolist() == [1 << 4, 0, 0, 0, 1 << 0]
-    assert not graph._ring_words(g, src, 5).any()
-    rings = meaning._Rings(g, 9)
+    [(_, rings, reach)] = graph._sweep(g, 4, (4,))
+    assert rings[4].tolist() == [1 << 4, 0, 0, 0, 1 << 0] and reach == 4
+    [(_, rings, reach)] = graph._sweep(g, 5, (5,))
+    assert rings == {} and reach == 4
+    rings = meaning._Rings(MeaningGraph(g), 9)
     assert not rings.hits(src, src[::-1]).any()
+    assert rings.table is None and not len(rings.pairs()[0])
 
 
-def count_passes(mp: pytest.MonkeyPatch) -> list[int]:
-    """Record the anchor count of every ring pass the picker runs."""
+def count_passes(mp: pytest.MonkeyPatch, g: Graph) -> list[int]:
+    """Record the source count of every BFS pass run on ``g`` itself, not on an equal copy."""
     passes = []
-    real = meaning._ring_words
+    real = graph._bit_levels
 
-    def counted(g, src, d):
-        passes.append(len(src))
-        return real(g, src, d)
+    def counted(h, src, cap):
+        if h is g:
+            passes.append(len(src))
+        return real(h, src, cap)
 
-    mp.setattr(meaning, "_ring_words", counted)
+    mp.setattr(graph, "_bit_levels", counted)
     return passes
+
+
+def word_passes(k: int) -> list[int]:
+    """The source counts of the passes over k distinct sources, 64 at a time."""
+    return [64] * (k // 64) + ([k % 64] if k % 64 else [])
 
 
 @pytest.mark.parametrize("n", [2, 63, 64, 65, 300])
 def test_table_is_one_pass_per_word_of_nodes_built_once(monkeypatch, sparse_graph, n):
-    passes = count_passes(monkeypatch)
     g = sparse_graph.graph if n == 300 else Graph(n, [(i, i + 1) for i in range(n - 1)])
-    rings = meaning._Rings(g, 2)
-    assert passes == [64] * (n // 64) + ([n % 64] if n % 64 else [])
+    oracle = Graph(n, g.edge_array())
+    passes = count_passes(monkeypatch, g)
+    rings = meaning._Rings(MeaningGraph(g), 2)
+    assert passes == word_passes(n)
     rng = np.random.default_rng(n)
     for size in (1, 5, 64, 700, 3000):
         us, vs = rng.integers(n, size=(2, size))
-        assert rings.hits(us, vs).tolist() == (bfs_distances(g, us, vs, cap=2) == 2).tolist()
+        assert rings.hits(us, vs).tolist() == (bfs_distances(oracle, us, vs, cap=2) == 2).tolist()
     assert len(passes) == -(-n // 64)
 
 
 @pytest.mark.parametrize("d", [1, 3])
 def test_over_budget_batches_keep_no_rings(monkeypatch, sparse_graph, d):
     g = sparse_graph.graph
+    oracle = Graph(g.n, g.edge_array())
     monkeypatch.setattr(meaning, "_RING_BYTES", ring_bytes("none"))
-    passes = count_passes(monkeypatch)
-    rings = meaning._Rings(g, d)
-    assert rings.table is None
+    passes = count_passes(monkeypatch, g)
+    gm = MeaningGraph(g)
+    rings = meaning._Rings(gm, d)
+    assert rings.table is None and gm._rings.tables == {}
     if d == 1:
         # Adjacency is a lookup among the arc keys, with no traversal.
         monkeypatch.setattr(meaning, "bfs_distances", None)
     rng = np.random.default_rng(7)
+    bfs = []  # the passes of each batch's own capped BFS
     for size in (1, 64, 200, 1000):
         us, vs = rng.integers(g.n, size=(2, size))
-        assert rings.hits(us, vs).tolist() == (bfs_distances(g, us, vs, cap=d) == d).tolist()
-    assert passes == []
+        assert rings.hits(us, vs).tolist() == (bfs_distances(oracle, us, vs, cap=d) == d).tolist()
+        bfs += [] if d == 1 else word_passes(len(np.unique(us)))
+    # No sweep runs: every pass on the graph is a batch's own BFS.
+    assert passes == bfs
 
 
 @pytest.mark.parametrize("n", [2, 1000, 2880, 2881, 5000, 200_000])
 def test_no_table_exceeds_the_bound(n):
     # 2880 nodes need 45 rows of 2880 words, 1,036,800 bytes; 2881 need 46.
-    rings = meaning._Rings(Graph(n), 1)
+    # Nodes are matched in pairs, so the ring at distance 1 is never empty.
+    rings = meaning._Rings(MeaningGraph(Graph(n, [(i, i + 1) for i in range(0, n - 1, 2)])), 1)
     assert (rings.table is not None) == (n <= 2880)
     assert rings.table is None or rings.table.nbytes <= meaning._RING_BYTES
+
+
+def path(n: int) -> MeaningGraph:
+    return MeaningGraph(Graph(n, [(i, i + 1) for i in range(n - 1)]))
+
+
+def held_bytes(gm: MeaningGraph) -> int:
+    return sum(t.nbytes for t in gm._rings.tables.values())
+
+
+def ring_matrix(table: np.ndarray, n: int) -> np.ndarray:
+    """``(n, n)`` booleans: entry (u, v) is bit ``u & 63`` of ``table[u >> 6, v]``."""
+    u = np.arange(n)
+    return (table[u >> 6] & graph._BITS[u & 63][:, None]) != 0
+
+
+def all_distances(g: Graph, cap: int) -> np.ndarray:
+    us, vs = np.divmod(np.arange(g.n * g.n), g.n)
+    return bfs_distances(g, us, vs, cap=cap).reshape(g.n, g.n)
+
+
+@st.composite
+def graphs_and_radii(draw, least: int):
+    # Isolated nodes, n a multiple of 64 and not, radii past the diameter.
+    n = draw(st.one_of(st.integers(min_value=1, max_value=150), st.sampled_from([64, 128])))
+    node = st.integers(min_value=0, max_value=n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    return Graph(n, [(u, v) for u, v in edges if u != v]), draw(st.integers(min_value=least, max_value=12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs_and_radii(least=0))
+def test_sweep_ball_sizes_and_reach_match_single_source_bfs(case):
+    g, d = case
+    sweep = list(graph._sweep(g, d))
+    assert np.concatenate([balls for balls, _, _ in sweep]).tolist() == [
+        graph.neighborhood_size(g, s, d) for s in range(g.n)
+    ]
+    # A pass reaches the largest eccentricity among its sources, up to d.
+    ecc = [max(nx_levels(g, s, d).values()) for s in range(g.n)]
+    assert [reach for _, _, reach in sweep] == [max(ecc[lo : lo + 64]) for lo in range(0, g.n, 64)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs_and_radii(least=1))
+def test_every_kept_table_is_the_ring_at_its_distance(case):
+    g, d = case
+    gm = MeaningGraph(g)
+    assert gm._rings.ball_bound(d) == graph.ball_bound(g, d)
+    dist = all_distances(g, d + 3)
+    # These tables all fit, so each distance up to d has its table or is
+    # known to be empty; past d, only a ring the sweep showed empty is.
+    for k in range(1, d + 4):
+        if k in gm._rings.tables:
+            assert (ring_matrix(gm._rings.tables[k], g.n) == (dist == k)).all()
+        else:
+            assert k > d or gm._rings.empty(k)
+            assert not gm._rings.empty(k) or not (dist == k).any()
+    assert all(t.any() for t in gm._rings.tables.values())
+
+
+@pytest.mark.parametrize("n", [2, 65, 300, 1000, 1500, 2880, 2881])
+@pytest.mark.parametrize("d_max", [1, 5, 30])
+def test_tables_stay_within_the_bound_in_all(n, d_max):
+    # A path reaches a new level at every distance up to n - 1.
+    gm = path(n)
+    check_nontrivial(gm, PARAMS, d_max)
+    assert held_bytes(gm) <= meaning._RING_BYTES
+    for d in range(1, d_max + 3):
+        rings = meaning._Rings(gm, d)
+        assert held_bytes(gm) <= meaning._RING_BYTES
+        assert (rings.table is None) == (d not in gm._rings.tables)
+    size = 8 * n * -(-n // 64)
+    kept = min(d_max + 2, n - 1, meaning._RING_BYTES // size)
+    assert len(gm._rings.tables) == kept
+
+
+@pytest.mark.parametrize(
+    "gm, d, levels",
+    [(gen_er(2, 1.0, 0), 60_000, 1), (path(5), 13_000, 4), (gen_er(300, 0.01, 3), 10_000, None)],
+    ids=["er-2", "path-5", "er-300"],
+)
+def test_check_far_past_the_diameter_allocates_no_empty_tables(gm, d, levels):
+    # The 60,000 tables up to d of a 2-node graph would fit in 16 bytes
+    # each, and a 5-path's 13,000 in 40 bytes each; only the levels a pass
+    # reaches get one. The 300-node graph's tables up to d do not fit, and
+    # d's own ring is empty.
+    report = check_nontrivial(gm, PARAMS, d)
+    ball = graph.ball_bound(gm.graph, d)
+    assert report.ball_small.message == f"ball_bound(d={d})={ball} vs n/4={gm.n / 4:g}"
+    assert report.ball_small.passed == (ball <= gm.n / 4)
+    assert sorted(gm._rings.tables) == list(range(1, (levels or 0) + 1))
+    assert gm._rings.empty(d)
+
+
+def test_check_far_past_the_diameter_reports_as_before():
+    # Lines of the reports that ``check --er 2 1 --d 60000`` and ``check
+    # --er 300 0.01 --graph-seed 3 --d 10000``, each with --p-minus 1e-4
+    # --eps-minus 1e-3, printed before the tables were kept.
+    want = {
+        2: "ball-small               FAIL  ball_bound(d=60000)=2 vs n/4=0.5",
+        300: "ball-small               FAIL  ball_bound(d=10000)=276 vs n/4=75",
+    }
+    for n, p, seed, d in [(2, 1.0, 0, 60_000), (300, 0.01, 3, 10_000)]:
+        assert want[n] in check_nontrivial(gen_er(n, p, seed), PARAMS, d).render().splitlines()
+
+
+def test_check_then_heatmap_rows_run_one_sweep(monkeypatch):
+    # heatmap-probe's graph: n = 1000, d_max = 5, so all five tables fit.
+    gm = gen_er(1000, 0.0035, 0)
+    params = SampleParams(p_plus=0.12, p_minus=1e-6, eps_plus=0.7, eps_minus=0.0, lam=3)
+    passes = count_passes(monkeypatch, gm.graph)
+    check_nontrivial(gm, params, 5)
+    heatmap(gm, [1e-6, 1e-2], 5, 50, params, seed=0)
+    assert passes == word_passes(1000)
+    assert sorted(gm._rings.tables) == [1, 2, 3, 4, 5]
+
+
+def test_check_then_gamma_picks_run_one_sweep(monkeypatch):
+    # gamma-smallworld's graph: n = 2000, d = 8; only the table at 8 fits.
+    gm = gen_er(2000, 0.00075, 0)
+    params = SampleParams(p_plus=0.9, p_minus=0.0005, eps_plus=1e-4, eps_minus=0.0, lam=2)
+    passes = count_passes(monkeypatch, gm.graph)
+    check_nontrivial(gm, params, 8)
+    estimate_gamma(gm, 8, params, 16, trials=12, seed=0)
+    assert passes == word_passes(2000)
+    assert sorted(gm._rings.tables) == [8]
+
+
+def test_pickled_meaning_graph_carries_its_tables(monkeypatch, sparse_graph):
+    gm = MeaningGraph(sparse_graph.graph)
+    check_nontrivial(gm, PARAMS, 4)
+    copy = pickle.loads(pickle.dumps(gm))
+    assert sorted(copy._rings.tables) == [1, 2, 3, 4]
+    for d, table in gm._rings.tables.items():
+        assert np.array_equal(copy._rings.tables[d], table)
+    passes = count_passes(monkeypatch, copy.graph)
+    assert pick_pair_at_distance(copy, 3, 5, count=20) == pick_pair_at_distance(gm, 3, 5, count=20)
+    assert passes == []
 
 
 def requests_for(sparse_graph_seed: int):
@@ -370,9 +537,10 @@ def requests_for(sparse_graph_seed: int):
 @pytest.mark.parametrize("max_attempts", [0, 5, 130, None])
 def test_batch_of_requests_matches_one_call_each(monkeypatch, sparse_graph, budget, max_attempts):
     monkeypatch.setattr(meaning, "_RING_BYTES", ring_bytes(budget))
+    gm = MeaningGraph(sparse_graph.graph)
     new, ref = requests_for(12), requests_for(12)
-    got = list(pick_pairs_at_distance(sparse_graph, new, max_attempts))
-    want = [pick_pair_at_distance(sparse_graph, d, seed, max_attempts, count) for d, seed, count in ref]
+    got = list(pick_pairs_at_distance(gm, new, max_attempts))
+    want = [pick_pair_at_distance(gm, d, seed, max_attempts, count) for d, seed, count in ref]
     assert got == want
     assert got[8] is None  # no pair is 40 apart
     for (_, a, _), (_, b, _) in zip(new, ref):
@@ -384,8 +552,9 @@ def test_batch_of_requests_matches_one_call_each(monkeypatch, sparse_graph, budg
 @pytest.mark.parametrize("d", [1, 3, 5])
 def test_count_picks_over_budget_match_scalar_loop(monkeypatch, sparse_graph, d):
     monkeypatch.setattr(meaning, "_RING_BYTES", ring_bytes("none"))
+    gm = MeaningGraph(sparse_graph.graph)
     new, ref = stream(32, d), stream(32, d)
-    got = pick_pair_at_distance(sparse_graph, d, new, count=200)
+    got = pick_pair_at_distance(gm, d, new, count=200)
     assert got == reference_cell(sparse_graph, d, ref, 200)
     assert_same_stream_position(new, ref)
 
