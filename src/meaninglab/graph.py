@@ -14,11 +14,14 @@ directions. Bottom-up, it is a single ``bitwise_or.reduceat`` of the
 frontier words over the CSR arrays, O(n + E) whatever the frontier. A
 single-source pass whose frontier is small steps top-down instead and
 expands only the frontier's CSR slices (direction-optimizing BFS).
-Batched distance queries, single distance queries, neighborhood counts,
-ball bounds, the exhaustive pair scan and the distance-d rings that pair
-pickers test their attempts against all read its levels. Batched
-queries group their pairs by source, so a pass runs 64 distinct sources
-and serves every pair that starts at one of them. A single distance
+Batched distance queries, single distance queries and neighborhood
+counts read its levels, and so does one sweep of the whole graph
+(:func:`_sweep`, a pass per 64 consecutive sources) that yields every
+node's ball size and its distance-d rings at once: the ball bound, the
+rings that pair pickers test their attempts against and the exhaustive
+pair scan all read that sweep. Batched queries group their pairs by
+source, so a pass runs 64 distinct sources and serves every pair that
+starts at one of them. A single distance
 query is bidirectional: two single-source passes, one from each end,
 grown a level at a time until their balls meet. Connected components
 come from the same gather-and-reduce step with ``minimum`` in place of

@@ -312,7 +312,7 @@ class _RingTables:
             keep = range(1, d + 1)
         else:
             keep = (d,) if d not in self.tables and self._fits(1) else ()
-        return self._sweep(d, keep)
+        return self._fill(d, keep)
 
     def empty(self, d: int) -> bool:
         """Whether a sweep has shown that no pair is at distance d."""
@@ -321,10 +321,10 @@ class _RingTables:
     def get(self, d: int) -> np.ndarray | None:
         """The table at d, built by one sweep if it is new and fits; None if it does not fit or is empty."""
         if d not in self.tables and not self.empty(d) and self._fits(1):
-            self._sweep(d, (d,))
+            self._fill(d, (d,))
         return self.tables.get(d)
 
-    def _sweep(self, radius: int, keep) -> int:
+    def _fill(self, radius: int, keep) -> int:
         """Sweep to ``radius``, filling the tables at the distances in ``keep``; returns the ball bound."""
         best = reach = 0
         for r, (balls, rings, level) in enumerate(_sweep(self.g, radius, keep)):
