@@ -21,13 +21,13 @@ node's ball size and its distance-d rings at once: the ball bound, the
 rings that pair pickers test their attempts against and the exhaustive
 pair scan all read that sweep. Batched queries group their pairs by
 source, so a pass runs 64 distinct sources and serves every pair that
-starts at one of them. A single distance
-query is bidirectional: two single-source passes, one from each end,
-grown a level at a time until their balls meet. Connected components
-come from the same gather-and-reduce step with ``minimum`` in place of
-``bitwise_or``. Only :func:`min_cut` keeps its own search: it runs on
-the same CSR arcs, with one ``int8`` net flow per arc, and follows only
-arcs with residual capacity, which the undirected kernel cannot express.
+starts at one of them. A single distance query is bidirectional: two
+single-source passes, one from each end, grown a level at a time until
+their balls meet. Connected components come from the same
+gather-and-reduce step with ``minimum`` in place of ``bitwise_or``.
+Only :func:`min_cut` keeps its own search: it runs on the same CSR
+arcs, with one ``int8`` net flow per arc, and follows only arcs with
+residual capacity, which the undirected kernel cannot express.
 
 The text writers, here and in :mod:`sampler`, build each block of lines
 in bulk as one digit matrix with :func:`_format_lines`.
