@@ -424,20 +424,16 @@ def neighborhood_size(g: Graph, s: int, d: int) -> int:
     return int(np.count_nonzero(seen))
 
 
-def _sweep(
-    g: Graph, radius: int, keep: Container[int] = ()
-) -> Iterator[tuple[np.ndarray, dict[int, np.ndarray], int]]:
+def _sweep(g: Graph, radius: int, keep: Container[int] = ()) -> Iterator[tuple[np.ndarray, dict[int, np.ndarray]]]:
     """The whole graph's multi-source BFS to level ``radius``: one pass per 64 consecutive nodes.
 
     Yields, for the pass over sources ``64r .. 64r + 63`` (fewer in the
-    last pass), a tuple ``(balls, rings, reach)``: each source's ball
-    size at ``radius``; for every level d >= 1 in ``keep`` that the pass
+    last pass), a pair ``(balls, rings)``: each source's ball size at
+    ``radius``, and for every level d >= 1 in ``keep`` that the pass
     reaches, its ring words ``seen_d & ~seen_{d-1}``, with bit j set where
     the node is at exact distance d from source ``64r + j`` (a level the
-    pass does not reach has an empty ring and no entry); and the last
-    level the pass reached, below ``radius`` only when it ran out of new
-    nodes. The ball bound, the pickers' ring tables and the exhaustive
-    pair scan all read it.
+    pass does not reach has an empty ring and no entry). The ball bound,
+    the pickers' ring tables and the exhaustive pair scan all read it.
     """
     for lo in range(0, g.n, _WORD):
         src = np.arange(lo, min(lo + _WORD, g.n), dtype=np.int64)
@@ -447,13 +443,13 @@ def _sweep(
                 rings[level] = seen & ~inner
             if level + 1 in keep:
                 inner = seen.copy()
-        yield _lane_counts(seen)[: len(src)], rings, level
+        yield _lane_counts(seen)[: len(src)], rings
 
 
 def ball_bound(g: Graph, d: int) -> int:
     """Largest d-neighborhood size over all start nodes (0 on the empty graph)."""
     _check_radius(d, "radius")
-    return max((int(balls.max()) for balls, _, _ in _sweep(g, d)), default=0)
+    return max((int(balls.max()) for balls, _ in _sweep(g, d)), default=0)
 
 
 def _pairs_at_distance(g: Graph, d: int, table: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -463,7 +459,7 @@ def _pairs_at_distance(g: Graph, d: int, table: np.ndarray | None = None) -> tup
     over sources ``64r ..``, when there is one, and otherwise the rings of
     one sweep to d.
     """
-    rows = table if table is not None else (rings.get(d) for _, rings, _ in _sweep(g, d, (d,)))
+    rows = table if table is not None else (rings.get(d) for _, rings in _sweep(g, d, (d,)))
     us, vs = [], []
     for r, words in enumerate(rows):
         if words is not None:

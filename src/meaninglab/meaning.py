@@ -287,15 +287,14 @@ class _RingTables:
     table is ceil(n/64) rows of n words. Tables come from sweeps of
     :func:`graph._sweep`, whose pass over anchors ``64r ..`` fills row r
     of every table it keeps. A sweep allocates a table only at a distance
-    some pass reaches: past the graph's depth every ring is empty.
-    ``depth`` is that depth once a sweep has run out of nodes before its
-    radius, and None before.
+    some pass reaches: past the graph's depth every ring is empty, and
+    only a request for that one distance (:meth:`get`) keeps its all-zero
+    table.
     """
 
     def __init__(self, g: Graph):
         self.g = g
         self.tables: dict[int, np.ndarray] = {}
-        self.depth: int | None = None
         self.shape = (-(-g.n // _WORD), g.n)
         self.size = 8 * self.shape[0] * g.n  # bytes in one table
 
@@ -314,28 +313,22 @@ class _RingTables:
             keep = (d,) if d not in self.tables and self._fits(1) else ()
         return self._fill(d, keep)
 
-    def empty(self, d: int) -> bool:
-        """Whether a sweep has shown that no pair is at distance d."""
-        return self.depth is not None and d > self.depth
-
     def get(self, d: int) -> np.ndarray | None:
-        """The table at d, built by one sweep if it is new and fits; None if it does not fit or is empty."""
-        if d not in self.tables and not self.empty(d) and self._fits(1):
+        """The table at d, built by one sweep if it is new and fits; None if it does not fit."""
+        if d not in self.tables and self._fits(1):
             self._fill(d, (d,))
+            self.tables.setdefault(d, np.zeros(self.shape, dtype=np.uint64))
         return self.tables.get(d)
 
     def _fill(self, radius: int, keep) -> int:
         """Sweep to ``radius``, filling the tables at the distances in ``keep``; returns the ball bound."""
-        best = reach = 0
-        for r, (balls, rings, level) in enumerate(_sweep(self.g, radius, keep)):
+        best = 0
+        for r, (balls, rings) in enumerate(_sweep(self.g, radius, keep)):
             best = max(best, int(balls.max()))
-            reach = max(reach, level)
             for k, words in rings.items():
                 if k not in self.tables:
                     self.tables[k] = np.zeros(self.shape, dtype=np.uint64)
                 self.tables[k][r] = words
-        if reach < radius:
-            self.depth = reach
         return best
 
 
@@ -344,23 +337,17 @@ class _Rings:
 
     With the meaning graph's table at d (:class:`_RingTables`), anchor u's
     ring is bit ``u & 63`` of row ``u >> 6`` and one gather tests a whole
-    batch of attempts. Without one, ``keys`` holds the sorted
-    ``u * n + v`` keys of every pair at distance d where they cost no
-    traversal, and a batch looks its keys up there: none at all past the
-    graph's depth, the arcs at d = 1. Otherwise a batch runs its own
-    capped BFS.
+    batch of attempts. Without one, a batch at d = 1 looks its
+    ``u * n + v`` keys up among the sorted arc keys, and at larger d runs
+    its own capped BFS.
     """
 
     def __init__(self, gm: MeaningGraph, d: int):
         g = self.g = gm.graph
         self.d = d
         self.table = gm._rings.get(d)
-        self.keys = self.scan = None
-        if self.table is None:
-            if gm._rings.empty(d):
-                self.keys = np.empty(0, dtype=np.int64)
-            elif d == 1:
-                self.keys = _arc_tails(g) * g.n + g.indices
+        self.keys = _arc_tails(g) * g.n + g.indices if self.table is None and d == 1 else None
+        self.scan = None
 
     def hits(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Whether each ``vs[i]`` is at distance d from ``us[i]``."""
@@ -373,10 +360,7 @@ class _Rings:
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """The exhaustive scan: every pair at distance d as ``(us, vs)``, by u then v, made once."""
         if self.scan is None:
-            if self.keys is not None:
-                self.scan = np.divmod(self.keys, self.g.n)
-            else:
-                self.scan = _pairs_at_distance(self.g, self.d, self.table)
+            self.scan = _pairs_at_distance(self.g, self.d, self.table)
         return self.scan
 
 

@@ -292,8 +292,8 @@ def test_ring_lookup_matches_bfs_distances(case):
         mp.setattr(meaning, "_RING_BYTES", ring_bytes(budget))
         gm = MeaningGraph(g)
         rings = meaning._Rings(gm, d)
-        # A table whenever it fits, unless its sweep showed the ring empty.
-        assert (rings.table is None) == (budget == "none" or gm._rings.empty(d))
+        # A table whenever it fits, all zero where no pair is at d.
+        assert (rings.table is None) == (budget == "none")
         for batch in batches:
             us, vs = (np.array(x, dtype=np.int64) for x in zip(*batch))
             want = bfs_distances(g, us, vs, cap=d) == d
@@ -304,13 +304,13 @@ def test_ring_beyond_the_diameter_is_empty():
     # A 5-node path: every pass runs out of new nodes by level 4.
     g = Graph(5, [(i, i + 1) for i in range(4)])
     src = np.arange(5, dtype=np.int64)
-    [(_, rings, reach)] = graph._sweep(g, 4, (4,))
-    assert rings[4].tolist() == [1 << 4, 0, 0, 0, 1 << 0] and reach == 4
-    [(_, rings, reach)] = graph._sweep(g, 5, (5,))
-    assert rings == {} and reach == 4
+    [(_, rings)] = graph._sweep(g, 4, (4,))
+    assert rings[4].tolist() == [1 << 4, 0, 0, 0, 1 << 0]
+    [(_, rings)] = graph._sweep(g, 5, (5,))
+    assert rings == {}
     rings = meaning._Rings(MeaningGraph(g), 9)
     assert not rings.hits(src, src[::-1]).any()
-    assert rings.table is None and not len(rings.pairs()[0])
+    assert not rings.table.any() and not len(rings.pairs()[0])
 
 
 def count_passes(mp: pytest.MonkeyPatch, g: Graph) -> list[int]:
@@ -371,8 +371,7 @@ def test_over_budget_batches_keep_no_rings(monkeypatch, sparse_graph, d):
 @pytest.mark.parametrize("n", [2, 1000, 2880, 2881, 5000, 200_000])
 def test_no_table_exceeds_the_bound(n):
     # 2880 nodes need 45 rows of 2880 words, 1,036,800 bytes; 2881 need 46.
-    # Nodes are matched in pairs, so the ring at distance 1 is never empty.
-    rings = meaning._Rings(MeaningGraph(Graph(n, [(i, i + 1) for i in range(0, n - 1, 2)])), 1)
+    rings = meaning._Rings(MeaningGraph(Graph(n)), 1)
     assert (rings.table is not None) == (n <= 2880)
     assert rings.table is None or rings.table.nbytes <= meaning._RING_BYTES
 
@@ -409,13 +408,15 @@ def graphs_and_radii(draw, least: int):
 @given(graphs_and_radii(least=0))
 def test_sweep_ball_sizes_and_reach_match_single_source_bfs(case):
     g, d = case
-    sweep = list(graph._sweep(g, d))
-    assert np.concatenate([balls for balls, _, _ in sweep]).tolist() == [
+    sweep = list(graph._sweep(g, d, range(1, d + 1)))
+    assert np.concatenate([balls for balls, _ in sweep]).tolist() == [
         graph.neighborhood_size(g, s, d) for s in range(g.n)
     ]
-    # A pass reaches the largest eccentricity among its sources, up to d.
+    # A pass reaches the largest eccentricity among its sources, up to d,
+    # and keeps a ring at every level it reaches.
     ecc = [max(nx_levels(g, s, d).values()) for s in range(g.n)]
-    assert [reach for _, _, reach in sweep] == [max(ecc[lo : lo + 64]) for lo in range(0, g.n, 64)]
+    reach = [max(ecc[lo : lo + 64]) for lo in range(0, g.n, 64)]
+    assert [sorted(rings) for _, rings in sweep] == [list(range(1, r + 1)) for r in reach]
 
 
 @settings(max_examples=60, deadline=None)
@@ -425,21 +426,21 @@ def test_every_kept_table_is_the_ring_at_its_distance(case):
     gm = MeaningGraph(g)
     assert gm._rings.ball_bound(d) == graph.ball_bound(g, d)
     dist = all_distances(g, d + 3)
-    # These tables all fit, so each distance up to d has its table or is
-    # known to be empty; past d, only a ring the sweep showed empty is.
+    # These tables all fit, so each distance up to d has its table unless
+    # no pair is at that distance; past d, none is kept.
     for k in range(1, d + 4):
         if k in gm._rings.tables:
             assert (ring_matrix(gm._rings.tables[k], g.n) == (dist == k)).all()
         else:
-            assert k > d or gm._rings.empty(k)
-            assert not gm._rings.empty(k) or not (dist == k).any()
+            assert k > d or not (dist == k).any()
     assert all(t.any() for t in gm._rings.tables.values())
 
 
 @pytest.mark.parametrize("n", [2, 65, 300, 1000, 1500, 2880, 2881])
 @pytest.mark.parametrize("d_max", [1, 5, 30])
 def test_tables_stay_within_the_bound_in_all(n, d_max):
-    # A path reaches a new level at every distance up to n - 1.
+    # A path reaches a new level at every distance up to n - 1; a request
+    # past that keeps an all-zero table, if it fits.
     gm = path(n)
     check_nontrivial(gm, PARAMS, d_max)
     assert held_bytes(gm) <= meaning._RING_BYTES
@@ -448,7 +449,7 @@ def test_tables_stay_within_the_bound_in_all(n, d_max):
         assert held_bytes(gm) <= meaning._RING_BYTES
         assert (rings.table is None) == (d not in gm._rings.tables)
     size = 8 * n * -(-n // 64)
-    kept = min(d_max + 2, n - 1, meaning._RING_BYTES // size)
+    kept = min(d_max + 2, meaning._RING_BYTES // size)
     assert len(gm._rings.tables) == kept
 
 
@@ -467,7 +468,7 @@ def test_check_far_past_the_diameter_allocates_no_empty_tables(gm, d, levels):
     assert report.ball_small.message == f"ball_bound(d={d})={ball} vs n/4={gm.n / 4:g}"
     assert report.ball_small.passed == (ball <= gm.n / 4)
     assert sorted(gm._rings.tables) == list(range(1, (levels or 0) + 1))
-    assert gm._rings.empty(d)
+    assert pick_pair_at_distance(gm, d, 0) is None
 
 
 def test_check_far_past_the_diameter_reports_as_before():
