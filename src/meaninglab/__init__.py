@@ -53,7 +53,6 @@ from .meaning import (
     make_cut_pair,
     pick_disconnected_pair,
     pick_pair_at_distance,
-    pick_pairs_at_distance,
 )
 from .reasoning import (
     DTildeMode,

@@ -31,7 +31,7 @@ from .meaning import (
     gen_er,
     load_triples,
     make_cut_pair,
-    pick_pairs_at_distance,
+    pick_pair_at_distance,
 )
 from .reasoning import (
     CSV_HEADER,
@@ -340,16 +340,13 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
     d = args.d if args.d is not None else math.ceil(math.log(max(gm.n, 2))) + 1
     _gate_nontrivial(args, gm, params, d)
     d_tilde = args.d_tilde if args.d_tilde is not None else params.lam * d
-    # Every trial's pair is picked first, in one phase that shares one table of rings.
-    requests = ((d, stream(args.seed, STREAM_SPECTRAL_TRIAL, t, 0), None) for t in range(args.trials))
-    pairs = []
-    for pair in pick_pairs_at_distance(gm, requests):
-        if pair is None:
-            raise NoFixtureError(f"no pair at distance {d} in the meaning graph")
-        pairs.append(pair)
     records = []
     within = 0
-    for t, pair in enumerate(pairs):
+    for t in range(args.trials):
+        # Each trial's pick reads the meaning graph's table of rings at d.
+        pair = pick_pair_at_distance(gm, d, stream(args.seed, STREAM_SPECTRAL_TRIAL, t, 0))
+        if pair is None:
+            raise NoFixtureError(f"no pair at distance {d} in the meaning graph")
         cp = make_cut_pair(gm, *pair)
         trial = coupled_cut_trial(cp, params, d_tilde, subseed(args.seed, STREAM_SPECTRAL_TRIAL, t, 1))
         within += int(trial.within_bound)

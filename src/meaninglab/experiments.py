@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .graph import bfs_distances
-from .meaning import MeaningGraph, pick_disconnected_pair, pick_pairs_at_distance
+from .meaning import MeaningGraph, pick_disconnected_pair, pick_pair_at_distance
 from .rng import STREAM_HEATMAP_CELL, STREAM_HEATMAP_ROW, stream, subseed
 from .sampler import SampleParams, _Header, sample_symbol_graph
 
@@ -77,11 +77,13 @@ def _heatmap_row(
     params = replace(params_base, p_minus=p_minus)
     sg = sample_symbol_graph(gm, params, subseed(seed, STREAM_HEATMAP_ROW, row_index))
     lam = params.lam
-    # Pick every cell's pairs first, as one picking phase in which a cell's
-    # batches share one table of rings; one symbol graph serves the whole
+    # Pick every cell's pairs first, each cell with one call that reads the
+    # meaning graph's table of rings; one symbol graph serves the whole
     # row, so all of its probes then go through one batched BFS call.
-    requests = ((d, stream(seed, STREAM_HEATMAP_CELL, row_index, d), pairs_per_cell) for d in range(1, d_max + 1))
-    picked = list(pick_pairs_at_distance(gm, requests))
+    picked = [
+        pick_pair_at_distance(gm, d, stream(seed, STREAM_HEATMAP_CELL, row_index, d), count=pairs_per_cell)
+        for d in range(1, d_max + 1)
+    ]
     rng = stream(seed, STREAM_HEATMAP_CELL, row_index, 0)
     pairs = [pick_disconnected_pair(gm, rng) for _ in range(pairs_per_cell)]
     picked.append(None if None in pairs else pairs)

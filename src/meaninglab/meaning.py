@@ -13,10 +13,10 @@ from each node, read with one gather. A meaning graph keeps its tables,
 within 1 MiB in all, and one multi-source sweep of :mod:`graph`'s bitset
 BFS fills them: :func:`check_nontrivial`'s sweep to d, which also gives
 the ball bound, keeps every table up to d when they all fit and else
-d's, so the picking phases that follow it (a gamma run's trials, the
-heat-map rows, the spectral command's trials) traverse nothing. A
-request at a distance with no table builds one with its own sweep, if it
-fits; past the bound, batches are tested without a table.
+d's, so the picks that follow it (a gamma run's trials, the heat-map
+cells, the spectral command's trials) traverse nothing. A pick at a
+distance with no table builds one with its own sweep, if it fits; past
+the bound, batches are tested without a table.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import logging
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .graph import (
     _BITS,
     _WORD,
     Graph,
-    _arc_tails,
     _lookup,
     _pairs_at_distance,
     _sweep,
@@ -264,10 +263,11 @@ def check_nontrivial(gm: MeaningGraph, params: "SampleParams", d: int) -> Nontri
     return NontrivialityReport(c1, c2, c3, c4, c5)
 
 
-def _as_rng(seed) -> np.random.Generator:
+def _as_rng(seed, stream_id: int) -> np.random.Generator:
+    """``seed`` itself if it is a Generator, else stream ``stream_id`` of it."""
     if isinstance(seed, np.random.Generator):
         return seed
-    return stream(seed, STREAM_PAIR_AT_DISTANCE)
+    return stream(seed, stream_id)
 
 
 # Rejection attempts per batch: at least one uint64 word of BFS sources,
@@ -332,94 +332,57 @@ class _RingTables:
         return best
 
 
-class _Rings:
-    """Tests attempts against the rings of every anchor: the nodes at exact distance d.
+def _hits(gm: MeaningGraph, d: int, table: np.ndarray | None, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Whether each ``vs[i]`` is at distance d from ``us[i]``.
 
     With the meaning graph's table at d (:class:`_RingTables`), anchor u's
     ring is bit ``u & 63`` of row ``u >> 6`` and one gather tests a whole
     batch of attempts. Without one, a batch at d = 1 looks its
-    ``u * n + v`` keys up among the sorted arc keys, and at larger d runs
-    its own capped BFS.
+    ``min * n + max`` keys up among the sorted edge keys, and at larger d
+    runs its own capped BFS.
     """
-
-    def __init__(self, gm: MeaningGraph, d: int):
-        g = self.g = gm.graph
-        self.d = d
-        self.table = gm._rings.get(d)
-        self.keys = _arc_tails(g) * g.n + g.indices if self.table is None and d == 1 else None
-        self.scan = None
-
-    def hits(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Whether each ``vs[i]`` is at distance d from ``us[i]``."""
-        if self.table is not None:
-            return (self.table[us >> 6, vs] & _BITS[us & 63]) != 0
-        if self.keys is not None:
-            return _lookup(self.keys, us * self.g.n + vs)[1]
-        return bfs_distances(self.g, us, vs, cap=self.d) == self.d
-
-    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The exhaustive scan: every pair at distance d as ``(us, vs)``, by u then v, made once."""
-        if self.scan is None:
-            self.scan = _pairs_at_distance(self.g, self.d, self.table)
-        return self.scan
+    if table is not None:
+        return (table[us >> 6, vs] & _BITS[us & 63]) != 0
+    if d == 1:
+        return _lookup(gm._sorted_edge_keys, np.minimum(us, vs) * gm.n + np.maximum(us, vs))[1]
+    return bfs_distances(gm.graph, us, vs, cap=d) == d
 
 
 def pick_pair_at_distance(
-    gm: MeaningGraph, d: int, seed, max_attempts: int | None = None, count: int | None = None
+    gm: MeaningGraph, d: int, seed, *, count: int | None = None
 ) -> tuple[int, int] | list[tuple[int, int]] | None:
     """Uniformly sample an ordered node pair at exact distance d.
 
     Rejection over uniformly drawn (anchor, target) pairs keeps the sample
-    unbiased; after ``max_attempts`` misses (default 10n) an exhaustive
-    scan either settles the draw or proves no such pair exists.
-    ``seed`` may be an int or a Generator to embed in a caller's stream.
+    unbiased; after 10n misses an exhaustive scan either settles the draw
+    or proves no such pair exists. ``seed`` may be an int or a Generator
+    to embed in a caller's stream. Every batch of attempts is tested
+    against the meaning graph's table of rings at d, built once for the
+    graph if it fits and kept with it, so after :func:`check_nontrivial`
+    at d the picks run no traversal at all.
 
     With ``count``, returns a list of ``count`` consecutive picks from the
     one stream: the same pairs, and the stream left in the same place, as
     ``count`` calls without it. If no pair is at distance d it returns
     None, with the stream where the first such call leaves it.
     """
-    return next(pick_pairs_at_distance(gm, [(d, seed, count)], max_attempts))
+    if d < 1:
+        raise ValueError(f"distance must be positive, got {d}")
+    if count is not None and count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
+    if count == 0:
+        return []
+    if gm.n < 2:
+        return None
+    picks = _pick(gm, d, _as_rng(seed, STREAM_PAIR_AT_DISTANCE), 1 if count is None else count)
+    return picks if count is not None or picks is None else picks[0]
 
 
-def pick_pairs_at_distance(
-    gm: MeaningGraph, requests: Iterable[tuple[int, object, int | None]], max_attempts: int | None = None
-) -> Iterator[tuple[int, int] | list[tuple[int, int]] | None]:
-    """One picking phase: yields ``pick_pair_at_distance(gm, d, seed, max_attempts, count)`` per request.
-
-    ``requests`` holds ``(d, seed, count)`` triples, read one at a time.
-    Each answer, and where each generator is left, are those of the one
-    call. Every batch of attempts at d is tested against the meaning
-    graph's table of rings at d, which is built once for the graph, if it
-    fits, and kept with it (:class:`_RingTables`): after
-    :func:`check_nontrivial` at d, the phase runs no traversal at all.
-    Consecutive requests with the same d also share the exhaustive scan.
-    """
-    g = gm.graph
-    rings = None
-    for d, seed, count in requests:
-        if d < 1:
-            raise ValueError(f"distance must be positive, got {d}")
-        if count is not None and count < 0:
-            raise ValueError(f"count must be nonnegative, got {count}")
-        if count == 0:
-            yield []
-            continue
-        if g.n < 2:
-            yield None
-            continue
-        if rings is None or rings.d != d:
-            rings = _Rings(gm, d)
-        picks = _pick(rings, _as_rng(seed), 1 if count is None else count, max_attempts)
-        yield picks if count is not None or picks is None else picks[0]
-
-
-def _pick(
-    rings: _Rings, rng: np.random.Generator, want: int, max_attempts: int | None
-) -> list[tuple[int, int]] | None:
+def _pick(gm: MeaningGraph, d: int, rng: np.random.Generator, want: int) -> list[tuple[int, int]] | None:
     """``want`` consecutive rejection picks from ``rng``, or None if there is no pair at distance d."""
-    n = rings.g.n
-    attempts = 10 * n if max_attempts is None else max_attempts
+    n = gm.n
+    table = gm._rings.get(d)
+    attempts = 10 * n
     # Attempts are drawn a batch at a time, as the interleaved anchor and
     # target draws the one-at-a-time loop would make, and tested together.
     # Each pick takes the first hit inside its own window of ``attempts``;
@@ -431,7 +394,7 @@ def _pick(
     tried = hits = 0  # attempts drawn so far and hits among them
     while len(picks) < want:
         if room <= 0:
-            us, vs = rings.pairs()
+            us, vs = _pairs_at_distance(gm.graph, d, table)
             if not len(us):
                 return None
             k = int(rng.integers(len(us)))
@@ -447,7 +410,7 @@ def _pick(
         state = rng.bit_generator.state
         draws = rng.integers(n, size=2 * b)
         us, vs = draws[0::2], draws[1::2]
-        hit = np.flatnonzero(rings.hits(us, vs))
+        hit = np.flatnonzero(_hits(gm, d, table, us, vs))
         tried += b
         hits += len(hit)
         pos = 0  # attempts of this batch consumed so far
@@ -478,10 +441,7 @@ def pick_disconnected_pair(gm: MeaningGraph, seed) -> tuple[int, int] | None:
     comp_of, sizes, cum_weights = gm._component_index
     if len(sizes) < 2:
         return None
-    if isinstance(seed, np.random.Generator):
-        rng = seed
-    else:
-        rng = stream(seed, STREAM_PAIR_DISCONNECTED)
+    rng = _as_rng(seed, STREAM_PAIR_DISCONNECTED)
     r = int(rng.integers(int(cum_weights[-1])))
     u = int(np.searchsorted(cum_weights, r, side="right"))
     cu = comp_of[u]

@@ -20,7 +20,7 @@ from enum import Enum
 from math import sqrt
 
 from .graph import bfs_distance
-from .meaning import MeaningGraph, pick_disconnected_pair, pick_pairs_at_distance
+from .meaning import MeaningGraph, pick_disconnected_pair, pick_pair_at_distance
 from .rng import STREAM_REPRESENTATIVE, STREAM_TRIAL, stream, subseed
 from .sampler import SampleParams, SymbolGraph, sample_symbol_graph
 
@@ -141,13 +141,13 @@ class GammaEstimate:
 def _pick_fixtures(gm: MeaningGraph, d: int, seed: int, trial_ids: list[int]) -> list[tuple[tuple, tuple]]:
     """Each trial's connected pair at distance ``d`` and its disconnected pair.
 
-    The connected pairs are one picking phase, so they share one table of
-    rings. Raises :class:`NoFixtureError` at the first trial that finds
-    the meaning graph has no such pair.
+    Every connected pick reads the meaning graph's table of rings at d.
+    Raises :class:`NoFixtureError` at the first trial that finds the
+    meaning graph has no such pair.
     """
-    picks = pick_pairs_at_distance(gm, ((d, stream(seed, STREAM_TRIAL, t, 0), None) for t in trial_ids))
     fixtures = []
-    for t, pair1 in zip(trial_ids, picks):
+    for t in trial_ids:
+        pair1 = pick_pair_at_distance(gm, d, stream(seed, STREAM_TRIAL, t, 0))
         pair2 = pick_disconnected_pair(gm, stream(seed, STREAM_TRIAL, t, 1))
         if pair1 is None:
             raise NoFixtureError(f"no pair at distance {d} in the meaning graph")

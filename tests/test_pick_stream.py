@@ -7,6 +7,8 @@ comparison shares one Generator across many consecutive picks, so any
 difference in how many values a pick draws shifts every later pick and
 shows up here. A count pick (one call for a whole heat-map cell) is
 compared with as many scalar reference picks from one Generator.
+Each pick's window is 10n attempts; tiny graphs make it short enough to
+end inside and across the 64-attempt batches.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from meaninglab.meaning import (
     gen_er,
     pick_disconnected_pair,
     pick_pair_at_distance,
-    pick_pairs_at_distance,
 )
 from meaninglab.reasoning import estimate_gamma
 from meaninglab.rng import stream
@@ -57,12 +58,11 @@ def reference_pairs_at_distance(g: Graph, d: int) -> list[tuple[int, int]]:
     return [(u, v) for u in range(g.n) for v in range(g.n) if nx_levels(g, u, d).get(v) == d]
 
 
-def reference_pick_pair_at_distance(gm, d, rng, max_attempts=None):
+def reference_pick_pair_at_distance(gm, d, rng):
     n = gm.n
     if n < 2:
         return None
-    attempts = 10 * n if max_attempts is None else max_attempts
-    for _ in range(attempts):
+    for _ in range(10 * n):
         u = int(rng.integers(n))
         v = int(rng.integers(n))
         if u == v:
@@ -75,15 +75,47 @@ def reference_pick_pair_at_distance(gm, d, rng, max_attempts=None):
     return pairs[int(rng.integers(len(pairs)))]
 
 
-def reference_cell(gm, d, rng, count, max_attempts=None):
+def reference_cell(gm, d, rng, count):
     """``count`` scalar picks, stopping at the first None as a heat-map cell does."""
     pairs = []
     for _ in range(count):
-        pair = reference_pick_pair_at_distance(gm, d, rng, max_attempts)
+        pair = reference_pick_pair_at_distance(gm, d, rng)
         if pair is None:
             return None
         pairs.append(pair)
     return pairs
+
+
+def picks_in_calls(gm, d, rng, count, total, scalar, cell):
+    """The answers of the calls that make ``total`` picks from ``rng``, ``count`` a call.
+
+    A None ``count`` makes scalar calls, and 0 puts a count-0 call, which
+    draws nothing, before each scalar one. ``scalar`` and ``cell`` are the
+    picker's two forms: ``pick_pair_at_distance`` for both, or the
+    references above.
+    """
+    answers = []
+    while total > 0:
+        if count:
+            k = min(count, total)
+            answers.append(cell(gm, d, rng, k))
+        else:
+            if count == 0:
+                answers.append(cell(gm, d, rng, 0))
+            answers.append(scalar(gm, d, rng))
+            k = 1
+        total -= k
+    return answers
+
+
+def package_calls(gm, d, rng, count, total):
+    return picks_in_calls(
+        gm, d, rng, count, total, pick_pair_at_distance, lambda *a: pick_pair_at_distance(*a[:3], count=a[3])
+    )
+
+
+def reference_calls(gm, d, rng, count, total):
+    return picks_in_calls(gm, d, rng, count, total, reference_pick_pair_at_distance, reference_cell)
 
 
 def reference_pick_disconnected_pair(gm, rng):
@@ -140,14 +172,27 @@ def test_two_hundred_picks_match_scalar_loop(sparse_graph, d):
     assert_same_stream_position(new, ref)
 
 
-@pytest.mark.parametrize("max_attempts", [0, 1, 3, 64, 65, 130])
+def tiny(n: int, d: int) -> MeaningGraph:
+    """A path through the first min(n, d + 1) of n nodes: its ends are the only pair d apart, if any."""
+    return MeaningGraph(Graph(n, [(i, i + 1) for i in range(min(n, d + 1) - 1)]))
+
+
+@pytest.mark.parametrize("count", [0, 1, 3, 64, 65, 130])
 @pytest.mark.parametrize("d", [1, 4])
-def test_exhaustive_fallback_matches_scalar_loop(sparse_graph, d, max_attempts):
-    new, ref = stream(5, max_attempts, d), stream(5, max_attempts, d)
-    got = [pick_pair_at_distance(sparse_graph, d, new, max_attempts) for _ in range(40)]
-    want = [reference_pick_pair_at_distance(sparse_graph, d, ref, max_attempts) for _ in range(40)]
-    assert got == want
-    assert_same_stream_position(new, ref)
+def test_exhaustive_fallback_matches_scalar_loop(monkeypatch, d, count):
+    # Windows of 20, 30, 60, 70 and 130 attempts: inside one 64-attempt
+    # batch, across its edge, and across two. With two ends among n^2
+    # draws, a 10n window misses often, and on 2 or 3 nodes there is no
+    # pair at distance 4, so the exhaustive scan settles many picks.
+    scans = []
+    real = meaning._pairs_at_distance
+    monkeypatch.setattr(meaning, "_pairs_at_distance", lambda *a: scans.append(1) or real(*a))
+    for n in (2, 3, 6, 7, 13):
+        gm = tiny(n, d)
+        new, ref = stream(5, count, d, n), stream(5, count, d, n)
+        assert package_calls(gm, d, new, count, 200) == reference_calls(gm, d, ref, count, 200)
+        assert_same_stream_position(new, ref)
+    assert scans
 
 
 def test_absent_distance_matches_scalar_loop():
@@ -159,29 +204,30 @@ def test_absent_distance_matches_scalar_loop():
     assert_same_stream_position(new, ref)
 
 
-@pytest.mark.parametrize("max_attempts", [0, 1, 5, 70, 130, None])
+@pytest.mark.parametrize("count", [0, 1, 5, 70, 130, None])
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
-def test_count_picks_match_scalar_loop(sparse_graph, d, max_attempts):
-    key = 10**6 if max_attempts is None else max_attempts
+def test_count_picks_match_scalar_loop(sparse_graph, d, count):
+    # 200 picks in consecutive calls of ``count`` on one generator.
+    key = 10**6 if count is None else count
     new, ref = stream(31, d, key), stream(31, d, key)
-    got = pick_pair_at_distance(sparse_graph, d, new, max_attempts, count=200)
-    assert got == reference_cell(sparse_graph, d, ref, 200, max_attempts)
+    got = package_calls(sparse_graph, d, new, count, 200)
+    assert got == reference_calls(sparse_graph, d, ref, count, 200)
     assert_same_stream_position(new, ref)
 
 
-@pytest.mark.parametrize("max_attempts", [0, 5, None])
-def test_count_picks_at_and_beyond_the_diameter(max_attempts):
+@pytest.mark.parametrize("count", [0, 5, None])
+def test_count_picks_at_and_beyond_the_diameter(count):
     # A 30-node path plus two isolated nodes: the only pairs at distance 29
     # are its two ends, so most picks fall back to the exhaustive scan, and
-    # no pair is at distance 30, so that cell ends with None.
+    # no pair is at distance 30, so every call there ends with None.
     gm = MeaningGraph(Graph(32, [(i, i + 1) for i in range(29)]))
     for d in (29, 30):
         new, ref = stream(4, d), stream(4, d)
-        got = pick_pair_at_distance(gm, d, new, max_attempts, count=50)
-        want = reference_cell(gm, d, ref, 50, max_attempts)
+        got = package_calls(gm, d, new, count, 50)
+        want = reference_calls(gm, d, ref, count, 50)
         assert got == want
         assert_same_stream_position(new, ref)
-    assert want is None
+    assert None in want and all(w in ([], None) for w in want)
 
 
 def test_count_zero_and_one(sparse_graph):
@@ -192,6 +238,13 @@ def test_count_zero_and_one(sparse_graph):
     assert_same_stream_position(new, ref)
     with pytest.raises(ValueError):
         pick_pair_at_distance(sparse_graph, 3, new, count=-1)
+
+
+def test_count_is_keyword_only(sparse_graph):
+    rng = stream(6)
+    with pytest.raises(TypeError):
+        pick_pair_at_distance(sparse_graph, 3, rng, 5)
+    assert_same_stream_position(rng, stream(6))
 
 
 def test_interleaved_picks_share_one_stream(sparse_graph):
@@ -291,13 +344,13 @@ def test_ring_lookup_matches_bfs_distances(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(meaning, "_RING_BYTES", ring_bytes(budget))
         gm = MeaningGraph(g)
-        rings = meaning._Rings(gm, d)
+        table = gm._rings.get(d)
         # A table whenever it fits, all zero where no pair is at d.
-        assert (rings.table is None) == (budget == "none")
+        assert (table is None) == (budget == "none")
         for batch in batches:
             us, vs = (np.array(x, dtype=np.int64) for x in zip(*batch))
             want = bfs_distances(g, us, vs, cap=d) == d
-            assert rings.hits(us, vs).tolist() == want.tolist()
+            assert meaning._hits(gm, d, table, us, vs).tolist() == want.tolist()
 
 
 def test_ring_beyond_the_diameter_is_empty():
@@ -308,9 +361,10 @@ def test_ring_beyond_the_diameter_is_empty():
     assert rings[4].tolist() == [1 << 4, 0, 0, 0, 1 << 0]
     [(_, rings)] = graph._sweep(g, 5, (5,))
     assert rings == {}
-    rings = meaning._Rings(MeaningGraph(g), 9)
-    assert not rings.hits(src, src[::-1]).any()
-    assert not rings.table.any() and not len(rings.pairs()[0])
+    gm = MeaningGraph(g)
+    table = gm._rings.get(9)
+    assert not meaning._hits(gm, 9, table, src, src[::-1]).any()
+    assert not table.any() and not len(graph._pairs_at_distance(g, 9, table)[0])
 
 
 def count_passes(mp: pytest.MonkeyPatch, g: Graph) -> list[int]:
@@ -337,12 +391,15 @@ def test_table_is_one_pass_per_word_of_nodes_built_once(monkeypatch, sparse_grap
     g = sparse_graph.graph if n == 300 else Graph(n, [(i, i + 1) for i in range(n - 1)])
     oracle = Graph(n, g.edge_array())
     passes = count_passes(monkeypatch, g)
-    rings = meaning._Rings(MeaningGraph(g), 2)
+    gm = MeaningGraph(g)
+    table = gm._rings.get(2)
     assert passes == word_passes(n)
     rng = np.random.default_rng(n)
     for size in (1, 5, 64, 700, 3000):
         us, vs = rng.integers(n, size=(2, size))
-        assert rings.hits(us, vs).tolist() == (bfs_distances(oracle, us, vs, cap=2) == 2).tolist()
+        want = bfs_distances(oracle, us, vs, cap=2) == 2
+        assert meaning._hits(gm, 2, gm._rings.get(2), us, vs).tolist() == want.tolist()
+    assert gm._rings.get(2) is table
     assert len(passes) == -(-n // 64)
 
 
@@ -353,27 +410,32 @@ def test_over_budget_batches_keep_no_rings(monkeypatch, sparse_graph, d):
     monkeypatch.setattr(meaning, "_RING_BYTES", ring_bytes("none"))
     passes = count_passes(monkeypatch, g)
     gm = MeaningGraph(g)
-    rings = meaning._Rings(gm, d)
-    assert rings.table is None and gm._rings.tables == {}
+    table = gm._rings.get(d)
+    assert table is None and gm._rings.tables == {}
     if d == 1:
-        # Adjacency is a lookup among the arc keys, with no traversal.
+        # Adjacency is a lookup among the sorted edge keys, with no traversal.
         monkeypatch.setattr(meaning, "bfs_distances", None)
     rng = np.random.default_rng(7)
     bfs = []  # the passes of each batch's own capped BFS
     for size in (1, 64, 200, 1000):
         us, vs = rng.integers(g.n, size=(2, size))
-        assert rings.hits(us, vs).tolist() == (bfs_distances(oracle, us, vs, cap=d) == d).tolist()
+        want = bfs_distances(oracle, us, vs, cap=d) == d
+        assert meaning._hits(gm, d, table, us, vs).tolist() == want.tolist()
         bfs += [] if d == 1 else word_passes(len(np.unique(us)))
-    # No sweep runs: every pass on the graph is a batch's own BFS.
+    # No sweep runs and no table is made: every pass on the graph is a
+    # batch's own BFS, and at d = 1 there is none.
     assert passes == bfs
+    assert gm._rings.tables == {}
+    if d == 1:
+        assert passes == []
 
 
 @pytest.mark.parametrize("n", [2, 1000, 2880, 2881, 5000, 200_000])
 def test_no_table_exceeds_the_bound(n):
     # 2880 nodes need 45 rows of 2880 words, 1,036,800 bytes; 2881 need 46.
-    rings = meaning._Rings(MeaningGraph(Graph(n)), 1)
-    assert (rings.table is not None) == (n <= 2880)
-    assert rings.table is None or rings.table.nbytes <= meaning._RING_BYTES
+    table = MeaningGraph(Graph(n))._rings.get(1)
+    assert (table is not None) == (n <= 2880)
+    assert table is None or table.nbytes <= meaning._RING_BYTES
 
 
 def path(n: int) -> MeaningGraph:
@@ -445,9 +507,9 @@ def test_tables_stay_within_the_bound_in_all(n, d_max):
     check_nontrivial(gm, PARAMS, d_max)
     assert held_bytes(gm) <= meaning._RING_BYTES
     for d in range(1, d_max + 3):
-        rings = meaning._Rings(gm, d)
+        table = gm._rings.get(d)
         assert held_bytes(gm) <= meaning._RING_BYTES
-        assert (rings.table is None) == (d not in gm._rings.tables)
+        assert (table is None) == (d not in gm._rings.tables)
     size = 8 * n * -(-n // 64)
     kept = min(d_max + 2, meaning._RING_BYTES // size)
     assert len(gm._rings.tables) == kept
@@ -517,37 +579,46 @@ def test_pickled_meaning_graph_carries_its_tables(monkeypatch, sparse_graph):
     assert passes == []
 
 
-def requests_for(sparse_graph_seed: int):
-    """Requests at grouped and interleaved distances, scalar and count picks, one generator used twice."""
-    shared = stream(sparse_graph_seed, 99)
+def requests_for(seed: int, *key: int):
+    """Requests at grouped and interleaved distances, scalar and count picks, one generator used thrice."""
+    shared = stream(seed, *key, 99)
     return [
-        (2, stream(sparse_graph_seed, 0), None),
-        (2, stream(sparse_graph_seed, 1), 40),
+        (2, stream(seed, *key, 0), None),
+        (2, stream(seed, *key, 1), 40),
         (2, shared, 0),
         (2, shared, None),
-        (5, stream(sparse_graph_seed, 2), 30),
-        (1, stream(sparse_graph_seed, 3), 25),
+        (5, stream(seed, *key, 2), 30),
+        (1, stream(seed, *key, 3), 25),
         (1, 17, None),
         (2, shared, 3),
-        (40, stream(sparse_graph_seed, 4), 2),
-        (4, stream(sparse_graph_seed, 5), None),
+        (40, stream(seed, *key, 4), 2),
+        (4, stream(seed, *key, 5), None),
     ]
 
 
 @pytest.mark.parametrize("budget", BUDGETS)
-@pytest.mark.parametrize("max_attempts", [0, 5, 130, None])
-def test_batch_of_requests_matches_one_call_each(monkeypatch, sparse_graph, budget, max_attempts):
+@pytest.mark.parametrize("key", [0, 5, 130, None])
+def test_batch_of_requests_matches_one_call_each(monkeypatch, sparse_graph, budget, key):
+    # A run of requests, one pick_pair_at_distance call each, made in
+    # order on one meaning graph, matches the scalar reference, and so does
+    # where each generator is left. Four sets of streams: stream(12, i) and
+    # stream(12, key, i).
     monkeypatch.setattr(meaning, "_RING_BYTES", ring_bytes(budget))
     gm = MeaningGraph(sparse_graph.graph)
-    new, ref = requests_for(12), requests_for(12)
-    got = list(pick_pairs_at_distance(gm, new, max_attempts))
-    want = [pick_pair_at_distance(gm, d, seed, max_attempts, count) for d, seed, count in ref]
+    keys = () if key is None else (key,)
+    new, ref = requests_for(12, *keys), requests_for(12, *keys)
+    got = [pick_pair_at_distance(gm, d, seed, count=count) for d, seed, count in new]
+    want = []
+    for d, seed, count in ref:
+        rng = seed if isinstance(seed, np.random.Generator) else stream(seed, meaning.STREAM_PAIR_AT_DISTANCE)
+        want.append(
+            reference_pick_pair_at_distance(gm, d, rng) if count is None else reference_cell(gm, d, rng, count)
+        )
     assert got == want
     assert got[8] is None  # no pair is 40 apart
     for (_, a, _), (_, b, _) in zip(new, ref):
         if isinstance(a, np.random.Generator):
-            assert state_of(a) == state_of(b)
-    assert_same_stream_position(new[3][1], ref[3][1])
+            assert_same_stream_position(a, b)
 
 
 @pytest.mark.parametrize("d", [1, 3, 5])
@@ -558,13 +629,3 @@ def test_count_picks_over_budget_match_scalar_loop(monkeypatch, sparse_graph, d)
     got = pick_pair_at_distance(gm, d, new, count=200)
     assert got == reference_cell(sparse_graph, d, ref, 200)
     assert_same_stream_position(new, ref)
-
-
-def test_batch_reads_requests_lazily(sparse_graph):
-    # A caller that stops at the first answer leaves later generators untouched.
-    later = stream(3, 3)
-    picks = pick_pairs_at_distance(sparse_graph, iter([(2, stream(3, 2), None), (2, later, None)]))
-    next(picks)
-    assert_same_stream_position(later, stream(3, 3))
-    with pytest.raises(ValueError):
-        next(pick_pairs_at_distance(sparse_graph, [(0, 1, None)]))
