@@ -288,7 +288,7 @@ class _RingTables:
     :func:`graph._sweep`, whose pass over anchors ``64r ..`` fills row r
     of every table it keeps. A sweep allocates a table only at a distance
     some pass reaches: past the graph's depth every ring is empty, and
-    only a request for that one distance (:meth:`get`) keeps its all-zero
+    only a pick at that one distance (:meth:`get`) keeps its all-zero
     table.
     """
 

@@ -34,7 +34,7 @@ from meaninglab.meaning import (
     pick_pair_at_distance,
 )
 from meaninglab.reasoning import estimate_gamma
-from meaninglab.rng import stream
+from meaninglab.rng import STREAM_PAIR_AT_DISTANCE, stream
 from meaninglab.sampler import SampleParams
 
 
@@ -109,9 +109,10 @@ def picks_in_calls(gm, d, rng, count, total, scalar, cell):
 
 
 def package_calls(gm, d, rng, count, total):
-    return picks_in_calls(
-        gm, d, rng, count, total, pick_pair_at_distance, lambda *a: pick_pair_at_distance(*a[:3], count=a[3])
-    )
+    def cell(gm, d, rng, k):
+        return pick_pair_at_distance(gm, d, rng, count=k)
+
+    return picks_in_calls(gm, d, rng, count, total, pick_pair_at_distance, cell)
 
 
 def reference_calls(gm, d, rng, count, total):
@@ -610,7 +611,7 @@ def test_batch_of_requests_matches_one_call_each(monkeypatch, sparse_graph, budg
     got = [pick_pair_at_distance(gm, d, seed, count=count) for d, seed, count in new]
     want = []
     for d, seed, count in ref:
-        rng = seed if isinstance(seed, np.random.Generator) else stream(seed, meaning.STREAM_PAIR_AT_DISTANCE)
+        rng = seed if isinstance(seed, np.random.Generator) else stream(seed, STREAM_PAIR_AT_DISTANCE)
         want.append(
             reference_pick_pair_at_distance(gm, d, rng) if count is None else reference_cell(gm, d, rng, count)
         )
