@@ -40,9 +40,9 @@ from .reasoning import (
     choose_d_tilde,
     estimate_gamma,
 )
-from .rng import STREAM_SPECTRAL_TRIAL, stream, subseed
+from .rng import STREAM_SPECTRAL_TRIAL, run_tasks, stream, subseed
 from .sampler import SIMILARITY, STRUCTURAL, SampleParams, sample_symbol_graph, write_symbol_graph
-from .spectral import SPECTRAL_CSV_HEADER, coupled_cut_trial, spectral_csv_record
+from .spectral import SPECTRAL_CSV_HEADER, SpectralTrial, coupled_cut_trial, spectral_csv_record
 
 
 class CliArgumentError(Exception):
@@ -114,8 +114,8 @@ def _params_parent(fold: bool = True) -> argparse.ArgumentParser:
 def build_parser() -> _Parser:
     # Each command takes only the flags it reads, except that the four
     # sampling commands share one set: one "--seed N --threads 1 --out DIR"
-    # suffix drives them all, although sample and spectral start no workers
-    # and sample runs no screen.
+    # suffix drives them all, although sample starts no workers and runs
+    # no screen.
     config, out = _config_parent(), _out_parent()
     source, params = _source_parent(), _params_parent()
     sampling = [config, out, _run_parent(), source, params]
@@ -340,23 +340,25 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
     d = args.d if args.d is not None else math.ceil(math.log(max(gm.n, 2))) + 1
     _gate_nontrivial(args, gm, params, d)
     d_tilde = args.d_tilde if args.d_tilde is not None else params.lam * d
-    records = []
-    within = 0
-    for t in range(args.trials):
-        # Each trial's pick reads the meaning graph's table of rings at d.
-        pair = pick_pair_at_distance(gm, d, stream(args.seed, STREAM_SPECTRAL_TRIAL, t, 0))
-        if pair is None:
-            raise NoFixtureError(f"no pair at distance {d} in the meaning graph")
-        cp = make_cut_pair(gm, *pair)
-        trial = coupled_cut_trial(cp, params, d_tilde, subseed(args.seed, STREAM_SPECTRAL_TRIAL, t, 1))
-        within += int(trial.within_bound)
-        records.append(spectral_csv_record(trial))
+    tasks = [(gm, d, params, d_tilde, args.seed, t) for t in range(args.trials)]
+    trials = run_tasks(_spectral_trial, tasks, args.threads)
+    within = sum(trial.within_bound for trial in trials)
     path = _outdir(args) / "spectral.csv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(SPECTRAL_CSV_HEADER + "\n")
-        fh.write("\n".join(records) + "\n")
+        fh.write("\n".join(spectral_csv_record(trial) for trial in trials) + "\n")
     print(f"spectral: {within}/{args.trials} trials within bound -> {path}")
     return 0
+
+
+def _spectral_trial(gm: MeaningGraph, d: int, params: SampleParams, d_tilde: int, seed: int, t: int) -> SpectralTrial:
+    """Trial ``t`` of ``spectral``: a pair at distance d, its cut pair and their coupled trial."""
+    # The pick reads the meaning graph's table of rings at d.
+    pair = pick_pair_at_distance(gm, d, stream(seed, STREAM_SPECTRAL_TRIAL, t, 0))
+    if pair is None:
+        raise NoFixtureError(f"no pair at distance {d} in the meaning graph")
+    cp = make_cut_pair(gm, *pair)
+    return coupled_cut_trial(cp, params, d_tilde, subseed(seed, STREAM_SPECTRAL_TRIAL, t, 1))
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:

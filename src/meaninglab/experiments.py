@@ -11,12 +11,11 @@ distance.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .graph import bfs_distances
 from .meaning import MeaningGraph, pick_disconnected_pair, pick_pair_at_distance
-from .rng import STREAM_HEATMAP_CELL, STREAM_HEATMAP_ROW, stream, subseed
+from .rng import STREAM_HEATMAP_CELL, STREAM_HEATMAP_ROW, run_tasks, stream, subseed
 from .sampler import SampleParams, _Header, sample_symbol_graph
 
 DISCONNECTED = "disconnected"
@@ -121,15 +120,8 @@ def heatmap(
     if pairs_per_cell < 1:
         raise ValueError("pairs_per_cell must be positive")
     cap = distance_cap(gm.n, params_base.lam)
-    args = [
-        (gm, params_base, p, r, d_max, pairs_per_cell, cap, seed)
-        for r, p in enumerate(grid)
-    ]
-    if threads <= 1 or len(grid) == 1:
-        rows = [_heatmap_row(*a) for a in args]
-    else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_heatmap_row_star, args))
+    tasks = [(gm, params_base, p, r, d_max, pairs_per_cell, cap, seed) for r, p in enumerate(grid)]
+    rows = run_tasks(_heatmap_row, tasks, threads)
     return HeatmapTable(
         p_minus_grid=grid,
         d_max=d_max,
@@ -139,10 +131,6 @@ def heatmap(
         seed=seed,
         cells=tuple(rows),
     )
-
-
-def _heatmap_row_star(a):
-    return _heatmap_row(*a)
 
 
 # -- emitters -----------------------------------------------------------

@@ -11,6 +11,7 @@ processes, cannot change any sampled object.
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
@@ -44,6 +45,23 @@ def subseed(seed: int, *path: int) -> int:
     """
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
     return int(ss.generate_state(2, dtype=np.uint64)[0])
+
+
+def run_tasks(fn, tasks: list[tuple], threads: int) -> list:
+    """``[fn(*t) for t in tasks]``, in order, on up to ``threads`` worker processes.
+
+    A pool is imported and started only for ``threads > 1`` and two or
+    more tasks, with no more workers than tasks or CPUs: under the
+    ``fork`` start method it forks every worker on its first submit.
+    """
+    workers = min(threads, len(tasks), os.cpu_count() or 1)
+    if workers < 2:
+        return [fn(*t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(fn, *t) for t in tasks]
+        return [f.result() for f in futures]
 
 
 def skip_sample(rng: np.random.Generator, n_slots: int, p: float) -> np.ndarray:

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import meaninglab
 from meaninglab.bounds import bound_report
 from meaninglab.cli import build_parser, cli
 from meaninglab.sampler import read_symbol_graph
@@ -320,25 +324,29 @@ def test_bounds_rejects_non_finite_constants(capsys, flag, value):
 
 
 def test_no_disconnected_fixture_exits_three(tmp_path, capsys):
-    # A dense ER graph is connected, so the H2 fixture cannot exist.
-    code, _, stderr = run(
-        capsys,
-        "gamma", "--er", "20", "0.5", "--d", "2", "--trials", "4",
-        "--out", str(tmp_path / "run"), "--allow-trivial",
-    )
-    assert code == 3
-    assert "no fixture" in stderr
+    # A dense ER graph is connected, so the H2 fixture cannot exist. With
+    # --threads 2 the error is raised in a worker process.
+    for threads in ("1", "2"):
+        code, _, stderr = run(
+            capsys,
+            "gamma", "--er", "20", "0.5", "--d", "2", "--trials", "4", "--threads", threads,
+            "--out", str(tmp_path / "run"), "--allow-trivial",
+        )
+        assert code == 3
+        assert stderr == "no fixture: no disconnected pair in the meaning graph\n"
 
 
 def test_no_distance_fixture_exits_three(tmp_path, capsys):
     # Complete graph: every pair is at distance 1, nothing at the default
-    # spectral probe distance.
-    code, _, _ = run(
-        capsys,
-        "spectral", "--er", "10", "1.0", "--trials", "2",
-        "--out", str(tmp_path / "run"), "--allow-trivial",
-    )
-    assert code == 3
+    # spectral probe distance ceil(ln 10) + 1 = 4.
+    for threads in ("1", "2"):
+        code, _, stderr = run(
+            capsys,
+            "spectral", "--er", "10", "1.0", "--trials", "2", "--threads", threads,
+            "--out", str(tmp_path / "run"), "--allow-trivial",
+        )
+        assert code == 3
+        assert stderr == "no fixture: no pair at distance 4 in the meaning graph\n"
 
 
 # -- config overlay -----------------------------------------------------
@@ -429,17 +437,38 @@ def test_bad_config_json_rejected(tmp_path, capsys):
 
 
 def test_reruns_are_byte_identical(triples_path, tmp_path, capsys):
-    outs = []
-    for name in ("a", "b"):
-        out = tmp_path / name
-        code, _, _ = run(
-            capsys,
-            "gamma", "--triples", str(triples_path), "--d", "2", "--trials", "8",
-            "--seed", "11", "--out", str(out), "--allow-trivial",
-        )
-        assert code == 0
-        outs.append((out / "gamma.csv").read_bytes())
-    assert outs[0] == outs[1]
+    # A rerun, and a run with worker processes, write the same bytes.
+    commands = [
+        ["gamma", "--d", "2", "--trials", "8"],
+        ["gamma", "--d", "2", "--trials", "3"],
+        ["gamma", "--d", "2", "--trials", "3", "--fixed-pairs"],
+        ["gamma", "--d", "2", "--trials", "3", "--representative", "uniform", "--lambda", "3"],
+        ["heatmap", "--d-max", "3", "--pairs-per-cell", "4", "--p-minus-grid", "0,0.1"],
+        ["spectral", "--d", "2", "--trials", "3"],
+    ]
+    for k, argv in enumerate(commands):
+        outs = []
+        for name, threads in (("a", "1"), ("b", "1"), ("c", "2")):
+            out = tmp_path / f"{k}{name}"
+            code, _, _ = run(
+                capsys,
+                *argv, "--triples", str(triples_path), "--threads", threads,
+                "--seed", "11", "--out", str(out), "--allow-trivial",
+            )
+            assert code == 0
+            outs.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert outs[0] == outs[1] == outs[2]
+
+
+def test_importing_the_cli_starts_no_process_pool_machinery():
+    # The worker pool is imported only when a command starts one.
+    src = Path(meaninglab.__file__).resolve().parents[1]
+    code = "import sys, meaninglab.cli; print('concurrent.futures.process' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == "False\n"
 
 
 def test_sample_rerun_byte_identical(tmp_path, capsys):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from meaninglab.graph import Graph, ball_bound, bfs_distance
 from meaninglab.meaning import (
@@ -184,6 +185,28 @@ def test_pick_pair_covers_all_candidates():
     want = {(0, 2), (2, 0), (1, 3), (3, 1)}
     seen = {pick_pair_at_distance(gm, 2, seed=s) for s in range(200)}
     assert seen == want
+
+
+PATH_6 = [(i, i + 1) for i in range(5)]
+STAR_WITH_TAIL = [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5), (5, 6)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("edges", [PATH_6, STAR_WITH_TAIL], ids=["path-6", "star-with-tail"])
+def test_pick_pair_at_distance_is_uniform_over_ordered_pairs(edges, d):
+    # Anchors on these graphs have rings of unequal size (at every d but
+    # the path's d = 3), so a picker that drew an anchor and then a ring
+    # member would favour the pairs of small-ring anchors. 200 picks per
+    # ordered pair from one stream: a uniform picker fails the p < 1e-4
+    # cut with probability 1e-4 per case, 6e-4 over the six (the seed is
+    # fixed, so a given picker passes or fails every run).
+    n = max(v for e in edges for v in e) + 1
+    gm = MeaningGraph(Graph(n, edges))
+    want = [(u, v) for u in range(n) for v in range(n) if u != v and bfs_distance(gm.graph, u, v) == d]
+    picks = pick_pair_at_distance(gm, d, seed=2026, count=200 * len(want))
+    counts = [picks.count(pair) for pair in want]
+    assert sum(counts) == len(picks)
+    assert scipy.stats.chisquare(counts).pvalue >= 1e-4
 
 
 def test_pick_pair_rejects_bad_distance():

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
+import os
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from meaninglab.rng import (
     index_to_pair,
     pair_count,
     pair_to_index,
+    run_tasks,
     skip_sample,
     stream,
     subseed,
@@ -36,6 +39,47 @@ def test_streams_differ_by_path_and_seed():
 def test_subseed_stable():
     assert subseed(3, 1, 4) == subseed(3, 1, 4)
     assert subseed(3, 1, 4) != subseed(3, 1, 5)
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its worker count and runs each task inline."""
+
+    made: list[int] = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize(
+    "threads, n_tasks, cpus, workers",
+    [
+        (10**6, 3, 64, 3),  # never more workers than tasks
+        (10**6, 3, 2, 2),  # nor than CPUs
+        (4, 10, 64, 4),
+        (10**6, 3, None, None),  # an unknown CPU count counts as one: no pool
+        (1, 10, 64, None),
+        (8, 1, 64, None),
+        (8, 0, 64, None),
+    ],
+)
+def test_run_tasks_bounds_the_pool(monkeypatch, threads, n_tasks, cpus, workers):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "made", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    tasks = [(2, k) for k in range(n_tasks)]
+    assert run_tasks(pow, tasks, threads) == [2**k for k in range(n_tasks)]
+    assert RecordingPool.made == ([] if workers is None else [workers])
 
 
 def test_pair_index_round_trip_exhaustive():
