@@ -1,4 +1,4 @@
-"""Named, splittable random streams and sparse-sampling helpers.
+"""Named, splittable random streams, sparse-sampling helpers and the worker runner.
 
 Every stochastic routine in the package derives its randomness from a
 counter-based Philox generator keyed by ``(seed, *path)``, where ``path``
