@@ -13,7 +13,6 @@ from .bounds import (
     BoundReport,
     GilbertBounds,
     bound_report,
-    gamma_star,
     gamma_star_raw,
     gilbert_bounds,
     laplacian_diff_bound,
@@ -29,17 +28,13 @@ from .experiments import (
     emit_heatmap_csv,
     emit_svg_heatmap,
     heatmap,
-    parse_heatmap_csv,
 )
 from .graph import (
     Graph,
-    ball_bound,
     bfs_distance,
     bfs_distances,
     components,
     min_cut,
-    neighborhood_size,
-    read_edge_list,
     write_edge_list,
 )
 from .meaning import (

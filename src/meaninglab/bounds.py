@@ -54,20 +54,19 @@ def ub_disconnected_raw(n: int, lam: int, p_minus: float, eps_minus: float, ball
     return 2.0 * math.e * n * (lam * ball_d) ** 2 * q
 
 
-def ub_disconnected(
-    n: int, lam: int, p_minus: float, eps_minus: float, ball_d: int
-) -> float | None:
+def _ub_applies(n: int, lam: int, p_minus: float, eps_minus: float, ball_d: int) -> bool:
+    """Whether (lam*B(d))^2 * (p_minus + eps_minus fold) stays at or below 1/(2en)."""
+    return (lam * ball_d) ** 2 * fold_noise(p_minus, eps_minus) <= 1.0 / (2.0 * math.e * n)
+
+
+def ub_disconnected(n: int, lam: int, p_minus: float, eps_minus: float, ball_d: int) -> float | None:
     """Upper bound on answering H1 when the pair is disconnected.
 
-    Valid only while (lam*B(d))^2 * (p_minus + eps_minus fold) stays at or
-    below 1/(2en); outside that regime returns None rather than a number
-    that bounds nothing.
+    Valid only while :func:`_ub_applies`; outside that regime returns None
+    rather than a number that bounds nothing.
     """
     raw = ub_disconnected_raw(n, lam, p_minus, eps_minus, ball_d)
-    q = fold_noise(p_minus, eps_minus)
-    if (lam * ball_d) ** 2 * q > 1.0 / (2.0 * math.e * n):
-        return None
-    return _clamp01(raw)
+    return _clamp01(raw) if _ub_applies(n, lam, p_minus, eps_minus, ball_d) else None
 
 
 def gamma_star_raw(
@@ -79,38 +78,13 @@ def gamma_star_raw(
     eps_plus: float,
     eps_minus: float,
     ball_d: int,
-    folded: bool = True,
 ) -> float:
-    """Separation target before clamping: lower bound minus noise penalty.
+    """Separation target before clamping: the lower bound minus the raw upper-bound expression.
 
-    ``folded=True`` charges the penalty at p_minus folded with eps_minus,
-    matching the bound pair above; ``folded=False`` keeps the bare
-    p_minus penalty form.
+    :class:`BoundReport` reports it, and floored at zero as ``gamma_star``.
     """
-    if ball_d < 1:
-        raise ValueError(f"ball bound must be positive, got {ball_d}")
     lb = lb_connected(d, lam, p_plus, eps_plus, eps_minus)
-    q = fold_noise(p_minus, eps_minus) if folded else p_minus
-    penalty = 2.0 * math.e * n * (lam * ball_d) ** 2 * q
-    return lb - penalty
-
-
-def gamma_star(
-    n: int,
-    d: int,
-    lam: int,
-    p_plus: float,
-    p_minus: float,
-    eps_plus: float,
-    eps_minus: float,
-    ball_d: int,
-    folded: bool = True,
-) -> float:
-    """Guaranteed separation level, floored at zero."""
-    return max(
-        0.0,
-        gamma_star_raw(n, d, lam, p_plus, p_minus, eps_plus, eps_minus, ball_d, folded),
-    )
+    return lb - ub_disconnected_raw(n, lam, p_minus, eps_minus, ball_d)
 
 
 class GilbertBounds(NamedTuple):
@@ -166,10 +140,9 @@ class BoundReport:
     """Every closed-form quantity for one parameter point, plus regime flags.
 
     ``ub_disconnected`` is None outside its validity regime; the
-    raw expression value is always retained. ``gamma_star`` uses the
-    folded penalty so that, whenever the possibility regime holds,
-    gamma_star == max(0, lb_connected - ub_disconnected) with identical
-    factors.
+    raw expression value is always retained. ``gamma_star`` is
+    max(0, lb_connected - ub_disconnected_raw), so whenever the upper
+    bound applies it is max(0, lb_connected - ub_disconnected).
     """
 
     n: int
@@ -294,10 +267,11 @@ def bound_report(
     """Assemble the full report for one parameter point."""
     if ball_1 < 1:
         raise ValueError(f"1-ball bound must be positive, got {ball_1}")
+    # Each bound once; gamma_star_raw is their difference.
     lb = lb_connected(d, lam, p_plus, eps_plus, eps_minus)
-    ub = ub_disconnected(n, lam, p_minus, eps_minus, ball_d)
     ub_raw = ub_disconnected_raw(n, lam, p_minus, eps_minus, ball_d)
-    gs_raw = gamma_star_raw(n, d, lam, p_plus, p_minus, eps_plus, eps_minus, ball_d)
+    ub = _clamp01(ub_raw) if _ub_applies(n, lam, p_minus, eps_minus, ball_d) else None
+    gs_raw = lb - ub_raw
     t1, t2, t3 = theorem_preconditions(n, d, lam, p_plus, p_minus, eps_minus, ball_d, c2, c3)
     return BoundReport(
         n=n,

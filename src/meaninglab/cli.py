@@ -339,7 +339,9 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
     gm = _load_graph(args)
     d = args.d if args.d is not None else math.ceil(math.log(max(gm.n, 2))) + 1
     _gate_nontrivial(args, gm, params, d)
-    d_tilde = args.d_tilde if args.d_tilde is not None else params.lam * d
+    d_tilde = args.d_tilde
+    if d_tilde is None:
+        d_tilde = choose_d_tilde(DTildeMode.IMPOSSIBILITY, params.lam, d)
     tasks = [(gm, d, params, d_tilde, args.seed, t) for t in range(args.trials)]
     trials = run_tasks(_spectral_trial, tasks, args.threads)
     within = sum(trial.within_bound for trial in trials)

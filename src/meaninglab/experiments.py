@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from .graph import bfs_distances
 from .meaning import MeaningGraph, pick_disconnected_pair, pick_pair_at_distance
 from .rng import STREAM_HEATMAP_CELL, STREAM_HEATMAP_ROW, run_tasks, stream, subseed
-from .sampler import SampleParams, _Header, sample_symbol_graph
+from .sampler import SampleParams, sample_symbol_graph
 
 DISCONNECTED = "disconnected"
 
@@ -155,39 +155,6 @@ def emit_heatmap_csv(table: HeatmapTable, path) -> None:
             fields = [repr(p_minus)]
             fields += ["" if c is None else repr(c) for c in row]
             fh.write(",".join(fields) + "\n")
-
-
-def parse_heatmap_csv(path) -> HeatmapTable:
-    """Exact inverse of :func:`emit_heatmap_csv`."""
-    meta = _Header(path, "heatmap", "params")
-    grid: list[float] = []
-    cells: list[tuple[float | None, ...]] = []
-    header: list[str] | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                meta.read(line)
-                continue
-            fields = line.split(",")
-            if header is None:
-                header = fields
-                continue
-            grid.append(float(fields[0]))
-            cells.append(tuple(None if f == "" else float(f) for f in fields[1:]))
-    if header is None:
-        raise ValueError(f"{path}: no header row found")
-    return HeatmapTable(
-        p_minus_grid=tuple(grid),
-        d_max=meta.getint("d_max"),
-        pairs_per_cell=meta.getint("pairs_per_cell"),
-        cap=meta.getint("cap"),
-        params_base=meta.params(),
-        seed=meta.getint("seed"),
-        cells=tuple(cells),
-    )
 
 
 _CELL_W = 46

@@ -3,8 +3,8 @@
 Nodes are dense integer indices ``0..n-1``. Everything downstream (meaning
 graphs, sampled symbol graphs, induced subgraphs for spectral work) is
 built on this one representation, so the operations here are deliberately
-small: BFS with an explicit cap, neighborhood counting, unit-capacity
-minimum cut, connected components, and a plain text edge-list format.
+small: BFS with an explicit cap, ball sizes and rings, unit-capacity
+minimum cut, connected components, and a plain text edge-list writer.
 
 A graph is stored only as CSR arrays: node u's sorted neighbours are
 ``indices[indptr[u]:indptr[u + 1]]``. Every traversal runs on one kernel,
@@ -14,14 +14,13 @@ directions. Bottom-up, it is a single ``bitwise_or.reduceat`` of the
 frontier words over the CSR arrays, O(n + E) whatever the frontier. A
 single-source pass whose frontier is small steps top-down instead and
 expands only the frontier's CSR slices (direction-optimizing BFS).
-Batched distance queries, single distance queries and neighborhood
-counts read its levels, and so does one sweep of the whole graph
-(:func:`_sweep`, a pass per 64 consecutive sources) that yields every
-node's ball size and its distance-d rings at once: the ball bound, the
-rings that pair pickers test their attempts against and the exhaustive
-pair scan all read that sweep. Batched queries group their pairs by
-source, so a pass runs 64 distinct sources and serves every pair that
-starts at one of them. A single distance query is bidirectional: two
+Batched and single distance queries read its levels, and so does one
+sweep of the whole graph (:func:`_sweep`, a pass per 64 consecutive
+sources) that yields every node's ball size and its distance-d rings at
+once: the ball bound, the rings that pair pickers test their attempts
+against and the exhaustive pair scan all read that sweep. Batched
+queries group their pairs by source, so a pass runs 64 distinct sources
+and serves every pair that starts at one of them. A single distance query is bidirectional: two
 single-source passes, one from each end, grown a level at a time until
 their balls meet. Connected components come from the same
 gather-and-reduce step with ``minimum`` in place of ``bitwise_or``.
@@ -342,9 +341,9 @@ def _as_nodes(g: Graph, nodes) -> np.ndarray:
     return arr
 
 
-def _check_radius(d: int | None, what: str) -> None:
-    if d is not None and d < 0:
-        raise ValueError(f"{what} must be nonnegative, got {d}")
+def _check_cap(cap: int | None) -> None:
+    if cap is not None and cap < 0:
+        raise ValueError(f"cap must be nonnegative, got {cap}")
 
 
 def bfs_distances(g: Graph, src, dst, cap: int | None = None) -> np.ndarray:
@@ -361,7 +360,7 @@ def bfs_distances(g: Graph, src, dst, cap: int | None = None) -> np.ndarray:
     dst = _as_nodes(g, dst)
     if len(src) != len(dst):
         raise ValueError(f"{len(src)} sources but {len(dst)} targets")
-    _check_radius(cap, "cap")
+    _check_cap(cap)
     out = np.full(len(src), -1, dtype=np.int64)
     sources, lane = np.unique(src, return_inverse=True)
     order = np.argsort(lane, kind="stable")
@@ -394,7 +393,7 @@ def bfs_distance(g: Graph, u: int, v: int, cap: int | None = None) -> int | None
     """
     g._check_node(u)
     g._check_node(v)
-    _check_radius(cap, "cap")
+    _check_cap(cap)
     if u == v:
         return 0
     passes = [_bit_levels(g, np.array([x], dtype=np.int64), cap) for x in (u, v)]
@@ -413,15 +412,6 @@ def bfs_distance(g: Graph, u: int, v: int, cap: int | None = None) -> int | None
         if reach != cap:
             arcs[side] = int(np.add.reduce(g.degrees[nodes]))
     return None
-
-
-def neighborhood_size(g: Graph, s: int, d: int) -> int:
-    """Number of nodes within distance d of s, counting s itself."""
-    g._check_node(s)
-    _check_radius(d, "radius")
-    for _, _, seen in _bit_levels(g, np.array([s], dtype=np.int64), d):
-        pass
-    return int(np.count_nonzero(seen))
 
 
 def _sweep(g: Graph, radius: int, keep: Container[int] = ()) -> Iterator[tuple[np.ndarray, dict[int, np.ndarray]]]:
@@ -444,12 +434,6 @@ def _sweep(g: Graph, radius: int, keep: Container[int] = ()) -> Iterator[tuple[n
             if level + 1 in keep:
                 inner = seen.copy()
         yield _lane_counts(seen)[: len(src)], rings
-
-
-def ball_bound(g: Graph, d: int) -> int:
-    """Largest d-neighborhood size over all start nodes (0 on the empty graph)."""
-    _check_radius(d, "radius")
-    return max((int(balls.max()) for balls, _ in _sweep(g, d)), default=0)
 
 
 def _pairs_at_distance(g: Graph, d: int, table: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -576,44 +560,3 @@ def write_edge_list(g: Graph, path, labels: Sequence[str] | None = None) -> None
     with open(path, "wb") as fh:
         fh.write(head.encode("utf-8"))
         fh.write(_format_lines(edges[:, 0], b"\t", edges[:, 1], b"\n"))
-
-
-def read_edge_list(path, n: int | None = None) -> Graph:
-    """Parse the edge-list format written by :func:`write_edge_list`.
-
-    Lines starting with ``#`` are comments; a ``# nodes N`` comment, when
-    present, fixes the node count, and a negative count or an edge
-    endpoint at or above it is an error. Otherwise the count is the larger
-    of ``n`` and the largest index seen plus one.
-    """
-    edges: list[tuple[int, int]] = []
-    declared = declared_at = None
-    max_seen = -1
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                fields = line[1:].split()
-                if len(fields) == 2 and fields[0] == "nodes":
-                    try:
-                        declared, declared_at = int(fields[1]), lineno
-                    except ValueError:
-                        raise ValueError(f"{path}:{lineno}: bad node count {fields[1]!r}")
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'u<TAB>v', got {line!r}")
-            try:
-                u, v = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-integer node id in {line!r}")
-            edges.append((u, v))
-            max_seen = max(max_seen, u, v)
-    if declared is None:
-        return Graph(max(n or 0, max_seen + 1), edges)
-    if declared <= max_seen:  # max_seen >= -1, so every negative count lands here
-        why = "is negative" if declared < 0 else f"but edges use node {max_seen}"
-        raise ValueError(f"{path}:{declared_at}: node count {declared} {why}")
-    return Graph(declared, edges)

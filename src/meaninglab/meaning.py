@@ -302,7 +302,7 @@ class _RingTables:
         return self.size * (len(self.tables) + more) <= _RING_BYTES
 
     def ball_bound(self, d: int) -> int:
-        """``graph.ball_bound(g, d)``, from one sweep to d that keeps the tables up to d.
+        """The largest d-ball (0 without nodes), from one sweep to d that keeps the tables up to d.
 
         It keeps every table at 1..d when they all fit, else only d's if
         that fits.
@@ -463,7 +463,7 @@ def make_cut_pair(gm: MeaningGraph, m: int, m_prime: int) -> CutPair:
     if d == 0:
         raise ValueError("cut pair endpoints must differ")
     cut = tuple(min_cut(g, m, m_prime))
-    b1 = g.max_degree() + 1  # ball_bound(g, 1): a node plus its neighbours
+    b1 = g.max_degree() + 1  # the 1-ball bound: a node plus its neighbours
     if len(cut) > b1:
         log.warning("min cut size %d exceeds 1-ball bound %d", len(cut), b1)
     g_prime = g.remove_edges(cut)

@@ -51,10 +51,13 @@ def run_tasks(fn, tasks: list[tuple], threads: int) -> list:
     """``[fn(*t) for t in tasks]``, in order, on up to ``threads`` worker processes.
 
     A pool is imported and started only for ``threads > 1`` and two or
-    more tasks, with no more workers than tasks or CPUs: under the
-    ``fork`` start method it forks every worker on its first submit.
+    more tasks, with no more workers than tasks or than the CPUs this
+    process may run on (its affinity mask, where the platform has one):
+    under the ``fork`` start method it forks every worker on its first
+    submit.
     """
-    workers = min(threads, len(tasks), os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(threads, len(tasks), cpus)
     if workers < 2:
         return [fn(*t) for t in tasks]
     from concurrent.futures import ProcessPoolExecutor

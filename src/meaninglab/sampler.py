@@ -153,12 +153,6 @@ class SymbolGraph:
         """``kinds`` as a read-only uint8 array aligned with ``graph.edge_array()``."""
         return np.frombuffer(self.kinds, dtype=np.uint8)
 
-    def origin(self, w: int) -> int:
-        """Meaning node this symbol descends from."""
-        if not 0 <= w < self.graph.n:
-            raise ValueError(f"symbol {w} out of range")
-        return w // self.lam
-
     def representative(self, m: int) -> int:
         """First replica of meaning node m."""
         if not 0 <= m < self.n_meaning:

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from meaninglab.bounds import (
-    gamma_star,
+    bound_report,
     gilbert_bounds,
     laplacian_diff_bound,
     lb_connected,
@@ -27,7 +27,7 @@ from meaninglab.bounds import (
 )
 from meaninglab.cli import cli
 from meaninglab.experiments import heatmap
-from meaninglab.graph import Graph, ball_bound, components, min_cut
+from meaninglab.graph import Graph, components, min_cut
 from meaninglab.meaning import (
     gen_er,
     load_triples,
@@ -65,9 +65,8 @@ def test_01_identity_channel_reproduces_meaning_graph():
         n = 30 + 13 * i
         gm = gen_er(n, 3.0 / n, 100 + i)
         sg = sample_symbol_graph(gm, ident, 200 + i)
-        # lam=1 makes the origin map the identity on node ids.
+        # lam=1 makes symbol w the one replica of meaning node w.
         assert sg.graph == gm.graph
-        assert all(sg.origin(w) == w for w in range(0, n, max(1, n // 7)))
         # networkx is the reference: it shares no code with the separator's BFS.
         ref = nx.Graph()
         ref.add_nodes_from(range(n))
@@ -127,14 +126,14 @@ def test_03_connectivity_bounds_sandwich_empirical_rates():
     gm = gen_er(200, 0.003, 0)
     params = SampleParams(0.9, 1e-6, 1e-4, 0.0, 2)
     d = 2
-    b2 = ball_bound(gm.graph, d)
+    b2 = gm._rings.ball_bound(d)  # the B(d) that check_nontrivial reports
     lb = lb_connected(d, params.lam, params.p_plus, params.eps_plus, params.eps_minus)
     ub = ub_disconnected(gm.n, params.lam, params.p_minus, params.eps_minus, b2)
     assert ub is not None, "union-bound regime must hold for this fixture"
-    target = gamma_star(
+    target = bound_report(
         gm.n, d, params.lam, params.p_plus, params.p_minus,
-        params.eps_plus, params.eps_minus, b2,
-    )
+        params.eps_plus, params.eps_minus, b2, gm.graph.max_degree() + 1,
+    ).gamma_star
     d_tilde = choose_d_tilde(DTildeMode.POSSIBILITY, params.lam, d)
     assert d_tilde == 5
     est = estimate_gamma(gm, d, params, d_tilde, trials=400, seed=7)
@@ -257,7 +256,7 @@ def test_08_coupled_worlds_laplacians_stay_close():
     cp = make_cut_pair(gm, *pair)
     params = SampleParams(0.9, 2.0 * math.log(n) / n, 0.01, 0.0, 2)
     d_tilde = choose_d_tilde(DTildeMode.IMPOSSIBILITY, params.lam, cp.d)
-    bound = laplacian_diff_bound(n, params.lam, ball_bound(gm.graph, 1))
+    bound = laplacian_diff_bound(n, params.lam, gm.graph.max_degree() + 1)  # B(1): a node and its neighbours
     within = 0
     max_diff = 0.0
     for trial_seed in range(100):

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import meaninglab.graph as graph
-from meaninglab.graph import Graph, ball_bound, bfs_distance, bfs_distances, neighborhood_size
+from meaninglab.graph import Graph, bfs_distance, bfs_distances
+from meaninglab.meaning import MeaningGraph
 
 
 def oracle_distances(g: Graph, src, dst, cap) -> list[int]:
@@ -143,11 +144,24 @@ def test_rejects_bad_queries():
         bfs_distances(Graph(0, []), [0], [0])
 
 
+def swept_ball(g: Graph, d: int) -> int:
+    """The ball bound ``check_nontrivial`` reports: a fresh meaning graph's sweep to d."""
+    return MeaningGraph(g)._rings.ball_bound(d)
+
+
+def ego_ball(g: Graph, d: int) -> int:
+    """The largest d-ball by networkx, one single-source search per node; 0 without nodes."""
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.edges())
+    return max((len(nx.single_source_shortest_path_length(nxg, s, cutoff=d)) for s in range(g.n)), default=0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(graphs_with_queries(), st.integers(min_value=0, max_value=6))
 def test_ball_bound_is_largest_neighborhood(case, d):
     g = case[0]
-    assert ball_bound(g, d) == max(neighborhood_size(g, s, d) for s in range(g.n))
+    assert swept_ball(g, d) == ego_ball(g, d)
 
 
 @settings(max_examples=60, deadline=None)
@@ -155,27 +169,21 @@ def test_ball_bound_is_largest_neighborhood(case, d):
 def test_one_ball_is_max_degree_plus_one(case):
     # The 1-ball of a simple graph is a node plus its neighbours.
     g = case[0]
-    assert ball_bound(g, 1) == g.max_degree() + 1
+    assert swept_ball(g, 1) == g.max_degree() + 1
 
 
 def test_ball_bound_matches_networkx_ego_graphs():
     rng = np.random.default_rng(4)
     edges = rng.integers(200, size=(260, 2))
     g = Graph(200, [(int(u), int(v)) for u, v in edges if u != v])
-    nxg = nx.Graph()
-    nxg.add_nodes_from(range(g.n))
-    nxg.add_edges_from(g.edges())
     for d in (0, 1, 2, 5):
-        want = max(len(nx.single_source_shortest_path_length(nxg, s, cutoff=d)) for s in range(g.n))
-        assert ball_bound(g, d) == want
+        assert swept_ball(g, d) == ego_ball(g, d)
 
 
 def test_ball_bound_edge_cases():
-    assert ball_bound(Graph(0, []), 3) == 0
-    assert ball_bound(Graph(65, []), 4) == 1
-    assert ball_bound(Graph(3, [(0, 1), (1, 2)]), 0) == 1
-    with pytest.raises(ValueError, match="radius"):
-        ball_bound(Graph(3, []), -1)
+    assert swept_ball(Graph(0, []), 3) == 0
+    assert swept_ball(Graph(65, []), 4) == 1
+    assert swept_ball(Graph(3, [(0, 1), (1, 2)]), 0) == 1
 
 
 # -- single-pair queries: the bidirectional bfs_distance ------------------
@@ -251,20 +259,25 @@ def test_star_frontier_steps_bottom_up():
 
 
 def test_dense_graph_switches_direction_mid_pass():
-    # One node's ~24 arcs are under 1/8 of the ~1900, so each pass starts
-    # top-down; the second level's frontier holds most arcs and steps
-    # bottom-up.
+    # Two copies of a dense 80-node graph, joined by a path of 4 edges.
+    # One node's ~24 arcs are under 1/8 of the ~3800, so each side of a
+    # search starts top-down; a first level's frontier holds more than 1/8
+    # of all arcs, so a query from one copy to the other steps bottom-up
+    # before the two sides meet on the path.
     rng = np.random.default_rng(11)
     n = 80
     iu, ju = np.triu_indices(n, 1)
     keep = rng.random(len(iu)) < 0.3
-    g = Graph(n, np.column_stack((iu[keep], ju[keep])))
+    dense = np.column_stack((iu[keep], ju[keep]))
+    joins = [(0, 2 * n), (2 * n, 2 * n + 1), (2 * n + 1, 2 * n + 2), (2 * n + 2, n)]
+    g = Graph(2 * n + 3, np.concatenate((dense, dense + n, joins)))
     nxg = nx.Graph(list(g.edges()))
     with pytest.MonkeyPatch.context() as mp:
         built = bottom_up_steps(mp)
         for u, v in rng.integers(n, size=(60, 2)).tolist():
-            assert neighborhood_size(g, u, 2) == len(nx.single_source_shortest_path_length(nxg, u, cutoff=2))
             assert bfs_distance(g, u, v) == nx.shortest_path_length(nxg, u, v)
+        for u, v in rng.integers(n, size=(60, 2)).tolist():
+            assert bfs_distance(g, u, n + v) == nx.shortest_path_length(nxg, u, n + v)
     assert built
 
 

@@ -7,10 +7,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meaninglab.bounds import (
     bound_report,
-    gamma_star,
     gamma_star_raw,
     gilbert_bounds,
     lb_connected,
@@ -116,19 +117,24 @@ def test_ub_folds_noise():
 # -- separation target --------------------------------------------------
 
 
+def reported_gamma_star(n, d, lam, p_plus, p_minus, eps_plus, eps_minus, ball_d) -> float:
+    """The gamma_star that ``bounds`` prints for this point."""
+    return bound_report(n, d, lam, p_plus, p_minus, eps_plus, eps_minus, ball_d, 1).gamma_star
+
+
 def test_gamma_star_frozen_value():
-    got = gamma_star(100, 2, 2, 0.9, 1e-7, 1e-4, 0.0, 5)
+    got = reported_gamma_star(100, 2, 2, 0.9, 1e-7, 1e-4, 0.0, 5)
     assert close(got, GAMMA_STAR_REFERENCE)
 
 
 def test_gamma_star_clamped_to_zero():
-    assert gamma_star(100, 2, 2, 0.9, 1e-3, 1e-4, 0.0, 5) == 0.0
+    assert reported_gamma_star(100, 2, 2, 0.9, 1e-3, 1e-4, 0.0, 5) == 0.0
     assert gamma_star_raw(100, 2, 2, 0.9, 1e-3, 1e-4, 0.0, 5) < 0.0
 
 
 def test_gamma_star_equals_lb_minus_ub():
-    # The folded penalty is the raw upper-bound expression, so whenever
-    # both sides are formed from the same inputs the identity is exact.
+    # The penalty is the raw upper-bound expression, so whenever both
+    # sides are formed from the same inputs the identity is exact.
     rng = np.random.default_rng(0)
     for _ in range(1000):
         n = int(rng.integers(10, 5000))
@@ -139,7 +145,7 @@ def test_gamma_star_equals_lb_minus_ub():
         p_minus = float(10.0 ** rng.uniform(-9, -1))
         eps_plus = float(10.0 ** rng.uniform(-6, -0.5))
         eps_minus = float(10.0 ** rng.uniform(-9, -2))
-        lhs = gamma_star(n, d, lam, p_plus, p_minus, eps_plus, eps_minus, ball)
+        lhs = reported_gamma_star(n, d, lam, p_plus, p_minus, eps_plus, eps_minus, ball)
         rhs = max(
             0.0,
             lb_connected(d, lam, p_plus, eps_plus, eps_minus)
@@ -149,16 +155,55 @@ def test_gamma_star_equals_lb_minus_ub():
 
 
 def test_gamma_star_bare_noise_variant():
-    # The unfolded penalty ignores eps_minus, so it can only be smaller.
+    # The penalty charges p_minus folded with eps_minus, never less than
+    # the bare p_minus form, and the same when eps_minus is 0.
+    def bare(n, d, lam, p_plus, p_minus, eps_plus, eps_minus, ball_d):
+        lb = lb_connected(d, lam, p_plus, eps_plus, eps_minus)
+        return lb - 2.0 * math.e * n * (lam * ball_d) ** 2 * p_minus
+
     args = (100, 2, 2, 0.9, 1e-7, 1e-4, 1e-6, 5)
-    assert gamma_star(*args, folded=False) >= gamma_star(*args, folded=True)
+    assert gamma_star_raw(*args) < bare(*args)
     args0 = (100, 2, 2, 0.9, 1e-7, 1e-4, 0.0, 5)
-    assert gamma_star(*args0, folded=False) == gamma_star(*args0, folded=True)
+    assert gamma_star_raw(*args0) == bare(*args0)
 
 
 def test_gamma_star_monotone_in_noise():
-    vals = [gamma_star(100, 2, 2, 0.9, pm, 1e-4, 0.0, 5) for pm in (1e-8, 1e-7, 1e-6, 1e-5)]
+    vals = [reported_gamma_star(100, 2, 2, 0.9, pm, 1e-4, 0.0, 5) for pm in (1e-8, 1e-7, 1e-6, 1e-5)]
     assert vals == sorted(vals, reverse=True)
+
+
+probabilities = st.floats(min_value=0.0, max_value=1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 10**7),
+    d=st.integers(1, 40),
+    lam=st.integers(1, 10),
+    ball_d=st.integers(1, 10**4),
+    ball_1=st.integers(1, 10**4),
+    p_plus=probabilities,
+    p_minus=probabilities,
+    eps_plus=probabilities,
+    eps_minus=probabilities,
+)
+def test_gamma_star_is_the_lower_bound_minus_the_folded_penalty(
+    n, d, lam, ball_d, ball_1, p_plus, p_minus, eps_plus, eps_minus
+):
+    # lb - 2e n (lam B)^2 fold(p_minus, eps_minus), written out with the
+    # same operations in the same order: every field must match bit for bit.
+    lb = lb_connected(d, lam, p_plus, eps_plus, eps_minus)
+    folded = fold_noise(p_minus, eps_minus)
+    raw = 2.0 * math.e * n * (lam * ball_d) ** 2 * folded
+    ub = None if (lam * ball_d) ** 2 * folded > 1.0 / (2.0 * math.e * n) else min(1.0, max(0.0, raw))
+    args = (n, d, lam, p_plus, p_minus, eps_plus, eps_minus, ball_d)
+    rep = bound_report(*args, ball_1)
+    assert gamma_star_raw(*args).hex() == (lb - raw).hex()
+    assert rep.gamma_star_raw.hex() == (lb - raw).hex()
+    assert rep.gamma_star.hex() == max(0.0, lb - raw).hex()
+    assert rep.lb_connected.hex() == lb.hex()
+    assert rep.ub_disconnected_raw.hex() == raw.hex()
+    assert rep.ub_disconnected == ub == ub_disconnected(n, lam, p_minus, eps_minus, ball_d)
 
 
 # -- cluster connectivity bounds ----------------------------------------

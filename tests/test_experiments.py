@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import csv
 import math
-import re
 
 import pytest
 
@@ -14,7 +14,6 @@ from meaninglab.experiments import (
     emit_heatmap_csv,
     emit_svg_heatmap,
     heatmap,
-    parse_heatmap_csv,
 )
 from meaninglab.graph import Graph
 from meaninglab.meaning import MeaningGraph, gen_er
@@ -114,18 +113,36 @@ def make_table(with_empty=False) -> HeatmapTable:
     return heatmap(gm, [0.001, 0.02, 0.3], d_max=3, pairs_per_cell=4, params_base=p, seed=8)
 
 
-def test_csv_round_trip_exact(tmp_path):
-    table = make_table()
-    path = tmp_path / "hm.csv"
+def check_reparse(table: HeatmapTable, path) -> None:
+    """Every number the CSV holds, read back with ``csv``, is the float it was written from."""
     emit_heatmap_csv(table, path)
-    assert parse_heatmap_csv(path) == table
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    meta = dict(field.split("=") for row in rows[:2] for field in row[0].split()[2:])
+    p = table.params_base
+    assert [float(meta[k]) for k in ("p_plus", "p_minus", "eps_plus", "eps_minus")] == [
+        p.p_plus, p.p_minus, p.eps_plus, p.eps_minus
+    ]
+    assert [int(meta[k]) for k in ("d_max", "pairs_per_cell", "cap", "seed", "lambda", "fold")] == [
+        table.d_max, table.pairs_per_cell, table.cap, table.seed, p.lam, int(p.fold)
+    ]
+    assert rows[2] == ["p_minus", *table.column_labels()]
+    assert len(rows) == 3 + len(table.cells)
+    for row, p_minus, cells in zip(rows[3:], table.p_minus_grid, table.cells):
+        assert float(row[0]) == p_minus
+        assert len(row) == 1 + len(cells)
+        for field, value in zip(row[1:], cells):
+            assert field == "" if value is None else float(field) == value
+
+
+def test_csv_round_trip_exact(tmp_path):
+    check_reparse(make_table(), tmp_path / "hm.csv")
 
 
 def test_csv_round_trip_with_empty_cells(tmp_path):
     table = make_table(with_empty=True)
-    path = tmp_path / "hm.csv"
-    emit_heatmap_csv(table, path)
-    assert parse_heatmap_csv(path) == table
+    assert any(None in row for row in table.cells)
+    check_reparse(table, tmp_path / "hm.csv")
 
 
 def test_csv_structure(tmp_path):
@@ -138,24 +155,6 @@ def test_csv_structure(tmp_path):
     assert lines[2] == "p_minus,d_1,d_2,d_3,disconnected"
     assert len(lines) == 3 + 3
     assert lines[3].split(",")[0] == repr(0.001)
-
-
-@pytest.mark.parametrize(
-    "old, new, error",
-    [
-        ("# params", "#", "missing header field 'p_plus'"),
-        ("# heatmap", "#", "missing header field 'd_max'"),
-        (" cap=", " cap ", "header field 'cap' is not name=value"),
-        (" cap=", " cap=x", "header field 'cap' is not an integer: 'x"),
-        (" p_plus=0.9", " p_plus=0.9.1", "header field 'p_plus' is not a number: '0.9.1'"),
-    ],
-)
-def test_csv_reader_names_file_and_header_field(tmp_path, old, new, error):
-    path = tmp_path / "hm.csv"
-    emit_heatmap_csv(make_table(), path)
-    path.write_text(path.read_text().replace(old, new))
-    with pytest.raises(ValueError, match=re.escape(f"{path}: {error}")):
-        parse_heatmap_csv(path)
 
 
 def test_csv_byte_stable(tmp_path):

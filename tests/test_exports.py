@@ -1,0 +1,51 @@
+"""Every name the package exports is reached from outside the tests."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "meaninglab"
+
+# Exports that only the tests call, kept because each is a formula of the
+# paper that the tests use as an oracle or check against its own claim.
+PAPER_FORMULAS = {
+    "gilbert_bounds": "the G(n, p) connectivity lower bounds that acceptance tests 05 and 06 check",
+    "edge_probability": "the per-class edge probability that acceptance test 02's edge-count bands are built from",
+    "gamma_star_raw": "the separation target as a formula of its parameters; bound_report reports the same difference",
+    "ub_disconnected": "the disconnected-pair upper bound that acceptance test 03 holds the estimated P2 under",
+}
+
+
+def exports() -> list[str]:
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    return [alias.asname or alias.name for node in imports for alias in node.names]
+
+
+def reached(paths, *, bare_names: bool) -> set[str]:
+    """Names imported by name from the package in ``paths``, and with ``bare_names`` every name read.
+
+    An attribute access does not count: ``trial.neighborhood_size`` reads a
+    field, not the function of that name.
+    """
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if bare_names and isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("meaninglab")):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_export_has_a_caller():
+    # A caller is a module of the package other than ``__init__``, or the benchmark.
+    called = reached([p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"], bare_names=True)
+    called |= reached((ROOT / "bench").glob("*.py"), bare_names=False)
+    uncalled = [name for name in exports() if name not in called and name not in PAPER_FORMULAS]
+    assert uncalled == []
+    # A kept formula that gains a caller leaves the list.
+    assert set(PAPER_FORMULAS) & called == set()
+    assert set(PAPER_FORMULAS) <= set(exports())

@@ -5,11 +5,12 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+import networkx as nx
 import numpy as np
 import pytest
 import scipy.stats
 
-from meaninglab.graph import Graph, ball_bound, bfs_distance
+from meaninglab.graph import Graph, bfs_distance
 from meaninglab.meaning import (
     CutPair,
     MeaningGraph,
@@ -137,7 +138,10 @@ def test_check_nontrivial_dense_ball_fails_condition_four():
     gm = gen_er(40, 0.5, 3)
     report = check_nontrivial(gm, params(), 2)
     assert not report.ball_small.passed
-    assert f"ball_bound(d=2)={ball_bound(gm.graph, 2)}" in report.ball_small.message
+    nxg = nx.Graph(list(gm.graph.edges()))
+    nxg.add_nodes_from(range(gm.n))
+    ball = max(len(nx.single_source_shortest_path_length(nxg, s, cutoff=2)) for s in range(gm.n))
+    assert f"ball_bound(d=2)={ball}" in report.ball_small.message
 
 
 def test_check_nontrivial_sparse_graph_fails_condition_five():
@@ -246,6 +250,22 @@ def test_pick_disconnected_uniformity():
     sd = math.sqrt(runs * (1 / 8) * (7 / 8))
     for c in counts.values():
         assert abs(c - runs / 8) <= 4 * sd
+    # Equal components weight every anchor alike, so a picker that drew
+    # the anchor uniformly would pass the case above. Components of sizes
+    # 1, 2 and 3 give 22 ordered cross pairs whose anchors have 5, 4 or 3
+    # partners; such a picker would favour the pairs with the lone node as
+    # anchor. 200 picks per pair from one stream: a uniform picker fails
+    # the p < 1e-4 cut with probability 1e-4 (the seed is fixed, so a
+    # given picker passes or fails every run).
+    gm = MeaningGraph(Graph(6, [(1, 2), (3, 4), (4, 5)]))
+    comp = [0, 1, 1, 2, 2, 2]
+    want = [(u, v) for u in range(6) for v in range(6) if comp[u] != comp[v]]
+    assert len(want) == 22
+    rng = np.random.default_rng(2026)
+    picks = [pick_disconnected_pair(gm, rng) for _ in range(200 * len(want))]
+    counts = [picks.count(pair) for pair in want]
+    assert sum(counts) == len(picks)
+    assert scipy.stats.chisquare(counts).pvalue >= 1e-4
 
 
 # -- cut pairs ----------------------------------------------------------
@@ -305,4 +325,4 @@ def test_cut_size_never_exceeds_min_degree():
             continue
         cp = make_cut_pair(gm, *pair)
         assert len(cp.cut) <= min(gm.graph.degree(pair[0]), gm.graph.degree(pair[1]))
-        assert len(cp.cut) <= ball_bound(gm.graph, 1)
+        assert len(cp.cut) <= gm.graph.max_degree() + 1

@@ -472,9 +472,7 @@ def graphs_and_radii(draw, least: int):
 def test_sweep_ball_sizes_and_reach_match_single_source_bfs(case):
     g, d = case
     sweep = list(graph._sweep(g, d, range(1, d + 1)))
-    assert np.concatenate([balls for balls, _ in sweep]).tolist() == [
-        graph.neighborhood_size(g, s, d) for s in range(g.n)
-    ]
+    assert np.concatenate([balls for balls, _ in sweep]).tolist() == [len(nx_levels(g, s, d)) for s in range(g.n)]
     # A pass reaches the largest eccentricity among its sources, up to d,
     # and keeps a ring at every level it reaches.
     ecc = [max(nx_levels(g, s, d).values()) for s in range(g.n)]
@@ -487,7 +485,7 @@ def test_sweep_ball_sizes_and_reach_match_single_source_bfs(case):
 def test_every_kept_table_is_the_ring_at_its_distance(case):
     g, d = case
     gm = MeaningGraph(g)
-    assert gm._rings.ball_bound(d) == graph.ball_bound(g, d)
+    assert gm._rings.ball_bound(d) == max(len(nx_levels(g, s, d)) for s in range(g.n))
     dist = all_distances(g, d + 3)
     # These tables all fit, so each distance up to d has its table unless
     # no pair is at that distance; past d, none is kept.
@@ -527,7 +525,7 @@ def test_check_far_past_the_diameter_allocates_no_empty_tables(gm, d, levels):
     # reaches get one. The 300-node graph's tables up to d do not fit, and
     # d's own ring is empty.
     report = check_nontrivial(gm, PARAMS, d)
-    ball = graph.ball_bound(gm.graph, d)
+    ball = max(len(nx_levels(gm.graph, s, d)) for s in range(gm.n))
     assert report.ball_small.message == f"ball_bound(d={d})={ball} vs n/4={gm.n / 4:g}"
     assert report.ball_small.passed == (ball <= gm.n / 4)
     assert sorted(gm._rings.tables) == list(range(1, (levels or 0) + 1))

@@ -61,25 +61,43 @@ class RecordingPool:
         return future
 
 
+def run_recorded(monkeypatch, threads: int, n_tasks: int) -> list[int]:
+    """Run ``n_tasks`` tasks on a recording pool; the worker counts of the pools it made."""
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "made", [])
+    tasks = [(2, k) for k in range(n_tasks)]
+    assert run_tasks(pow, tasks, threads) == [2**k for k in range(n_tasks)]
+    return RecordingPool.made
+
+
 @pytest.mark.parametrize(
     "threads, n_tasks, cpus, workers",
     [
         (10**6, 3, 64, 3),  # never more workers than tasks
-        (10**6, 3, 2, 2),  # nor than CPUs
+        (10**6, 3, 2, 2),  # nor than the CPUs this process may run on
         (4, 10, 64, 4),
-        (10**6, 3, None, None),  # an unknown CPU count counts as one: no pool
+        (2, 3, 1, None),  # pinned to one CPU (``taskset -c 1``): no pool
+        (10**6, 3, None, None),  # no affinity mask and an unknown CPU count, which counts as one: no pool
         (1, 10, 64, None),
         (8, 1, 64, None),
         (8, 0, 64, None),
     ],
 )
 def test_run_tasks_bounds_the_pool(monkeypatch, threads, n_tasks, cpus, workers):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(RecordingPool, "made", [])
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    tasks = [(2, k) for k in range(n_tasks)]
-    assert run_tasks(pow, tasks, threads) == [2**k for k in range(n_tasks)]
-    assert RecordingPool.made == ([] if workers is None else [workers])
+    # ``cpus`` is the size of this process's affinity mask on a 64-CPU host.
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert run_recorded(monkeypatch, threads, n_tasks) == ([] if workers is None else [workers])
+
+
+def test_run_tasks_without_affinity_falls_back_to_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert run_recorded(monkeypatch, 8, 3) == [2]
 
 
 def test_pair_index_round_trip_exhaustive():

@@ -113,7 +113,8 @@ def test_replication_and_origin():
     gm = gen_er(20, 0.1, 1)
     sg = sample_symbol_graph(gm, params(lam=3), seed=5)
     assert sg.graph.n == 60
-    assert sg.origin(0) == 0 and sg.origin(5) == 1 and sg.origin(59) == 19
+    # Symbol w descends from meaning node w // lam.
+    assert [sg.representative(m) // sg.lam for m in range(20)] == list(range(20))
     assert sg.representative(4) == 12
 
 
@@ -467,6 +468,7 @@ def test_read_symbol_graph_names_missing_header_field(tmp_path):
     [
         ("meaning-nodes=1 lambda=two seed=0", "header field 'lambda' is not an integer: 'two'"),
         ("meaning-nodes=1 lambda=2 seed=0.5", "header field 'seed' is not an integer: '0.5'"),
+        ("meaning-nodes=1 lambda 2 seed=0", "header field 'lambda' is not name=value"),
     ],
 )
 def test_read_symbol_graph_names_malformed_header_field(tmp_path, header, error):
