@@ -65,60 +65,28 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _config_parent() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--config", type=Path, default=None, help="JSON file with default argument values")
-    return p
-
-
-def _out_parent() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--out", type=Path, default=Path("."), help="output directory")
-    return p
-
-
-def _run_parent() -> argparse.ArgumentParser:
-    """Flags of the commands that sample: seed, worker count and the screen override."""
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--seed", type=int, default=0, help="root seed for every stream")
-    p.add_argument("--threads", type=_positive_int, default=1, help="worker processes for trial loops")
-    p.add_argument(
-        "--allow-trivial",
-        action="store_true",
-        help="run even when the nontriviality screen fails",
-    )
-    return p
-
-
-def _source_parent() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--er", nargs=2, metavar=("N", "P"), default=None, help="Erdos-Renyi meaning graph")
-    p.add_argument("--graph-seed", type=int, default=1, help="seed for --er generation")
-    p.add_argument("--triples", type=Path, default=None, help="head<TAB>rel<TAB>tail file")
-    p.add_argument("--prefix", type=str, default="", help="relation prefix filter for --triples")
-    return p
-
-
-def _params_parent(fold: bool = True) -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--p-plus", type=float, default=0.9)
-    p.add_argument("--p-minus", type=float, default=1e-6)
-    p.add_argument("--eps-plus", type=float, default=1e-4)
-    p.add_argument("--eps-minus", type=float, default=0.0)
-    p.add_argument("--lambda", dest="lam", type=int, default=2, help="replicas per meaning node")
-    if fold:
-        p.add_argument("--fold", action="store_true", help="fold eps_minus into the structural probabilities")
-    return p
-
-
 def build_parser() -> _Parser:
     # Each command takes only the flags it reads, except that the four
     # sampling commands share one set: one "--seed N --threads 1 --out DIR"
     # suffix drives them all, although sample starts no workers and runs
-    # no screen.
-    config, out = _config_parent(), _out_parent()
-    source, params = _source_parent(), _params_parent()
-    sampling = [config, out, _run_parent(), source, params]
+    # no screen. ``bounds`` takes no --fold: its formulas always fold.
+    config, out, run, source, params, fold = (argparse.ArgumentParser(add_help=False) for _ in range(6))
+    config.add_argument("--config", type=Path, default=None, help="JSON file with default argument values")
+    out.add_argument("--out", type=Path, default=Path("."), help="output directory")
+    run.add_argument("--seed", type=int, default=0, help="root seed for every stream")
+    run.add_argument("--threads", type=_positive_int, default=1, help="worker processes for trial loops")
+    run.add_argument("--allow-trivial", action="store_true", help="run even when the nontriviality screen fails")
+    source.add_argument("--er", nargs=2, metavar=("N", "P"), default=None, help="Erdos-Renyi meaning graph")
+    source.add_argument("--graph-seed", type=int, default=1, help="seed for --er generation")
+    source.add_argument("--triples", type=Path, default=None, help="head<TAB>rel<TAB>tail file")
+    source.add_argument("--prefix", type=str, default="", help="relation prefix filter for --triples")
+    params.add_argument("--p-plus", type=float, default=0.9)
+    params.add_argument("--p-minus", type=float, default=1e-6)
+    params.add_argument("--eps-plus", type=float, default=1e-4)
+    params.add_argument("--eps-minus", type=float, default=0.0)
+    params.add_argument("--lambda", dest="lam", type=int, default=2, help="replicas per meaning node")
+    fold.add_argument("--fold", action="store_true", help="fold eps_minus into the structural probabilities")
+    sampling = [config, out, run, source, params, fold]
     parser = _Parser(prog="meaninglab", description="noisy symbol-graph reasoning lab")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -133,9 +101,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--fixed-pairs", action="store_true", help="reuse one fixture pair across trials")
     sp.set_defaults(handler=_cmd_gamma)
 
-    sp = sub.add_parser(
-        "bounds", parents=[config, _params_parent(fold=False)], help="evaluate the closed-form bounds"
-    )
+    sp = sub.add_parser("bounds", parents=[config, params], help="evaluate the closed-form bounds")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--d", type=_positive_int, required=True)
     sp.add_argument("--ball-d", type=int, required=True, help="d-neighborhood size bound B(d)")
@@ -167,7 +133,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--prefix", type=str, default="")
     sp.set_defaults(handler=_cmd_ingest)
 
-    sp = sub.add_parser("check", parents=[config, source, params], help="nontriviality screen")
+    sp = sub.add_parser("check", parents=[config, source, params, fold], help="nontriviality screen")
     sp.add_argument("--d", type=_positive_int, default=2)
     sp.set_defaults(handler=_cmd_check)
     parser.commands = sub.choices

@@ -42,7 +42,7 @@ from .graph import (
     components,
     min_cut,
 )
-from .rng import STREAM_ER, STREAM_PAIR_AT_DISTANCE, STREAM_PAIR_DISCONNECTED, index_to_pair, pair_count, skip_sample, stream
+from .rng import STREAM_ER, STREAM_PAIR_AT_DISTANCE, STREAM_PAIR_DISCONNECTED, sparse_pairs, stream
 
 if TYPE_CHECKING:
     from .sampler import SampleParams
@@ -106,15 +106,15 @@ class MeaningGraph:
 
 @dataclass(frozen=True)
 class CutPair:
-    """Two meaning graphs that differ exactly by a minimum (m, m') cut.
+    """Two worlds that differ exactly by a minimum (m, m') cut.
 
-    ``g`` has m at finite distance d from m_prime; ``g_prime`` is ``g``
-    with the cut edges removed, so the pair is disconnected there. This is
-    the matched world pair the spectral closeness experiment compares.
+    ``g`` has m at finite distance d from m_prime. The second world g' is
+    ``g`` without the ``cut`` edges, in which the pair is disconnected; it
+    is not stored, since ``g`` and ``cut`` define it. This is the matched
+    world pair the spectral closeness experiment compares.
     """
 
     g: MeaningGraph
-    g_prime: MeaningGraph
     m: int
     m_prime: int
     cut: tuple[tuple[int, int], ...]
@@ -123,12 +123,9 @@ class CutPair:
     def __post_init__(self):
         if bfs_distance(self.g.graph, self.m, self.m_prime) != self.d:
             raise ValueError("stored distance does not match g")
-        if bfs_distance(self.g_prime.graph, self.m, self.m_prime) is not None:
+        # remove_edges also refuses a cut edge that g does not have.
+        if bfs_distance(self.g.graph.remove_edges(self.cut), self.m, self.m_prime) is not None:
             raise ValueError("pair still connected after cut removal")
-        removed = set(self.cut)
-        expect = [e for e in self.g.graph.edges() if e not in removed]
-        if list(self.g_prime.graph.edges()) != expect:
-            raise ValueError("g_prime edge set is not g minus the cut")
 
 
 @dataclass(frozen=True)
@@ -179,9 +176,7 @@ def gen_er(n: int, p: float, seed: int) -> MeaningGraph:
         raise ValueError(f"need at least one node, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability {p!r} outside [0, 1]")
-    rng = stream(seed, STREAM_ER)
-    hits = skip_sample(rng, pair_count(n), p)
-    us, vs = index_to_pair(hits, n)
+    us, vs, _ = sparse_pairs(seed, STREAM_ER, n, p, 1)
     return MeaningGraph(Graph(n, np.column_stack((us, vs))))
 
 
@@ -196,7 +191,7 @@ def load_triples(path, relation_prefix: str) -> MeaningGraph:
     """
     index: dict[str, int] = {}
     labels: list[str] = []
-    edges: set[tuple[int, int]] = set()
+    edges: list[tuple[int, int]] = []
 
     def node(entity: str) -> int:
         k = index.get(entity)
@@ -222,18 +217,19 @@ def load_triples(path, relation_prefix: str) -> MeaningGraph:
                     continue
                 u, v = node(head), node(tail)
                 if u != v:
-                    edges.add((min(u, v), max(u, v)))
+                    edges.append((u, v))
         except UnicodeDecodeError as exc:
             # The file is decoded a block at a time, so no line number is known.
             raise TriplesFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    return MeaningGraph(Graph(len(labels), sorted(edges)), tuple(labels))
+    return MeaningGraph(Graph(len(labels), edges), tuple(labels))
 
 
 def check_nontrivial(gm: MeaningGraph, params: "SampleParams", d: int) -> NontrivialityReport:
     """Screen a (graph, parameters, distance) instance for degeneracy.
 
-    Returns a report, never raises: callers decide whether a failed screen
-    is a hard error (the CLI does, unless told otherwise).
+    Returns a report whether or not the screens pass: callers decide
+    whether a failed screen is a hard error (the CLI does, unless told
+    otherwise). Raises ValueError for d < 1.
     """
     if d < 1:
         raise ValueError(f"distance must be positive, got {d}")
@@ -450,11 +446,12 @@ def pick_disconnected_pair(gm: MeaningGraph, seed) -> tuple[int, int] | None:
 
 
 def make_cut_pair(gm: MeaningGraph, m: int, m_prime: int) -> CutPair:
-    """Build the (g, g') world pair for a connected meaning pair.
+    """The cut pair of ``gm`` for a connected meaning pair.
 
-    g' is g minus a minimum (m, m') edge cut, so the pair is disconnected
-    in g' while every other edge is untouched. The cut size is expected
-    to stay within the 1-ball bound; larger cuts are logged, not rejected.
+    Its ``g`` is ``gm`` itself and its ``cut`` a minimum (m, m') edge cut,
+    so the pair is disconnected in g' (``gm`` without the cut) while every
+    other edge is untouched. The cut size is expected to stay within the
+    1-ball bound; larger cuts are logged, not rejected.
     """
     g = gm.graph
     d = bfs_distance(g, m, m_prime)
@@ -466,13 +463,4 @@ def make_cut_pair(gm: MeaningGraph, m: int, m_prime: int) -> CutPair:
     b1 = g.max_degree() + 1  # the 1-ball bound: a node plus its neighbours
     if len(cut) > b1:
         log.warning("min cut size %d exceeds 1-ball bound %d", len(cut), b1)
-    g_prime = g.remove_edges(cut)
-    labels = gm.labels
-    return CutPair(
-        g=MeaningGraph(g, labels),
-        g_prime=MeaningGraph(g_prime, labels),
-        m=m,
-        m_prime=m_prime,
-        cut=cut,
-        d=d,
-    )
+    return CutPair(g=gm, m=m, m_prime=m_prime, cut=cut, d=d)

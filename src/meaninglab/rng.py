@@ -31,10 +31,14 @@ STREAM_REPRESENTATIVE = 11
 STREAM_SPECTRAL_TRIAL = 12
 
 
+def _seed_sequence(seed: int, path: tuple[int, ...]) -> np.random.SeedSequence:
+    """The one seeding rule: ``seed`` is the entropy and ``path`` the spawn key."""
+    return np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
+
+
 def stream(seed: int, *path: int) -> np.random.Generator:
     """Return the generator for the named stream under ``seed``."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed, path)))
 
 
 def subseed(seed: int, *path: int) -> int:
@@ -43,8 +47,7 @@ def subseed(seed: int, *path: int) -> int:
     Used when an API takes a scalar seed but the caller owns a structured
     stream namespace (per-trial seeds, per-row seeds).
     """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
-    return int(ss.generate_state(2, dtype=np.uint64)[0])
+    return int(_seed_sequence(seed, path).generate_state(2, dtype=np.uint64)[0])
 
 
 def run_tasks(fn, tasks: list[tuple], threads: int) -> list:
@@ -146,6 +149,18 @@ def index_to_pair(k: np.ndarray | int, n: int) -> tuple[np.ndarray, np.ndarray]:
     i = n - 2 - r
     j = i + 1 + r - (back - start)
     return i, j
+
+
+def sparse_pairs(seed: int, stream_id: int, n: int, p: float, slots: int):
+    """Hits ``(i, j, slot)``, i < j, of a Bernoulli(p) pass over ``slots`` slots per pair of ``n`` items.
+
+    One :func:`skip_sample` pass of stream ``stream_id`` under ``seed``
+    over the ``pair_count(n) * slots`` slot indices, in index order.
+    """
+    hits = skip_sample(stream(seed, stream_id), pair_count(n) * slots, p)
+    pair, slot = np.divmod(hits, slots)
+    i, j = index_to_pair(pair, n)
+    return i, j, slot
 
 
 def pair_to_index(i: int, j: int, n: int) -> int:

@@ -34,9 +34,7 @@ from .rng import (
     STREAM_SIM_INTRA,
     STREAM_STRUCT_NEG,
     STREAM_STRUCT_POS,
-    index_to_pair,
-    pair_count,
-    skip_sample,
+    sparse_pairs,
     stream,
 )
 
@@ -186,14 +184,6 @@ def _symbol_keys(m1, m2, slot, lam: int, n: int) -> np.ndarray:
     return lam * (m1 * big + m2) + offset[slot]
 
 
-def _negative_hits(seed: int, n: int, lam: int, p: float, stream_id: int):
-    """Hit slots of a Bernoulli(p) pass over every cross-cluster slot."""
-    rng = stream(seed, stream_id)
-    pair, slot = np.divmod(skip_sample(rng, pair_count(n) * lam * lam, p), lam * lam)
-    m1, m2 = index_to_pair(pair, n)
-    return m1, m2, slot
-
-
 def _sample(gm: MeaningGraph, params: SampleParams, seed: int, cut=None) -> list[SymbolGraph]:
     """The four sampling passes for ``gm``, assembled into symbol graphs.
 
@@ -224,7 +214,7 @@ def _sample(gm: MeaningGraph, params: SampleParams, seed: int, cut=None) -> list
     # Structural pass over meaning non-edges: sample the whole slot space
     # sparsely, then drop hits that landed on actual meaning edges (the
     # cut edges included: their g'-side draw happened above).
-    n1, n2, slot = _negative_hits(seed, n, lam, eff.p_minus, STREAM_STRUCT_NEG)
+    n1, n2, slot = sparse_pairs(seed, STREAM_STRUCT_NEG, n, eff.p_minus, lam * lam)
     keep = ~_lookup(edge_keys, n1 * n + n2)[1]
     negative = _symbol_keys(n1[keep], n2[keep], slot[keep], lam, n)
 
@@ -234,7 +224,7 @@ def _sample(gm: MeaningGraph, params: SampleParams, seed: int, cut=None) -> list
     intra = _symbol_keys(midx, midx, (a * lam + b)[k], lam, n)
 
     # Similarity false positives across clusters (absent when folded).
-    n1, n2, slot = _negative_hits(seed, n, lam, eff.eps_minus, STREAM_SIM_CROSS)
+    n1, n2, slot = sparse_pairs(seed, STREAM_SIM_CROSS, n, eff.eps_minus, lam * lam)
     similarity = np.concatenate((intra, _symbol_keys(n1, n2, slot, lam, n)))
     similarity.sort()
 
@@ -260,10 +250,11 @@ def sample_symbol_graph(gm: MeaningGraph, params: SampleParams, seed: int) -> Sy
 def sample_coupled(cp: CutPair, params: SampleParams, seed: int) -> tuple[SymbolGraph, SymbolGraph]:
     """Sample symbol graphs for both worlds of a cut pair, coupled.
 
-    Every slot shares one uniform draw across the two worlds. On slots
-    over cut edges the g-world compares it to p_plus and the g'-world to
-    p_minus (the pair is a non-edge there); everywhere else the worlds
-    are identical by construction. The first component equals
+    The worlds are ``cp.g`` and g', which is ``cp.g`` without the
+    ``cp.cut`` edges. Every slot shares one uniform draw across the two
+    worlds. On slots over cut edges the g-world compares it to p_plus and
+    the g'-world to p_minus (the pair is a non-edge there); everywhere
+    else the worlds are identical by construction. The first component equals
     ``sample_symbol_graph(cp.g, params, seed)`` draw for draw.
     """
     sg, sgp = _sample(cp.g, params, seed, cp.cut)
@@ -312,60 +303,13 @@ def write_symbol_graph(sg: SymbolGraph, path) -> None:
         fh.write(_format_lines(edges[:, 0], b"\t", edges[:, 1], b"\t", np.where(slot % 2, b"R", b"S"), b"\n"))
 
 
-class _Header(dict):
-    """The ``k=v`` fields of a text file's ``# tag k=v ...`` comment lines.
-
-    Only lines whose tag is one of ``tags`` count. Reading a field that no
-    such line gave raises ValueError naming the file and the field.
-    """
-
-    def __init__(self, path, *tags: str):
-        super().__init__()
-        self.path, self.tags = path, tags
-
-    def read(self, line: str) -> None:
-        """Take the fields of one ``#`` comment line, if it has one of the tags."""
-        fields = line[1:].split()
-        if fields and fields[0] in self.tags:
-            for field in fields[1:]:
-                name, eq, value = field.partition("=")
-                if not eq:
-                    raise ValueError(f"{self.path}: header field {field!r} is not name=value")
-                self[name] = value
-
-    def __missing__(self, name: str):
-        raise ValueError(f"{self.path}: missing header field {name!r}")
-
-    def getint(self, name: str) -> int:
-        """Field ``name`` as an int; a malformed value raises ValueError naming the file and the field."""
-        return self._typed(name, int, "an integer")
-
-    def getfloat(self, name: str) -> float:
-        """Field ``name`` as a float; a malformed value raises ValueError naming the file and the field."""
-        return self._typed(name, float, "a number")
-
-    def _typed(self, name: str, kind, what: str):
-        value = self[name]
-        try:
-            return kind(value)
-        except ValueError:
-            raise ValueError(f"{self.path}: header field {name!r} is not {what}: {value!r}") from None
-
-    def params(self) -> SampleParams:
-        """The parameters the writers record: a ``# params`` line, and ``lambda``."""
-        return SampleParams(
-            p_plus=self.getfloat("p_plus"),
-            p_minus=self.getfloat("p_minus"),
-            eps_plus=self.getfloat("eps_plus"),
-            eps_minus=self.getfloat("eps_minus"),
-            lam=self.getint("lambda"),
-            fold=bool(self.getint("fold")),
-        )
-
-
 def read_symbol_graph(path) -> SymbolGraph:
-    """Parse a file written by :func:`write_symbol_graph`."""
-    meta = _Header(path, "symbol-graph", "params")
+    """Parse a file written by :func:`write_symbol_graph`.
+
+    A malformed line raises ValueError naming the file and the line, or
+    for a header field, the field.
+    """
+    meta: dict[str, str] = {}  # the name=value fields of the "# symbol-graph" and "# params" lines
     origin: dict[int, int] = {}
     structural: list[tuple[int, int]] = []
     similarity: list[tuple[int, int]] = []
@@ -381,7 +325,13 @@ def read_symbol_graph(path) -> SymbolGraph:
                 origin[int(fields[1])] = int(fields[2])
                 continue
             if line.startswith("#"):
-                meta.read(line)
+                fields = line[1:].split()
+                if fields[:1] in (["symbol-graph"], ["params"]):
+                    for item in fields[1:]:
+                        name, eq, value = item.partition("=")
+                        if not eq:
+                            raise ValueError(f"{path}: header field {item!r} is not name=value")
+                        meta[name] = value
                 continue
             fields = line.split("\t")
             if len(fields) != 3 or fields[2] not in ("S", "R"):
@@ -389,9 +339,25 @@ def read_symbol_graph(path) -> SymbolGraph:
             u, v = int(fields[0]), int(fields[1])
             edge = (min(u, v), max(u, v))
             (structural if fields[2] == "S" else similarity).append(edge)
-    n_meaning = meta.getint("meaning-nodes")
-    seed = meta.getint("seed")
-    params = meta.params()
+
+    def field(name: str, kind, what: str):
+        if name not in meta:
+            raise ValueError(f"{path}: missing header field {name!r}")
+        try:
+            return kind(meta[name])
+        except ValueError:
+            raise ValueError(f"{path}: header field {name!r} is not {what}: {meta[name]!r}") from None
+
+    n_meaning = field("meaning-nodes", int, "an integer")
+    seed = field("seed", int, "an integer")
+    params = SampleParams(
+        p_plus=field("p_plus", float, "a number"),
+        p_minus=field("p_minus", float, "a number"),
+        eps_plus=field("eps_plus", float, "a number"),
+        eps_minus=field("eps_minus", float, "a number"),
+        lam=field("lambda", int, "an integer"),
+        fold=bool(field("fold", int, "an integer")),
+    )
     lam = params.lam
     for w, m in origin.items():
         if w // lam != m:

@@ -19,6 +19,7 @@ import numpy as np
 from .bounds import laplacian_diff_bound
 from .graph import Graph, _as_nodes, _bit_levels, _neighbor_reduce
 from .meaning import CutPair
+from .rng import stream
 from .sampler import SampleParams, SymbolGraph, sample_coupled
 
 # Fixed entropy for the power-iteration start vector. Deterministic on
@@ -93,8 +94,7 @@ def spectral_norm(m: np.ndarray | _Operator, tol: float = 1e-9, max_iter: int = 
             raise ValueError("matrix entries must be finite")
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(_START_VECTOR_SEED)))
-    x = rng.standard_normal(m.shape[0])
+    x = stream(_START_VECTOR_SEED).standard_normal(m.shape[0])
     x /= np.linalg.norm(x)
     estimate = 0.0
     for it in range(1, max_iter + 1):

@@ -50,6 +50,8 @@ from meaninglab.sampler import (
 )
 from meaninglab.spectral import coupled_cut_trial, laplacian_of, spectral_norm
 
+from oracles import connectivity_probability, to_networkx
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -68,9 +70,7 @@ def test_01_identity_channel_reproduces_meaning_graph():
         # lam=1 makes symbol w the one replica of meaning node w.
         assert sg.graph == gm.graph
         # networkx is the reference: it shares no code with the separator's BFS.
-        ref = nx.Graph()
-        ref.add_nodes_from(range(n))
-        ref.add_edges_from(gm.graph.edges())
+        ref = to_networkx(gm.graph)
         for u in range(n):
             lu = nx.single_source_shortest_path_length(ref, u, cutoff=2)
             for v in range(u + 1, n):
@@ -172,24 +172,11 @@ def test_04_small_world_noise_defeats_separator():
     )
 
 
-def _connectivity_probability(n: int, p: float) -> float:
-    """Exact P[G(n, p) connected] by summing over all labeled graphs."""
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    m = len(pairs)
-    total = 0.0
-    for mask in range(1 << m):
-        edges = [pairs[i] for i in range(m) if mask >> i & 1]
-        if len(components(Graph(n, edges))) == 1:
-            k = len(edges)
-            total += p**k * (1.0 - p) ** (m - k)
-    return total
-
-
 def test_05_connectivity_lower_bounds_vs_enumeration():
     checked = 0
     for n in range(2, 6):
         for p in (0.3, 0.5, 0.7, 0.9):
-            truth = _connectivity_probability(n, p)
+            truth = connectivity_probability(n, p)
             bounds = gilbert_bounds(n, p)
             assert truth + 1e-12 >= bounds.exact, (n, p, truth, bounds)
             if 1.0 - p <= 0.5:

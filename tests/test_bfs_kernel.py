@@ -12,13 +12,12 @@ from hypothesis import strategies as st
 
 import meaninglab.graph as graph
 from meaninglab.graph import Graph, bfs_distance, bfs_distances
-from meaninglab.meaning import MeaningGraph
+
+from oracles import swept_ball, to_networkx
 
 
 def oracle_distances(g: Graph, src, dst, cap) -> list[int]:
-    nxg = nx.Graph()
-    nxg.add_nodes_from(range(g.n))
-    nxg.add_edges_from(g.edges())
+    nxg = to_networkx(g)
     out = []
     for s, t in zip(src, dst):
         lengths = nx.single_source_shortest_path_length(nxg, int(s), cutoff=cap)
@@ -144,16 +143,9 @@ def test_rejects_bad_queries():
         bfs_distances(Graph(0, []), [0], [0])
 
 
-def swept_ball(g: Graph, d: int) -> int:
-    """The ball bound ``check_nontrivial`` reports: a fresh meaning graph's sweep to d."""
-    return MeaningGraph(g)._rings.ball_bound(d)
-
-
 def ego_ball(g: Graph, d: int) -> int:
     """The largest d-ball by networkx, one single-source search per node; 0 without nodes."""
-    nxg = nx.Graph()
-    nxg.add_nodes_from(range(g.n))
-    nxg.add_edges_from(g.edges())
+    nxg = to_networkx(g)
     return max((len(nx.single_source_shortest_path_length(nxg, s, cutoff=d)) for s in range(g.n)), default=0)
 
 
@@ -190,11 +182,8 @@ def test_ball_bound_edge_cases():
 
 
 def oracle_distance(g: Graph, u: int, v: int, cap):
-    nxg = nx.Graph()
-    nxg.add_nodes_from(range(g.n))
-    nxg.add_edges_from(g.edges())
     try:
-        dist = nx.shortest_path_length(nxg, u, v)
+        dist = nx.shortest_path_length(to_networkx(g), u, v)
     except nx.NetworkXNoPath:
         return None
     return None if cap is not None and dist > cap else dist
@@ -271,7 +260,7 @@ def test_dense_graph_switches_direction_mid_pass():
     dense = np.column_stack((iu[keep], ju[keep]))
     joins = [(0, 2 * n), (2 * n, 2 * n + 1), (2 * n + 1, 2 * n + 2), (2 * n + 2, n)]
     g = Graph(2 * n + 3, np.concatenate((dense, dense + n, joins)))
-    nxg = nx.Graph(list(g.edges()))
+    nxg = to_networkx(g)
     with pytest.MonkeyPatch.context() as mp:
         built = bottom_up_steps(mp)
         for u, v in rng.integers(n, size=(60, 2)).tolist():

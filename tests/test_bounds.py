@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -21,6 +20,8 @@ from meaninglab.bounds import (
     ub_disconnected_raw,
 )
 from meaninglab.sampler import fold_noise
+
+from oracles import connectivity_probability
 
 # High-precision reference values, computed once with a 30-digit
 # arbitrary-precision evaluation of the same closed forms and frozen here.
@@ -207,29 +208,6 @@ def test_gamma_star_is_the_lower_bound_minus_the_folded_penalty(
 
 
 # -- cluster connectivity bounds ----------------------------------------
-
-
-def connectivity_probability(n: int, p: float) -> float:
-    """Exact P[G(n, p) connected] by enumerating all labeled graphs."""
-    pairs = list(itertools.combinations(range(n), 2))
-    total = 0.0
-    for mask in range(1 << len(pairs)):
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        k = 0
-        for b, (u, v) in enumerate(pairs):
-            if mask >> b & 1:
-                k += 1
-                parent[find(u)] = find(v)
-        if len({find(x) for x in range(n)}) == 1:
-            total += p**k * (1 - p) ** (len(pairs) - k)
-    return total
 
 
 def test_gilbert_frozen_values():

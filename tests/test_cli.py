@@ -13,7 +13,7 @@ import pytest
 import meaninglab
 from meaninglab.bounds import bound_report
 from meaninglab.cli import build_parser, cli
-from meaninglab.sampler import read_symbol_graph
+from meaninglab.sampler import read_symbol_graph, write_symbol_graph
 
 TRIPLES = """\
 /m/x1\t/rel/road\t/m/x2
@@ -200,6 +200,52 @@ def test_benchmark_argv_parses(workload, tmp_path):
     argv = BENCH_SPEC["workloads"][workload]["argv"]
     args = build_parser().parse_args(argv + ["--seed", "1", "--threads", "1", "--out", str(tmp_path)])
     assert args.command == argv[0] and args.seed == 1 and args.out == tmp_path
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_SPEC["workloads"]))
+def test_benchmark_argv_runs(workload, tmp_path, capsys):
+    # One op of each workload as bench/worker.py runs it: the argv with its
+    # suffix at the workload seed. A written symbol graph must read back and
+    # rewrite to the same bytes, as bench/run.py's round trip requires.
+    argv = BENCH_SPEC["workloads"][workload]["argv"]
+    out = tmp_path / "out"
+    code, _, _ = run(capsys, *argv, "--seed", "301", "--threads", "1", "--out", str(out))
+    assert code == 0
+    if argv[0] == "sample":
+        written = out / "symbol_graph.tsv"
+        write_symbol_graph(read_symbol_graph(written), tmp_path / "rewritten.tsv")
+        assert (tmp_path / "rewritten.tsv").read_bytes() == written.read_bytes()
+
+
+# Every subcommand's options, in help order, with their defaults: the groups
+# the sampling commands share, then each command's own.
+CONFIG = [("--config", None)]
+OUT = [("--out", Path("."))]
+RUN = [("--seed", 0), ("--threads", 1), ("--allow-trivial", False)]
+SOURCE = [("--er", None), ("--graph-seed", 1), ("--triples", None), ("--prefix", "")]
+CHANNEL = [("--p-plus", 0.9), ("--p-minus", 1e-6), ("--eps-plus", 1e-4), ("--eps-minus", 0.0), ("--lambda", 2)]
+FOLD = [("--fold", False)]
+SAMPLING = CONFIG + OUT + RUN + SOURCE + CHANNEL + FOLD
+CLI_OPTIONS = {
+    "sample": SAMPLING,
+    "gamma": SAMPLING
+    + [("--d", 2), ("--d-tilde", None), ("--trials", 100), ("--representative", "first"), ("--fixed-pairs", False)],
+    "bounds": CONFIG
+    + CHANNEL
+    + [("--n", None), ("--d", None), ("--ball-d", None), ("--ball-1", 1), ("--c2", 2.0), ("--c3", 2.0), ("--json", False)],
+    "heatmap": SAMPLING + [("--d-max", 5), ("--pairs-per-cell", 20), ("--p-minus-grid", "1e-6,1e-5,1e-4,1e-3,1e-2")],
+    "spectral": SAMPLING + [("--d", None), ("--d-tilde", None), ("--trials", 20)],
+    "ingest": CONFIG + OUT + [("--triples", None), ("--prefix", "")],
+    "check": CONFIG + SOURCE + CHANNEL + FOLD + [("--d", 2)],
+}
+
+
+def test_every_command_has_its_listed_options_and_defaults():
+    commands = build_parser().commands
+    assert list(commands) == list(CLI_OPTIONS)
+    for name, sub in commands.items():
+        got = [(a.option_strings[0], a.default) for a in sub._actions if a.dest != "help"]
+        assert got == CLI_OPTIONS[name], name
 
 
 BOUNDS_ARGV = ["bounds", "--n", "10", "--d", "1", "--ball-d", "1", "--json"]

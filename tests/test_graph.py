@@ -14,7 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meaninglab.graph import Graph, _sweep, bfs_distance, components, min_cut, write_edge_list
-from meaninglab.meaning import MeaningGraph
+
+from oracles import swept_ball, to_networkx
 
 
 def neighbors(g: Graph, u: int) -> tuple[int, ...]:
@@ -196,11 +197,6 @@ def ball_sizes(g: Graph, d: int) -> list[int]:
     return [size for balls, _ in _sweep(g, d) for size in balls.tolist()]
 
 
-def swept_ball(g: Graph, d: int) -> int:
-    """The ball bound ``check_nontrivial`` reports: a fresh meaning graph's sweep to d."""
-    return MeaningGraph(g)._rings.ball_bound(d)
-
-
 def test_neighborhood_size_examples():
     # On a path of 5, node i's d-ball is every j with |i - j| <= d.
     g = path_graph(5)
@@ -321,13 +317,6 @@ def node_pairs(draw, max_nodes=60):
 
 def sparse_graphs(max_nodes=60) -> st.SearchStrategy[Graph]:
     return node_pairs(max_nodes).map(lambda case: Graph(*case))
-
-
-def to_networkx(g: Graph) -> nx.Graph:
-    ref = nx.Graph()
-    ref.add_nodes_from(range(g.n))
-    ref.add_edges_from(g.edges())
-    return ref
 
 
 @settings(max_examples=80, deadline=None)

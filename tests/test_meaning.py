@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import math
+import tempfile
 from pathlib import Path
 
 import networkx as nx
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meaninglab.graph import Graph, bfs_distance
 from meaninglab.meaning import (
@@ -22,8 +25,10 @@ from meaninglab.meaning import (
     pick_disconnected_pair,
     pick_pair_at_distance,
 )
-from meaninglab.rng import pair_count
+from meaninglab.rng import STREAM_ER, index_to_pair, pair_count, skip_sample, stream
 from meaninglab.sampler import SampleParams
+
+from oracles import to_networkx
 
 DATA = Path(__file__).parent / "data"
 
@@ -61,6 +66,19 @@ def test_gen_er_pairwise_frequency():
     assert abs(hits - runs * p) <= 4 * sd
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=60),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+    st.integers(min_value=0, max_value=2**63 - 1),
+)
+def test_gen_er_is_one_skip_sample_pass(n, p, seed):
+    # The edges are the hits of one pass over the pair indices, in index order.
+    hits = skip_sample(stream(seed, STREAM_ER), pair_count(n), p)
+    us, vs = index_to_pair(hits, n)
+    assert np.array_equal(gen_er(n, p, seed).graph.edge_array(), np.column_stack((us, vs)))
+
+
 def test_gen_er_rejects_bad_args():
     with pytest.raises(ValueError):
         gen_er(0, 0.5, 1)
@@ -92,6 +110,34 @@ def test_load_triples_no_filter_keeps_all_entities():
 def test_load_triples_unmatched_prefix_is_empty():
     gm = load_triples(DATA / "triples_small.tsv", "/nosuch/")
     assert gm.n == 0 and gm.edge_count == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 7), st.sampled_from(["/film/a", "/film/b", "/music/c"]), st.integers(0, 7)),
+        max_size=30,
+    )
+)
+def test_load_triples_matches_networkx_on_normalized_unique_pairs(triples):
+    # Reversed and repeated lines, and a self-loop, on top of the drawn ones.
+    triples = triples + [(t, r, h) for h, r, t in triples[::2]] + triples[::3] + [(0, "/film/a", 0)]
+    index: dict[str, int] = {}
+    pairs = set()
+    for h, r, t in triples:
+        if r.startswith("/film/"):
+            u, v = (index.setdefault(f"e{x}", len(index)) for x in (h, t))
+            if u != v:
+                pairs.add((min(u, v), max(u, v)))
+    ref = nx.Graph()
+    ref.add_nodes_from(range(len(index)))
+    ref.add_edges_from(pairs)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "triples.tsv"
+        path.write_text("".join(f"e{h}\t{r}\te{t}\n" for h, r, t in triples), encoding="utf-8")
+        gm = load_triples(path, "/film/")
+    assert gm.labels == tuple(index)
+    assert nx.utils.graphs_equal(to_networkx(gm.graph), ref)
 
 
 def test_load_triples_malformed_line(tmp_path):
@@ -276,7 +322,7 @@ def test_make_cut_pair_complete_graph():
     cp = make_cut_pair(gm, 0, 3)
     assert cp.d == 1
     assert len(cp.cut) == 3
-    assert bfs_distance(cp.g_prime.graph, 0, 3) is None
+    assert bfs_distance(cp.g.graph.remove_edges(cp.cut), 0, 3) is None
 
 
 def test_make_cut_pair_cycle_opposite():
@@ -292,7 +338,8 @@ def test_make_cut_pair_path():
     assert cp.d == 4
     assert len(cp.cut) == 1
     assert cp.g.graph is gm.graph  # original world untouched
-    assert cp.g_prime.edge_count == 3
+    assert cp.g is gm
+    assert cp.g.graph.remove_edges(cp.cut).edge_count == 3
 
 
 def test_make_cut_pair_rejects_disconnected():
@@ -302,17 +349,23 @@ def test_make_cut_pair_rejects_disconnected():
 
 
 def test_make_cut_pair_preserves_labels():
+    # Both worlds are over gm's nodes: g is gm itself, labels included.
     gm = load_triples(DATA / "triples_small.tsv", "/film/")
     cp = make_cut_pair(gm, 0, 3)
+    assert cp.g is gm
     assert cp.g.labels == gm.labels
-    assert cp.g_prime.labels == gm.labels
 
 
 def test_cut_pair_validates_invariants():
-    g = MeaningGraph(Graph(3, [(0, 1), (1, 2)]))
-    g_prime_wrong = MeaningGraph(Graph(3, [(0, 1), (1, 2)]))
-    with pytest.raises(ValueError):
-        CutPair(g=g, g_prime=g_prime_wrong, m=0, m_prime=2, cut=((0, 1),), d=2)
+    path = MeaningGraph(Graph(3, [(0, 1), (1, 2)]))
+    assert CutPair(g=path, m=0, m_prime=2, cut=((0, 1),), d=2).d == 2
+    with pytest.raises(ValueError, match="stored distance"):
+        CutPair(g=path, m=0, m_prime=2, cut=((0, 1),), d=1)
+    with pytest.raises(ValueError, match="absent edge"):
+        CutPair(g=path, m=0, m_prime=2, cut=((0, 2),), d=2)
+    triangle = MeaningGraph(Graph(3, [(0, 1), (1, 2), (0, 2)]))
+    with pytest.raises(ValueError, match="still connected"):
+        CutPair(g=triangle, m=0, m_prime=1, cut=((0, 1),), d=1)
 
 
 def test_cut_size_never_exceeds_min_degree():

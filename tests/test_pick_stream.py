@@ -37,13 +37,10 @@ from meaninglab.reasoning import estimate_gamma
 from meaninglab.rng import STREAM_PAIR_AT_DISTANCE, stream
 from meaninglab.sampler import SampleParams
 
+from oracles import to_networkx
 
-@functools.lru_cache(maxsize=None)
-def nx_graph(g: Graph) -> nx.Graph:
-    ref = nx.Graph()
-    ref.add_nodes_from(range(g.n))
-    ref.add_edges_from(g.edges())
-    return ref
+
+nx_graph = functools.lru_cache(maxsize=None)(to_networkx)
 
 
 # Distances and the exhaustive pair list depend only on the graph, so the

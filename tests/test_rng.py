@@ -18,6 +18,7 @@ from meaninglab.rng import (
     pair_to_index,
     run_tasks,
     skip_sample,
+    sparse_pairs,
     stream,
     subseed,
 )
@@ -210,3 +211,22 @@ def test_skip_sample_slotwise_frequency():
             count += 1
     sd = math.sqrt(runs * p * (1 - p))
     assert abs(count - runs * p) <= 4 * sd
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=1, max_value=4),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+    st.integers(min_value=0, max_value=2**63 - 1),
+    st.integers(min_value=0, max_value=12),
+)
+def test_sparse_pairs_is_the_cross_cluster_slot_pass(n, lam, p, seed, stream_id):
+    # A cross-cluster pass written out: one skip-sample pass over lam * lam
+    # slots per meaning pair, then each hit split into its pair and slot.
+    rng = stream(seed, stream_id)
+    pair, slot = np.divmod(skip_sample(rng, pair_count(n) * lam * lam, p), lam * lam)
+    m1, m2 = index_to_pair(pair, n)
+    got = sparse_pairs(seed, stream_id, n, p, lam * lam)
+    for a, b in zip(got, (m1, m2, slot)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)

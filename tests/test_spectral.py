@@ -22,16 +22,11 @@ from meaninglab.spectral import (
     spectral_norm,
 )
 
+from oracles import to_networkx
+
 
 def complete_graph(n: int) -> Graph:
     return Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
-
-
-def to_networkx(g: Graph) -> nx.Graph:
-    ref = nx.Graph()
-    ref.add_nodes_from(range(g.n))
-    ref.add_edges_from(g.edges())
-    return ref
 
 
 def columns(lap) -> np.ndarray:
