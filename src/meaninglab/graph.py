@@ -17,10 +17,10 @@ expands only the frontier's CSR slices (direction-optimizing BFS).
 Batched and single distance queries read its levels, and so does one
 sweep of the whole graph (:func:`_sweep`, a pass per 64 consecutive
 sources) that yields every node's ball size and its distance-d rings at
-once: the ball bound, the rings that pair pickers test their attempts
-against and the exhaustive pair scan all read that sweep. Batched
-queries group their pairs by source, so a pass runs 64 distinct sources
-and serves every pair that starts at one of them. A single distance query is bidirectional: two
+once: the ball bound and the ring tables and ring sizes that pair
+pickers read all come from that sweep. Batched queries group their
+pairs by source, so a pass runs 64 distinct sources and serves every
+pair that starts at one of them. A single distance query is bidirectional: two
 single-source passes, one from each end, grown a level at a time until
 their balls meet. Connected components come from the same
 gather-and-reduce step with ``minimum`` in place of ``bitwise_or``.
@@ -414,45 +414,29 @@ def bfs_distance(g: Graph, u: int, v: int, cap: int | None = None) -> int | None
     return None
 
 
-def _sweep(g: Graph, radius: int, keep: Container[int] = ()) -> Iterator[tuple[np.ndarray, dict[int, np.ndarray]]]:
-    """The whole graph's multi-source BFS to level ``radius``: one pass per 64 consecutive nodes.
+def _sweep(
+    g: Graph, radius: int, keep: Container[int] = (), src: np.ndarray | None = None
+) -> Iterator[tuple[np.ndarray, dict[int, np.ndarray]]]:
+    """Multi-source BFS to level ``radius``: one pass per 64 of ``src``, by default all nodes in order.
 
-    Yields, for the pass over sources ``64r .. 64r + 63`` (fewer in the
-    last pass), a pair ``(balls, rings)``: each source's ball size at
-    ``radius``, and for every level d >= 1 in ``keep`` that the pass
-    reaches, its ring words ``seen_d & ~seen_{d-1}``, with bit j set where
-    the node is at exact distance d from source ``64r + j`` (a level the
-    pass does not reach has an empty ring and no entry). The ball bound,
-    the pickers' ring tables and the exhaustive pair scan all read it.
+    Yields, for the pass over sources ``src[64r : 64r + 64]``, a pair
+    ``(balls, rings)``: each source's ball size at ``radius``, and for
+    every level d in ``keep`` that the pass reaches, its ring words
+    ``seen_d & ~seen_{d-1}``, with bit j set where the node is at exact
+    distance d from source j of the pass (a level the pass does not reach
+    has an empty ring and no entry). The ball bound, the pickers' ring
+    tables and ring sizes, and their reads past the table budget all
+    come from it.
     """
-    for lo in range(0, g.n, _WORD):
-        src = np.arange(lo, min(lo + _WORD, g.n), dtype=np.int64)
-        rings, inner = {}, None
-        for level, _, seen in _bit_levels(g, src, radius):
+    src = np.arange(g.n, dtype=np.int64) if src is None else src
+    for lo in range(0, len(src), _WORD):
+        rings, inner = {}, np.zeros(g.n, dtype=np.uint64)  # seen_{-1}: no node
+        for level, _, seen in _bit_levels(g, src[lo : lo + _WORD], radius):
             if level in keep:
                 rings[level] = seen & ~inner
             if level + 1 in keep:
                 inner = seen.copy()
-        yield _lane_counts(seen)[: len(src)], rings
-
-
-def _pairs_at_distance(g: Graph, d: int, table: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Every ordered pair at exact distance ``d`` (>= 1) as arrays ``(us, vs)``, by u then v.
-
-    Reads ``table``, the graph's ring words at d with row r from the pass
-    over sources ``64r ..``, when there is one, and otherwise the rings of
-    one sweep to d.
-    """
-    rows = table if table is not None else (rings.get(d) for _, rings in _sweep(g, d, (d,)))
-    us, vs = [], []
-    for r, words in enumerate(rows):
-        if words is not None:
-            j, v = np.nonzero(_source_bits(words).T)
-            us.append(r * _WORD + j)
-            vs.append(v)
-    if not us:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return np.concatenate(us), np.concatenate(vs)
+        yield _lane_counts(seen)[: len(src) - lo], rings
 
 
 def components(g: Graph) -> list[list[int]]:

@@ -7,16 +7,19 @@ TSV triples, screens out degenerate parameter regimes, and picks the node
 pairs (exact-distance pairs, disconnected pairs, cut pairs) that the
 estimation and spectral layers consume.
 
-Exact-distance pairs are drawn by rejection, and every batch of
-attempts is tested against a table of rings: the nodes at distance d
-from each node, read with one gather. A meaning graph keeps its tables,
-within 1 MiB in all, and one multi-source sweep of :mod:`graph`'s bitset
-BFS fills them: :func:`check_nontrivial`'s sweep to d, which also gives
-the ball bound, keeps every table up to d when they all fit and else
-d's, so the picks that follow it (a gamma run's trials, the heat-map
-cells, the spectral command's trials) traverse nothing. A pick at a
-distance with no table builds one with its own sweep, if it fits; past
-the bound, batches are tested without a table.
+Exact-distance pairs are drawn exactly, with one integer draw per pick:
+the r-th ordered pair at distance d in (u, v) order. Ring sizes (how
+many nodes lie at distance d from each node) and the rings themselves
+are read from tables: the nodes at distance d from each node, one bit
+each. A meaning graph keeps its tables, within 1 MiB in all, with the
+ring sizes beside them, and one multi-source sweep of :mod:`graph`'s
+bitset BFS fills them: :func:`check_nontrivial`'s sweep to d, which also
+gives the ball bound, keeps every table up to d when they all fit and
+else d's, so the picks that follow it (a gamma run's trials, the
+heat-map cells, the spectral command's trials) traverse nothing. A pick
+at a distance with no table builds one with its own sweep, if it fits;
+past the bound the sweep keeps only the sizes, and each call reads its
+anchors' rings from one BFS pass per 64 of them.
 """
 
 from __future__ import annotations
@@ -30,15 +33,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .graph import (
-    _BITS,
     _WORD,
     Graph,
-    _lookup,
-    _pairs_at_distance,
+    _source_bits,
     _sweep,
     _upper_arcs,
     bfs_distance,
-    bfs_distances,
     components,
     min_cut,
 )
@@ -266,31 +266,32 @@ def _as_rng(seed, stream_id: int) -> np.random.Generator:
     return stream(seed, stream_id)
 
 
-# Rejection attempts per batch: at least one uint64 word of BFS sources,
-# at most enough to keep a batch's arrays small.
-_BATCH = 64
-_MAX_BATCH = 4096
-
 # All of a meaning graph's ring tables together never hold more than this many bytes.
 _RING_BYTES = 1 << 20
 
 
 class _RingTables:
-    """A meaning graph's tables of rings, kept as long as the graph, within ``_RING_BYTES`` in all.
+    """A meaning graph's ring sizes and tables of rings, kept as long as the graph.
 
     The table at d marks, for each anchor u, the nodes at exact distance d
     from u: bit ``u & 63`` of row ``u >> 6``, one word per node, so a
-    table is ceil(n/64) rows of n words. Tables come from sweeps of
-    :func:`graph._sweep`, whose pass over anchors ``64r ..`` fills row r
-    of every table it keeps. A sweep allocates a table only at a distance
-    some pass reaches: past the graph's depth every ring is empty, and
-    only a pick at that one distance (:meth:`get`) keeps its all-zero
-    table.
+    table is ceil(n/64) rows of n words, and all tables together stay
+    within ``_RING_BYTES``. Distance is symmetric, so column u of the
+    same table is u's ring packed as a bitset: bit j of word r marks node
+    ``64r + j``. ``sizes[d]`` holds every node's ring size at d.
+
+    Both come from sweeps of :func:`graph._sweep`, whose pass over anchors
+    ``64r ..`` fills row r of every table it keeps, and whose ring words
+    at node v, popcounted and summed over the passes, give v's ring size.
+    A sweep records sizes at the levels it keeps tables for and at its own
+    radius, and allocates a table only at a level some pass reaches: past
+    the graph's depth every ring is empty.
     """
 
     def __init__(self, g: Graph):
         self.g = g
         self.tables: dict[int, np.ndarray] = {}
+        self.sizes: dict[int, np.ndarray] = {}
         self.shape = (-(-g.n // _WORD), g.n)
         self.size = 8 * self.shape[0] * g.n  # bytes in one table
 
@@ -304,44 +305,38 @@ class _RingTables:
         that fits.
         """
         if self._fits(d - sum(k <= d for k in self.tables)):
-            keep = range(1, d + 1)
+            tabled = range(1, d + 1)
         else:
-            keep = (d,) if d not in self.tables and self._fits(1) else ()
-        return self._fill(d, keep)
+            tabled = (d,) if d not in self.tables and self._fits(1) else ()
+        return self._fill(d, tabled)
 
-    def get(self, d: int) -> np.ndarray | None:
-        """The table at d, built by one sweep if it is new and fits; None if it does not fit."""
-        if d not in self.tables and self._fits(1):
-            self._fill(d, (d,))
-            self.tables.setdefault(d, np.zeros(self.shape, dtype=np.uint64))
-        return self.tables.get(d)
+    def get(self, d: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """The ring sizes at d and the table at d, or None for a table that does not fit.
 
-    def _fill(self, radius: int, keep) -> int:
-        """Sweep to ``radius``, filling the tables at the distances in ``keep``; returns the ball bound."""
+        A distance no sweep has reached yet gets one, which keeps its table if it fits.
+        """
+        if d not in self.sizes:
+            self._fill(d, (d,) if self._fits(1) else ())
+        return self.sizes[d], self.tables.get(d)
+
+    def _fill(self, radius: int, tabled) -> int:
+        """Sweep to ``radius``, keeping tables at the levels in ``tabled`` and sizes there and at ``radius``.
+
+        Returns the ball bound.
+        """
         best = 0
-        for r, (balls, rings) in enumerate(_sweep(self.g, radius, keep)):
+        sizes = {radius: np.zeros(self.g.n, dtype=np.int64)}
+        # ``tabled`` is empty or holds ``radius``.
+        for r, (balls, rings) in enumerate(_sweep(self.g, radius, tabled or (radius,))):
             best = max(best, int(balls.max()))
             for k, words in rings.items():
-                if k not in self.tables:
-                    self.tables[k] = np.zeros(self.shape, dtype=np.uint64)
-                self.tables[k][r] = words
+                sizes[k] = np.add(sizes.get(k, 0), np.bitwise_count(words), dtype=np.int64)
+                if k in tabled:
+                    if k not in self.tables:
+                        self.tables[k] = np.zeros(self.shape, dtype=np.uint64)
+                    self.tables[k][r] = words
+        self.sizes.update(sizes)
         return best
-
-
-def _hits(gm: MeaningGraph, d: int, table: np.ndarray | None, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Whether each ``vs[i]`` is at distance d from ``us[i]``.
-
-    With the meaning graph's table at d (:class:`_RingTables`), anchor u's
-    ring is bit ``u & 63`` of row ``u >> 6`` and one gather tests a whole
-    batch of attempts. Without one, a batch at d = 1 looks its
-    ``min * n + max`` keys up among the sorted edge keys, and at larger d
-    runs its own capped BFS.
-    """
-    if table is not None:
-        return (table[us >> 6, vs] & _BITS[us & 63]) != 0
-    if d == 1:
-        return _lookup(gm._sorted_edge_keys, np.minimum(us, vs) * gm.n + np.maximum(us, vs))[1]
-    return bfs_distances(gm.graph, us, vs, cap=d) == d
 
 
 def pick_pair_at_distance(
@@ -349,18 +344,18 @@ def pick_pair_at_distance(
 ) -> tuple[int, int] | list[tuple[int, int]] | None:
     """Uniformly sample an ordered node pair at exact distance d.
 
-    Rejection over uniformly drawn (anchor, target) pairs keeps the sample
-    unbiased; after 10n misses an exhaustive scan either settles the draw
-    or proves no such pair exists. ``seed`` may be an int or a Generator
-    to embed in a caller's stream. Every batch of attempts is tested
-    against the meaning graph's table of rings at d, built once for the
-    graph if it fits and kept with it, so after :func:`check_nontrivial`
-    at d the picks run no traversal at all.
+    One integer draw per pick: r uniform below the number of ordered
+    pairs at distance d, and the pick is the r-th of them in (u, v)
+    order. The anchor u comes from a search of the running ring sizes,
+    and v is the member of u's ring at the remaining rank, in node order.
+    ``seed`` may be an int or a Generator to embed in a caller's stream.
+    Sizes and rings are read from the meaning graph's ring tables, filled
+    once for the graph, so after :func:`check_nontrivial` at d the picks
+    run no traversal at all; past the table budget a call runs one BFS
+    pass per 64 distinct anchors.
 
-    With ``count``, returns a list of ``count`` consecutive picks from the
-    one stream: the same pairs, and the stream left in the same place, as
-    ``count`` calls without it. If no pair is at distance d it returns
-    None, with the stream where the first such call leaves it.
+    With ``count``, returns a list of ``count`` picks from one array draw.
+    If no pair is at distance d it returns None and draws nothing.
     """
     if d < 1:
         raise ValueError(f"distance must be positive, got {d}")
@@ -370,59 +365,44 @@ def pick_pair_at_distance(
         return []
     if gm.n < 2:
         return None
-    picks = _pick(gm, d, _as_rng(seed, STREAM_PAIR_AT_DISTANCE), 1 if count is None else count)
-    return picks if count is not None or picks is None else picks[0]
+    sizes, table = gm._rings.get(d)
+    ends = np.cumsum(sizes)
+    if not ends[-1]:
+        return None
+    r = _as_rng(seed, STREAM_PAIR_AT_DISTANCE).integers(int(ends[-1]), size=1 if count is None else count)
+    u = np.searchsorted(ends, r, side="right")
+    if table is not None:
+        columns = table[:, u].T
+    else:
+        anchors, lane = np.unique(u, return_inverse=True)
+        columns = _anchor_rings(gm.graph, d, anchors)[lane]
+    picks = list(zip(u.tolist(), _kth_member(columns, r - ends[u] + sizes[u]).tolist()))
+    return picks if count is not None else picks[0]
 
 
-def _pick(gm: MeaningGraph, d: int, rng: np.random.Generator, want: int) -> list[tuple[int, int]] | None:
-    """``want`` consecutive rejection picks from ``rng``, or None if there is no pair at distance d."""
-    n = gm.n
-    table = gm._rings.get(d)
-    attempts = 10 * n
-    # Attempts are drawn a batch at a time, as the interleaved anchor and
-    # target draws the one-at-a-time loop would make, and tested together.
-    # Each pick takes the first hit inside its own window of ``attempts``;
-    # where the picks end, or a window runs out, the stream is rewound and
-    # exactly the attempts consumed are redrawn, so the caller's generator
-    # sits where that loop would have left it.
-    picks: list[tuple[int, int]] = []
-    room = attempts  # attempts left in the current pick's window
-    tried = hits = 0  # attempts drawn so far and hits among them
-    while len(picks) < want:
-        if room <= 0:
-            us, vs = _pairs_at_distance(gm.graph, d, table)
-            if not len(us):
-                return None
-            k = int(rng.integers(len(us)))
-            picks.append((int(us[k]), int(vs[k])))
-            room = attempts
-            continue
-        left = want - len(picks)
-        # Enough attempts for ``left`` hits at the running hit rate; until a
-        # hit shows that rate, one word of sources, which is all a single
-        # pick usually needs. No batch runs past the last window it could use.
-        b = -(-left * tried // hits) if hits else _BATCH
-        b = min(max(b, _BATCH), _MAX_BATCH, room + (left - 1) * attempts)
-        state = rng.bit_generator.state
-        draws = rng.integers(n, size=2 * b)
-        us, vs = draws[0::2], draws[1::2]
-        hit = np.flatnonzero(_hits(gm, d, table, us, vs))
-        tried += b
-        hits += len(hit)
-        pos = 0  # attempts of this batch consumed so far
-        for h in hit.tolist():
-            if len(picks) == want or h >= pos + room:
-                break
-            picks.append((int(us[h]), int(vs[h])))
-            pos, room = h + 1, attempts
-        if len(picks) < want:
-            step = min(b - pos, room)
-            pos += step
-            room -= step
-        if pos < b:
-            rng.bit_generator.state = state
-            rng.integers(n, size=2 * pos)
-    return picks
+def _anchor_rings(g: Graph, d: int, anchors: np.ndarray) -> np.ndarray:
+    """Row i: the distance-d ring of ``anchors[i]``, packed as its ring table column would be.
+
+    Every anchor drawn has a nonempty ring, so each pass reaches level d.
+    """
+    columns = []
+    for _, rings in _sweep(g, d, (d,), anchors):
+        # Row j of the unpacked bits is source j's ring; pack it into a column's words.
+        packed = np.zeros((_WORD, 8 * -(-g.n // _WORD)), dtype=np.uint8)
+        packed[:, : -(-g.n // 8)] = np.packbits(_source_bits(rings[d]).T, axis=1, bitorder="little")
+        columns.append(packed.view("<u8"))
+    return np.concatenate(columns)
+
+
+def _kth_member(columns: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """For each i, the node of rank ``k[i]`` in node order among the set bits of ring column ``columns[i]``."""
+    counts = np.bitwise_count(columns)
+    ends = np.cumsum(counts, axis=1, dtype=np.int64)
+    word = np.count_nonzero(ends <= k[:, None], axis=1)
+    i = np.arange(len(k))
+    k = k - ends[i, word] + counts[i, word]  # its rank within that word
+    bits = np.cumsum(_source_bits(columns[i, word]), axis=1, dtype=np.int64)
+    return word * _WORD + np.count_nonzero(bits <= k[:, None], axis=1)
 
 
 def pick_disconnected_pair(gm: MeaningGraph, seed) -> tuple[int, int] | None:

@@ -7,6 +7,11 @@ the union of the search neighborhoods, normalized by their own spectral
 norm, and the norm of the difference is compared against the analytic
 closeness bound. A local Laplacian is never a matrix: it is applied on
 the induced CSR subgraph, so the local set has no node cap.
+
+No BLAS call lies on a path to an output: each OpenBLAS kernel sums in
+its own order, so a dot product would make the written digits depend on
+the CPU. Norms are ``np.add.reduce`` sums and products are ``reduceat``,
+whose order is fixed; a new solver here keeps to that rule.
 """
 
 from __future__ import annotations
@@ -95,17 +100,17 @@ def spectral_norm(m: np.ndarray | _Operator, tol: float = 1e-9, max_iter: int = 
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     x = stream(_START_VECTOR_SEED).standard_normal(m.shape[0])
-    x /= np.linalg.norm(x)
+    x /= np.sqrt(np.add.reduce(x * x))
     estimate = 0.0
     for it in range(1, max_iter + 1):
         y = m @ x
-        ny = float(np.linalg.norm(y))
+        ny = float(np.sqrt(np.add.reduce(y * y)))
         if ny == 0.0:
             # Only an empty or zero matrix gets here, and on the first pass.
             return SpectralNormResult(0.0, True, it - 1)
         current = ny  # ||m x|| for unit x: sqrt of the Rayleigh quotient of m^2
         z = m @ y
-        nz = float(np.linalg.norm(z))
+        nz = float(np.sqrt(np.add.reduce(z * z)))
         if nz == 0.0:
             return SpectralNormResult(current, True, it)
         x = z / nz

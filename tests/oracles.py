@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import networkx as nx
@@ -16,6 +17,29 @@ def to_networkx(g: Graph) -> nx.Graph:
     ref.add_nodes_from(range(g.n))
     ref.add_edges_from(g.edges())
     return ref
+
+
+@functools.lru_cache(maxsize=256)
+def pairs_at_distance(g: Graph, d: int) -> list[tuple[int, int]]:
+    """Every ordered pair at exact distance ``d``, by networkx distances, sorted by (u, v)."""
+    lengths = nx.all_pairs_shortest_path_length(to_networkx(g), cutoff=d)
+    return sorted((u, v) for u, dist in lengths for v, k in dist.items() if k == d)
+
+
+def reference_pick_pair_at_distance(gm: MeaningGraph, d: int, rng, count: int | None = None):
+    """What ``pick_pair_at_distance(gm, d, rng, count=count)`` returns, from a Generator ``rng``.
+
+    Each pick indexes the sorted list of pairs at distance d with one
+    ``rng.integers(len(pairs), size=...)`` draw for the whole call. A call
+    with no such pair returns None and draws nothing.
+    """
+    if count == 0:
+        return []
+    pairs = pairs_at_distance(gm.graph, d)
+    if not pairs:
+        return None
+    picks = [pairs[i] for i in rng.integers(len(pairs), size=1 if count is None else count).tolist()]
+    return picks if count is not None else picks[0]
 
 
 def swept_ball(g: Graph, d: int) -> int:

@@ -5,13 +5,18 @@ file (or of stdout, for commands that write no files) against
 ``tests/data/golden_sha256.json``. The first seven cases are the
 ``test_11`` commands; ``heatmap-large`` and ``gamma-large`` are large
 enough that heat-map probes span several 64-source BFS chunks and pair
-picking draws several batches of rejection attempts. The two extra
+picks read ring table columns of several words. The two extra
 ``sample`` cases run the cross-cluster similarity pass: without folding
 it writes edges that carry both an ``S`` and an ``R`` line, and with
 ``--fold`` its noise moves into the structural passes.
 
 A change that alters output bytes on purpose regenerates the file with
 ``PYTHONPATH=src python tests/test_golden.py`` and says why in CHANGES.md.
+
+The spectral bytes must also not depend on which BLAS kernel OpenBLAS
+picks for the CPU: the spectral golden argv and the benchmark's
+spectral-cut argv run under several forced kernels and write the same
+bytes under each.
 """
 
 from __future__ import annotations
@@ -20,13 +25,18 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from meaninglab.cli import cli
 
+ROOT = Path(__file__).resolve().parents[1]
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden_sha256.json"
 
@@ -80,10 +90,10 @@ CASES = {
 }
 
 
-def output_hashes(name: str, out: Path) -> dict[str, str]:
-    """Run one case; sha256 per output file name, or of stdout."""
+def output_hashes(name: str, out: Path, extra: tuple[str, ...] = ()) -> dict[str, str]:
+    """Run one case, with ``extra`` arguments appended; sha256 per output file name, or of stdout."""
     argv, writes = CASES[name]
-    full = list(argv) + (["--out", str(out)] if writes else [])
+    full = list(argv) + list(extra) + (["--out", str(out)] if writes else [])
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = cli(full)
@@ -102,9 +112,55 @@ def test_output_bytes_match_golden(name, tmp_path):
     assert output_hashes(name, tmp_path / name) == golden[name]
 
 
+@pytest.mark.parametrize("name", ["gamma-large", "heatmap-large", "spectral"])
+def test_worker_processes_write_the_golden_bytes(name, tmp_path):
+    # Each worker gets the meaning graph, with its ring tables and sizes, by pickle.
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert output_hashes(name, tmp_path / name, ("--threads", "2")) == golden[name]
+
+
 def test_golden_file_covers_every_case():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert sorted(golden) == sorted(CASES)
+
+
+# OpenBLAS kernels by the numpy CPU features they need: ``OPENBLAS_CORETYPE``
+# forces one, and a kernel the CPU lacks would stop the child process.
+KERNELS = {"Prescott": "SSE3", "Haswell": "AVX2", "SkylakeX": "AVX512_SKX"}
+
+
+def runnable_kernels() -> list[str]:
+    """The kernels in ``KERNELS`` that ``OPENBLAS_CORETYPE`` can select on this host, if any."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        return []
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    return [k for k, feature in KERNELS.items() if __cpu_features__.get(feature)]
+
+
+SPECTRAL_ARGV = {
+    "spectral": CASES["spectral"][0],
+    "spectral-cut": json.loads((ROOT / "bench" / "spec.json").read_text(encoding="utf-8"))["workloads"]["spectral-cut"]["argv"],
+}
+
+
+@pytest.mark.skipif(
+    len(runnable_kernels()) < 2,
+    reason="needs numpy's OpenBLAS built with DYNAMIC_ARCH and a CPU that runs two of its kernels",
+)
+@pytest.mark.parametrize("name", sorted(SPECTRAL_ARGV))
+def test_spectral_bytes_do_not_depend_on_the_blas_kernel(name, tmp_path):
+    src = str(ROOT / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = {}
+    for kernel in runnable_kernels():
+        out = tmp_path / kernel
+        env = {**os.environ, "OPENBLAS_CORETYPE": kernel, "PYTHONPATH": path}
+        argv = [sys.executable, "-m", "meaninglab.cli", *SPECTRAL_ARGV[name], "--out", str(out)]
+        subprocess.run(argv, env=env, check=True, capture_output=True)
+        digests[kernel] = hashlib.sha256((out / "spectral.csv").read_bytes()).hexdigest()
+    assert len(set(digests.values())) == 1, digests
 
 
 if __name__ == "__main__":

@@ -1,14 +1,13 @@
-"""Batched pair picking consumes the caller's stream exactly as before.
+"""Pair picking draws from the caller's stream exactly as the reference does.
 
-The references below are copies of the one-attempt-at-a-time pickers
-that the batched versions replace, with networkx for every distance and
-component, so they share no traversal code with the package. Each
+``pick_pair_at_distance`` is pinned to ``tests/oracles.py``'s reference:
+every ordered pair at distance d by networkx, sorted by (u, v), indexed
+by the same ``rng.integers(total, size=count)`` draw. The disconnected
+picker is pinned to a copy of its own rule below, with networkx for the
+components, so neither shares traversal code with the package. Each
 comparison shares one Generator across many consecutive picks, so any
 difference in how many values a pick draws shifts every later pick and
-shows up here. A count pick (one call for a whole heat-map cell) is
-compared with as many scalar reference picks from one Generator.
-Each pick's window is 10n attempts; tiny graphs make it short enough to
-end inside and across the 64-attempt batches.
+shows up here, and so does the position each generator is left at.
 """
 
 from __future__ import annotations
@@ -37,83 +36,44 @@ from meaninglab.reasoning import estimate_gamma
 from meaninglab.rng import STREAM_PAIR_AT_DISTANCE, stream
 from meaninglab.sampler import SampleParams
 
-from oracles import to_networkx
+from oracles import reference_pick_pair_at_distance, to_networkx
 
 
 nx_graph = functools.lru_cache(maxsize=None)(to_networkx)
 
 
-# Distances and the exhaustive pair list depend only on the graph, so the
-# reference caches them; the draws it makes are unchanged.
 @functools.lru_cache(maxsize=None)
 def nx_levels(g: Graph, u: int, d: int) -> dict[int, int]:
     return nx.single_source_shortest_path_length(nx_graph(g), u, cutoff=d)
 
 
-@functools.lru_cache(maxsize=None)
-def reference_pairs_at_distance(g: Graph, d: int) -> list[tuple[int, int]]:
-    return [(u, v) for u in range(g.n) for v in range(g.n) if nx_levels(g, u, d).get(v) == d]
-
-
-def reference_pick_pair_at_distance(gm, d, rng):
-    n = gm.n
-    if n < 2:
-        return None
-    for _ in range(10 * n):
-        u = int(rng.integers(n))
-        v = int(rng.integers(n))
-        if u == v:
-            continue
-        if nx_levels(gm.graph, u, d).get(v) == d:
-            return (u, v)
-    pairs = reference_pairs_at_distance(gm.graph, d)
-    if not pairs:
-        return None
-    return pairs[int(rng.integers(len(pairs)))]
-
-
-def reference_cell(gm, d, rng, count):
-    """``count`` scalar picks, stopping at the first None as a heat-map cell does."""
-    pairs = []
-    for _ in range(count):
-        pair = reference_pick_pair_at_distance(gm, d, rng)
-        if pair is None:
-            return None
-        pairs.append(pair)
-    return pairs
-
-
-def picks_in_calls(gm, d, rng, count, total, scalar, cell):
+def picks_in_calls(gm, d, rng, count, total, pick):
     """The answers of the calls that make ``total`` picks from ``rng``, ``count`` a call.
 
     A None ``count`` makes scalar calls, and 0 puts a count-0 call, which
-    draws nothing, before each scalar one. ``scalar`` and ``cell`` are the
-    picker's two forms: ``pick_pair_at_distance`` for both, or the
-    references above.
+    draws nothing, before each scalar one. ``pick`` is
+    ``pick_pair_at_distance`` or the reference.
     """
     answers = []
     while total > 0:
         if count:
             k = min(count, total)
-            answers.append(cell(gm, d, rng, k))
+            answers.append(pick(gm, d, rng, count=k))
         else:
             if count == 0:
-                answers.append(cell(gm, d, rng, 0))
-            answers.append(scalar(gm, d, rng))
+                answers.append(pick(gm, d, rng, count=0))
+            answers.append(pick(gm, d, rng))
             k = 1
         total -= k
     return answers
 
 
 def package_calls(gm, d, rng, count, total):
-    def cell(gm, d, rng, k):
-        return pick_pair_at_distance(gm, d, rng, count=k)
-
-    return picks_in_calls(gm, d, rng, count, total, pick_pair_at_distance, cell)
+    return picks_in_calls(gm, d, rng, count, total, pick_pair_at_distance)
 
 
 def reference_calls(gm, d, rng, count, total):
-    return picks_in_calls(gm, d, rng, count, total, reference_pick_pair_at_distance, reference_cell)
+    return picks_in_calls(gm, d, rng, count, total, reference_pick_pair_at_distance)
 
 
 def reference_pick_disconnected_pair(gm, rng):
@@ -167,6 +127,7 @@ def test_two_hundred_picks_match_scalar_loop(sparse_graph, d):
     got = [pick_pair_at_distance(sparse_graph, d, new) for _ in range(200)]
     want = [reference_pick_pair_at_distance(sparse_graph, d, ref) for _ in range(200)]
     assert got == want
+    assert all(nx_levels(sparse_graph.graph, u, d).get(v) == d for u, v in got)
     assert_same_stream_position(new, ref)
 
 
@@ -177,29 +138,32 @@ def tiny(n: int, d: int) -> MeaningGraph:
 
 @pytest.mark.parametrize("count", [0, 1, 3, 64, 65, 130])
 @pytest.mark.parametrize("d", [1, 4])
-def test_exhaustive_fallback_matches_scalar_loop(monkeypatch, d, count):
-    # Windows of 20, 30, 60, 70 and 130 attempts: inside one 64-attempt
-    # batch, across its edge, and across two. With two ends among n^2
-    # draws, a 10n window misses often, and on 2 or 3 nodes there is no
-    # pair at distance 4, so the exhaustive scan settles many picks.
-    scans = []
-    real = meaning._pairs_at_distance
-    monkeypatch.setattr(meaning, "_pairs_at_distance", lambda *a: scans.append(1) or real(*a))
+def test_exhaustive_fallback_matches_scalar_loop(d, count):
+    # The rejection picker settled most picks on these graphs with its
+    # exhaustive fallback: one draw indexing the sorted list of pairs at
+    # distance d. That rule is now every pick's rule. On 2 or 3 nodes no
+    # pair is at distance 4, so every call there returns None; elsewhere
+    # the path's two ends are the only pairs.
     for n in (2, 3, 6, 7, 13):
         gm = tiny(n, d)
         new, ref = stream(5, count, d, n), stream(5, count, d, n)
-        assert package_calls(gm, d, new, count, 200) == reference_calls(gm, d, ref, count, 200)
+        got = package_calls(gm, d, new, count, 200)
+        assert got == reference_calls(gm, d, ref, count, 200)
         assert_same_stream_position(new, ref)
-    assert scans
+        ends = {(0, d), (d, 0)} if n > d else set()
+        assert {pair for picks in got if picks for pair in (picks if count else [picks])} <= ends
 
 
 def test_absent_distance_matches_scalar_loop():
+    # No pair is at distance 2, so a call returns None and draws nothing.
     gm = MeaningGraph(Graph(70, [(i, i + 1) for i in range(0, 68, 2)]))
     new, ref = stream(2, 2), stream(2, 2)
     for _ in range(3):
         assert pick_pair_at_distance(gm, 2, new) is None
+        assert pick_pair_at_distance(gm, 2, new, count=5) is None
         assert reference_pick_pair_at_distance(gm, 2, ref) is None
-    assert_same_stream_position(new, ref)
+    assert_same_stream_position(new, stream(2, 2))
+    assert_same_stream_position(stream(2, 2), ref)
 
 
 @pytest.mark.parametrize("count", [0, 1, 5, 70, 130, None])
@@ -216,8 +180,8 @@ def test_count_picks_match_scalar_loop(sparse_graph, d, count):
 @pytest.mark.parametrize("count", [0, 5, None])
 def test_count_picks_at_and_beyond_the_diameter(count):
     # A 30-node path plus two isolated nodes: the only pairs at distance 29
-    # are its two ends, so most picks fall back to the exhaustive scan, and
-    # no pair is at distance 30, so every call there ends with None.
+    # are its two ends, and no pair is at distance 30, so every call there
+    # returns None.
     gm = MeaningGraph(Graph(32, [(i, i + 1) for i in range(29)]))
     for d in (29, 30):
         new, ref = stream(4, d), stream(4, d)
@@ -281,9 +245,10 @@ def test_components_computed_once_per_meaning_graph(monkeypatch):
     assert len(calls) == 1
 
 
-# The rewind in pick_pair_at_distance relies on one array draw of k bounded
-# integers consuming the stream exactly as k scalar draws. A numpy release
-# that changes this must fail here, by name, rather than shift outputs.
+# A pick is one bounded draw, and a call with ``count`` makes its picks as
+# one array draw. numpy gives an array draw of k the values and stream
+# position of k scalar draws, so a heat-map cell's k picks are those of k
+# single picks from its stream. This pins that equality to numpy, by name.
 @pytest.mark.parametrize(
     "n",
     [2, 3, 7, 1000, 2**16 + 1, 2**31 - 1, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**40 + 3, 2**62],
@@ -303,10 +268,10 @@ def test_array_draws_equal_scalar_draws(n, offset):
 
 # -- ring tables ------------------------------------------------------------
 #
-# Attempts are tested against tables of rings, the nodes at exact distance d
-# from each anchor, which a meaning graph keeps within _RING_BYTES in all.
+# Sizes and rings are read from tables of rings, the nodes at exact distance
+# d from each anchor, which a meaning graph keeps within _RING_BYTES in all.
 # The budgets below let a table fit ("all") or not ("none"), so both the
-# tables and the per-batch tests without one run. A budget is tried on a
+# column reads and the per-call anchor passes run. A budget is tried on a
 # new MeaningGraph: the module's sparse_graph keeps the tables that earlier
 # tests built.
 
@@ -321,48 +286,102 @@ def ring_bytes(budget: str) -> int:
 
 
 @st.composite
-def graphs_with_batches(draw):
-    # n < 64, n a multiple of 64 and not, isolated nodes, repeated anchors,
-    # and distances from 1 to beyond the diameter, where a pass ends early.
-    n = draw(st.one_of(st.integers(min_value=2, max_value=150), st.sampled_from([64, 128])))
+def graphs(draw, max_n: int = 150):
+    """Paths, stars and random graphs, with isolated nodes, n < 64, n a multiple of 64 and not."""
+    n = draw(st.one_of(st.integers(min_value=1, max_value=max_n), st.sampled_from([64, 128])))
+    kind = draw(st.sampled_from(["path", "star", "random"]))
+    span = draw(st.integers(min_value=1, max_value=n))
+    if kind == "path":
+        return Graph(n, [(i, i + 1) for i in range(span - 1)])
+    if kind == "star":
+        return Graph(n, [(0, i) for i in range(1, span)])
     node = st.integers(min_value=0, max_value=n - 1)
     edges = draw(st.lists(st.tuples(node, node), max_size=2 * n))
-    g = Graph(n, [(u, v) for u, v in edges if u != v])
-    d = draw(st.integers(min_value=1, max_value=12))
-    batches = draw(
-        st.lists(st.lists(st.tuples(node, node), min_size=1, max_size=160), min_size=1, max_size=4)
-    )
-    return g, d, batches, draw(st.sampled_from(BUDGETS))
+    return Graph(n, [(u, v) for u, v in edges if u != v])
 
 
-@settings(max_examples=120, deadline=None)
-@given(graphs_with_batches())
-def test_ring_lookup_matches_bfs_distances(case):
-    g, d, batches, budget = case
+@settings(max_examples=150, deadline=None)
+@given(
+    graphs(),
+    st.lists(st.tuples(st.integers(min_value=1, max_value=14), st.sampled_from([None, 0, 1, 200])), min_size=1, max_size=4),
+    st.sampled_from(BUDGETS),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_picks_match_reference(g, calls, budget, seed):
+    # Consecutive calls at distances from 1 to past the diameter, on one
+    # generator: the same pairs, and the generator left in the same place.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(meaning, "_RING_BYTES", ring_bytes(budget))
         gm = MeaningGraph(g)
-        table = gm._rings.get(d)
-        # A table whenever it fits, all zero where no pair is at d.
-        assert (table is None) == (budget == "none")
-        for batch in batches:
-            us, vs = (np.array(x, dtype=np.int64) for x in zip(*batch))
-            want = bfs_distances(g, us, vs, cap=d) == d
-            assert meaning._hits(gm, d, table, us, vs).tolist() == want.tolist()
+        new, ref = stream(seed), stream(seed)
+        for d, count in calls:
+            got = pick_pair_at_distance(gm, d, new, count=count)
+            assert got == reference_pick_pair_at_distance(gm, d, ref, count=count)
+            assert_same_stream_position(new, ref)
+        assert budget == "all" or gm._rings.tables == {}
 
 
-def test_ring_beyond_the_diameter_is_empty():
+def rings_read(gm: MeaningGraph, d: int, anchors: np.ndarray) -> list[list[int]]:
+    """Each anchor's ring, member by member, as the picker reads it."""
+    sizes, table = gm._rings.get(d)
+    u = np.repeat(anchors, sizes[anchors])
+    if not len(u):
+        return [[] for _ in anchors]
+    k = np.arange(len(u)) - np.repeat(np.cumsum(sizes[anchors]) - sizes[anchors], sizes[anchors])
+    if table is not None:
+        columns = table[:, u].T
+    else:
+        distinct, lane = np.unique(u, return_inverse=True)
+        columns = meaning._anchor_rings(gm.graph, d, distinct)[lane]
+    members = meaning._kth_member(columns, k).tolist()
+    out, at = [], 0
+    for size in sizes[anchors].tolist():
+        out.append(members[at : at + size])
+        at += size
+    return out
+
+
+@st.composite
+def graphs_with_anchors(draw):
+    # Distances from 1 to beyond the diameter, where a pass ends early.
+    g = draw(graphs())
+    d = draw(st.integers(min_value=1, max_value=12))
+    anchors = draw(st.lists(st.integers(min_value=0, max_value=g.n - 1), min_size=1, max_size=160, unique=True))
+    return g, d, np.array(anchors, dtype=np.int64), draw(st.sampled_from(BUDGETS))
+
+
+@settings(max_examples=120, deadline=None)
+@given(graphs_with_anchors())
+def test_ring_lookup_matches_bfs_distances(case):
+    # Every member of every anchor's ring, read from a table column or from
+    # the anchors' own passes, is the node list at distance d in order.
+    g, d, anchors, budget = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(meaning, "_RING_BYTES", ring_bytes(budget))
+        gm = MeaningGraph(g)
+        _, table = gm._rings.get(d)
+        assert table is None or budget == "all"
+        nodes = np.arange(g.n)
+        want = [np.flatnonzero(bfs_distances(g, np.full(g.n, u), nodes, cap=d) == d).tolist() for u in anchors]
+        assert rings_read(gm, d, anchors) == want
+
+
+def test_ring_beyond_the_diameter_is_empty(monkeypatch):
     # A 5-node path: every pass runs out of new nodes by level 4.
     g = Graph(5, [(i, i + 1) for i in range(4)])
-    src = np.arange(5, dtype=np.int64)
     [(_, rings)] = graph._sweep(g, 4, (4,))
     assert rings[4].tolist() == [1 << 4, 0, 0, 0, 1 << 0]
     [(_, rings)] = graph._sweep(g, 5, (5,))
     assert rings == {}
     gm = MeaningGraph(g)
-    table = gm._rings.get(9)
-    assert not meaning._hits(gm, 9, table, src, src[::-1]).any()
-    assert not table.any() and not len(graph._pairs_at_distance(g, 9, table)[0])
+    sizes, table = gm._rings.get(9)
+    # Zero sizes and no table: a pick there is None, with no draw and no second sweep.
+    assert sizes.tolist() == [0] * 5 and table is None and gm._rings.tables == {}
+    passes = count_passes(monkeypatch, g)
+    rng = stream(1)
+    assert pick_pair_at_distance(gm, 9, rng, count=3) is None
+    assert passes == []
+    assert_same_stream_position(rng, stream(1))
 
 
 def count_passes(mp: pytest.MonkeyPatch, g: Graph) -> list[int]:
@@ -390,50 +409,52 @@ def test_table_is_one_pass_per_word_of_nodes_built_once(monkeypatch, sparse_grap
     oracle = Graph(n, g.edge_array())
     passes = count_passes(monkeypatch, g)
     gm = MeaningGraph(g)
-    table = gm._rings.get(2)
+    sizes, table = gm._rings.get(2)
     assert passes == word_passes(n)
-    rng = np.random.default_rng(n)
-    for size in (1, 5, 64, 700, 3000):
-        us, vs = rng.integers(n, size=(2, size))
-        want = bfs_distances(oracle, us, vs, cap=2) == 2
-        assert meaning._hits(gm, 2, gm._rings.get(2), us, vs).tolist() == want.tolist()
-    assert gm._rings.get(2) is table
+    for count in (1, 5, 64, 700, 3000):
+        picks = pick_pair_at_distance(gm, 2, stream(n, count), count=count)
+        if picks is None:
+            assert not sizes.any()
+            continue
+        us, vs = np.array(picks).T
+        assert (bfs_distances(oracle, us, vs, cap=2) == 2).all()
+    assert gm._rings.get(2)[1] is table
     assert len(passes) == -(-n // 64)
 
 
 @pytest.mark.parametrize("d", [1, 3])
 def test_over_budget_batches_keep_no_rings(monkeypatch, sparse_graph, d):
+    # Past the budget one sweep records the ring sizes at d and keeps no
+    # table; each call then runs one pass per 64 distinct anchors of its
+    # picks and keeps nothing of them.
     g = sparse_graph.graph
-    oracle = Graph(g.n, g.edge_array())
     monkeypatch.setattr(meaning, "_RING_BYTES", ring_bytes("none"))
     passes = count_passes(monkeypatch, g)
     gm = MeaningGraph(g)
-    table = gm._rings.get(d)
+    sizes, table = gm._rings.get(d)
     assert table is None and gm._rings.tables == {}
-    if d == 1:
-        # Adjacency is a lookup among the sorted edge keys, with no traversal.
-        monkeypatch.setattr(meaning, "bfs_distances", None)
-    rng = np.random.default_rng(7)
-    bfs = []  # the passes of each batch's own capped BFS
-    for size in (1, 64, 200, 1000):
-        us, vs = rng.integers(g.n, size=(2, size))
-        want = bfs_distances(oracle, us, vs, cap=d) == d
-        assert meaning._hits(gm, d, table, us, vs).tolist() == want.tolist()
-        bfs += [] if d == 1 else word_passes(len(np.unique(us)))
-    # No sweep runs and no table is made: every pass on the graph is a
-    # batch's own BFS, and at d = 1 there is none.
-    assert passes == bfs
-    assert gm._rings.tables == {}
-    if d == 1:
-        assert passes == []
+    assert passes == word_passes(g.n)
+    anchors = []  # the passes each call should run
+    for count in (1, 64, 200, 1000):
+        new, ref = stream(7, count), stream(7, count)
+        picks = pick_pair_at_distance(gm, d, new, count=count)
+        assert picks == reference_pick_pair_at_distance(gm, d, ref, count=count)
+        anchors += word_passes(len({u for u, _ in picks}))
+    assert passes == word_passes(g.n) + anchors
+    assert gm._rings.tables == {} and sorted(gm._rings.sizes) == [d]
 
 
 @pytest.mark.parametrize("n", [2, 1000, 2880, 2881, 5000, 200_000])
 def test_no_table_exceeds_the_bound(n):
     # 2880 nodes need 45 rows of 2880 words, 1,036,800 bytes; 2881 need 46.
-    table = MeaningGraph(Graph(n))._rings.get(1)
-    assert (table is not None) == (n <= 2880)
-    assert table is None or table.nbytes <= meaning._RING_BYTES
+    # The 200,000-node sweep would take seconds, so only its budget is read.
+    rings = MeaningGraph(Graph(n, [(0, 1)]))._rings
+    assert rings._fits(1) == (n <= 2880)
+    if n <= 5000:
+        sizes, table = rings.get(1)
+        assert (table is not None) == (n <= 2880)
+        assert table is None or table.nbytes <= meaning._RING_BYTES
+        assert sizes.tolist() == [1, 1] + [0] * (n - 2)
 
 
 def path(n: int) -> MeaningGraph:
@@ -492,22 +513,29 @@ def test_every_kept_table_is_the_ring_at_its_distance(case):
         else:
             assert k > d or not (dist == k).any()
     assert all(t.any() for t in gm._rings.tables.values())
+    # Sizes sit beside every table and at d itself: each node's ring size,
+    # which is also the popcount of the node's column of the table.
+    assert sorted(gm._rings.sizes) == sorted({*gm._rings.tables, d})
+    for k, sizes in gm._rings.sizes.items():
+        assert sizes.tolist() == (dist == k).sum(axis=1).tolist()
+        if k in gm._rings.tables:
+            assert sizes.tolist() == np.bitwise_count(gm._rings.tables[k]).sum(axis=0).tolist()
 
 
 @pytest.mark.parametrize("n", [2, 65, 300, 1000, 1500, 2880, 2881])
 @pytest.mark.parametrize("d_max", [1, 5, 30])
 def test_tables_stay_within_the_bound_in_all(n, d_max):
-    # A path reaches a new level at every distance up to n - 1; a request
-    # past that keeps an all-zero table, if it fits.
+    # A path reaches a new level at every distance up to n - 1, and no
+    # table is kept past that.
     gm = path(n)
     check_nontrivial(gm, PARAMS, d_max)
     assert held_bytes(gm) <= meaning._RING_BYTES
     for d in range(1, d_max + 3):
-        table = gm._rings.get(d)
+        _, table = gm._rings.get(d)
         assert held_bytes(gm) <= meaning._RING_BYTES
         assert (table is None) == (d not in gm._rings.tables)
     size = 8 * n * -(-n // 64)
-    kept = min(d_max + 2, meaning._RING_BYTES // size)
+    kept = min(d_max + 2, n - 1, meaning._RING_BYTES // size)
     assert len(gm._rings.tables) == kept
 
 
@@ -526,6 +554,7 @@ def test_check_far_past_the_diameter_allocates_no_empty_tables(gm, d, levels):
     assert report.ball_small.message == f"ball_bound(d={d})={ball} vs n/4={gm.n / 4:g}"
     assert report.ball_small.passed == (ball <= gm.n / 4)
     assert sorted(gm._rings.tables) == list(range(1, (levels or 0) + 1))
+    assert not gm._rings.sizes[d].any()
     assert pick_pair_at_distance(gm, d, 0) is None
 
 
@@ -567,9 +596,10 @@ def test_pickled_meaning_graph_carries_its_tables(monkeypatch, sparse_graph):
     gm = MeaningGraph(sparse_graph.graph)
     check_nontrivial(gm, PARAMS, 4)
     copy = pickle.loads(pickle.dumps(gm))
-    assert sorted(copy._rings.tables) == [1, 2, 3, 4]
+    assert sorted(copy._rings.tables) == sorted(copy._rings.sizes) == [1, 2, 3, 4]
     for d, table in gm._rings.tables.items():
         assert np.array_equal(copy._rings.tables[d], table)
+        assert np.array_equal(copy._rings.sizes[d], gm._rings.sizes[d])
     passes = count_passes(monkeypatch, copy.graph)
     assert pick_pair_at_distance(copy, 3, 5, count=20) == pick_pair_at_distance(gm, 3, 5, count=20)
     assert passes == []
@@ -596,8 +626,8 @@ def requests_for(seed: int, *key: int):
 @pytest.mark.parametrize("key", [0, 5, 130, None])
 def test_batch_of_requests_matches_one_call_each(monkeypatch, sparse_graph, budget, key):
     # A run of requests, one pick_pair_at_distance call each, made in
-    # order on one meaning graph, matches the scalar reference, and so does
-    # where each generator is left. Four sets of streams: stream(12, i) and
+    # order on one meaning graph, matches the reference, and so does where
+    # each generator is left. Four sets of streams: stream(12, i) and
     # stream(12, key, i).
     monkeypatch.setattr(meaning, "_RING_BYTES", ring_bytes(budget))
     gm = MeaningGraph(sparse_graph.graph)
@@ -607,9 +637,7 @@ def test_batch_of_requests_matches_one_call_each(monkeypatch, sparse_graph, budg
     want = []
     for d, seed, count in ref:
         rng = seed if isinstance(seed, np.random.Generator) else stream(seed, STREAM_PAIR_AT_DISTANCE)
-        want.append(
-            reference_pick_pair_at_distance(gm, d, rng) if count is None else reference_cell(gm, d, rng, count)
-        )
+        want.append(reference_pick_pair_at_distance(gm, d, rng, count=count))
     assert got == want
     assert got[8] is None  # no pair is 40 apart
     for (_, a, _), (_, b, _) in zip(new, ref):
@@ -623,5 +651,5 @@ def test_count_picks_over_budget_match_scalar_loop(monkeypatch, sparse_graph, d)
     gm = MeaningGraph(sparse_graph.graph)
     new, ref = stream(32, d), stream(32, d)
     got = pick_pair_at_distance(gm, d, new, count=200)
-    assert got == reference_cell(sparse_graph, d, ref, 200)
+    assert got == reference_pick_pair_at_distance(sparse_graph, d, ref, count=200)
     assert_same_stream_position(new, ref)
