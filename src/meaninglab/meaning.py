@@ -278,7 +278,8 @@ class _RingTables:
     table is ceil(n/64) rows of n words, and all tables together stay
     within ``_RING_BYTES``. Distance is symmetric, so column u of the
     same table is u's ring packed as a bitset: bit j of word r marks node
-    ``64r + j``. ``sizes[d]`` holds every node's ring size at d.
+    ``64r + j``. ``sizes[d]`` holds every node's ring size at d, and
+    ``ends[d]`` their running sum, which pickers search.
 
     Both come from sweeps of :func:`graph._sweep`, whose pass over anchors
     ``64r ..`` fills row r of every table it keeps, and whose ring words
@@ -292,6 +293,7 @@ class _RingTables:
         self.g = g
         self.tables: dict[int, np.ndarray] = {}
         self.sizes: dict[int, np.ndarray] = {}
+        self.ends: dict[int, np.ndarray] = {}
         self.shape = (-(-g.n // _WORD), g.n)
         self.size = 8 * self.shape[0] * g.n  # bytes in one table
 
@@ -336,6 +338,7 @@ class _RingTables:
                         self.tables[k] = np.zeros(self.shape, dtype=np.uint64)
                     self.tables[k][r] = words
         self.sizes.update(sizes)
+        self.ends.update((k, np.cumsum(v)) for k, v in sizes.items())
         return best
 
 
@@ -366,7 +369,7 @@ def pick_pair_at_distance(
     if gm.n < 2:
         return None
     sizes, table = gm._rings.get(d)
-    ends = np.cumsum(sizes)
+    ends = gm._rings.ends[d]
     if not ends[-1]:
         return None
     r = _as_rng(seed, STREAM_PAIR_AT_DISTANCE).integers(int(ends[-1]), size=1 if count is None else count)

@@ -10,12 +10,14 @@ the induced CSR subgraph, so the local set has no node cap.
 
 No BLAS call lies on a path to an output: each OpenBLAS kernel sums in
 its own order, so a dot product would make the written digits depend on
-the CPU. Norms are ``np.add.reduce`` sums and products are ``reduceat``,
-whose order is fixed; a new solver here keeps to that rule.
+the CPU. The Lanczos solver's inner products and norms are
+``np.add.reduce`` sums, Laplacian products are ``reduceat``, both in a
+fixed order, and its small tridiagonal problem is solved in Python floats.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -27,15 +29,27 @@ from .meaning import CutPair
 from .rng import stream
 from .sampler import SampleParams, SymbolGraph, sample_coupled
 
-# Fixed entropy for the power-iteration start vector. Deterministic on
-# purpose: norm computations must not perturb caller seed streams.
+# Fixed entropy for the Lanczos start vector. Deterministic on purpose:
+# norm computations must not perturb caller seed streams.
 _START_VECTOR_SEED = 0x5EED
+
+# Lanczos vectors kept at once; a full basis restarts the process.
+_BASIS = 64
+
+# A Lanczos vector this small against the largest alpha or beta of T seen
+# spans nothing new: the basis is taken as an invariant subspace.
+_BREAKDOWN = 1e-13
+
+# Steps between two stop tests. Each test solves the small tridiagonal
+# matrix in Python, which costs more than a matrix-vector product.
+_TEST_EVERY = 3
 
 
 class SpectralNormResult(NamedTuple):
     value: float
     converged: bool
     iterations: int
+    residual: float
 
 
 class _Operator:
@@ -78,51 +92,198 @@ def laplacian_of(g: Graph, nodes: Sequence[int]) -> Laplacian:
 
 
 def spectral_norm(m: np.ndarray | _Operator, tol: float = 1e-9, max_iter: int = 10_000) -> SpectralNormResult:
-    """Largest absolute eigenvalue of a symmetric matrix by power iteration.
+    """Largest absolute eigenvalue of a symmetric matrix by the Lanczos process.
 
     ``m`` is a dense array, checked to be square, exactly symmetric and
     finite, or a symmetric operator from this module; only ``m.shape`` and
-    ``m @ x`` are read. Iterates on m @ (m @ x), i.e. the square of the
-    matrix, so dominant eigenvalues of opposite sign cannot trap the
-    Rayleigh quotient at a spurious fixed point. Convergence means
-    successive norm estimates agree to ``tol`` relative; running out of
-    iterations returns the best estimate with ``converged=False`` rather
-    than raising.
+    ``m @ x`` are read. Each Lanczos step is one product ``m @ q`` and
+    extends an orthonormal basis q_1..q_j of the Krylov space: the
+    three-term recurrence, then a classical Gram-Schmidt pass against the
+    whole basis, and a second pass when the first leaves less than
+    1/sqrt(2) of the vector (Daniel, Gragg, Kaufman and Stewart, 1976).
+    ``m`` restricted to the basis is then a tridiagonal T_j with diagonal
+    alpha and off-diagonal beta (Golub and Van Loan, *Matrix
+    Computations*, ch. 10). The extreme eigenvalues theta of T_j are found
+    by Laguerre's method from above (or below) its spectrum, and their
+    eigenvectors s by inverse iteration; ``m`` has an eigenvalue within
+    ``beta_j * |s_j|`` of theta, beta_j being the norm of the next basis
+    vector before scaling (Parlett, *The Symmetric Eigenvalue Problem*,
+    sec. 13.2).
+
+    Every few steps both ends of T_j are tested. Convergence means the
+    end with the larger ``|theta|`` has ``beta_j * |s_j| <= tol * |theta|``,
+    and the other end's ``|theta|`` plus its own bound is at most
+    ``(1 + tol) * |theta|``, so that no eigenvalue near the other end can
+    pass the reported one by more than the tolerance either. The result's
+    ``value`` is that ``|theta|``, and its ``residual`` that end's
+    ``beta_j * |s_j|``. A basis that spans an invariant subspace (beta_j
+    below ``_BREAKDOWN`` of the largest alpha or beta seen, or j = k)
+    holds its eigenvalues exactly and stops converged. A full basis of
+    ``_BASIS`` vectors restarts from the lead end's Ritz vector or, once
+    that end has converged, from the sum of both ends' Ritz vectors: a
+    converged vector alone would span an invariant subspace at once and
+    leave the other end unresolved. ``iterations`` counts Lanczos steps,
+    one product each; running out of them returns the latest estimate
+    with ``converged=False`` rather than raising.
     """
     if not isinstance(m, _Operator):
-        m = np.asarray(m, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {m.shape}")
-        if not np.array_equal(m, m.T):
+        dense = np.asarray(m, dtype=np.float64)
+        if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
+            raise ValueError(f"matrix must be square, got shape {dense.shape}")
+        if not np.array_equal(dense, dense.T):
             raise ValueError("matrix must be exactly symmetric")
-        if not np.all(np.isfinite(m)):
+        if not np.all(np.isfinite(dense)):
             raise ValueError("matrix entries must be finite")
+        m = _Operator(len(dense), lambda x: np.add.reduce(dense * x, axis=1))
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    x = stream(_START_VECTOR_SEED).standard_normal(m.shape[0])
-    x /= np.sqrt(np.add.reduce(x * x))
-    estimate = 0.0
-    for it in range(1, max_iter + 1):
-        y = m @ x
-        ny = float(np.sqrt(np.add.reduce(y * y)))
-        if ny == 0.0:
-            # Only an empty or zero matrix gets here, and on the first pass.
-            return SpectralNormResult(0.0, True, it - 1)
-        current = ny  # ||m x|| for unit x: sqrt of the Rayleigh quotient of m^2
-        z = m @ y
-        nz = float(np.sqrt(np.add.reduce(z * z)))
-        if nz == 0.0:
-            return SpectralNormResult(current, True, it)
-        x = z / nz
-        if it > 1 and abs(current - estimate) <= tol * max(current, 1e-300):
-            return SpectralNormResult(current, True, it)
-        estimate = current
-    return SpectralNormResult(estimate, False, max_iter)
+    if max_iter < 1:
+        raise ValueError(f"iteration budget must be positive, got {max_iter}")
+    k = m.shape[0]
+    if k == 0:
+        return SpectralNormResult(0.0, True, 0, 0.0)
+    q = stream(_START_VECTOR_SEED).standard_normal(k)
+    steps, scale = 0, 0.0
+    while True:
+        basis = np.empty((min(_BASIS, k), k))
+        basis[0] = q / np.sqrt(np.add.reduce(q * q))
+        alpha: list[float] = []
+        beta: list[float] = []
+        for j in range(len(basis)):
+            w = m @ basis[j]
+            steps += 1
+            if j:
+                w -= beta[-1] * basis[j - 1]
+            a = float(np.add.reduce(basis[j] * w))
+            w -= a * basis[j]
+            scale = max(scale, abs(a), beta[-1] if j else 0.0)
+            before = float(np.sqrt(np.add.reduce(w * w)))
+            w, h = _orthogonalize(w, basis[: j + 1])
+            after = float(np.sqrt(np.add.reduce(w * w)))
+            if after < before / math.sqrt(2.0):
+                w, again = _orthogonalize(w, basis[: j + 1])
+                h += again
+                after = float(np.sqrt(np.add.reduce(w * w)))
+            alpha.append(a + float(h[j]))
+            invariant = after <= _BREAKDOWN * scale or j + 1 == k
+            final = invariant or steps >= max_iter
+            full = j + 1 == len(basis)
+            if final or full or (j + 1) % _TEST_EVERY == 0:
+                top = _ritz_end(alpha, beta, 1.0)
+                # No eigenvalue of T lies below its Gershgorin floor. With the
+                # floor at or above -theta_top the top end leads, and while its
+                # own bound fails the bottom end cannot change the verdict.
+                if final or full or after * abs(top[1][-1]) <= tol * abs(top[0]) or _floor(alpha, beta) < -top[0]:
+                    low = _ritz_end(alpha, beta, -1.0)
+                    lead, other = (top, low) if abs(top[0]) >= abs(low[0]) else (low, top)
+                    value, bound = abs(lead[0]), after * abs(lead[1][-1])
+                    converged = invariant or (
+                        bound <= tol * value and abs(other[0]) + after * abs(other[1][-1]) <= (1.0 + tol) * value
+                    )
+                    if converged or final:
+                        return SpectralNormResult(value, converged, steps, bound)
+                    if full:
+                        keep = lead[1] if bound > tol * value else np.add(lead[1], other[1])
+                        q = np.add.reduce(basis * np.asarray(keep)[:, None], axis=0)
+                        break
+            beta.append(after)
+            basis[j + 1] = w / after
+
+
+def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One classical Gram-Schmidt pass: w less its components along the basis rows, and those components."""
+    h = np.add.reduce(basis * w, axis=1)
+    return w - np.add.reduce(basis * h[:, None], axis=0), h
+
+
+def _floor(alpha: list[float], beta: list[float]) -> float:
+    """The Gershgorin lower bound on the tridiagonal T with diagonal ``alpha`` and off-diagonal ``beta``."""
+    off = [0.0, *beta, 0.0]
+    return min(a - off[i] - off[i + 1] for i, a in enumerate(alpha))
+
+
+def _ritz_end(alpha: list[float], beta: list[float], sign: float) -> tuple[float, list[float]]:
+    """The eigenpair ``(theta, s)`` at the top (sign 1) or bottom (sign -1) end of the tridiagonal T.
+
+    T has diagonal ``alpha`` and off-diagonal ``beta``; s is a unit
+    vector. T is scaled by a Gershgorin bound on its norm first, so that
+    no determinant below can leave the float range.
+    """
+    off = [0.0, *beta, 0.0]
+    norm = max(abs(a) + off[i] + off[i + 1] for i, a in enumerate(alpha)) or 1.0
+    theta, s = _top_eigenpair([sign * a / norm for a in alpha], [b / norm for b in beta])
+    return sign * norm * theta, s
+
+
+def _top_eigenpair(a: list[float], b: list[float]) -> tuple[float, list[float]]:
+    """The largest eigenvalue and a unit eigenvector of a tridiagonal matrix of norm at most 1.
+
+    The matrix is symmetric, with diagonal a and off-diagonal b.
+    """
+    n = len(a)
+    off = [0.0, *b, 0.0]
+    # Gershgorin: no eigenvalue lies above a row's diagonal plus its off-diagonal sum.
+    x = max(a[i] + off[i] + off[i + 1] for i in range(n))
+    b2 = [v * v for v in b]
+    for _ in range(100):
+        # p, p' and p'' of det(T - xI) by the three-term recurrence. Every
+        # |a[i] - x| <= 2 and b2[i] <= 1, so |p| grows at most as (1 + sqrt 2)^n.
+        p0, p1, d0, d1, e0, e1 = 1.0, a[0] - x, 0.0, -1.0, 0.0, 0.0
+        for i in range(1, n):
+            c, bb = a[i] - x, b2[i - 1]
+            p0, p1, d0, d1, e0, e1 = p1, c * p1 - bb * p0, d1, c * d1 - bb * d0 - p1, e1, c * e1 - bb * e0 - 2.0 * d1
+        if p1 == 0.0:
+            break
+        # Laguerre's step; from above every root, it falls monotonically
+        # onto the largest. Rounding may leave x just below it, where the
+        # step turns upward and the search stops.
+        g = d1 / p1
+        root = math.sqrt(max((n - 1) * (n * (g * g - e1 / p1) - g * g), 0.0))
+        step = n / (g + math.copysign(root, g))
+        if not step > 4e-16:
+            break
+        x -= step
+    return x, _inverse_iteration(a, b, x)
+
+
+def _inverse_iteration(a: list[float], b: list[float], theta: float) -> list[float]:
+    """A unit eigenvector of the tridiagonal matrix for its extreme eigenvalue theta: two solves of (T - theta I) y = y.
+
+    T - theta I is semidefinite with definite leading blocks, so
+    elimination without pivoting (Thomas) is stable; the norm of T is at
+    most 1, and a pivot below 1e-16 is raised to that.
+    """
+    pivot, pivots, factors = a[0] - theta, [], []
+    for ai, bi in zip(a[1:], b):
+        pivot = pivot if abs(pivot) > 1e-16 else 1e-16
+        pivots.append(pivot)
+        factors.append(bi / pivot)
+        pivot = ai - theta - factors[-1] * bi
+    pivots.append(pivot if abs(pivot) > 1e-16 else 1e-16)
+    n = len(a)
+    y = [1.0] * n
+    for _ in range(2):
+        for i in range(1, n):
+            y[i] -= factors[i - 1] * y[i - 1]
+        y[-1] /= pivots[-1]
+        for i in range(n - 2, -1, -1):
+            y[i] = (y[i] - b[i] * y[i + 1]) / pivots[i]
+        big = max(map(abs, y))
+        y = [v / big for v in y]
+    # fsum is correctly rounded, so the norm does not depend on the Python version.
+    norm = math.sqrt(math.fsum(v * v for v in y))
+    return [v / norm for v in y]
 
 
 @dataclass(frozen=True)
 class SpectralTrial:
-    """One coupled comparison between a cut world pair."""
+    """One coupled comparison between a cut world pair.
+
+    ``within_bound`` compares the Ritz value ``diff_normalized`` itself
+    with ``analytic_bound``, not that value plus its residual bound.
+    ``converged`` holds when all three norms converged, and ``resid`` is
+    the largest relative residual bound ``||r|| / theta`` of the three.
+    """
 
     seed: int
     n: int
@@ -138,6 +299,7 @@ class SpectralTrial:
     analytic_bound: float
     within_bound: bool
     converged: bool
+    resid: float
 
 
 def _local_nodes(sg: SymbolGraph, sgp: SymbolGraph, w: int, w_prime: int, d_tilde: int) -> list[int]:
@@ -201,10 +363,18 @@ def coupled_cut_trial(
         analytic_bound=bound,
         within_bound=res_diff.value <= bound,
         converged=res.converged and res_p.converged and res_diff.converged,
+        resid=max(_relative_residual(r) for r in (res, res_p, res_diff)),
     )
 
 
-SPECTRAL_CSV_HEADER = "seed,n,lambda,p_minus,d,d_tilde,cut_size,U_size,normL,normLp,diff,bound,within"
+def _relative_residual(r: SpectralNormResult) -> float:
+    """``||r|| / theta``; 0 for an exact zero norm."""
+    if r.value:
+        return r.residual / r.value
+    return math.inf if r.residual else 0.0
+
+
+SPECTRAL_CSV_HEADER = "seed,n,lambda,p_minus,d,d_tilde,cut_size,U_size,normL,normLp,diff,bound,within,converged,resid"
 
 
 def spectral_csv_record(trial: SpectralTrial) -> str:
@@ -212,5 +382,6 @@ def spectral_csv_record(trial: SpectralTrial) -> str:
         trial.seed, trial.n, trial.lam, trial.p_minus, trial.d, trial.d_tilde,
         trial.cut_size, trial.neighborhood_size, trial.norm_l, trial.norm_l_prime,
         trial.diff_normalized, trial.analytic_bound, int(trial.within_bound),
+        int(trial.converged), trial.resid,
     ]
     return ",".join(repr(f) if isinstance(f, float) else str(f) for f in fields)

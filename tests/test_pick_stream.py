@@ -514,10 +514,12 @@ def test_every_kept_table_is_the_ring_at_its_distance(case):
             assert k > d or not (dist == k).any()
     assert all(t.any() for t in gm._rings.tables.values())
     # Sizes sit beside every table and at d itself: each node's ring size,
-    # which is also the popcount of the node's column of the table.
-    assert sorted(gm._rings.sizes) == sorted({*gm._rings.tables, d})
+    # which is also the popcount of the node's column of the table. Their
+    # running sums sit beside them.
+    assert sorted(gm._rings.sizes) == sorted(gm._rings.ends) == sorted({*gm._rings.tables, d})
     for k, sizes in gm._rings.sizes.items():
         assert sizes.tolist() == (dist == k).sum(axis=1).tolist()
+        assert gm._rings.ends[k].tolist() == np.cumsum((dist == k).sum(axis=1)).tolist()
         if k in gm._rings.tables:
             assert sizes.tolist() == np.bitwise_count(gm._rings.tables[k]).sum(axis=0).tolist()
 

@@ -1,4 +1,4 @@
-"""Induced Laplacians, power-iteration norms, coupled trials."""
+"""Induced Laplacians, Lanczos spectral norms, coupled trials."""
 
 from __future__ import annotations
 
@@ -11,8 +11,10 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import meaninglab.spectral
 from meaninglab.graph import Graph, components
-from meaninglab.meaning import gen_er, make_cut_pair
+from meaninglab.meaning import gen_er, make_cut_pair, pick_pair_at_distance
+from meaninglab.reasoning import DTildeMode, choose_d_tilde
 from meaninglab.sampler import SampleParams, sample_coupled
 from meaninglab.spectral import (
     SPECTRAL_CSV_HEADER,
@@ -103,7 +105,7 @@ def test_laplacian_of_empty_subset():
     lap = laplacian_of(Graph(4, [(0, 1)]), [])
     assert lap.shape == (0, 0)
     assert (lap @ np.zeros(0)).shape == (0,)
-    assert spectral_norm(lap) == (0.0, True, 0)
+    assert spectral_norm(lap) == (0.0, True, 0, 0.0)
 
 
 def test_spectral_norm_of_large_laplacian_matches_eigsh():
@@ -118,13 +120,48 @@ def test_spectral_norm_of_large_laplacian_matches_eigsh():
     assert math.isclose(res.value, want, rel_tol=1e-6), (res, want)
 
 
+def test_trial_norms_are_within_their_bounds_of_eigsh(monkeypatch):
+    # Acceptance test 08's fixture: local sets of k = 2000 nodes. Every
+    # norm a trial takes, of both Laplacians and of their normalized
+    # difference, is checked against scipy's Lanczos solver on the same
+    # operator: the error is within the reported residual bound, and
+    # within the trial's relative tolerance. The allowance of a few ulps
+    # covers the oracle's own rounding.
+    n = 1000
+    gm = gen_er(n, 2.0 / n, 0)
+    cp = make_cut_pair(gm, *pick_pair_at_distance(gm, 7, 0))
+    params = SampleParams(0.9, 2.0 * math.log(n) / n, 0.01, 0.0, 2)
+    d_tilde = choose_d_tilde(DTildeMode.IMPOSSIBILITY, params.lam, cp.d)
+    seen = []
+
+    def recording(m, **kwargs):
+        res = spectral_norm(m, **kwargs)
+        seen.append((m, res))
+        return res
+
+    monkeypatch.setattr(meaninglab.spectral, "spectral_norm", recording)
+    tol = 1e-6
+    for seed in range(2):
+        trial = coupled_cut_trial(cp, params, d_tilde, seed=seed, tol=tol)
+        assert trial.neighborhood_size == 2000 and trial.converged
+    assert len(seen) == 6
+    for m, res in seen:
+        k = m.shape[0]
+        op = scipy.sparse.linalg.LinearOperator((k, k), matvec=lambda x: m @ x.ravel(), dtype=np.float64)
+        want = float(np.abs(scipy.sparse.linalg.eigsh(op, k=2, which="LM", return_eigenvectors=False)).max())
+        error = abs(res.value - want)
+        assert res.converged
+        assert error <= res.residual + 8 * np.finfo(float).eps * want, (res, want)
+        assert error <= tol * want, (res, want)
+
+
 def test_induced_matrices_reject_duplicates():
     g = Graph(3, [(0, 1)])
     with pytest.raises(ValueError, match="duplicate node 0"):
         laplacian_of(g, [0, 1, 0])
 
 
-# -- power iteration ----------------------------------------------------
+# -- Lanczos norms ------------------------------------------------------
 
 
 def test_spectral_norm_matches_dense_eigensolver():
@@ -143,24 +180,84 @@ def test_spectral_norm_matches_dense_eigensolver():
 
 
 def test_spectral_norm_sign_tie():
-    # Adjacency of a single edge has eigenvalues +1 and -1; squaring the
-    # operator inside the iteration makes the tie harmless.
+    # Adjacency of a single edge has eigenvalues +1 and -1: a tie between
+    # the two ends of the spectrum, found exactly once the two-vector
+    # Krylov space is spanned.
     res = spectral_norm(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert res.converged
+    assert res.converged and res.iterations == 2
     assert math.isclose(res.value, 1.0, rel_tol=1e-9)
 
 
 def test_spectral_norm_complete_graph_laplacian():
-    for n in (3, 6, 11):
+    # nI - J: the start vector and the all-ones vector span an invariant
+    # subspace, so the process breaks down, exactly, at its second step.
+    for n in (3, 6, 11, 40):
         lap = laplacian_of(complete_graph(n), range(n))
         res = spectral_norm(lap)
-        assert res.converged
-        assert math.isclose(res.value, float(n), rel_tol=1e-8)
+        assert res.converged and res.iterations == 2
+        assert math.isclose(res.value, float(n), rel_tol=1e-12)
 
 
 def test_spectral_norm_zero_and_empty():
-    assert spectral_norm(np.zeros((4, 4))) == (0.0, True, 0)
-    assert spectral_norm(np.zeros((0, 0))).value == 0.0
+    # One Lanczos step maps the start vector to zero; an empty matrix takes none.
+    assert spectral_norm(np.zeros((4, 4))) == (0.0, True, 1, 0.0)
+    assert spectral_norm(np.zeros((0, 0))) == (0.0, True, 0, 0.0)
+
+
+@pytest.mark.parametrize("entry", [0.0, 2.5, -7.0])
+def test_spectral_norm_one_by_one(entry):
+    assert spectral_norm(np.array([[entry]])) == (abs(entry), True, 1, 0.0)
+
+
+def test_spectral_norm_disjoint_identical_components():
+    # Every eigenvalue is double; one start vector sees each once, and
+    # the norm is still the components' norm.
+    g = gen_er(30, 0.2, 4).graph
+    twice = Graph(60, [(u + s, v + s) for u, v in g.edges() for s in (0, 30)])
+    res = spectral_norm(laplacian_of(twice, range(60)), tol=1e-10)
+    want = float(np.linalg.eigvalsh(columns(laplacian_of(g, range(30)))).max())
+    assert res.converged
+    assert math.isclose(res.value, want, rel_tol=1e-9)
+
+
+def symmetric_with_spectrum(eigenvalues, seed: int) -> np.ndarray:
+    """An exactly symmetric matrix with (up to rounding) the given eigenvalues."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(eigenvalues),) * 2))
+    m = (q * np.asarray(eigenvalues, dtype=np.float64)) @ q.T
+    return (m + m.T) / 2.0
+
+
+@pytest.mark.parametrize(
+    "eigenvalues",
+    [
+        -np.linspace(1.0, 9.0, 30),  # all negative
+        np.concatenate([[-12.0], np.linspace(-3.0, 10.0, 29)]),  # |lambda_min| > lambda_max
+        np.concatenate([[-10.0], np.linspace(-1.0, 1.0, 28), [10.0]]),  # a tie across the ends
+    ],
+)
+def test_spectral_norm_either_end(eigenvalues):
+    m = symmetric_with_spectrum(eigenvalues, 3)
+    res = spectral_norm(m, tol=1e-10)
+    want = float(np.abs(np.linalg.eigvalsh(m)).max())
+    assert res.converged
+    assert math.isclose(res.value, want, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("cap", [2, 5, 10])
+def test_spectral_norm_restarts_when_the_basis_is_full(monkeypatch, cap):
+    # With two vectors, a restart from the converged +10 end alone spans an
+    # invariant subspace at once and would report 10 for the second matrix.
+    monkeypatch.setattr(meaninglab.spectral, "_BASIS", cap)
+    g = gen_er(200, 0.05, 6).graph
+    lap = laplacian_of(g, range(200))
+    res = spectral_norm(lap, tol=1e-8)
+    want = float(np.linalg.eigvalsh(columns(lap)).max())
+    assert res.converged and res.iterations > cap
+    assert math.isclose(res.value, want, rel_tol=1e-7)
+    m = symmetric_with_spectrum(np.concatenate([[-12.0], np.linspace(-3.0, 10.0, 49)]), 5)
+    res = spectral_norm(m, tol=1e-8)
+    assert res.converged and res.iterations > cap
+    assert math.isclose(res.value, 12.0, rel_tol=1e-7)
 
 
 def test_spectral_norm_deterministic():
@@ -174,10 +271,12 @@ def test_spectral_norm_iteration_budget():
     rng = np.random.default_rng(9)
     a = rng.standard_normal((10, 10))
     m = a + a.T
+    # One Lanczos step: the value is |q . m q| for the unit start vector q,
+    # and the residual bound is ||m q - theta q||.
     res = spectral_norm(m, max_iter=1)
     assert not res.converged
     assert res.iterations == 1
-    assert res.value > 0.0
+    assert res.value > 0.0 and res.residual > 0.0
 
 
 def test_spectral_norm_validation():
@@ -189,6 +288,8 @@ def test_spectral_norm_validation():
         spectral_norm(np.array([[np.inf, 0.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="tolerance"):
         spectral_norm(np.zeros((2, 2)), tol=0.0)
+    with pytest.raises(ValueError, match="iteration budget"):
+        spectral_norm(np.zeros((2, 2)), max_iter=0)
 
 
 def test_laplacian_norm_within_gershgorin_disc():
@@ -297,8 +398,10 @@ def test_coupled_cut_trial_validation():
 def test_spectral_csv_record_matches_header():
     cp = cut_fixture()
     trial = coupled_cut_trial(cp, SampleParams(0.8, 0.01, 0.2, 0.0, 2), 4, seed=7)
-    fields = spectral_csv_record(trial).split(",")
-    assert len(fields) == len(SPECTRAL_CSV_HEADER.split(","))
-    assert fields[0] == "7" and fields[1] == "50"
-    assert fields[-1] in ("0", "1")
-    assert repr(trial.diff_normalized) == fields[10]
+    header = SPECTRAL_CSV_HEADER.split(",")
+    record = dict(zip(header, spectral_csv_record(trial).split(",")))
+    assert len(record) == len(header) == len(spectral_csv_record(trial).split(","))
+    assert record["seed"] == "7" and record["n"] == "50"
+    assert record["within"] in ("0", "1") and record["converged"] == "1"
+    assert repr(trial.diff_normalized) == record["diff"]
+    assert 0.0 <= float(record["resid"]) <= 1e-6
