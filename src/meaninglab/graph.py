@@ -16,11 +16,12 @@ single-source pass whose frontier is small steps top-down instead and
 expands only the frontier's CSR slices (direction-optimizing BFS).
 Batched and single distance queries read its levels, and so does one
 sweep of the whole graph (:func:`_sweep`, a pass per 64 consecutive
-sources) that yields every node's ball size and its distance-d rings at
-once: the ball bound and the ring tables and ring sizes that pair
-pickers read all come from that sweep. Batched queries group their
-pairs by source, so a pass runs 64 distinct sources and serves every
-pair that starts at one of them. A single distance query is bidirectional: two
+sources) that yields each pass's reach and its distance-d rings: summed
+over the passes, a node's popcounts give its ball and ring sizes, so the
+ball bound and the ring tables and ring sizes that pair pickers read all
+come from that sweep. Batched queries group their pairs by source, so a
+pass runs 64 distinct sources and serves every pair that starts at one
+of them. A single distance query is bidirectional: two
 single-source passes, one from each end, grown a level at a time until
 their balls meet. Connected components come from the same
 gather-and-reduce step with ``minimum`` in place of ``bitwise_or``.
@@ -316,21 +317,6 @@ def _source_bits(words: np.ndarray) -> np.ndarray:
     return np.unpackbits(words.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
 
 
-# Row v holds the eight bits of the byte value v, lowest first.
-_BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1
-
-
-def _lane_counts(words: np.ndarray) -> np.ndarray:
-    """How many of ``words`` have bit j set, for each j < 64: one popcount per source lane.
-
-    One histogram of each of the eight byte positions, then each bit's
-    count is the sum over the byte values that have it set.
-    """
-    octets = words.astype("<u8").view(np.uint8).reshape(-1, 8)
-    hist = np.bincount((octets + np.arange(0, 8 * 256, 256)).ravel(), minlength=8 * 256)
-    return (hist.reshape(8, 256) @ _BYTE_BITS).ravel()
-
-
 def _as_nodes(g: Graph, nodes) -> np.ndarray:
     arr = np.asarray(nodes, dtype=np.int64)
     if arr.ndim != 1:
@@ -420,13 +406,15 @@ def _sweep(
     """Multi-source BFS to level ``radius``: one pass per 64 of ``src``, by default all nodes in order.
 
     Yields, for the pass over sources ``src[64r : 64r + 64]``, a pair
-    ``(balls, rings)``: each source's ball size at ``radius``, and for
-    every level d in ``keep`` that the pass reaches, its ring words
-    ``seen_d & ~seen_{d-1}``, with bit j set where the node is at exact
-    distance d from source j of the pass (a level the pass does not reach
-    has an empty ring and no entry). The ball bound, the pickers' ring
-    tables and ring sizes, and their reads past the table budget all
-    come from it.
+    ``(seen, rings)``: the pass's final words, with bit j set where the
+    node is within ``radius`` of source j, and for every level d in
+    ``keep`` that the pass reaches, its ring words ``seen_d & ~seen_{d-1}``,
+    with bit j set where the node is at exact distance d from source j (a
+    level the pass does not reach has an empty ring and no entry).
+    Distance is symmetric, so a node's popcounts summed over the passes
+    of a whole-graph sweep are its own ball or ring size: the ball bound,
+    the pickers' ring tables and ring sizes, their reads past the table
+    budget and spectral's local node sets all come from it.
     """
     src = np.arange(g.n, dtype=np.int64) if src is None else src
     for lo in range(0, len(src), _WORD):
@@ -436,7 +424,7 @@ def _sweep(
                 rings[level] = seen & ~inner
             if level + 1 in keep:
                 inner = seen.copy()
-        yield _lane_counts(seen)[: len(src) - lo], rings
+        yield seen, rings
 
 
 def components(g: Graph) -> list[list[int]]:

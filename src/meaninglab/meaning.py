@@ -11,22 +11,24 @@ Exact-distance pairs are drawn exactly, with one integer draw per pick:
 the r-th ordered pair at distance d in (u, v) order. Ring sizes (how
 many nodes lie at distance d from each node) and the rings themselves
 are read from tables: the nodes at distance d from each node, one bit
-each. A meaning graph keeps its tables, within 1 MiB in all, with the
-ring sizes beside them, and one multi-source sweep of :mod:`graph`'s
-bitset BFS fills them: :func:`check_nontrivial`'s sweep to d, which also
-gives the ball bound, keeps every table up to d when they all fit and
-else d's, so the picks that follow it (a gamma run's trials, the
-heat-map cells, the spectral command's trials) traverse nothing. A pick
-at a distance with no table builds one with its own sweep, if it fits;
-past the bound the sweep keeps only the sizes, and each call reads its
-anchors' rings from one BFS pass per 64 of them.
+each. A meaning graph keeps its tables, within 1 MiB in all, with one
+running sum of the ring sizes per distance beside them, and one
+multi-source sweep of :mod:`graph`'s bitset BFS fills them: every size,
+of a ring or of a ball, is a node's popcounts summed over the sweep's
+passes. :func:`check_nontrivial`'s sweep to d, which also gives the
+ball bound, keeps every table up to d when they all fit and else d's,
+so the picks that follow it (a gamma run's trials, the heat-map cells,
+the spectral command's trials) traverse nothing. A pick at a distance
+with no table builds one with its own sweep, if it fits; past the bound
+the sweep keeps only the sizes, and each call reads its anchors' rings
+from one BFS pass per 64 of them.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -108,9 +110,10 @@ class MeaningGraph:
 class CutPair:
     """Two worlds that differ exactly by a minimum (m, m') cut.
 
-    ``g`` has m at finite distance d from m_prime. The second world g' is
-    ``g`` without the ``cut`` edges, in which the pair is disconnected; it
-    is not stored, since ``g`` and ``cut`` define it. This is the matched
+    ``g`` has m at finite distance ``d`` from m_prime; ``d`` is not
+    passed in but measured from ``g``. The second world g' is ``g``
+    without the ``cut`` edges, in which the pair is disconnected; it is
+    not stored, since ``g`` and ``cut`` define it. This is the matched
     world pair the spectral closeness experiment compares.
     """
 
@@ -118,11 +121,13 @@ class CutPair:
     m: int
     m_prime: int
     cut: tuple[tuple[int, int], ...]
-    d: int
+    d: int = field(init=False)
 
     def __post_init__(self):
-        if bfs_distance(self.g.graph, self.m, self.m_prime) != self.d:
-            raise ValueError("stored distance does not match g")
+        d = bfs_distance(self.g.graph, self.m, self.m_prime)
+        if d is None:
+            raise ValueError(f"nodes {self.m} and {self.m_prime} are already disconnected")
+        object.__setattr__(self, "d", d)
         # remove_edges also refuses a cut edge that g does not have.
         if bfs_distance(self.g.graph.remove_edges(self.cut), self.m, self.m_prime) is not None:
             raise ValueError("pair still connected after cut removal")
@@ -278,22 +283,23 @@ class _RingTables:
     table is ceil(n/64) rows of n words, and all tables together stay
     within ``_RING_BYTES``. Distance is symmetric, so column u of the
     same table is u's ring packed as a bitset: bit j of word r marks node
-    ``64r + j``. ``sizes[d]`` holds every node's ring size at d, and
-    ``ends[d]`` their running sum, which pickers search.
+    ``64r + j``. ``starts[d]`` holds the running sum of the ring sizes at
+    d, n + 1 entries from 0 as in ``indptr``: u's ring size is
+    ``starts[d][u + 1] - starts[d][u]``, and pickers search it.
 
     Both come from sweeps of :func:`graph._sweep`, whose pass over anchors
-    ``64r ..`` fills row r of every table it keeps, and whose ring words
-    at node v, popcounted and summed over the passes, give v's ring size.
-    A sweep records sizes at the levels it keeps tables for and at its own
-    radius, and allocates a table only at a level some pass reaches: past
-    the graph's depth every ring is empty.
+    ``64r ..`` fills row r of every table it keeps. A node's popcounts,
+    summed over the passes, give its ring size from the ring words and
+    its ball size from the final ``seen`` words. A sweep records sizes at
+    the levels it keeps tables for and at its own radius, and allocates a
+    table only at a level some pass reaches: past the graph's depth every
+    ring is empty.
     """
 
     def __init__(self, g: Graph):
         self.g = g
         self.tables: dict[int, np.ndarray] = {}
-        self.sizes: dict[int, np.ndarray] = {}
-        self.ends: dict[int, np.ndarray] = {}
+        self.starts: dict[int, np.ndarray] = {}
         self.shape = (-(-g.n // _WORD), g.n)
         self.size = 8 * self.shape[0] * g.n  # bytes in one table
 
@@ -313,33 +319,38 @@ class _RingTables:
         return self._fill(d, tabled)
 
     def get(self, d: int) -> tuple[np.ndarray, np.ndarray | None]:
-        """The ring sizes at d and the table at d, or None for a table that does not fit.
+        """The running ring sizes at d and the table at d, or None for a table that does not fit.
 
         A distance no sweep has reached yet gets one, which keeps its table if it fits.
         """
-        if d not in self.sizes:
+        if d not in self.starts:
             self._fill(d, (d,) if self._fits(1) else ())
-        return self.sizes[d], self.tables.get(d)
+        return self.starts[d], self.tables.get(d)
 
     def _fill(self, radius: int, tabled) -> int:
         """Sweep to ``radius``, keeping tables at the levels in ``tabled`` and sizes there and at ``radius``.
 
         Returns the ball bound.
         """
-        best = 0
-        sizes = {radius: np.zeros(self.g.n, dtype=np.int64)}
+        n = self.g.n
+        balls = np.zeros(n, dtype=np.int64)
+        # Ring sizes land one slot up, so a running sum in place gives the starts.
+        starts = {radius: np.zeros(n + 1, dtype=np.int64)}
         # ``tabled`` is empty or holds ``radius``.
-        for r, (balls, rings) in enumerate(_sweep(self.g, radius, tabled or (radius,))):
-            best = max(best, int(balls.max()))
+        for r, (seen, rings) in enumerate(_sweep(self.g, radius, tabled or (radius,))):
+            balls += np.bitwise_count(seen)
             for k, words in rings.items():
-                sizes[k] = np.add(sizes.get(k, 0), np.bitwise_count(words), dtype=np.int64)
+                if k not in starts:
+                    starts[k] = np.zeros(n + 1, dtype=np.int64)
+                starts[k][1:] += np.bitwise_count(words)
                 if k in tabled:
                     if k not in self.tables:
                         self.tables[k] = np.zeros(self.shape, dtype=np.uint64)
                     self.tables[k][r] = words
-        self.sizes.update(sizes)
-        self.ends.update((k, np.cumsum(v)) for k, v in sizes.items())
-        return best
+        for counts in starts.values():
+            np.cumsum(counts, out=counts)
+        self.starts.update(starts)
+        return int(balls.max(initial=0))
 
 
 def pick_pair_at_distance(
@@ -368,18 +379,17 @@ def pick_pair_at_distance(
         return []
     if gm.n < 2:
         return None
-    sizes, table = gm._rings.get(d)
-    ends = gm._rings.ends[d]
-    if not ends[-1]:
+    starts, table = gm._rings.get(d)
+    if not starts[-1]:
         return None
-    r = _as_rng(seed, STREAM_PAIR_AT_DISTANCE).integers(int(ends[-1]), size=1 if count is None else count)
-    u = np.searchsorted(ends, r, side="right")
+    r = _as_rng(seed, STREAM_PAIR_AT_DISTANCE).integers(int(starts[-1]), size=1 if count is None else count)
+    u = np.searchsorted(starts, r, side="right") - 1
     if table is not None:
         columns = table[:, u].T
     else:
         anchors, lane = np.unique(u, return_inverse=True)
         columns = _anchor_rings(gm.graph, d, anchors)[lane]
-    picks = list(zip(u.tolist(), _kth_member(columns, r - ends[u] + sizes[u]).tolist()))
+    picks = list(zip(u.tolist(), _kth_member(columns, r - starts[u]).tolist()))
     return picks if count is not None else picks[0]
 
 
@@ -433,17 +443,16 @@ def make_cut_pair(gm: MeaningGraph, m: int, m_prime: int) -> CutPair:
 
     Its ``g`` is ``gm`` itself and its ``cut`` a minimum (m, m') edge cut,
     so the pair is disconnected in g' (``gm`` without the cut) while every
-    other edge is untouched. The cut size is expected to stay within the
-    1-ball bound; larger cuts are logged, not rejected.
+    other edge is untouched. The pair's distance, and the refusal of a
+    pair that is already disconnected, come from :class:`CutPair`'s own
+    check. The cut size is expected to stay within the 1-ball bound;
+    larger cuts are logged, not rejected.
     """
-    g = gm.graph
-    d = bfs_distance(g, m, m_prime)
-    if d is None:
-        raise ValueError(f"nodes {m} and {m_prime} are already disconnected")
-    if d == 0:
+    if m == m_prime:
         raise ValueError("cut pair endpoints must differ")
+    g = gm.graph
     cut = tuple(min_cut(g, m, m_prime))
     b1 = g.max_degree() + 1  # the 1-ball bound: a node plus its neighbours
     if len(cut) > b1:
         log.warning("min cut size %d exceeds 1-ball bound %d", len(cut), b1)
-    return CutPair(g=gm, m=m, m_prime=m_prime, cut=cut, d=d)
+    return CutPair(g=gm, m=m, m_prime=m_prime, cut=cut)

@@ -121,12 +121,6 @@ class GammaEstimate:
         lo2, hi2 = wilson_interval(self.positives_h2, self.trials)
         return (lo1 - hi2, hi1 - lo2)
 
-    def std_error(self) -> float:
-        """Combined binomial standard error of gamma_hat."""
-        v1 = self.p1 * (1.0 - self.p1) / self.trials
-        v2 = self.p2 * (1.0 - self.p2) / self.trials
-        return sqrt(v1 + v2)
-
     def csv_record(self) -> str:
         p = self.params
         lo, hi = self.gamma_ci

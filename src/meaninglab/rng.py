@@ -161,10 +161,3 @@ def sparse_pairs(seed: int, stream_id: int, n: int, p: float, slots: int):
     pair, slot = np.divmod(hits, slots)
     i, j = index_to_pair(pair, n)
     return i, j, slot
-
-
-def pair_to_index(i: int, j: int, n: int) -> int:
-    """Lexicographic index of unordered pair (i, j), i < j."""
-    if not 0 <= i < j < n:
-        raise ValueError(f"bad pair ({i}, {j}) for n={n}")
-    return i * n - i * (i + 1) // 2 + (j - i - 1)

@@ -261,18 +261,6 @@ def sample_coupled(cp: CutPair, params: SampleParams, seed: int) -> tuple[Symbol
     return sg, sgp
 
 
-def count_edges_by_class(sg: SymbolGraph, gm: MeaningGraph) -> dict[PairClass, int]:
-    """Union-graph edge counts split by pair class (test and audit helper)."""
-    origin = sg.graph.edge_array() // sg.lam
-    intra = origin[:, 0] == origin[:, 1]
-    on_edge = _lookup(gm._sorted_edge_keys, origin[:, 0] * gm.n + origin[:, 1])[1]
-    return {
-        PairClass.MEANING_EDGE: int(np.count_nonzero(on_edge)),
-        PairClass.MEANING_NON_EDGE: int(np.count_nonzero(~on_edge & ~intra)),
-        PairClass.INTRA_CLUSTER: int(np.count_nonzero(intra)),
-    }
-
-
 # -- serialization ------------------------------------------------------
 
 

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .bounds import laplacian_diff_bound
-from .graph import Graph, _as_nodes, _bit_levels, _neighbor_reduce
+from .graph import Graph, _as_nodes, _neighbor_reduce, _sweep
 from .meaning import CutPair
 from .rng import stream
 from .sampler import SampleParams, SymbolGraph, sample_coupled
@@ -306,9 +306,8 @@ def _local_nodes(sg: SymbolGraph, sgp: SymbolGraph, w: int, w_prime: int, d_tild
     """Sorted nodes within d_tilde of w or w_prime in either world's graph."""
     local = np.zeros(sg.graph.n, dtype=bool)
     for g in (sg.graph, sgp.graph):
-        for _, _, seen in _bit_levels(g, np.array([w, w_prime], dtype=np.int64), d_tilde):
-            pass
-        local |= seen != 0
+        for seen, _ in _sweep(g, d_tilde, (), np.array([w, w_prime], dtype=np.int64)):
+            local |= seen != 0
     return np.flatnonzero(local).tolist()
 
 

@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import networkx as nx
+import numpy as np
 
 from meaninglab.graph import Graph
 from meaninglab.meaning import MeaningGraph
+from meaninglab.reasoning import GammaEstimate
+from meaninglab.sampler import PairClass, SymbolGraph
 
 
 def to_networkx(g: Graph) -> nx.Graph:
@@ -68,3 +72,30 @@ def connectivity_probability(n: int, p: float) -> float:
         if len({find(x) for x in range(n)}) == 1:
             total += p**k * (1 - p) ** (len(pairs) - k)
     return total
+
+
+def pair_to_index(i: int, j: int, n: int) -> int:
+    """Lexicographic index of unordered pair (i, j), i < j, in exact integer arithmetic."""
+    if not 0 <= i < j < n:
+        raise ValueError(f"bad pair ({i}, {j}) for n={n}")
+    return i * n - i * (i + 1) // 2 + (j - i - 1)
+
+
+def count_edges_by_class(sg: SymbolGraph, gm: MeaningGraph) -> dict[PairClass, int]:
+    """Union-graph edge counts of ``sg``, split by the pair class of each edge's meaning nodes."""
+    origin = sg.graph.edge_array() // sg.lam
+    intra = origin[:, 0] == origin[:, 1]
+    meaning = gm.graph.edge_array()
+    on_edge = np.isin(origin[:, 0] * gm.n + origin[:, 1], meaning[:, 0] * gm.n + meaning[:, 1])
+    return {
+        PairClass.MEANING_EDGE: int(np.count_nonzero(on_edge)),
+        PairClass.MEANING_NON_EDGE: int(np.count_nonzero(~on_edge & ~intra)),
+        PairClass.INTRA_CLUSTER: int(np.count_nonzero(intra)),
+    }
+
+
+def std_error(est: GammaEstimate) -> float:
+    """Combined binomial standard error of ``est.gamma_hat``."""
+    v1 = est.p1 * (1.0 - est.p1) / est.trials
+    v2 = est.p2 * (1.0 - est.p2) / est.trials
+    return math.sqrt(v1 + v2)

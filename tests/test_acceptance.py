@@ -44,13 +44,12 @@ from meaninglab.reasoning import (
 from meaninglab.sampler import (
     PairClass,
     SampleParams,
-    count_edges_by_class,
     edge_probability,
     sample_symbol_graph,
 )
 from meaninglab.spectral import coupled_cut_trial, laplacian_of, spectral_norm
 
-from oracles import connectivity_probability, to_networkx
+from oracles import connectivity_probability, count_edges_by_class, std_error, to_networkx
 
 DATA = Path(__file__).parent / "data"
 
@@ -142,7 +141,7 @@ def test_03_connectivity_bounds_sandwich_empirical_rates():
     ok = (
         est.p1 + 3.0 * se1 >= lb
         and est.p2 - 3.0 * se2 <= ub
-        and est.gamma_hat + 3.0 * est.std_error() >= target
+        and est.gamma_hat + 3.0 * std_error(est) >= target
     )
     _report(
         3,
@@ -308,7 +307,9 @@ def test_10_heatmap_separates_noise_regimes():
     low, high = table.cells
     assert None not in low and None not in high
     # Low noise: truly adjacent pairs sit far below the capped
-    # disconnected column. High noise: every column collapses onto it.
+    # disconnected column. High noise: every column sits close to it, but
+    # not on it: over seeds the largest gap averages about 0.28 (sd about
+    # 0.06), mostly from the one symbol graph sampled per row.
     low_gap = low[5] - low[0]
     high_gap = max(abs(high[5] - high[i]) for i in range(5))
     ok = low_gap >= 2.0 and high_gap <= 0.5

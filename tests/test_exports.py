@@ -49,3 +49,38 @@ def test_every_export_has_a_caller():
     # A kept formula that gains a caller leaves the list.
     assert set(PAPER_FORMULAS) & called == set()
     assert set(PAPER_FORMULAS) <= set(exports())
+
+
+def definitions() -> list[tuple[str, str]]:
+    """``(where, name)`` of every module-level function and non-dunder method in the package."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef):
+                found.append((path.stem, node.name))
+            elif isinstance(node, ast.ClassDef):
+                found.extend(
+                    (f"{path.stem}.{node.name}", item.name)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not (item.name.startswith("__") and item.name.endswith("__"))
+                )
+    return found
+
+
+def names_read(paths) -> set[str]:
+    """Every name loaded and every attribute accessed in ``paths``."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_function_is_read_outside_the_tests():
+    # Code that only the tests reach belongs in the tests (``oracles.py``).
+    read = names_read([*PACKAGE.glob("*.py"), *(ROOT / "bench").glob("*.py")])
+    unread = [f"{where}.{name}" for where, name in definitions() if name not in read and name not in PAPER_FORMULAS]
+    assert unread == []

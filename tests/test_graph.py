@@ -193,8 +193,16 @@ def test_bfs_cap_matches_uncapped(g: Graph, cap: int):
 
 
 def ball_sizes(g: Graph, d: int) -> list[int]:
-    """Each node's d-ball size, as the whole-graph sweep yields them."""
-    return [size for balls, _ in _sweep(g, d) for size in balls.tolist()]
+    """Each node's d-ball size: its popcounts summed over the whole-graph sweep's passes.
+
+    Asserts that each equals the node's networkx ball size.
+    """
+    sizes = np.zeros(g.n, dtype=np.int64)
+    for seen, _ in _sweep(g, d):
+        sizes += np.bitwise_count(seen)
+    ref = to_networkx(g)
+    assert sizes.tolist() == [len(nx.single_source_shortest_path_length(ref, v, cutoff=d)) for v in range(g.n)]
+    return sizes.tolist()
 
 
 def test_neighborhood_size_examples():

@@ -13,6 +13,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import meaninglab.meaning as meaning
 from meaninglab.graph import Graph, bfs_distance
 from meaninglab.meaning import (
     CutPair,
@@ -348,6 +349,22 @@ def test_make_cut_pair_rejects_disconnected():
         make_cut_pair(gm, 0, 3)
 
 
+def test_make_cut_pair_rejects_equal_endpoints():
+    gm = MeaningGraph(Graph(4, [(0, 1), (1, 2), (2, 3)]))
+    with pytest.raises(ValueError, match="^cut pair endpoints must differ$"):
+        make_cut_pair(gm, 3, 3)
+
+
+def test_make_cut_pair_searches_once_per_world(monkeypatch):
+    # One search in g gives d, one in g' checks the cut: min_cut aside, a
+    # pair costs two traversals.
+    calls = []
+    real = meaning.bfs_distance
+    monkeypatch.setattr(meaning, "bfs_distance", lambda g, u, v: calls.append(g.edge_count) or real(g, u, v))
+    cp = make_cut_pair(MeaningGraph(Graph(5, [(i, i + 1) for i in range(4)])), 0, 4)
+    assert cp.d == 4 and calls == [4, 3]
+
+
 def test_make_cut_pair_preserves_labels():
     # Both worlds are over gm's nodes: g is gm itself, labels included.
     gm = load_triples(DATA / "triples_small.tsv", "/film/")
@@ -358,14 +375,18 @@ def test_make_cut_pair_preserves_labels():
 
 def test_cut_pair_validates_invariants():
     path = MeaningGraph(Graph(3, [(0, 1), (1, 2)]))
-    assert CutPair(g=path, m=0, m_prime=2, cut=((0, 1),), d=2).d == 2
-    with pytest.raises(ValueError, match="stored distance"):
-        CutPair(g=path, m=0, m_prime=2, cut=((0, 1),), d=1)
+    assert CutPair(g=path, m=0, m_prime=2, cut=((0, 1),)).d == 2
     with pytest.raises(ValueError, match="absent edge"):
-        CutPair(g=path, m=0, m_prime=2, cut=((0, 2),), d=2)
+        CutPair(g=path, m=0, m_prime=2, cut=((0, 2),))
     triangle = MeaningGraph(Graph(3, [(0, 1), (1, 2), (0, 2)]))
     with pytest.raises(ValueError, match="still connected"):
-        CutPair(g=triangle, m=0, m_prime=1, cut=((0, 1),), d=1)
+        CutPair(g=triangle, m=0, m_prime=1, cut=((0, 1),))
+
+
+def test_cut_pair_rejects_a_disconnected_pair():
+    gm = MeaningGraph(Graph(4, [(0, 1), (2, 3)]))
+    with pytest.raises(ValueError, match="^nodes 0 and 3 are already disconnected$"):
+        CutPair(g=gm, m=0, m_prime=3, cut=())
 
 
 def test_cut_size_never_exceeds_min_degree():

@@ -323,7 +323,8 @@ def test_picks_match_reference(g, calls, budget, seed):
 
 def rings_read(gm: MeaningGraph, d: int, anchors: np.ndarray) -> list[list[int]]:
     """Each anchor's ring, member by member, as the picker reads it."""
-    sizes, table = gm._rings.get(d)
+    starts, table = gm._rings.get(d)
+    sizes = np.diff(starts)
     u = np.repeat(anchors, sizes[anchors])
     if not len(u):
         return [[] for _ in anchors]
@@ -374,9 +375,9 @@ def test_ring_beyond_the_diameter_is_empty(monkeypatch):
     [(_, rings)] = graph._sweep(g, 5, (5,))
     assert rings == {}
     gm = MeaningGraph(g)
-    sizes, table = gm._rings.get(9)
+    starts, table = gm._rings.get(9)
     # Zero sizes and no table: a pick there is None, with no draw and no second sweep.
-    assert sizes.tolist() == [0] * 5 and table is None and gm._rings.tables == {}
+    assert starts.tolist() == [0] * 6 and table is None and gm._rings.tables == {}
     passes = count_passes(monkeypatch, g)
     rng = stream(1)
     assert pick_pair_at_distance(gm, 9, rng, count=3) is None
@@ -409,12 +410,12 @@ def test_table_is_one_pass_per_word_of_nodes_built_once(monkeypatch, sparse_grap
     oracle = Graph(n, g.edge_array())
     passes = count_passes(monkeypatch, g)
     gm = MeaningGraph(g)
-    sizes, table = gm._rings.get(2)
+    starts, table = gm._rings.get(2)
     assert passes == word_passes(n)
     for count in (1, 5, 64, 700, 3000):
         picks = pick_pair_at_distance(gm, 2, stream(n, count), count=count)
         if picks is None:
-            assert not sizes.any()
+            assert not starts.any()
             continue
         us, vs = np.array(picks).T
         assert (bfs_distances(oracle, us, vs, cap=2) == 2).all()
@@ -431,7 +432,7 @@ def test_over_budget_batches_keep_no_rings(monkeypatch, sparse_graph, d):
     monkeypatch.setattr(meaning, "_RING_BYTES", ring_bytes("none"))
     passes = count_passes(monkeypatch, g)
     gm = MeaningGraph(g)
-    sizes, table = gm._rings.get(d)
+    _, table = gm._rings.get(d)
     assert table is None and gm._rings.tables == {}
     assert passes == word_passes(g.n)
     anchors = []  # the passes each call should run
@@ -441,7 +442,7 @@ def test_over_budget_batches_keep_no_rings(monkeypatch, sparse_graph, d):
         assert picks == reference_pick_pair_at_distance(gm, d, ref, count=count)
         anchors += word_passes(len({u for u, _ in picks}))
     assert passes == word_passes(g.n) + anchors
-    assert gm._rings.tables == {} and sorted(gm._rings.sizes) == [d]
+    assert gm._rings.tables == {} and sorted(gm._rings.starts) == [d]
 
 
 @pytest.mark.parametrize("n", [2, 1000, 2880, 2881, 5000, 200_000])
@@ -451,10 +452,10 @@ def test_no_table_exceeds_the_bound(n):
     rings = MeaningGraph(Graph(n, [(0, 1)]))._rings
     assert rings._fits(1) == (n <= 2880)
     if n <= 5000:
-        sizes, table = rings.get(1)
+        starts, table = rings.get(1)
         assert (table is not None) == (n <= 2880)
         assert table is None or table.nbytes <= meaning._RING_BYTES
-        assert sizes.tolist() == [1, 1] + [0] * (n - 2)
+        assert starts.tolist() == [0, 1] + [2] * (n - 1)
 
 
 def path(n: int) -> MeaningGraph:
@@ -490,10 +491,19 @@ def graphs_and_radii(draw, least: int):
 def test_sweep_ball_sizes_and_reach_match_single_source_bfs(case):
     g, d = case
     sweep = list(graph._sweep(g, d, range(1, d + 1)))
-    assert np.concatenate([balls for balls, _ in sweep]).tolist() == [len(nx_levels(g, s, d)) for s in range(g.n)]
+    # Bit j of a pass's final words marks source 64r + j's d-ball, and a
+    # node's popcounts summed over the passes are its own ball size.
+    balls = [nx_levels(g, s, d) for s in range(g.n)]
+    sizes = np.zeros(g.n, dtype=np.int64)
+    for r, (seen, _) in enumerate(sweep):
+        sources = range(64 * r, min(64 * r + 64, g.n))
+        want = [[v in balls[s] for v in range(g.n)] for s in sources]
+        assert (graph._source_bits(seen)[:, : len(sources)].T == np.array(want)).all()
+        sizes += np.bitwise_count(seen)
+    assert sizes.tolist() == [len(ball) for ball in balls]
     # A pass reaches the largest eccentricity among its sources, up to d,
     # and keeps a ring at every level it reaches.
-    ecc = [max(nx_levels(g, s, d).values()) for s in range(g.n)]
+    ecc = [max(ball.values()) for ball in balls]
     reach = [max(ecc[lo : lo + 64]) for lo in range(0, g.n, 64)]
     assert [sorted(rings) for _, rings in sweep] == [list(range(1, r + 1)) for r in reach]
 
@@ -513,15 +523,15 @@ def test_every_kept_table_is_the_ring_at_its_distance(case):
         else:
             assert k > d or not (dist == k).any()
     assert all(t.any() for t in gm._rings.tables.values())
-    # Sizes sit beside every table and at d itself: each node's ring size,
-    # which is also the popcount of the node's column of the table. Their
-    # running sums sit beside them.
-    assert sorted(gm._rings.sizes) == sorted(gm._rings.ends) == sorted({*gm._rings.tables, d})
-    for k, sizes in gm._rings.sizes.items():
-        assert sizes.tolist() == (dist == k).sum(axis=1).tolist()
-        assert gm._rings.ends[k].tolist() == np.cumsum((dist == k).sum(axis=1)).tolist()
+    # Running ring sizes sit beside every table and at d itself: 0, then
+    # the running sum of each node's ring size, which is also the popcount
+    # of the node's column of the table.
+    assert sorted(gm._rings.starts) == sorted({*gm._rings.tables, d})
+    for k, starts in gm._rings.starts.items():
+        assert starts.tolist() == [0] + np.cumsum((dist == k).sum(axis=1)).tolist()
         if k in gm._rings.tables:
-            assert sizes.tolist() == np.bitwise_count(gm._rings.tables[k]).sum(axis=0).tolist()
+            columns = np.bitwise_count(gm._rings.tables[k]).sum(axis=0)
+            assert starts.tolist() == [0] + np.cumsum(columns).tolist()
 
 
 @pytest.mark.parametrize("n", [2, 65, 300, 1000, 1500, 2880, 2881])
@@ -556,7 +566,7 @@ def test_check_far_past_the_diameter_allocates_no_empty_tables(gm, d, levels):
     assert report.ball_small.message == f"ball_bound(d={d})={ball} vs n/4={gm.n / 4:g}"
     assert report.ball_small.passed == (ball <= gm.n / 4)
     assert sorted(gm._rings.tables) == list(range(1, (levels or 0) + 1))
-    assert not gm._rings.sizes[d].any()
+    assert not gm._rings.starts[d].any()
     assert pick_pair_at_distance(gm, d, 0) is None
 
 
@@ -598,10 +608,10 @@ def test_pickled_meaning_graph_carries_its_tables(monkeypatch, sparse_graph):
     gm = MeaningGraph(sparse_graph.graph)
     check_nontrivial(gm, PARAMS, 4)
     copy = pickle.loads(pickle.dumps(gm))
-    assert sorted(copy._rings.tables) == sorted(copy._rings.sizes) == [1, 2, 3, 4]
+    assert sorted(copy._rings.tables) == sorted(copy._rings.starts) == [1, 2, 3, 4]
     for d, table in gm._rings.tables.items():
         assert np.array_equal(copy._rings.tables[d], table)
-        assert np.array_equal(copy._rings.sizes[d], gm._rings.sizes[d])
+        assert np.array_equal(copy._rings.starts[d], gm._rings.starts[d])
     passes = count_passes(monkeypatch, copy.graph)
     assert pick_pair_at_distance(copy, 3, 5, count=20) == pick_pair_at_distance(gm, 3, 5, count=20)
     assert passes == []

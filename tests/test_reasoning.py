@@ -21,6 +21,8 @@ from meaninglab.reasoning import (
 )
 from meaninglab.sampler import SampleParams, sample_symbol_graph
 
+from oracles import std_error
+
 IDENTITY = SampleParams(1.0, 0.0, 1.0, 0.0, 1)
 
 
@@ -224,4 +226,4 @@ def test_std_error_formula():
         d_tilde=5, trials=100, positives_h1=97, positives_h2=3,
     )
     want = math.sqrt((0.97 * 0.03 + 0.03 * 0.97) / 100)
-    assert math.isclose(est.std_error(), want, rel_tol=1e-12)
+    assert math.isclose(std_error(est), want, rel_tol=1e-12)

@@ -15,13 +15,14 @@ from meaninglab.rng import (
     MAX_PAIR_NODES,
     index_to_pair,
     pair_count,
-    pair_to_index,
     run_tasks,
     skip_sample,
     sparse_pairs,
     stream,
     subseed,
 )
+
+from oracles import pair_to_index
 
 
 def test_streams_are_deterministic():

@@ -29,7 +29,6 @@ from meaninglab.sampler import (
     PairClass,
     SampleParams,
     SymbolGraph,
-    count_edges_by_class,
     edge_probability,
     fold_noise,
     read_symbol_graph,
@@ -37,6 +36,8 @@ from meaninglab.sampler import (
     sample_symbol_graph,
     write_symbol_graph,
 )
+
+from oracles import count_edges_by_class
 
 
 def params(p_plus=0.8, p_minus=0.01, eps_plus=0.2, eps_minus=0.05, lam=2, fold=False):
