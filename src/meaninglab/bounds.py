@@ -54,19 +54,16 @@ def ub_disconnected_raw(n: int, lam: int, p_minus: float, eps_minus: float, ball
     return 2.0 * math.e * n * (lam * ball_d) ** 2 * q
 
 
-def _ub_applies(n: int, lam: int, p_minus: float, eps_minus: float, ball_d: int) -> bool:
-    """Whether (lam*B(d))^2 * (p_minus + eps_minus fold) stays at or below 1/(2en)."""
-    return (lam * ball_d) ** 2 * fold_noise(p_minus, eps_minus) <= 1.0 / (2.0 * math.e * n)
-
-
 def ub_disconnected(n: int, lam: int, p_minus: float, eps_minus: float, ball_d: int) -> float | None:
     """Upper bound on answering H1 when the pair is disconnected.
 
-    Valid only while :func:`_ub_applies`; outside that regime returns None
-    rather than a number that bounds nothing.
+    Valid only while (lam*B(d))^2 * (p_minus + eps_minus fold) stays at or
+    below 1/(2en); outside that regime returns None rather than a number
+    that bounds nothing.
     """
     raw = ub_disconnected_raw(n, lam, p_minus, eps_minus, ball_d)
-    return _clamp01(raw) if _ub_applies(n, lam, p_minus, eps_minus, ball_d) else None
+    applies = (lam * ball_d) ** 2 * fold_noise(p_minus, eps_minus) <= 1.0 / (2.0 * math.e * n)
+    return _clamp01(raw) if applies else None
 
 
 def gamma_star_raw(
@@ -267,11 +264,7 @@ def bound_report(
     """Assemble the full report for one parameter point."""
     if ball_1 < 1:
         raise ValueError(f"1-ball bound must be positive, got {ball_1}")
-    # Each bound once; gamma_star_raw is their difference.
-    lb = lb_connected(d, lam, p_plus, eps_plus, eps_minus)
-    ub_raw = ub_disconnected_raw(n, lam, p_minus, eps_minus, ball_d)
-    ub = _clamp01(ub_raw) if _ub_applies(n, lam, p_minus, eps_minus, ball_d) else None
-    gs_raw = lb - ub_raw
+    gs_raw = gamma_star_raw(n, d, lam, p_plus, p_minus, eps_plus, eps_minus, ball_d)
     t1, t2, t3 = theorem_preconditions(n, d, lam, p_plus, p_minus, eps_minus, ball_d, c2, c3)
     return BoundReport(
         n=n,
@@ -285,9 +278,9 @@ def bound_report(
         ball_1=ball_1,
         c2=c2,
         c3=c3,
-        lb_connected=lb,
-        ub_disconnected=ub,
-        ub_disconnected_raw=ub_raw,
+        lb_connected=lb_connected(d, lam, p_plus, eps_plus, eps_minus),
+        ub_disconnected=ub_disconnected(n, lam, p_minus, eps_minus, ball_d),
+        ub_disconnected_raw=ub_disconnected_raw(n, lam, p_minus, eps_minus, ball_d),
         gamma_star=max(0.0, gs_raw),
         gamma_star_raw=gs_raw,
         theorem1=t1,

@@ -68,14 +68,15 @@ def _positive_int(text: str) -> int:
 def build_parser() -> _Parser:
     # Each command takes only the flags it reads, except that the four
     # sampling commands share one set: one "--seed N --threads 1 --out DIR"
-    # suffix drives them all, although sample starts no workers and runs
-    # no screen. ``bounds`` takes no --fold: its formulas always fold.
-    config, out, run, source, params, fold = (argparse.ArgumentParser(add_help=False) for _ in range(6))
+    # suffix drives them all, although sample starts no workers. Only the
+    # three that run the screen take --allow-trivial. ``bounds`` takes no
+    # --fold: its formulas always fold.
+    config, out, run, screen, source, params, fold = (argparse.ArgumentParser(add_help=False) for _ in range(7))
     config.add_argument("--config", type=Path, default=None, help="JSON file with default argument values")
     out.add_argument("--out", type=Path, default=Path("."), help="output directory")
     run.add_argument("--seed", type=int, default=0, help="root seed for every stream")
     run.add_argument("--threads", type=_positive_int, default=1, help="worker processes for trial loops")
-    run.add_argument("--allow-trivial", action="store_true", help="run even when the nontriviality screen fails")
+    screen.add_argument("--allow-trivial", action="store_true", help="run even when the nontriviality screen fails")
     source.add_argument("--er", nargs=2, metavar=("N", "P"), default=None, help="Erdos-Renyi meaning graph")
     source.add_argument("--graph-seed", type=int, default=1, help="seed for --er generation")
     source.add_argument("--triples", type=Path, default=None, help="head<TAB>rel<TAB>tail file")
@@ -87,13 +88,14 @@ def build_parser() -> _Parser:
     params.add_argument("--lambda", dest="lam", type=int, default=2, help="replicas per meaning node")
     fold.add_argument("--fold", action="store_true", help="fold eps_minus into the structural probabilities")
     sampling = [config, out, run, source, params, fold]
+    screened = [config, out, run, screen, source, params, fold]
     parser = _Parser(prog="meaninglab", description="noisy symbol-graph reasoning lab")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("sample", parents=sampling, help="draw one symbol graph")
     sp.set_defaults(handler=_cmd_sample)
 
-    sp = sub.add_parser("gamma", parents=sampling, help="estimate hypothesis separation")
+    sp = sub.add_parser("gamma", parents=screened, help="estimate hypothesis separation")
     sp.add_argument("--d", type=_positive_int, default=2, help="meaning distance for the connected hypothesis")
     sp.add_argument("--d-tilde", type=int, default=None, help="symbol search radius (default lam*d+lam-1)")
     sp.add_argument("--trials", type=_positive_int, default=100)
@@ -111,7 +113,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--json", action="store_true", help="print JSON instead of aligned text")
     sp.set_defaults(handler=_cmd_bounds)
 
-    sp = sub.add_parser("heatmap", parents=sampling, help="noise-versus-distance sweep")
+    sp = sub.add_parser("heatmap", parents=screened, help="noise-versus-distance sweep")
     sp.add_argument("--d-max", type=_positive_int, default=5)
     sp.add_argument("--pairs-per-cell", type=_positive_int, default=20)
     sp.add_argument(
@@ -122,7 +124,7 @@ def build_parser() -> _Parser:
     )
     sp.set_defaults(handler=_cmd_heatmap)
 
-    sp = sub.add_parser("spectral", parents=sampling, help="coupled cut-world trials")
+    sp = sub.add_parser("spectral", parents=screened, help="coupled cut-world trials")
     sp.add_argument("--d", type=_positive_int, default=None, help="meaning pair distance (default ceil(ln n)+1)")
     sp.add_argument("--d-tilde", type=int, default=None, help="neighborhood radius (default lam*d)")
     sp.add_argument("--trials", type=_positive_int, default=20)

@@ -9,11 +9,11 @@ minimum cut, connected components, and a plain text edge-list writer.
 A graph is stored only as CSR arrays: node u's sorted neighbours are
 ``indices[indptr[u]:indptr[u + 1]]``. Every traversal runs on one kernel,
 a level-synchronous BFS from up to 64 sources at once: each source owns
-one bit of a ``uint64`` word per node. A level steps in one of two
-directions. Bottom-up, it is a single ``bitwise_or.reduceat`` of the
-frontier words over the CSR arrays, O(n + E) whatever the frontier. A
-single-source pass whose frontier is small steps top-down instead and
-expands only the frontier's CSR slices (direction-optimizing BFS).
+one bit of a ``uint64`` word per node. Each pass steps in one direction.
+A multi-source pass steps bottom-up: a level is a single
+``bitwise_or.reduceat`` of the frontier words over the CSR arrays,
+O(n + E) whatever the frontier. A single-source pass steps top-down and
+expands only its frontier's CSR slices, so a level costs O(frontier arcs).
 Batched and single distance queries read its levels, and so does one
 sweep of the whole graph (:func:`_sweep`, a pass per 64 consecutive
 sources) that yields each pass's reach and its distance-d rings: summed
@@ -149,11 +149,6 @@ class Graph:
         """All edges as an ``(E, 2)`` array of (u, v) with u < v, lexicographically sorted."""
         return np.column_stack(_upper_arcs(self))
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """All edges as (u, v) with u < v, lexicographically sorted."""
-        u, v = _upper_arcs(self)
-        return zip(u.tolist(), v.tolist())
-
     def _check_node(self, u: int) -> None:
         if not 0 <= u < self.n:
             raise ValueError(f"node {u} out of range for {self.n} nodes")
@@ -207,11 +202,6 @@ def _upper_arcs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 _WORD = 64
 _BITS = np.left_shift(np.uint64(1), np.arange(_WORD, dtype=np.uint64))
 
-# A single-source BFS level steps top-down while its frontier holds at most
-# 1/8 of all arcs, and bottom-up once it holds more: the alpha of
-# direction-optimizing BFS (Beamer, Asanovic & Patterson, SC 2012).
-_TOP_DOWN_SHARE = 8
-
 
 def _neighbor_reduce(g: Graph, ufunc, empty, dtype):
     """Step function: per-node values -> ``ufunc`` over each node's neighbours.
@@ -248,16 +238,14 @@ def _bit_levels(
     ``nodes``, the nodes first reached at that level; a multi-source pass
     yields None there.
 
-    Each level steps in one of two directions. A single-source pass whose
-    frontier holds at most ``1/_TOP_DOWN_SHARE`` of the graph's arcs steps
-    top-down: it gathers only the frontier's CSR slices, so the level costs
-    O(frontier arcs) and no O(n) work. Otherwise the step is bottom-up:
-    every node ORs its neighbours' frontier words in one ``reduceat`` over
-    all arcs. Multi-source passes always step bottom-up, since merging the
+    A single-source pass steps top-down: a level gathers only the
+    frontier's CSR slices, so it costs O(frontier arcs) and no O(n) work.
+    A multi-source pass steps bottom-up: every node ORs its neighbours'
+    frontier words in one ``reduceat`` over all arcs, since merging the
     words that reach each head costs more than the reduceat saves.
     """
     seen = np.zeros(g.n, dtype=np.uint64)
-    # ``front`` holds the frontier's words while levels step bottom-up.
+    # Only a multi-source pass keeps its frontier's words, in ``front``.
     if len(src) == 1:
         seen[src] = 1
         nodes, front = src, None
@@ -269,9 +257,8 @@ def _bit_levels(
     step = None  # the bottom-up step, built when a level first needs it
     level = 0
     while cap is None or level < cap:
-        arcs = None if nodes is None else _arc_positions(g, nodes, len(g.indices) // _TOP_DOWN_SHARE)
-        if arcs is not None:
-            heads = g.indices[arcs]
+        if front is None:
+            heads = g.indices[_arc_positions(g, nodes)]
             heads.sort()
             # Each new head once: unseen, and unlike the head before it.
             # (np.unique takes several times as long on a few hundred heads.)
@@ -281,17 +268,11 @@ def _bit_levels(
             if not len(nodes):
                 return
             seen[nodes] = 1
-            front = None
         else:
             if step is None:
                 step = _neighbor_reduce(g, np.bitwise_or, 0, np.uint64)
-            if front is None:
-                front = np.zeros(g.n, dtype=np.uint64)
-                front[nodes] = 1
             front = step(front)
             front &= ~seen
-            if nodes is not None:
-                nodes = front.nonzero()[0]
             if not np.count_nonzero(front):
                 return
             seen |= front
@@ -299,16 +280,13 @@ def _bit_levels(
         yield level, nodes, seen
 
 
-def _arc_positions(g: Graph, nodes: np.ndarray, limit: int) -> np.ndarray | None:
-    """Positions in ``g.indices`` of the arcs leaving ``nodes``, or None past ``limit`` arcs."""
+def _arc_positions(g: Graph, nodes: np.ndarray) -> np.ndarray:
+    """Positions in ``g.indices`` of the arcs leaving ``nodes``."""
     if len(nodes) == 1:
-        lo, hi = g.indptr[nodes[0]], g.indptr[nodes[0] + 1]
-        return np.arange(lo, hi) if hi - lo <= limit else None
+        return np.arange(g.indptr[nodes[0]], g.indptr[nodes[0] + 1])
     starts = g.indptr[nodes]
     counts = g.degrees[nodes]
     ends = np.add.accumulate(counts)
-    if ends[-1] > limit:
-        return None
     return np.arange(ends[-1]) + (starts - ends + counts).repeat(counts)
 
 

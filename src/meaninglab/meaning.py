@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .graph import (
+    _BITS,
     _WORD,
     Graph,
     _source_bits,
@@ -399,10 +400,11 @@ def _anchor_rings(g: Graph, d: int, anchors: np.ndarray) -> np.ndarray:
     Every anchor drawn has a nonempty ring, so each pass reaches level d.
     """
     columns = []
-    for _, rings in _sweep(g, d, (d,), anchors):
-        # Row j of the unpacked bits is source j's ring; pack it into a column's words.
-        packed = np.zeros((_WORD, 8 * -(-g.n // _WORD)), dtype=np.uint8)
-        packed[:, : -(-g.n // 8)] = np.packbits(_source_bits(rings[d]).T, axis=1, bitorder="little")
+    for lo, (_, rings) in zip(range(0, len(anchors), _WORD), _sweep(g, d, (d,), anchors)):
+        # Row j, bit j of every node's word, is source lo + j's ring; pack it into a column's words.
+        bits = (rings[d] & _BITS[: len(anchors) - lo, None]) != 0
+        packed = np.zeros((len(bits), 8 * -(-g.n // _WORD)), dtype=np.uint8)
+        packed[:, : -(-g.n // 8)] = np.packbits(bits, axis=1, bitorder="little")
         columns.append(packed.view("<u8"))
     return np.concatenate(columns)
 

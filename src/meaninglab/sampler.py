@@ -121,8 +121,8 @@ class SymbolGraph:
     ``graph`` is the union of structural and similarity edges over
     ``lam * n_meaning`` nodes; symbol ``w`` descends from meaning node
     ``w // lam``. ``kinds`` holds one byte per union edge, in
-    ``graph.edges()`` order: ``STRUCTURAL``, ``SIMILARITY`` or both, when
-    both channels fire for the same cross-cluster pair.
+    ``graph.edge_array()`` row order: ``STRUCTURAL``, ``SIMILARITY`` or
+    both, when both channels fire for the same cross-cluster pair.
     """
 
     graph: Graph

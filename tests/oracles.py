@@ -15,11 +15,16 @@ from meaninglab.reasoning import GammaEstimate
 from meaninglab.sampler import PairClass, SymbolGraph
 
 
+def edges(g: Graph) -> list[tuple[int, int]]:
+    """All edges of ``g`` as (u, v) with u < v, lexicographically sorted, read off its CSR slices."""
+    return [(u, v) for u in range(g.n) for v in g.indices[g.indptr[u] : g.indptr[u + 1]].tolist() if u < v]
+
+
 def to_networkx(g: Graph) -> nx.Graph:
     """``g`` as a networkx graph on nodes ``0..n-1``, isolated nodes included."""
     ref = nx.Graph()
     ref.add_nodes_from(range(g.n))
-    ref.add_edges_from(g.edges())
+    ref.add_edges_from(edges(g))
     return ref
 
 

@@ -232,27 +232,27 @@ def two_stars(k: int) -> Graph:
     return Graph(2 + 2 * k, edges)
 
 
-def test_star_frontier_steps_bottom_up():
+def test_star_frontier_stays_top_down():
     # From two leaves both sides first reach a centre; the next frontier
-    # holds all of one star's arcs, past the switch, and meets the other
-    # side there at distance 3.
+    # holds all of one star's arcs and meets the other side there at
+    # distance 3. A single-source pass steps top-down however large its
+    # frontier grows.
     g = two_stars(40)
     with pytest.MonkeyPatch.context() as mp:
         built = bottom_up_steps(mp)
         assert bfs_distance(g, 2, 2 + 40) == 3
-        assert built
         assert bfs_distance(g, 2, 2 + 40, cap=3) == 3
         assert bfs_distance(g, 2, 2 + 40, cap=2) is None
         assert bfs_distance(g, 2, 3) == 2
         assert bfs_distance(g, 0, 2 + 40) == 2
+    assert built == []
 
 
-def test_dense_graph_switches_direction_mid_pass():
+def test_dense_graph_stays_top_down():
     # Two copies of a dense 80-node graph, joined by a path of 4 edges.
-    # One node's ~24 arcs are under 1/8 of the ~3800, so each side of a
-    # search starts top-down; a first level's frontier holds more than 1/8
-    # of all arcs, so a query from one copy to the other steps bottom-up
-    # before the two sides meet on the path.
+    # A first level's frontier holds more than 1/8 of the ~3800 arcs, and
+    # a query from one copy to the other still steps top-down all the way
+    # to where the two sides meet on the path.
     rng = np.random.default_rng(11)
     n = 80
     iu, ju = np.triu_indices(n, 1)
@@ -267,7 +267,7 @@ def test_dense_graph_switches_direction_mid_pass():
             assert bfs_distance(g, u, v) == nx.shortest_path_length(nxg, u, v)
         for u, v in rng.integers(n, size=(60, 2)).tolist():
             assert bfs_distance(g, u, n + v) == nx.shortest_path_length(nxg, u, n + v)
-    assert built
+    assert built == []
 
 
 @pytest.mark.parametrize("k", range(1, 12))

@@ -221,20 +221,22 @@ def test_benchmark_argv_runs(workload, tmp_path, capsys):
 # the sampling commands share, then each command's own.
 CONFIG = [("--config", None)]
 OUT = [("--out", Path("."))]
-RUN = [("--seed", 0), ("--threads", 1), ("--allow-trivial", False)]
+RUN = [("--seed", 0), ("--threads", 1)]
+SCREEN = [("--allow-trivial", False)]
 SOURCE = [("--er", None), ("--graph-seed", 1), ("--triples", None), ("--prefix", "")]
 CHANNEL = [("--p-plus", 0.9), ("--p-minus", 1e-6), ("--eps-plus", 1e-4), ("--eps-minus", 0.0), ("--lambda", 2)]
 FOLD = [("--fold", False)]
 SAMPLING = CONFIG + OUT + RUN + SOURCE + CHANNEL + FOLD
+SCREENED = CONFIG + OUT + RUN + SCREEN + SOURCE + CHANNEL + FOLD
 CLI_OPTIONS = {
     "sample": SAMPLING,
-    "gamma": SAMPLING
+    "gamma": SCREENED
     + [("--d", 2), ("--d-tilde", None), ("--trials", 100), ("--representative", "first"), ("--fixed-pairs", False)],
     "bounds": CONFIG
     + CHANNEL
     + [("--n", None), ("--d", None), ("--ball-d", None), ("--ball-1", 1), ("--c2", 2.0), ("--c3", 2.0), ("--json", False)],
-    "heatmap": SAMPLING + [("--d-max", 5), ("--pairs-per-cell", 20), ("--p-minus-grid", "1e-6,1e-5,1e-4,1e-3,1e-2")],
-    "spectral": SAMPLING + [("--d", None), ("--d-tilde", None), ("--trials", 20)],
+    "heatmap": SCREENED + [("--d-max", 5), ("--pairs-per-cell", 20), ("--p-minus-grid", "1e-6,1e-5,1e-4,1e-3,1e-2")],
+    "spectral": SCREENED + [("--d", None), ("--d-tilde", None), ("--trials", 20)],
     "ingest": CONFIG + OUT + [("--triples", None), ("--prefix", "")],
     "check": CONFIG + SOURCE + CHANNEL + FOLD + [("--d", 2)],
 }
@@ -250,6 +252,7 @@ def test_every_command_has_its_listed_options_and_defaults():
 
 BOUNDS_ARGV = ["bounds", "--n", "10", "--d", "1", "--ball-d", "1", "--json"]
 CHECK_ARGV = ["check", "--er", "20", "0.1", "--d", "2"]
+SAMPLE_ARGV = ["sample", "--er", "20", "0.1"]
 
 
 @pytest.mark.parametrize(
@@ -267,6 +270,7 @@ CHECK_ARGV = ["check", "--er", "20", "0.1", "--d", "2"]
         (["ingest", "--triples", "TRIPLES"], ["--threads", "1"]),
         (["ingest", "--triples", "TRIPLES"], ["--seed", "3"]),
         (["ingest", "--triples", "TRIPLES"], ["--allow-trivial"]),
+        (SAMPLE_ARGV, ["--allow-trivial"]),
     ],
 )
 def test_flags_a_command_never_reads_are_usage_errors(triples_path, tmp_path, capsys, argv, flag):
@@ -283,7 +287,13 @@ def test_flags_a_command_never_reads_are_usage_errors(triples_path, tmp_path, ca
 
 @pytest.mark.parametrize(
     "argv, key",
-    [(BOUNDS_ARGV, "fold"), (BOUNDS_ARGV, "seed"), (CHECK_ARGV, "threads"), (CHECK_ARGV, "allow-trivial")],
+    [
+        (BOUNDS_ARGV, "fold"),
+        (BOUNDS_ARGV, "seed"),
+        (CHECK_ARGV, "threads"),
+        (CHECK_ARGV, "allow-trivial"),
+        (SAMPLE_ARGV, "allow-trivial"),
+    ],
 )
 def test_config_keys_a_command_never_reads_are_unknown(tmp_path, capsys, argv, key):
     cfg = tmp_path / "cfg.json"
@@ -350,10 +360,9 @@ def test_non_utf8_triples_is_io_error(tmp_path, capsys):
 )
 def test_counts_below_one_are_usage_errors(tmp_path, capsys, argv):
     # spectral --trials 0 and -1 used to exit 0 and write an empty record.
+    # Parsing rejects each count, so the screen never runs.
     out = tmp_path / "run"
-    code, _, stderr = run(
-        capsys, *argv, "--er", "30", "0.1", "--allow-trivial", "--out", str(out)
-    )
+    code, _, stderr = run(capsys, *argv, "--er", "30", "0.1", "--out", str(out))
     assert code == 1
     assert f"argument {argv[1]}: must be positive" in stderr
     assert not out.exists()
@@ -461,13 +470,15 @@ def test_config_values_get_flag_types(tmp_path, capsys, cfg, message):
 
 
 def test_config_flags_and_lists(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"er": [10, 0.2], "fold": True, "eps_minus": 0.1, "allow-trivial": False}))
-    out = tmp_path / "run"
-    code, _, _ = run(capsys, "sample", "--config", str(cfg), "--out", str(out))
-    assert code == 0
-    sg = read_symbol_graph(out / "symbol_graph.tsv")
-    assert sg.n_meaning == 10 and sg.params.fold and sg.params.eps_minus == 0.1
+    # A list fills a two-value flag; true sets a boolean flag and false leaves it off.
+    for fold in (True, False):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"er": [10, 0.2], "fold": fold, "eps_minus": 0.1}))
+        out = tmp_path / f"run-{fold}"
+        code, _, _ = run(capsys, "sample", "--config", str(cfg), "--out", str(out))
+        assert code == 0
+        sg = read_symbol_graph(out / "symbol_graph.tsv")
+        assert sg.n_meaning == 10 and sg.params.fold is fold and sg.params.eps_minus == 0.1
 
 
 def test_bad_config_json_rejected(tmp_path, capsys):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from meaninglab.graph import Graph, _sweep, bfs_distance, components, min_cut, write_edge_list
 
-from oracles import swept_ball, to_networkx
+from oracles import edges, swept_ball, to_networkx
 
 
 def neighbors(g: Graph, u: int) -> tuple[int, ...]:
@@ -64,7 +64,7 @@ def test_rejects_out_of_range_edge():
 def test_duplicate_edges_collapse():
     g = Graph(3, [(0, 1), (1, 0), (0, 1)])
     assert g.edge_count == 1
-    assert list(g.edges()) == [(0, 1)]
+    assert list(edges(g)) == [(0, 1)]
 
 
 def test_empty_graph():
@@ -101,7 +101,7 @@ def test_array_and_pair_inputs_build_equal_graphs():
     b = Graph(5, np.array(pairs))
     c = Graph(5, iter(pairs))
     assert a == b == c and hash(a) == hash(b)
-    assert list(a.edges()) == [(0, 4), (1, 2), (2, 3)]
+    assert list(edges(a)) == [(0, 4), (1, 2), (2, 3)]
     assert a.edge_array().tolist() == [[0, 4], [1, 2], [2, 3]]
     assert a != Graph(6, pairs) and a != Graph(5, pairs[:2])
     assert pickle.loads(pickle.dumps(a)) == a
@@ -118,7 +118,7 @@ def test_edge_checks_report_the_first_bad_edge():
 
 def test_has_edge_and_degrees():
     g = Graph(5, [(0, 1), (1, 2), (1, 4)])
-    assert (1, 4) in g.edges() and (0, 4) not in g.edges()
+    assert (1, 4) in edges(g) and (0, 4) not in edges(g)
     assert [g.degree(u) for u in range(5)] == [1, 3, 1, 0, 1]
     assert g.max_degree() == 3 and Graph(0).max_degree() == 0
 
@@ -137,8 +137,8 @@ def test_remove_edges():
     g = cycle_graph(4)
     h = g.remove_edges([(0, 1)])
     assert h.edge_count == 3
-    assert (0, 1) not in h.edges()
-    assert (0, 1) in g.edges()
+    assert (0, 1) not in edges(h)
+    assert (0, 1) in edges(g)
     with pytest.raises(ValueError, match="absent"):
         g.remove_edges([(0, 2)])
 
@@ -246,7 +246,7 @@ def test_components_cover_everything(g: Graph):
     for ci, comp in enumerate(comps):
         for u in comp:
             which[u] = ci
-    for u, v in g.edges():
+    for u, v in edges(g):
         assert which[u] == which[v]
 
 
@@ -262,7 +262,7 @@ def brute_force_min_cut_size(g: Graph, s: int, t: int) -> int:
         for i, x in enumerate(others):
             if mask >> i & 1:
                 side.add(x)
-        crossing = sum(1 for u, v in g.edges() if (u in side) != (v in side))
+        crossing = sum(1 for u, v in edges(g) if (u in side) != (v in side))
         best = min(best, crossing)
     return best
 
@@ -382,7 +382,7 @@ def residual_side_cut(g: Graph, s: int, t: int) -> list[tuple[int, int]]:
     """
     ref = nx.DiGraph()
     ref.add_nodes_from(range(g.n))
-    for u, v in g.edges():
+    for u, v in edges(g):
         ref.add_edge(u, v, capacity=1)
         ref.add_edge(v, u, capacity=1)
     res = edmonds_karp(ref, s, t)
@@ -390,7 +390,7 @@ def residual_side_cut(g: Graph, s: int, t: int) -> list[tuple[int, int]]:
     open_arcs.add_node(s)
     open_arcs.add_edges_from((u, v) for u, v, a in res.edges(data=True) if a["capacity"] - a["flow"] > 0)
     side = nx.descendants(open_arcs, s) | {s}
-    return sorted((u, v) for u, v in g.edges() if (u in side) != (v in side))
+    return sorted((u, v) for u, v in edges(g) if (u in side) != (v in side))
 
 
 @st.composite

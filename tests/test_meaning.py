@@ -29,7 +29,7 @@ from meaninglab.meaning import (
 from meaninglab.rng import STREAM_ER, index_to_pair, pair_count, skip_sample, stream
 from meaninglab.sampler import SampleParams
 
-from oracles import to_networkx
+from oracles import edges, to_networkx
 
 DATA = Path(__file__).parent / "data"
 
@@ -62,7 +62,7 @@ def test_gen_er_edge_count_within_4_sigma():
 def test_gen_er_pairwise_frequency():
     # Presence of one fixed pair across seeds is Bernoulli(p), 4 sigma.
     p, runs = 0.2, 1500
-    hits = sum(1 for s in range(runs) if (3, 7) in gen_er(12, p, s).graph.edges())
+    hits = sum(1 for s in range(runs) if (3, 7) in edges(gen_er(12, p, s).graph))
     sd = math.sqrt(runs * p * (1 - p))
     assert abs(hits - runs * p) <= 4 * sd
 
@@ -97,7 +97,7 @@ def test_load_triples_film_subset():
     # First-seen order: heads before tails, line order.
     assert gm.labels[:3] == ("/m/f01", "/m/f02", "/m/f03")
     # Reverse and parallel duplicates collapsed to one undirected edge.
-    assert (0, 1) in gm.graph.edges()
+    assert (0, 1) in edges(gm.graph)
     # The self-loop triple contributed its entity but no edge.
     assert "/m/f06" in gm.labels
 
@@ -185,7 +185,7 @@ def test_check_nontrivial_dense_ball_fails_condition_four():
     gm = gen_er(40, 0.5, 3)
     report = check_nontrivial(gm, params(), 2)
     assert not report.ball_small.passed
-    nxg = nx.Graph(list(gm.graph.edges()))
+    nxg = nx.Graph(list(edges(gm.graph)))
     nxg.add_nodes_from(range(gm.n))
     ball = max(len(nx.single_source_shortest_path_length(nxg, s, cutoff=2)) for s in range(gm.n))
     assert f"ball_bound(d=2)={ball}" in report.ball_small.message

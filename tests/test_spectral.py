@@ -24,7 +24,7 @@ from meaninglab.spectral import (
     spectral_norm,
 )
 
-from oracles import to_networkx
+from oracles import edges, to_networkx
 
 
 def complete_graph(n: int) -> Graph:
@@ -213,7 +213,7 @@ def test_spectral_norm_disjoint_identical_components():
     # Every eigenvalue is double; one start vector sees each once, and
     # the norm is still the components' norm.
     g = gen_er(30, 0.2, 4).graph
-    twice = Graph(60, [(u + s, v + s) for u, v in g.edges() for s in (0, 30)])
+    twice = Graph(60, [(u + s, v + s) for u, v in edges(g) for s in (0, 30)])
     res = spectral_norm(laplacian_of(twice, range(60)), tol=1e-10)
     want = float(np.linalg.eigvalsh(columns(laplacian_of(g, range(30)))).max())
     assert res.converged

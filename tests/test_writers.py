@@ -29,11 +29,13 @@ from meaninglab.sampler import (
     write_symbol_graph,
 )
 
+from oracles import edges
+
 
 def reference_edge_list(g: Graph, labels=None) -> bytes:
     lines = [f"# nodes {g.n}\n"]
     lines += [f"# label {i} {label}\n" for i, label in enumerate(labels or ())]
-    lines += [f"{u}\t{v}\n" for u, v in g.edges()]
+    lines += [f"{u}\t{v}\n" for u, v in edges(g)]
     return "".join(lines).encode("utf-8")
 
 
@@ -47,7 +49,7 @@ def reference_symbol_graph(sg: SymbolGraph) -> bytes:
         f" fold={int(p.fold)}\n",
     ]
     lines += [f"#origin {w} {w // sg.lam}\n" for w in range(sg.graph.n)]
-    for (u, v), k in zip(sg.graph.edges(), sg.kinds):
+    for (u, v), k in zip(edges(sg.graph), sg.kinds):
         if k & STRUCTURAL:
             lines.append(f"{u}\t{v}\tS\n")
         if k & SIMILARITY:
