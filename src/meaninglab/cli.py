@@ -54,15 +54,23 @@ class _Parser(argparse.ArgumentParser):
         raise CliArgumentError(message)
 
 
-def _positive_int(text: str) -> int:
-    """Argument type for counts that must be at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
+def _int_at_least(least: int, what: str):
+    """Argument type for integers of at least ``least``; a smaller one is an error saying it must be ``what``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")  # counts
+_nonnegative_int = _int_at_least(0, "nonnegative")  # search radii
 
 
 def build_parser() -> _Parser:
@@ -97,7 +105,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("gamma", parents=screened, help="estimate hypothesis separation")
     sp.add_argument("--d", type=_positive_int, default=2, help="meaning distance for the connected hypothesis")
-    sp.add_argument("--d-tilde", type=int, default=None, help="symbol search radius (default lam*d+lam-1)")
+    sp.add_argument("--d-tilde", type=_nonnegative_int, default=None, help="symbol search radius (default lam*d+lam-1)")
     sp.add_argument("--trials", type=_positive_int, default=100)
     sp.add_argument("--representative", choices=("first", "uniform"), default="first")
     sp.add_argument("--fixed-pairs", action="store_true", help="reuse one fixture pair across trials")
@@ -126,7 +134,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("spectral", parents=screened, help="coupled cut-world trials")
     sp.add_argument("--d", type=_positive_int, default=None, help="meaning pair distance (default ceil(ln n)+1)")
-    sp.add_argument("--d-tilde", type=int, default=None, help="neighborhood radius (default lam*d)")
+    sp.add_argument("--d-tilde", type=_nonnegative_int, default=None, help="neighborhood radius (default lam*d)")
     sp.add_argument("--trials", type=_positive_int, default=20)
     sp.set_defaults(handler=_cmd_spectral)
 
@@ -168,7 +176,7 @@ def _config_tokens(parser: argparse.ArgumentParser, path: Path) -> list[str]:
             continue
         values = value if isinstance(value, list) else [value]
         # A number must be a JSON number: "10" or true is a mistake, not 10.
-        if action.type in (int, _positive_int, float) and any(isinstance(v, (str, bool)) for v in values):
+        if action.type in (int, _positive_int, _nonnegative_int, float) and any(isinstance(v, (str, bool)) for v in values):
             raise CliArgumentError(f"config key {key!r} must be a number, got {value!r}")
         tokens += [flag, *(str(v) for v in values)]
     return tokens

@@ -29,6 +29,10 @@ Only :func:`min_cut` keeps its own search: it runs on the same CSR
 arcs, with one ``int8`` net flow per arc, and follows only arcs with
 residual capacity, which the undirected kernel cannot express.
 
+Exact-distance pair picks read the ring tables the whole-graph sweep
+fills (:class:`_RingTables`). They ask for the number of pairs at a
+distance and for the r-th of them, so no other module reads the bit lanes.
+
 The text writers, here and in :mod:`sampler`, build each block of lines
 in bulk as one digit matrix with :func:`_format_lines`.
 """
@@ -52,17 +56,16 @@ def _pair_array(edges) -> np.ndarray:
     return arr
 
 
-def _check_edges(n: int, arr: np.ndarray) -> None:
-    """Reject a negative ``n``, then the first ``(u, v)`` row with an endpoint outside ``0..n-1`` or ``u == v``."""
-    if n < 0:
-        raise ValueError(f"node count must be nonnegative, got {n}")
+def _edge_fault(n: int, arr: np.ndarray) -> tuple[int, str] | None:
+    """The first ``(u, v)`` row with an endpoint outside ``0..n-1`` or ``u == v``, and its fault; None if none."""
     u, v = arr[:, 0], arr[:, 1]
     bad = np.flatnonzero((u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v))
-    if bad.size:
-        a, b = arr[bad[0]].tolist()
-        if a == b and 0 <= a < n:
-            raise ValueError(f"self-loop at node {a}")
-        raise ValueError(f"edge ({a}, {b}) out of range for {n} nodes")
+    if not bad.size:
+        return None
+    a, b = arr[bad[0]].tolist()
+    if a == b and 0 <= a < n:
+        return int(bad[0]), f"self-loop at node {a}"
+    return int(bad[0]), f"edge ({a}, {b}) out of range for {n} nodes"
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
@@ -95,7 +98,11 @@ class Graph:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray = ()):
         arr = _pair_array(edges)
-        _check_edges(n, arr)
+        if n < 0:
+            raise ValueError(f"node count must be nonnegative, got {n}")
+        fault = _edge_fault(n, arr)
+        if fault:
+            raise ValueError(fault[1])
         u, v = arr[:, 0], arr[:, 1]
         # One key per direction, src * n + dst: sorting groups each node's
         # neighbours in order, and equal neighbours (duplicates) sit together.
@@ -403,6 +410,132 @@ def _sweep(
             if level + 1 in keep:
                 inner = seen.copy()
         yield seen, rings
+
+
+# All of a graph's ring tables together never hold more than this many bytes.
+_RING_BYTES = 1 << 20
+
+
+class _RingTables:
+    """A graph's ring sizes and tables of rings, kept as long as the graph.
+
+    The table at d marks, for each anchor u, the nodes at exact distance d
+    from u: bit ``u & 63`` of row ``u >> 6``, one word per node, so a
+    table is ceil(n/64) rows of n words, and all tables together stay
+    within ``_RING_BYTES``. Distance is symmetric, so column u of the
+    same table is u's ring packed as a bitset: bit j of word r marks node
+    ``64r + j``. ``starts[d]`` holds the running sum of the ring sizes at
+    d, n + 1 entries from 0 as in ``indptr``: u's ring size is
+    ``starts[d][u + 1] - starts[d][u]``.
+
+    Both come from sweeps of :func:`_sweep`, whose pass over anchors
+    ``64r ..`` fills row r of every table it keeps. A node's popcounts,
+    summed over the passes, give its ring size from the ring words and
+    its ball size from the final ``seen`` words. A sweep records sizes at
+    the levels it keeps tables for and at its own radius, and allocates a
+    table only at a level some pass reaches: past the graph's depth every
+    ring is empty. The screen's sweep (:meth:`ball_bound`) keeps the
+    tables the picks after it read, so they traverse nothing. Callers see
+    ranks, not bits: :meth:`count` and :meth:`pairs`, and the ball bound.
+    """
+
+    def __init__(self, g: Graph):
+        self.g = g
+        self.tables: dict[int, np.ndarray] = {}
+        self.starts: dict[int, np.ndarray] = {}
+        self.shape = (-(-g.n // _WORD), g.n)
+        self.size = 8 * self.shape[0] * g.n  # bytes in one table
+
+    def _fits(self, more: int) -> bool:
+        return self.size * (len(self.tables) + more) <= _RING_BYTES
+
+    def ball_bound(self, d: int) -> int:
+        """The largest d-ball (0 without nodes), from one sweep to d that keeps the tables up to d.
+
+        It keeps every table at 1..d when they all fit, else only d's if
+        that fits.
+        """
+        if self._fits(d - sum(k <= d for k in self.tables)):
+            tabled = range(1, d + 1)
+        else:
+            tabled = (d,) if d not in self.tables and self._fits(1) else ()
+        return self._fill(d, tabled)
+
+    def count(self, d: int) -> int:
+        """The number of ordered pairs at distance d.
+
+        A distance no sweep has reached yet gets one, which keeps its table if it fits.
+        """
+        if d not in self.starts:
+            self._fill(d, (d,) if self._fits(1) else ())
+        return int(self.starts[d][-1])
+
+    def pairs(self, d: int, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ``r[i]``-th ordered pairs at distance d in (u, v) order, as arrays u and v.
+
+        Every rank is below :meth:`count` at d, which has run. u comes from
+        a search of the running ring sizes, and v is the member of u's ring
+        at the remaining rank, in node order: column u of the table at d,
+        or without that table, u's lane of one pass per 64 distinct anchors.
+        """
+        starts = self.starts[d]
+        u = np.searchsorted(starts, r, side="right") - 1
+        table = self.tables.get(d)
+        if table is not None:
+            columns = table[:, u].T
+        else:
+            anchors, lane = np.unique(u, return_inverse=True)
+            columns = _anchor_rings(self.g, d, anchors)[lane]
+        return u, _kth_member(columns, r - starts[u])
+
+    def _fill(self, radius: int, tabled) -> int:
+        """Sweep to ``radius``, keeping tables at the levels in ``tabled`` and sizes there and at ``radius``.
+
+        Returns the ball bound.
+        """
+        n = self.g.n
+        balls = np.zeros(n, dtype=np.int64)
+        # Ring sizes land one slot up, so a running sum in place gives the starts.
+        starts = {radius: np.zeros(n + 1, dtype=np.int64)}
+        # ``tabled`` is empty or holds ``radius``.
+        for r, (seen, rings) in enumerate(_sweep(self.g, radius, tabled or (radius,))):
+            balls += np.bitwise_count(seen)
+            for k, words in rings.items():
+                if k not in starts:
+                    starts[k] = np.zeros(n + 1, dtype=np.int64)
+                starts[k][1:] += np.bitwise_count(words)
+                if k in tabled:
+                    if k not in self.tables:
+                        self.tables[k] = np.zeros(self.shape, dtype=np.uint64)
+                    self.tables[k][r] = words
+        for counts in starts.values():
+            np.cumsum(counts, out=counts)
+        self.starts.update(starts)
+        return int(balls.max(initial=0))
+
+
+def _anchor_rings(g: Graph, d: int, anchors: np.ndarray) -> np.ndarray:
+    """Row i: the distance-d ring of ``anchors[i]``, packed as its ring table column would be.
+
+    Every anchor has a nonempty ring, so each pass reaches level d.
+    """
+    columns = np.zeros((len(anchors), 8 * -(-g.n // _WORD)), dtype=np.uint8)
+    for lo, (_, rings) in zip(range(0, len(anchors), _WORD), _sweep(g, d, (d,), anchors)):
+        # Row j, bit j of every node's word, is source lo + j's ring; pack it into a column's words.
+        bits = (rings[d] & _BITS[: len(anchors) - lo, None]) != 0
+        columns[lo : lo + _WORD, : -(-g.n // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    return columns.view("<u8")
+
+
+def _kth_member(columns: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """For each i, the node of rank ``k[i]`` in node order among the set bits of ring column ``columns[i]``."""
+    counts = np.bitwise_count(columns)
+    ends = np.cumsum(counts, axis=1, dtype=np.int64)
+    word = np.count_nonzero(ends <= k[:, None], axis=1)
+    i = np.arange(len(k))
+    k = k - ends[i, word] + counts[i, word]  # its rank within that word
+    bits = np.cumsum(_source_bits(columns[i, word]), axis=1, dtype=np.int64)
+    return word * _WORD + np.count_nonzero(bits <= k[:, None], axis=1)
 
 
 def components(g: Graph) -> list[list[int]]:

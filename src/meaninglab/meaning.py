@@ -8,20 +8,8 @@ pairs (exact-distance pairs, disconnected pairs, cut pairs) that the
 estimation and spectral layers consume.
 
 Exact-distance pairs are drawn exactly, with one integer draw per pick:
-the r-th ordered pair at distance d in (u, v) order. Ring sizes (how
-many nodes lie at distance d from each node) and the rings themselves
-are read from tables: the nodes at distance d from each node, one bit
-each. A meaning graph keeps its tables, within 1 MiB in all, with one
-running sum of the ring sizes per distance beside them, and one
-multi-source sweep of :mod:`graph`'s bitset BFS fills them: every size,
-of a ring or of a ball, is a node's popcounts summed over the sweep's
-passes. :func:`check_nontrivial`'s sweep to d, which also gives the
-ball bound, keeps every table up to d when they all fit and else d's,
-so the picks that follow it (a gamma run's trials, the heat-map cells,
-the spectral command's trials) traverse nothing. A pick at a distance
-with no table builds one with its own sweep, if it fits; past the bound
-the sweep keeps only the sizes, and each call reads its anchors' rings
-from one BFS pass per 64 of them.
+the r-th ordered pair at distance d in (u, v) order, read from the ring
+tables that :mod:`graph` keeps for each meaning graph.
 """
 
 from __future__ import annotations
@@ -34,17 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .graph import (
-    _BITS,
-    _WORD,
-    Graph,
-    _source_bits,
-    _sweep,
-    _upper_arcs,
-    bfs_distance,
-    components,
-    min_cut,
-)
+from .graph import Graph, _RingTables, _upper_arcs, bfs_distance, components, min_cut
 from .rng import STREAM_ER, STREAM_PAIR_AT_DISTANCE, STREAM_PAIR_DISCONNECTED, sparse_pairs, stream
 
 if TYPE_CHECKING:
@@ -102,7 +80,7 @@ class MeaningGraph:
         return comp_of, sizes, np.cumsum(self.n - sizes[comp_of])
 
     @cached_property
-    def _rings(self) -> "_RingTables":
+    def _rings(self) -> _RingTables:
         """The graph's ring tables, filled by :func:`check_nontrivial` and the pickers."""
         return _RingTables(self.graph)
 
@@ -272,88 +250,6 @@ def _as_rng(seed, stream_id: int) -> np.random.Generator:
     return stream(seed, stream_id)
 
 
-# All of a meaning graph's ring tables together never hold more than this many bytes.
-_RING_BYTES = 1 << 20
-
-
-class _RingTables:
-    """A meaning graph's ring sizes and tables of rings, kept as long as the graph.
-
-    The table at d marks, for each anchor u, the nodes at exact distance d
-    from u: bit ``u & 63`` of row ``u >> 6``, one word per node, so a
-    table is ceil(n/64) rows of n words, and all tables together stay
-    within ``_RING_BYTES``. Distance is symmetric, so column u of the
-    same table is u's ring packed as a bitset: bit j of word r marks node
-    ``64r + j``. ``starts[d]`` holds the running sum of the ring sizes at
-    d, n + 1 entries from 0 as in ``indptr``: u's ring size is
-    ``starts[d][u + 1] - starts[d][u]``, and pickers search it.
-
-    Both come from sweeps of :func:`graph._sweep`, whose pass over anchors
-    ``64r ..`` fills row r of every table it keeps. A node's popcounts,
-    summed over the passes, give its ring size from the ring words and
-    its ball size from the final ``seen`` words. A sweep records sizes at
-    the levels it keeps tables for and at its own radius, and allocates a
-    table only at a level some pass reaches: past the graph's depth every
-    ring is empty.
-    """
-
-    def __init__(self, g: Graph):
-        self.g = g
-        self.tables: dict[int, np.ndarray] = {}
-        self.starts: dict[int, np.ndarray] = {}
-        self.shape = (-(-g.n // _WORD), g.n)
-        self.size = 8 * self.shape[0] * g.n  # bytes in one table
-
-    def _fits(self, more: int) -> bool:
-        return self.size * (len(self.tables) + more) <= _RING_BYTES
-
-    def ball_bound(self, d: int) -> int:
-        """The largest d-ball (0 without nodes), from one sweep to d that keeps the tables up to d.
-
-        It keeps every table at 1..d when they all fit, else only d's if
-        that fits.
-        """
-        if self._fits(d - sum(k <= d for k in self.tables)):
-            tabled = range(1, d + 1)
-        else:
-            tabled = (d,) if d not in self.tables and self._fits(1) else ()
-        return self._fill(d, tabled)
-
-    def get(self, d: int) -> tuple[np.ndarray, np.ndarray | None]:
-        """The running ring sizes at d and the table at d, or None for a table that does not fit.
-
-        A distance no sweep has reached yet gets one, which keeps its table if it fits.
-        """
-        if d not in self.starts:
-            self._fill(d, (d,) if self._fits(1) else ())
-        return self.starts[d], self.tables.get(d)
-
-    def _fill(self, radius: int, tabled) -> int:
-        """Sweep to ``radius``, keeping tables at the levels in ``tabled`` and sizes there and at ``radius``.
-
-        Returns the ball bound.
-        """
-        n = self.g.n
-        balls = np.zeros(n, dtype=np.int64)
-        # Ring sizes land one slot up, so a running sum in place gives the starts.
-        starts = {radius: np.zeros(n + 1, dtype=np.int64)}
-        # ``tabled`` is empty or holds ``radius``.
-        for r, (seen, rings) in enumerate(_sweep(self.g, radius, tabled or (radius,))):
-            balls += np.bitwise_count(seen)
-            for k, words in rings.items():
-                if k not in starts:
-                    starts[k] = np.zeros(n + 1, dtype=np.int64)
-                starts[k][1:] += np.bitwise_count(words)
-                if k in tabled:
-                    if k not in self.tables:
-                        self.tables[k] = np.zeros(self.shape, dtype=np.uint64)
-                    self.tables[k][r] = words
-        for counts in starts.values():
-            np.cumsum(counts, out=counts)
-        self.starts.update(starts)
-        return int(balls.max(initial=0))
-
-
 def pick_pair_at_distance(
     gm: MeaningGraph, d: int, seed, *, count: int | None = None
 ) -> tuple[int, int] | list[tuple[int, int]] | None:
@@ -361,13 +257,10 @@ def pick_pair_at_distance(
 
     One integer draw per pick: r uniform below the number of ordered
     pairs at distance d, and the pick is the r-th of them in (u, v)
-    order. The anchor u comes from a search of the running ring sizes,
-    and v is the member of u's ring at the remaining rank, in node order.
+    order. Both the number and the pairs come from the meaning graph's
+    ring tables (:class:`graph._RingTables`), filled once for the graph,
+    so after :func:`check_nontrivial` at d the picks run no traversal.
     ``seed`` may be an int or a Generator to embed in a caller's stream.
-    Sizes and rings are read from the meaning graph's ring tables, filled
-    once for the graph, so after :func:`check_nontrivial` at d the picks
-    run no traversal at all; past the table budget a call runs one BFS
-    pass per 64 distinct anchors.
 
     With ``count``, returns a list of ``count`` picks from one array draw.
     If no pair is at distance d it returns None and draws nothing.
@@ -378,46 +271,13 @@ def pick_pair_at_distance(
         raise ValueError(f"count must be nonnegative, got {count}")
     if count == 0:
         return []
-    if gm.n < 2:
+    total = gm._rings.count(d)
+    if not total:
         return None
-    starts, table = gm._rings.get(d)
-    if not starts[-1]:
-        return None
-    r = _as_rng(seed, STREAM_PAIR_AT_DISTANCE).integers(int(starts[-1]), size=1 if count is None else count)
-    u = np.searchsorted(starts, r, side="right") - 1
-    if table is not None:
-        columns = table[:, u].T
-    else:
-        anchors, lane = np.unique(u, return_inverse=True)
-        columns = _anchor_rings(gm.graph, d, anchors)[lane]
-    picks = list(zip(u.tolist(), _kth_member(columns, r - starts[u]).tolist()))
+    r = _as_rng(seed, STREAM_PAIR_AT_DISTANCE).integers(total, size=1 if count is None else count)
+    u, v = gm._rings.pairs(d, r)
+    picks = list(zip(u.tolist(), v.tolist()))
     return picks if count is not None else picks[0]
-
-
-def _anchor_rings(g: Graph, d: int, anchors: np.ndarray) -> np.ndarray:
-    """Row i: the distance-d ring of ``anchors[i]``, packed as its ring table column would be.
-
-    Every anchor drawn has a nonempty ring, so each pass reaches level d.
-    """
-    columns = []
-    for lo, (_, rings) in zip(range(0, len(anchors), _WORD), _sweep(g, d, (d,), anchors)):
-        # Row j, bit j of every node's word, is source lo + j's ring; pack it into a column's words.
-        bits = (rings[d] & _BITS[: len(anchors) - lo, None]) != 0
-        packed = np.zeros((len(bits), 8 * -(-g.n // _WORD)), dtype=np.uint8)
-        packed[:, : -(-g.n // 8)] = np.packbits(bits, axis=1, bitorder="little")
-        columns.append(packed.view("<u8"))
-    return np.concatenate(columns)
-
-
-def _kth_member(columns: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """For each i, the node of rank ``k[i]`` in node order among the set bits of ring column ``columns[i]``."""
-    counts = np.bitwise_count(columns)
-    ends = np.cumsum(counts, axis=1, dtype=np.int64)
-    word = np.count_nonzero(ends <= k[:, None], axis=1)
-    i = np.arange(len(k))
-    k = k - ends[i, word] + counts[i, word]  # its rank within that word
-    bits = np.cumsum(_source_bits(columns[i, word]), axis=1, dtype=np.int64)
-    return word * _WORD + np.count_nonzero(bits <= k[:, None], axis=1)
 
 
 def pick_disconnected_pair(gm: MeaningGraph, seed) -> tuple[int, int] | None:

@@ -22,12 +22,13 @@ kind and, through the builder ``Graph`` itself uses, the CSR arrays.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .graph import Graph, _check_edges, _distinct, _format_lines, _lookup, _upper_arcs
+from .graph import Graph, _distinct, _edge_fault, _format_lines, _lookup, _upper_arcs
 from .meaning import CutPair, MeaningGraph
 from .rng import (
     STREAM_SIM_CROSS,
@@ -291,42 +292,50 @@ def write_symbol_graph(sg: SymbolGraph, path) -> None:
         fh.write(_format_lines(edges[:, 0], b"\t", edges[:, 1], b"\t", np.where(slot % 2, b"R", b"S"), b"\n"))
 
 
+# The origin and edge lines :func:`write_symbol_graph` writes. An edge's
+# endpoints have at most 18 digits, so every one fits the int64 key arrays.
+_ORIGIN_LINE = re.compile(r"#origin\s+(-?\d+)\s+(-?\d+)")
+_EDGE_LINE = re.compile(r"(-?\d{1,18})\t(-?\d{1,18})\t([SR])")
+
+
 def read_symbol_graph(path) -> SymbolGraph:
     """Parse a file written by :func:`write_symbol_graph`.
 
-    A malformed line raises ValueError naming the file and the line, or
-    for a header field, the field.
+    A malformed line raises ValueError naming the file and the line, a
+    header field the file and the field, and a file that is not UTF-8
+    the file.
     """
     meta: dict[str, str] = {}  # the name=value fields of the "# symbol-graph" and "# params" lines
     origin: dict[int, int] = {}
-    structural: list[tuple[int, int]] = []
-    similarity: list[tuple[int, int]] = []
+    rows: list[tuple[int, int, int, bool]] = []  # (u, v, line number, structural) per edge line
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#origin"):
-                fields = line.split()
-                if len(fields) != 3:
-                    raise ValueError(f"{path}:{lineno}: bad origin line {line!r}")
-                origin[int(fields[1])] = int(fields[2])
-                continue
-            if line.startswith("#"):
-                fields = line[1:].split()
-                if fields[:1] in (["symbol-graph"], ["params"]):
-                    for item in fields[1:]:
-                        name, eq, value = item.partition("=")
-                        if not eq:
-                            raise ValueError(f"{path}: header field {item!r} is not name=value")
-                        meta[name] = value
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3 or fields[2] not in ("S", "R"):
-                raise ValueError(f"{path}:{lineno}: expected 'u<TAB>v<TAB>S|R', got {line!r}")
-            u, v = int(fields[0]), int(fields[1])
-            edge = (min(u, v), max(u, v))
-            (structural if fields[2] == "S" else similarity).append(edge)
+        try:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw.strip()
+                if not line:
+                    continue
+                if line.startswith("#origin"):
+                    match = _ORIGIN_LINE.fullmatch(line)
+                    if not match:
+                        raise ValueError(f"{path}:{lineno}: bad origin line {line!r}")
+                    origin[int(match[1])] = int(match[2])
+                    continue
+                if line.startswith("#"):
+                    fields = line[1:].split()
+                    if fields[:1] in (["symbol-graph"], ["params"]):
+                        for item in fields[1:]:
+                            name, eq, value = item.partition("=")
+                            if not eq:
+                                raise ValueError(f"{path}: header field {item!r} is not name=value")
+                            meta[name] = value
+                    continue
+                match = _EDGE_LINE.fullmatch(line)
+                if not match:
+                    raise ValueError(f"{path}:{lineno}: expected 'u<TAB>v<TAB>S|R', got {line!r}")
+                rows.append((int(match[1]), int(match[2]), lineno, match[3] == "S"))
+        except UnicodeDecodeError as exc:
+            # The file is decoded a block at a time, so no line number is known.
+            raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
     def field(name: str, kind, what: str):
         if name not in meta:
@@ -350,8 +359,13 @@ def read_symbol_graph(path) -> SymbolGraph:
     for w, m in origin.items():
         if w // lam != m:
             raise ValueError(f"{path}: origin line maps {w} to {m}, expected {w // lam}")
+    if n_meaning < 0:
+        raise ValueError(f"{path}: header field 'meaning-nodes' is negative: {n_meaning}")
     n = lam * n_meaning
-    pairs = np.array(structural + similarity, dtype=np.int64).reshape(-1, 2)
-    _check_edges(n, pairs)  # before forming keys: an out-of-range key aliases another edge's
-    s, r = np.split(pairs[:, 0] * n + pairs[:, 1], [len(structural)])
-    return _symbol_graph(np.sort(s), np.sort(r), lam, n_meaning, params, seed)
+    rows = np.array(rows, dtype=np.int64).reshape(-1, 4)
+    pairs, structural = np.sort(rows[:, :2], axis=1), rows[:, 3] == 1
+    fault = _edge_fault(n, pairs)  # before forming keys: an out-of-range key aliases another edge's
+    if fault:
+        raise ValueError(f"{path}:{rows[fault[0], 2]}: {fault[1]}")
+    keys = pairs[:, 0] * n + pairs[:, 1]
+    return _symbol_graph(np.sort(keys[structural]), np.sort(keys[~structural]), lam, n_meaning, params, seed)

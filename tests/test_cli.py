@@ -368,6 +368,23 @@ def test_counts_below_one_are_usage_errors(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gamma", "--d-tilde", "-3"],
+        ["spectral", "--d", "9", "--d-tilde", "-3"],
+    ],
+)
+def test_negative_radii_are_usage_errors(tmp_path, capsys, argv):
+    # Both used to exit 3 with "no fixture": the pick failed before anything
+    # read the radius. Parsing rejects it, so the screen never runs.
+    out = tmp_path / "run"
+    code, _, stderr = run(capsys, *argv, "--er", "30", "0.1", "--allow-trivial", "--out", str(out))
+    assert code == 1
+    assert "argument --d-tilde: must be nonnegative, got -3" in stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, value", [("--c2", "nan"), ("--c3", "nan"), ("--c3", "inf")])
 def test_bounds_rejects_non_finite_constants(capsys, flag, value):
     code, stdout, stderr = run(
@@ -454,6 +471,8 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         ({"trials": "10"}, "config key 'trials' must be a number"),
         ({"seed": 1.7}, "invalid int value: '1.7'"),
         ({"lambda": 2.5}, "invalid int value: '2.5'"),
+        ({"d_tilde": "3"}, "config key 'd_tilde' must be a number"),
+        ({"d_tilde": -1}, "argument --d-tilde: must be nonnegative, got -1"),
     ],
 )
 def test_config_values_get_flag_types(tmp_path, capsys, cfg, message):

@@ -88,3 +88,20 @@ def test_every_function_is_read_outside_the_tests():
         if name not in (attributes if "." in where else loaded | attributes) and name not in PAPER_FORMULAS
     ]
     assert unread == []
+
+
+# The traversal kernel's 64-bit lane layout and the ring tables packed in it.
+LAYOUT = {"_BITS", "_WORD", "_source_bits", "_bit_levels", "_RING_BYTES", "_anchor_rings", "_kth_member"}
+
+
+def test_only_graph_reads_the_bit_layout():
+    # Other modules ask ``graph`` for distances, balls and ranked pairs; the
+    # lanes behind them stay in ``graph``. An import, a bare name or an
+    # attribute access counts as a read.
+    readers = {}
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "graph.py":
+            found = LAYOUT & (reached([path], bare_names=True) | names_read([path])[1])
+            if found:
+                readers[path.name] = sorted(found)
+    assert readers == {}

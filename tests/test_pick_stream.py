@@ -22,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import meaninglab.graph as graph
-import meaninglab.meaning as meaning
 from meaninglab.experiments import heatmap
 from meaninglab.graph import Graph, bfs_distances
 from meaninglab.meaning import (
@@ -36,7 +35,7 @@ from meaninglab.reasoning import estimate_gamma
 from meaninglab.rng import STREAM_PAIR_AT_DISTANCE, stream
 from meaninglab.sampler import SampleParams
 
-from oracles import reference_pick_pair_at_distance, to_networkx
+from oracles import pairs_at_distance, reference_pick_pair_at_distance, to_networkx
 
 
 nx_graph = functools.lru_cache(maxsize=None)(to_networkx)
@@ -282,7 +281,7 @@ PARAMS = SampleParams(p_plus=0.9, p_minus=1e-4, eps_plus=1e-4, eps_minus=1e-3, l
 
 
 def ring_bytes(budget: str) -> int:
-    return {"all": meaning._RING_BYTES, "none": 0}[budget]
+    return {"all": graph._RING_BYTES, "none": 0}[budget]
 
 
 @st.composite
@@ -311,7 +310,7 @@ def test_picks_match_reference(g, calls, budget, seed):
     # Consecutive calls at distances from 1 to past the diameter, on one
     # generator: the same pairs, and the generator left in the same place.
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(meaning, "_RING_BYTES", ring_bytes(budget))
+        mp.setattr(graph, "_RING_BYTES", ring_bytes(budget))
         gm = MeaningGraph(g)
         new, ref = stream(seed), stream(seed)
         for d, count in calls:
@@ -323,7 +322,8 @@ def test_picks_match_reference(g, calls, budget, seed):
 
 def rings_read(gm: MeaningGraph, d: int, anchors: np.ndarray) -> list[list[int]]:
     """Each anchor's ring, member by member, as the picker reads it."""
-    starts, table = gm._rings.get(d)
+    gm._rings.count(d)
+    starts, table = gm._rings.starts[d], gm._rings.tables.get(d)
     sizes = np.diff(starts)
     u = np.repeat(anchors, sizes[anchors])
     if not len(u):
@@ -333,8 +333,8 @@ def rings_read(gm: MeaningGraph, d: int, anchors: np.ndarray) -> list[list[int]]
         columns = table[:, u].T
     else:
         distinct, lane = np.unique(u, return_inverse=True)
-        columns = meaning._anchor_rings(gm.graph, d, distinct)[lane]
-    members = meaning._kth_member(columns, k).tolist()
+        columns = graph._anchor_rings(gm.graph, d, distinct)[lane]
+    members = graph._kth_member(columns, k).tolist()
     out, at = [], 0
     for size in sizes[anchors].tolist():
         out.append(members[at : at + size])
@@ -358,13 +358,30 @@ def test_ring_lookup_matches_bfs_distances(case):
     # the anchors' own passes, is the node list at distance d in order.
     g, d, anchors, budget = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(meaning, "_RING_BYTES", ring_bytes(budget))
+        mp.setattr(graph, "_RING_BYTES", ring_bytes(budget))
         gm = MeaningGraph(g)
-        _, table = gm._rings.get(d)
+        gm._rings.count(d)
+        table = gm._rings.tables.get(d)
         assert table is None or budget == "all"
         nodes = np.arange(g.n)
         want = [np.flatnonzero(bfs_distances(g, np.full(g.n, u), nodes, cap=d) == d).tolist() for u in anchors]
         assert rings_read(gm, d, anchors) == want
+
+
+@settings(max_examples=120, deadline=None)
+@given(graphs(), st.integers(min_value=1, max_value=12), st.sampled_from(BUDGETS))
+def test_pairs_list_every_rank_in_order(g, d, budget):
+    # Every rank below the count, read from the tables or past the budget
+    # from the anchors' own passes, is the ordered pair at distance d of
+    # that rank. At d = n, past every diameter, the count is 0.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_RING_BYTES", ring_bytes(budget))
+        rings = MeaningGraph(g)._rings
+        for k in (d, g.n):
+            u, v = rings.pairs(k, np.arange(rings.count(k)))
+            assert list(zip(u.tolist(), v.tolist())) == pairs_at_distance(g, k)
+        assert rings.count(g.n) == 0
+        assert budget == "all" or rings.tables == {}
 
 
 def test_ring_beyond_the_diameter_is_empty(monkeypatch):
@@ -375,7 +392,8 @@ def test_ring_beyond_the_diameter_is_empty(monkeypatch):
     [(_, rings)] = graph._sweep(g, 5, (5,))
     assert rings == {}
     gm = MeaningGraph(g)
-    starts, table = gm._rings.get(9)
+    gm._rings.count(9)
+    starts, table = gm._rings.starts[9], gm._rings.tables.get(9)
     # Zero sizes and no table: a pick there is None, with no draw and no second sweep.
     assert starts.tolist() == [0] * 6 and table is None and gm._rings.tables == {}
     passes = count_passes(monkeypatch, g)
@@ -410,7 +428,8 @@ def test_table_is_one_pass_per_word_of_nodes_built_once(monkeypatch, sparse_grap
     oracle = Graph(n, g.edge_array())
     passes = count_passes(monkeypatch, g)
     gm = MeaningGraph(g)
-    starts, table = gm._rings.get(2)
+    gm._rings.count(2)
+    starts, table = gm._rings.starts[2], gm._rings.tables.get(2)
     assert passes == word_passes(n)
     for count in (1, 5, 64, 700, 3000):
         picks = pick_pair_at_distance(gm, 2, stream(n, count), count=count)
@@ -419,7 +438,8 @@ def test_table_is_one_pass_per_word_of_nodes_built_once(monkeypatch, sparse_grap
             continue
         us, vs = np.array(picks).T
         assert (bfs_distances(oracle, us, vs, cap=2) == 2).all()
-    assert gm._rings.get(2)[1] is table
+    gm._rings.count(2)
+    assert gm._rings.tables.get(2) is table
     assert len(passes) == -(-n // 64)
 
 
@@ -429,10 +449,11 @@ def test_over_budget_batches_keep_no_rings(monkeypatch, sparse_graph, d):
     # table; each call then runs one pass per 64 distinct anchors of its
     # picks and keeps nothing of them.
     g = sparse_graph.graph
-    monkeypatch.setattr(meaning, "_RING_BYTES", ring_bytes("none"))
+    monkeypatch.setattr(graph, "_RING_BYTES", ring_bytes("none"))
     passes = count_passes(monkeypatch, g)
     gm = MeaningGraph(g)
-    _, table = gm._rings.get(d)
+    gm._rings.count(d)
+    table = gm._rings.tables.get(d)
     assert table is None and gm._rings.tables == {}
     assert passes == word_passes(g.n)
     anchors = []  # the passes each call should run
@@ -452,9 +473,10 @@ def test_no_table_exceeds_the_bound(n):
     rings = MeaningGraph(Graph(n, [(0, 1)]))._rings
     assert rings._fits(1) == (n <= 2880)
     if n <= 5000:
-        starts, table = rings.get(1)
+        rings.count(1)
+        starts, table = rings.starts[1], rings.tables.get(1)
         assert (table is not None) == (n <= 2880)
-        assert table is None or table.nbytes <= meaning._RING_BYTES
+        assert table is None or table.nbytes <= graph._RING_BYTES
         assert starts.tolist() == [0, 1] + [2] * (n - 1)
 
 
@@ -541,13 +563,14 @@ def test_tables_stay_within_the_bound_in_all(n, d_max):
     # table is kept past that.
     gm = path(n)
     check_nontrivial(gm, PARAMS, d_max)
-    assert held_bytes(gm) <= meaning._RING_BYTES
+    assert held_bytes(gm) <= graph._RING_BYTES
     for d in range(1, d_max + 3):
-        _, table = gm._rings.get(d)
-        assert held_bytes(gm) <= meaning._RING_BYTES
+        gm._rings.count(d)
+        table = gm._rings.tables.get(d)
+        assert held_bytes(gm) <= graph._RING_BYTES
         assert (table is None) == (d not in gm._rings.tables)
     size = 8 * n * -(-n // 64)
-    kept = min(d_max + 2, n - 1, meaning._RING_BYTES // size)
+    kept = min(d_max + 2, n - 1, graph._RING_BYTES // size)
     assert len(gm._rings.tables) == kept
 
 
@@ -641,7 +664,7 @@ def test_batch_of_requests_matches_one_call_each(monkeypatch, sparse_graph, budg
     # order on one meaning graph, matches the reference, and so does where
     # each generator is left. Four sets of streams: stream(12, i) and
     # stream(12, key, i).
-    monkeypatch.setattr(meaning, "_RING_BYTES", ring_bytes(budget))
+    monkeypatch.setattr(graph, "_RING_BYTES", ring_bytes(budget))
     gm = MeaningGraph(sparse_graph.graph)
     keys = () if key is None else (key,)
     new, ref = requests_for(12, *keys), requests_for(12, *keys)
@@ -659,7 +682,7 @@ def test_batch_of_requests_matches_one_call_each(monkeypatch, sparse_graph, budg
 
 @pytest.mark.parametrize("d", [1, 3, 5])
 def test_count_picks_over_budget_match_scalar_loop(monkeypatch, sparse_graph, d):
-    monkeypatch.setattr(meaning, "_RING_BYTES", ring_bytes("none"))
+    monkeypatch.setattr(graph, "_RING_BYTES", ring_bytes("none"))
     gm = MeaningGraph(sparse_graph.graph)
     new, ref = stream(32, d), stream(32, d)
     got = pick_pair_at_distance(gm, d, new, count=200)

@@ -470,6 +470,7 @@ def test_read_symbol_graph_names_missing_header_field(tmp_path):
         ("meaning-nodes=1 lambda=two seed=0", "header field 'lambda' is not an integer: 'two'"),
         ("meaning-nodes=1 lambda=2 seed=0.5", "header field 'seed' is not an integer: '0.5'"),
         ("meaning-nodes=1 lambda 2 seed=0", "header field 'lambda' is not name=value"),
+        ("meaning-nodes=-1 lambda=2 seed=0", "header field 'meaning-nodes' is negative: -1"),
     ],
 )
 def test_read_symbol_graph_names_malformed_header_field(tmp_path, header, error):
@@ -514,6 +515,30 @@ def test_read_symbol_graph_rejects_bad_edges(tmp_path, lines, error):
     path = tmp_path / "bad.tsv"
     path.write_text(HEADER + lines)
     with pytest.raises(ValueError, match=error):
+        read_symbol_graph(path)
+
+
+@pytest.mark.parametrize(
+    "lines, line, error",
+    [
+        ("x\t1\tR\n", 3, "expected 'u<TAB>v<TAB>S|R', got 'x\\t1\\tR'"),
+        ("0\t3\tS\n" + "9" * 20 + "\t1\tR\n", 4, "expected 'u<TAB>v<TAB>S|R', got '" + "9" * 20),
+        ("0\t3\tS\n#origin 3 y\n", 4, "bad origin line '#origin 3 y'"),
+        ("0\t3\tS\n0\t99\tR\n", 4, "edge (0, 99) out of range for 4 nodes"),
+        ("1\t1\tR\n", 3, "self-loop at node 1"),
+    ],
+)
+def test_read_symbol_graph_names_the_file_and_line(tmp_path, lines, line, error):
+    path = tmp_path / "bad.tsv"
+    path.write_text(HEADER + lines)
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: {error}")):
+        read_symbol_graph(path)
+
+
+def test_read_symbol_graph_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.tsv"
+    path.write_bytes(HEADER.encode() + "0\t3\tS\n# caf\u00e9\n".encode("latin-1"))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: not UTF-8 text (")):
         read_symbol_graph(path)
 
 
