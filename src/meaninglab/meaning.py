@@ -14,7 +14,6 @@ tables that :mod:`graph` keeps for each meaning graph.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -27,8 +26,6 @@ from .rng import STREAM_ER, STREAM_PAIR_AT_DISTANCE, STREAM_PAIR_DISCONNECTED, s
 
 if TYPE_CHECKING:
     from .sampler import SampleParams
-
-log = logging.getLogger(__name__)
 
 
 class TriplesFormatError(ValueError):
@@ -66,18 +63,15 @@ class MeaningGraph:
         return u * self.n + v
 
     @cached_property
-    def _component_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(comp_of, sizes, cum_weights)`` for disconnected-pair draws.
+    def _component_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(label, cum_weights)`` for disconnected-pair draws.
 
-        ``comp_of[u]`` is u's component number, ``sizes`` the component
-        sizes, and ``cum_weights`` the running sum of ``n - sizes[comp_of]``.
+        ``label`` is :func:`graph.components`' label per node, and
+        ``cum_weights`` the running sum over nodes of the number of nodes
+        outside each node's component.
         """
-        comps = components(self.graph)
-        comp_of = np.zeros(self.n, dtype=np.int64)
-        for ci, comp in enumerate(comps):
-            comp_of[comp] = ci
-        sizes = np.array([len(c) for c in comps], dtype=np.int64)
-        return comp_of, sizes, np.cumsum(self.n - sizes[comp_of])
+        label = components(self.graph)
+        return label, np.cumsum(self.n - np.bincount(label)[label])
 
     @cached_property
     def _rings(self) -> _RingTables:
@@ -288,16 +282,14 @@ def pick_disconnected_pair(gm: MeaningGraph, seed) -> tuple[int, int] | None:
     from the other components. Returns None when the graph has fewer than
     two components.
     """
-    n = gm.n
-    comp_of, sizes, cum_weights = gm._component_index
-    if len(sizes) < 2:
+    label, cum_weights = gm._component_index
+    if not gm.n or not cum_weights[-1]:
         return None
     rng = _as_rng(seed, STREAM_PAIR_DISCONNECTED)
     r = int(rng.integers(int(cum_weights[-1])))
     u = int(np.searchsorted(cum_weights, r, side="right"))
-    cu = comp_of[u]
-    k = int(rng.integers(n - int(sizes[cu])))
-    return (u, int(np.flatnonzero(comp_of != cu)[k]))
+    others = np.flatnonzero(label != label[u])
+    return (u, int(others[rng.integers(len(others))]))
 
 
 def make_cut_pair(gm: MeaningGraph, m: int, m_prime: int) -> CutPair:
@@ -307,14 +299,8 @@ def make_cut_pair(gm: MeaningGraph, m: int, m_prime: int) -> CutPair:
     so the pair is disconnected in g' (``gm`` without the cut) while every
     other edge is untouched. The pair's distance, and the refusal of a
     pair that is already disconnected, come from :class:`CutPair`'s own
-    check. The cut size is expected to stay within the 1-ball bound;
-    larger cuts are logged, not rejected.
+    check.
     """
     if m == m_prime:
         raise ValueError("cut pair endpoints must differ")
-    g = gm.graph
-    cut = tuple(min_cut(g, m, m_prime))
-    b1 = g.max_degree() + 1  # the 1-ball bound: a node plus its neighbours
-    if len(cut) > b1:
-        log.warning("min cut size %d exceeds 1-ball bound %d", len(cut), b1)
-    return CutPair(g=gm, m=m, m_prime=m_prime, cut=cut)
+    return CutPair(g=gm, m=m, m_prime=m_prime, cut=tuple(min_cut(gm.graph, m, m_prime)))

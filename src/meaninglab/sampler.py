@@ -301,12 +301,13 @@ _EDGE_LINE = re.compile(r"(-?\d{1,18})\t(-?\d{1,18})\t([SR])")
 def read_symbol_graph(path) -> SymbolGraph:
     """Parse a file written by :func:`write_symbol_graph`.
 
-    A malformed line raises ValueError naming the file and the line, a
-    header field the file and the field, and a file that is not UTF-8
-    the file.
+    A malformed line, an origin line that disagrees with ``lambda`` or a
+    structural edge inside a cluster raises ValueError naming the file and
+    the line, a header field the file and the field, and a file that is
+    not UTF-8 the file.
     """
     meta: dict[str, str] = {}  # the name=value fields of the "# symbol-graph" and "# params" lines
-    origin: dict[int, int] = {}
+    origins: list[tuple[int, int, int]] = []  # (w, m, line number) per origin line
     rows: list[tuple[int, int, int, bool]] = []  # (u, v, line number, structural) per edge line
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -318,7 +319,7 @@ def read_symbol_graph(path) -> SymbolGraph:
                     match = _ORIGIN_LINE.fullmatch(line)
                     if not match:
                         raise ValueError(f"{path}:{lineno}: bad origin line {line!r}")
-                    origin[int(match[1])] = int(match[2])
+                    origins.append((int(match[1]), int(match[2]), lineno))
                     continue
                 if line.startswith("#"):
                     fields = line[1:].split()
@@ -356,9 +357,9 @@ def read_symbol_graph(path) -> SymbolGraph:
         fold=bool(field("fold", int, "an integer")),
     )
     lam = params.lam
-    for w, m in origin.items():
+    for w, m, lineno in origins:
         if w // lam != m:
-            raise ValueError(f"{path}: origin line maps {w} to {m}, expected {w // lam}")
+            raise ValueError(f"{path}:{lineno}: origin line maps {w} to {m}, expected {w // lam}")
     if n_meaning < 0:
         raise ValueError(f"{path}: header field 'meaning-nodes' is negative: {n_meaning}")
     n = lam * n_meaning
@@ -367,5 +368,9 @@ def read_symbol_graph(path) -> SymbolGraph:
     fault = _edge_fault(n, pairs)  # before forming keys: an out-of-range key aliases another edge's
     if fault:
         raise ValueError(f"{path}:{rows[fault[0], 2]}: {fault[1]}")
+    inside = np.flatnonzero(structural & (pairs[:, 0] // lam == pairs[:, 1] // lam))
+    if inside.size:
+        u, v = pairs[inside[0]].tolist()
+        raise ValueError(f"{path}:{rows[inside[0], 2]}: structural edge ({u}, {v}) inside a cluster")
     keys = pairs[:, 0] * n + pairs[:, 1]
     return _symbol_graph(np.sort(keys[structural]), np.sort(keys[~structural]), lam, n_meaning, params, seed)

@@ -67,7 +67,6 @@ class Laplacian(_Operator):
     """``D - A`` of ``graph``: ``L @ x`` is ``degree * x`` minus each node's neighbour sum of x."""
 
     def __init__(self, graph: Graph):
-        self.graph = graph
         self.degree = graph.degrees.astype(np.float64)
         step = _neighbor_reduce(graph, np.add, 0.0, np.float64)
         super().__init__(graph.n, lambda x: self.degree * x - step(x))
@@ -91,16 +90,18 @@ def laplacian_of(g: Graph, nodes: Sequence[int]) -> Laplacian:
     return Laplacian(Graph(k, ends[(ends >= 0).all(axis=1)]))
 
 
-def spectral_norm(m: np.ndarray | _Operator, tol: float = 1e-9, max_iter: int = 10_000) -> SpectralNormResult:
-    """Largest absolute eigenvalue of a symmetric matrix by the Lanczos process.
+def spectral_norm(m: _Operator, tol: float = 1e-9, max_iter: int = 10_000) -> SpectralNormResult:
+    """Largest absolute eigenvalue of a symmetric operator by the Lanczos process.
 
-    ``m`` is a dense array, checked to be square, exactly symmetric and
-    finite, or a symmetric operator from this module; only ``m.shape`` and
-    ``m @ x`` are read. Each Lanczos step is one product ``m @ q`` and
-    extends an orthonormal basis q_1..q_j of the Krylov space: the
-    three-term recurrence, then a classical Gram-Schmidt pass against the
-    whole basis, and a second pass when the first leaves less than
-    1/sqrt(2) of the vector (Daniel, Gragg, Kaufman and Stewart, 1976).
+    ``m`` is a symmetric operator from this module, such as a
+    :class:`Laplacian`; only ``m.shape`` and ``m @ x`` are read. Anything
+    else, a dense array included, raises TypeError: an array's ``@`` is a
+    BLAS product, whose digits depend on the CPU. Each Lanczos step is one
+    product ``m @ q`` and extends an orthonormal basis q_1..q_j of the
+    Krylov space: the three-term recurrence, then a classical Gram-Schmidt
+    pass against the whole basis, and a second pass when the first leaves
+    less than 1/sqrt(2) of the vector (Daniel, Gragg, Kaufman and Stewart,
+    1976).
     ``m`` restricted to the basis is then a tridiagonal T_j with diagonal
     alpha and off-diagonal beta (Golub and Van Loan, *Matrix
     Computations*, ch. 10). The extreme eigenvalues theta of T_j are found
@@ -127,14 +128,7 @@ def spectral_norm(m: np.ndarray | _Operator, tol: float = 1e-9, max_iter: int = 
     with ``converged=False`` rather than raising.
     """
     if not isinstance(m, _Operator):
-        dense = np.asarray(m, dtype=np.float64)
-        if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {dense.shape}")
-        if not np.array_equal(dense, dense.T):
-            raise ValueError("matrix must be exactly symmetric")
-        if not np.all(np.isfinite(dense)):
-            raise ValueError("matrix entries must be finite")
-        m = _Operator(len(dense), lambda x: np.add.reduce(dense * x, axis=1))
+        raise TypeError(f"spectral_norm takes a symmetric operator, not {type(m).__name__}")
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     if max_iter < 1:

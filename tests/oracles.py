@@ -13,6 +13,7 @@ from meaninglab.graph import Graph
 from meaninglab.meaning import MeaningGraph
 from meaninglab.reasoning import GammaEstimate
 from meaninglab.sampler import PairClass, SymbolGraph
+from meaninglab.spectral import _Operator
 
 
 def edges(g: Graph) -> list[tuple[int, int]]:
@@ -26,6 +27,21 @@ def to_networkx(g: Graph) -> nx.Graph:
     ref.add_nodes_from(range(g.n))
     ref.add_edges_from(edges(g))
     return ref
+
+
+def component_lists(g: Graph) -> list[list[int]]:
+    """Connected components of ``g`` by networkx, as sorted node lists ordered by smallest member."""
+    return sorted(sorted(c) for c in nx.connected_components(to_networkx(g)))
+
+
+def dense_operator(m: np.ndarray) -> _Operator:
+    """A symmetric matrix as an operator ``spectral_norm`` accepts.
+
+    Its product is an ``np.add.reduce`` sum over each row, in a fixed
+    order, as the package's own operators are: no BLAS product.
+    """
+    m = np.asarray(m, dtype=np.float64)
+    return _Operator(len(m), lambda x: np.add.reduce(m * x, axis=1))
 
 
 @functools.lru_cache(maxsize=256)

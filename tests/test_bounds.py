@@ -103,6 +103,16 @@ def test_ub_boundary_is_applicable():
     assert close(got, 1.0, rel=1e-6)
 
 
+def test_ub_disconnected_applies_at_equality():
+    # The regime is (lam*B)^2 * q <= 1/(2en). With eps_minus = 0 the fold
+    # is p_minus itself, and (lam*B)^2 = 16 is a power of two, so the
+    # product below is exactly the boundary.
+    n, lam, ball = 100, 2, 2
+    q = 1.0 / (2.0 * math.e * n) / 16
+    assert (lam * ball) ** 2 * fold_noise(q, 0.0) == 1.0 / (2.0 * math.e * n)
+    assert ub_disconnected(n, lam, q, 0.0, ball) is not None
+
+
 def test_ub_monotone_in_noise_and_ball():
     assert ub_disconnected_raw(100, 2, 2e-6, 0.0, 3) > ub_disconnected_raw(100, 2, 1e-6, 0.0, 3)
     assert ub_disconnected_raw(100, 2, 1e-6, 0.0, 4) > ub_disconnected_raw(100, 2, 1e-6, 0.0, 3)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from meaninglab.graph import Graph, _sweep, bfs_distance, components, min_cut, write_edge_list
 
-from oracles import edges, swept_ball, to_networkx
+from oracles import component_lists, edges, swept_ball, to_networkx
 
 
 def neighbors(g: Graph, u: int) -> tuple[int, ...]:
@@ -59,6 +59,9 @@ def test_rejects_self_loop():
 def test_rejects_out_of_range_edge():
     with pytest.raises(ValueError, match="out of range"):
         Graph(3, [(0, 3)])
+    # The first endpoint is checked against n itself, too.
+    with pytest.raises(ValueError, match=r"edge \(3, 0\) out of range for 3 nodes"):
+        Graph(3, [(3, 0)])
 
 
 def test_duplicate_edges_collapse():
@@ -70,7 +73,7 @@ def test_duplicate_edges_collapse():
 def test_empty_graph():
     g = Graph(0)
     assert g.edge_count == 0
-    assert components(g) == []
+    assert components(g).tolist() == []
     assert swept_ball(g, 3) == 0
 
 
@@ -232,22 +235,22 @@ def test_ball_monotone_in_radius(g: Graph, d: int):
 
 def test_components_partition():
     g = Graph(6, [(0, 1), (1, 2), (4, 5)])
-    assert components(g) == [[0, 1, 2], [3], [4, 5]]
+    label = components(g)
+    assert label.dtype == np.int64
+    assert label.tolist() == [0, 0, 0, 3, 4, 4]
 
 
 @settings(max_examples=40, deadline=None)
 @given(small_graphs())
 def test_components_cover_everything(g: Graph):
-    comps = components(g)
-    flat = sorted(x for c in comps for x in c)
-    assert flat == list(range(g.n))
+    label = components(g)
+    assert label.shape == (g.n,)
+    # Each label is its own label, and no larger than any node that carries it.
+    assert np.array_equal(label[label], label)
+    assert np.all(label <= np.arange(g.n))
     # Edges never cross components.
-    which = {}
-    for ci, comp in enumerate(comps):
-        for u in comp:
-            which[u] = ci
     for u, v in edges(g):
-        assert which[u] == which[v]
+        assert label[u] == label[v]
 
 
 # -- min cut ------------------------------------------------------------
@@ -352,15 +355,17 @@ def test_csr_build_matches_networkx(case):
 @settings(max_examples=80, deadline=None)
 @given(sparse_graphs(max_nodes=150))
 def test_components_match_networkx(g: Graph):
-    want = sorted(sorted(c) for c in nx.connected_components(to_networkx(g)))
-    assert components(g) == want
+    want = np.arange(g.n)
+    for comp in component_lists(g):
+        want[comp] = comp[0]
+    assert np.array_equal(components(g), want)
 
 
 def test_components_of_long_path_and_isolated_nodes():
     # Labels must travel the whole length of a path, against its order.
     n = 500
     g = Graph(n + 2, [(i + 1, i) for i in range(1, n)])
-    assert components(g) == [[0], list(range(1, n + 1)), [n + 1]]
+    assert components(g).tolist() == [0] + [1] * n + [n + 1]
 
 
 @settings(max_examples=60, deadline=None)

@@ -197,6 +197,18 @@ def test_check_nontrivial_sparse_graph_fails_condition_five():
     assert not report.enough_edges.passed
 
 
+def test_check_nontrivial_passes_at_its_boundaries():
+    # Both screens are "at most" bounds. p_minus is exactly p_plus / 10
+    # (0.0625 = 0.625 / 10 in binary), and a perfect matching on 8 nodes
+    # has a 1-ball bound of 2, exactly n / 4.
+    gm = MeaningGraph(Graph(8, [(0, 1), (2, 3), (4, 5)]))
+    report = check_nontrivial(gm, params(p_plus=0.625, p_minus=0.0625), 1)
+    assert report.noise_subordinate.passed, report.render()
+    assert report.ball_small.passed, report.render()
+    assert "ball_bound(d=1)=2 vs n/4=2" in report.ball_small.message
+    assert report.overall
+
+
 def test_check_nontrivial_render_mentions_all_conditions():
     gm = gen_er(200, 0.015, 3)
     text = check_nontrivial(gm, params(), 2).render()

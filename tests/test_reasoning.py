@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+import meaninglab.reasoning as reasoning
 from meaninglab.graph import Graph, bfs_distance
 from meaninglab.meaning import MeaningGraph, gen_er
 from meaninglab.reasoning import (
@@ -180,6 +181,31 @@ def test_estimate_gamma_uniform_representatives():
     assert 0 <= est.positives_h1 <= 24
     with pytest.raises(ValueError):
         estimate_gamma(gm, 2, p, d_tilde=9, trials=4, seed=3, representative="middle")
+
+
+def test_uniform_representatives_cover_every_replica(monkeypatch):
+    # Record each separator call's endpoints and chi-square their replica
+    # offsets w % lam against uniform over lam = 3. The seed and the cut,
+    # chi2 with 2 degrees of freedom > 27.6 (false-failure probability
+    # e^-13.8, about 1e-6), were fixed before the first run. A draw that
+    # never picks the last replica gives chi2 near half the sample size.
+    seen = []
+
+    def recording(sg, u, v, d_tilde):
+        seen.extend((u, v))
+        return separator(sg, u, v, d_tilde)
+
+    monkeypatch.setattr(reasoning, "separator", recording)
+    lam = 3
+    p = SampleParams(0.8, 0.02, 0.3, 0.01, lam)
+    estimate_gamma(path_plus_isolated(), 2, p, d_tilde=9, trials=150, seed=11, representative="uniform")
+    assert len(seen) == 600
+    counts = [0] * lam
+    for w in seen:
+        counts[w % lam] += 1
+    expected = len(seen) / lam
+    chi2 = sum((c - expected) ** 2 / expected for c in counts)
+    assert chi2 <= 27.6, counts
 
 
 def test_no_fixture_for_connected_graph():

@@ -37,7 +37,7 @@ from meaninglab.sampler import (
     write_symbol_graph,
 )
 
-from oracles import count_edges_by_class, edges
+from oracles import component_lists, count_edges_by_class, edges
 
 
 def params(p_plus=0.8, p_minus=0.01, eps_plus=0.2, eps_minus=0.05, lam=2, fold=False):
@@ -230,13 +230,8 @@ def test_cluster_connectivity_respects_gilbert_bound():
     connected = 0
     for s in range(runs):
         sg = sample_symbol_graph(gm, p, seed=s)
-        comp_of: dict[int, int] = {}
-        for ci, comp in enumerate(components(sg.graph)):
-            for w in comp:
-                comp_of[w] = ci
-        for m in range(80):
-            if len({comp_of[w] for w in range(5 * m, 5 * m + 5)}) == 1:
-                connected += 1
+        label = components(sg.graph).reshape(80, 5)
+        connected += int(np.count_nonzero((label == label[:, :1]).all(axis=1)))
     trials = runs * 80
     frequency = connected / trials
     bound = gilbert_bounds(5, 0.75).exact
@@ -248,8 +243,7 @@ def test_cluster_connectivity_respects_gilbert_bound():
 
 def cut_fixture(seed=3):
     gm = gen_er(40, 0.12, seed)
-    comps = components(gm.graph)
-    big = max(comps, key=len)
+    big = max(component_lists(gm.graph), key=len)
     return make_cut_pair(gm, big[0], big[-1])
 
 
@@ -411,7 +405,7 @@ def test_edge_key_assembly_matches_pair_reference(n, p_edge, probs, lam, fold, s
     gm = gen_er(n, p_edge, seed)
     p = SampleParams(*probs, lam, fold)
     assert_same_assembly(sample_symbol_graph(gm, p, seed=seed + 1), reference_sample(gm, p, seed + 1)[0])
-    big = max(components(gm.graph), key=len)
+    big = max(component_lists(gm.graph), key=len)
     if len(big) > 1:
         cp = make_cut_pair(gm, big[0], big[-1])
         worlds = sample_coupled(cp, p, seed=seed + 2)
@@ -526,6 +520,8 @@ def test_read_symbol_graph_rejects_bad_edges(tmp_path, lines, error):
         ("0\t3\tS\n#origin 3 y\n", 4, "bad origin line '#origin 3 y'"),
         ("0\t3\tS\n0\t99\tR\n", 4, "edge (0, 99) out of range for 4 nodes"),
         ("1\t1\tR\n", 3, "self-loop at node 1"),
+        ("0\t3\tS\n#origin 0 0\n#origin 1 1\n", 5, "origin line maps 1 to 1, expected 0"),
+        ("0\t3\tS\n1\t0\tS\n", 4, "structural edge (0, 1) inside a cluster"),
     ],
 )
 def test_read_symbol_graph_names_the_file_and_line(tmp_path, lines, line, error):
