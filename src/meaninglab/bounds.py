@@ -9,7 +9,7 @@ and sandwich identities are checked against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from .sampler import fold_noise
@@ -161,34 +161,18 @@ class BoundReport:
     theorem3: TheoremRegime
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "lambda": self.lam,
-            "p_plus": self.p_plus,
-            "p_minus": self.p_minus,
-            "eps_plus": self.eps_plus,
-            "eps_minus": self.eps_minus,
-            "ball_d": self.ball_d,
-            "ball_1": self.ball_1,
-            "c2": self.c2,
-            "c3": self.c3,
-            "lb_connected": self.lb_connected,
-            "ub_disconnected": self.ub_disconnected,
-            "ub_applicable": self.ub_disconnected is not None,
-            "ub_disconnected_raw": self.ub_disconnected_raw,
-            "gamma_star": self.gamma_star,
-            "gamma_star_raw": self.gamma_star_raw,
-            "theorem1_regime": self.theorem1.holds,
-            "theorem1_lhs": self.theorem1.lhs,
-            "theorem1_rhs": self.theorem1.rhs,
-            "theorem2_regime": self.theorem2.holds,
-            "theorem2_lhs": self.theorem2.lhs,
-            "theorem2_rhs": self.theorem2.rhs,
-            "theorem3_regime": self.theorem3.holds,
-            "theorem3_lhs": self.theorem3.lhs,
-            "theorem3_rhs": self.theorem3.rhs,
-        }
+        """The fields in order, ``lam`` as ``lambda``, ``ub_applicable`` after
+        ``ub_disconnected``, and each theorem as ``_regime``, ``_lhs`` and ``_rhs``."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, TheoremRegime):
+                out |= {f"{f.name}_regime": value.holds, f"{f.name}_lhs": value.lhs, f"{f.name}_rhs": value.rhs}
+            else:
+                out["lambda" if f.name == "lam" else f.name] = value
+            if f.name == "ub_disconnected":
+                out["ub_applicable"] = value is not None
+        return out
 
     def render_text(self) -> str:
         rows = []

@@ -45,13 +45,10 @@ from .sampler import SIMILARITY, STRUCTURAL, SampleParams, sample_symbol_graph, 
 from .spectral import SPECTRAL_CSV_HEADER, SpectralTrial, coupled_cut_trial, spectral_csv_record
 
 
-class CliArgumentError(Exception):
-    """Bad command line or config; maps to exit code 1."""
-
-
 class _Parser(argparse.ArgumentParser):
+    # A usage error is a ValueError, which cli() reports like any bad value: exit code 1.
     def error(self, message):
-        raise CliArgumentError(message)
+        raise ValueError(message)
 
 
 def _int_at_least(least: int, what: str):
@@ -160,24 +157,24 @@ def _config_tokens(parser: argparse.ArgumentParser, path: Path) -> list[str]:
         try:
             cfg = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise CliArgumentError(f"bad config JSON: {exc}")
+            raise ValueError(f"bad config JSON: {exc}")
     if not isinstance(cfg, dict):
-        raise CliArgumentError("config must be a JSON object")
+        raise ValueError("config must be a JSON object")
     tokens: list[str] = []
     for key, value in cfg.items():
         flag = "--" + key.replace("_", "-")
         action = parser._option_string_actions.get(flag)
         if action is None or action.dest in ("help", "config"):
-            raise CliArgumentError(f"unknown config key {key!r}")
+            raise ValueError(f"unknown config key {key!r}")
         if action.nargs == 0:
             if not isinstance(value, bool):
-                raise CliArgumentError(f"config key {key!r} must be true or false, got {value!r}")
+                raise ValueError(f"config key {key!r} must be true or false, got {value!r}")
             tokens += [flag] if value else []
             continue
         values = value if isinstance(value, list) else [value]
         # A number must be a JSON number: "10" or true is a mistake, not 10.
         if action.type in (int, _positive_int, _nonnegative_int, float) and any(isinstance(v, (str, bool)) for v in values):
-            raise CliArgumentError(f"config key {key!r} must be a number, got {value!r}")
+            raise ValueError(f"config key {key!r} must be a number, got {value!r}")
         tokens += [flag, *(str(v) for v in values)]
     return tokens
 
@@ -197,13 +194,13 @@ def _load_graph(args: argparse.Namespace) -> MeaningGraph:
     has_er = getattr(args, "er", None) is not None
     has_triples = getattr(args, "triples", None) is not None
     if has_er == has_triples:
-        raise CliArgumentError("exactly one of --er or --triples is required")
+        raise ValueError("exactly one of --er or --triples is required")
     if has_er:
         try:
             n = int(args.er[0])
             p = float(args.er[1])
         except ValueError:
-            raise CliArgumentError(f"--er expects an integer and a probability, got {args.er}")
+            raise ValueError(f"--er expects an integer and a probability, got {args.er}")
         return gen_er(n, p, args.graph_seed)
     return load_triples(args.triples, args.prefix)
 
@@ -211,7 +208,7 @@ def _load_graph(args: argparse.Namespace) -> MeaningGraph:
 def _gate_nontrivial(args: argparse.Namespace, gm: MeaningGraph, params: SampleParams, d: int) -> None:
     report = check_nontrivial(gm, params, d)
     if not report.overall and not args.allow_trivial:
-        raise CliArgumentError(
+        raise ValueError(
             "nontriviality screen failed (use --allow-trivial to override):\n" + report.render()
         )
 
@@ -292,7 +289,7 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
     try:
         grid = [float(x) for x in args.p_minus_grid.split(",") if x]
     except ValueError:
-        raise CliArgumentError(f"bad --p-minus-grid {args.p_minus_grid!r}")
+        raise ValueError(f"bad --p-minus-grid {args.p_minus_grid!r}")
     _gate_nontrivial(args, gm, params, args.d_max)
     table = heatmap(
         gm,
@@ -366,9 +363,6 @@ def cli(argv: list[str] | None = None) -> int:
             tokens = _config_tokens(parser.commands[args.command], args.config)
             args = parser.parse_args(argv[:1] + tokens + argv[1:])
         return args.handler(args)
-    except CliArgumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except TriplesFormatError as exc:
         # Malformed input data reads as an I/O problem, not a usage one.
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -120,24 +120,21 @@ class SymbolGraph:
     """A sampled symbol graph with its origin map and provenance.
 
     ``graph`` is the union of structural and similarity edges over
-    ``lam * n_meaning`` nodes; symbol ``w`` descends from meaning node
-    ``w // lam``. ``kinds`` holds one byte per union edge, in
-    ``graph.edge_array()`` row order: ``STRUCTURAL``, ``SIMILARITY`` or
-    both, when both channels fire for the same cross-cluster pair.
+    ``lam * n_meaning`` nodes, where ``lam`` is ``params.lam``; symbol
+    ``w`` descends from meaning node ``w // lam``. ``kinds`` holds one byte
+    per union edge, in ``graph.edge_array()`` row order: ``STRUCTURAL``,
+    ``SIMILARITY`` or both, when both channels fire for the same
+    cross-cluster pair.
     """
 
     graph: Graph
     kinds: bytes
-    lam: int
-    n_meaning: int
     params: SampleParams
     seed: int
 
     def __post_init__(self):
-        if self.graph.n != self.lam * self.n_meaning:
-            raise ValueError(
-                f"{self.graph.n} symbol nodes but lam*n = {self.lam * self.n_meaning}"
-            )
+        if self.graph.n % self.lam:
+            raise ValueError(f"{self.graph.n} symbol nodes is not a multiple of lam = {self.lam}")
         kinds = self.kind_array
         if len(kinds) != self.graph.edge_count or not np.all((kinds >= 1) & (kinds <= 3)):
             raise ValueError("need one nonzero kind per union edge")
@@ -146,6 +143,16 @@ class SymbolGraph:
         if inside.any():
             i = np.flatnonzero(inside)[0]
             raise ValueError(f"structural edge ({u[i]}, {v[i]}) inside a cluster")
+
+    @property
+    def lam(self) -> int:
+        """Symbols per meaning node."""
+        return self.params.lam
+
+    @property
+    def n_meaning(self) -> int:
+        """Meaning nodes the symbols descend from."""
+        return self.graph.n // self.lam
 
     @property
     def kind_array(self) -> np.ndarray:
@@ -159,16 +166,15 @@ class SymbolGraph:
         return self.lam * m
 
 
-def _symbol_graph(structural, similarity, lam: int, n_meaning: int, params: SampleParams, seed: int) -> SymbolGraph:
-    """Assemble a SymbolGraph from the sorted keys ``u * (lam * n_meaning) + v`` (u < v) of its two edge kinds."""
+def _symbol_graph(structural, similarity, n: int, params: SampleParams, seed: int) -> SymbolGraph:
+    """Assemble a SymbolGraph on ``n`` symbols from the sorted keys ``u * n + v`` (u < v) of its two edge kinds."""
     keys = np.concatenate((structural, similarity))
     keys.sort(kind="stable")  # two sorted runs, so one merge
     keys = _distinct(keys)
     kinds = np.zeros(len(keys), dtype=np.uint8)
     kinds[np.searchsorted(keys, structural)] = STRUCTURAL
     kinds[np.searchsorted(keys, similarity)] |= SIMILARITY
-    graph = Graph._from_keys(lam * n_meaning, keys)
-    return SymbolGraph(graph, kinds.tobytes(), lam, n_meaning, params, seed)
+    return SymbolGraph(Graph._from_keys(n, keys), kinds.tobytes(), params, seed)
 
 
 # -- sampling passes ----------------------------------------------------
@@ -234,7 +240,7 @@ def _sample(gm: MeaningGraph, params: SampleParams, seed: int, cut=None) -> list
         eidx, slot = np.nonzero(world)
         structural = np.concatenate((_symbol_keys(m1[eidx], m2[eidx], slot, lam, n), negative))
         structural.sort()
-        out.append(_symbol_graph(structural, similarity, lam, n, params, seed))
+        out.append(_symbol_graph(structural, similarity, lam * n, params, seed))
     return out
 
 
@@ -255,7 +261,10 @@ def sample_coupled(cp: CutPair, params: SampleParams, seed: int) -> tuple[Symbol
     ``cp.cut`` edges. Every slot shares one uniform draw across the two
     worlds. On slots over cut edges the g-world compares it to p_plus and
     the g'-world to p_minus (the pair is a non-edge there); everywhere
-    else the worlds are identical by construction. The first component equals
+    else the worlds are identical by construction. So the worlds are
+    nested: g' has a subset of g's edges when p_minus <= p_plus and a
+    superset otherwise, with ``fold`` too, since ``fold_noise`` is
+    monotone. The first component equals
     ``sample_symbol_graph(cp.g, params, seed)`` draw for draw.
     """
     sg, sgp = _sample(cp.g, params, seed, cp.cut)
@@ -292,19 +301,20 @@ def write_symbol_graph(sg: SymbolGraph, path) -> None:
         fh.write(_format_lines(edges[:, 0], b"\t", edges[:, 1], b"\t", np.where(slot % 2, b"R", b"S"), b"\n"))
 
 
-# The origin and edge lines :func:`write_symbol_graph` writes. An edge's
-# endpoints have at most 18 digits, so every one fits the int64 key arrays.
-_ORIGIN_LINE = re.compile(r"#origin\s+(-?\d+)\s+(-?\d+)")
+# The origin and edge lines :func:`write_symbol_graph` writes. Their numbers
+# have at most 18 digits, so every one fits the int64 arrays they are read into.
+_ORIGIN_LINE = re.compile(r"#origin\s+(-?\d{1,18})\s+(-?\d{1,18})")
 _EDGE_LINE = re.compile(r"(-?\d{1,18})\t(-?\d{1,18})\t([SR])")
 
 
 def read_symbol_graph(path) -> SymbolGraph:
     """Parse a file written by :func:`write_symbol_graph`.
 
-    A malformed line, an origin line that disagrees with ``lambda`` or a
-    structural edge inside a cluster raises ValueError naming the file and
-    the line, a header field the file and the field, and a file that is
-    not UTF-8 the file.
+    The origin block is absent or lists every symbol w, in order, as
+    ``#origin w w // lambda``. A malformed line, an origin line out of that
+    order or a structural edge inside a cluster raises ValueError naming
+    the file and the line; a bad header field, a short origin block or a
+    file that is not UTF-8 names the file.
     """
     meta: dict[str, str] = {}  # the name=value fields of the "# symbol-graph" and "# params" lines
     origins: list[tuple[int, int, int]] = []  # (w, m, line number) per origin line
@@ -348,21 +358,34 @@ def read_symbol_graph(path) -> SymbolGraph:
 
     n_meaning = field("meaning-nodes", int, "an integer")
     seed = field("seed", int, "an integer")
-    params = SampleParams(
-        p_plus=field("p_plus", float, "a number"),
-        p_minus=field("p_minus", float, "a number"),
-        eps_plus=field("eps_plus", float, "a number"),
-        eps_minus=field("eps_minus", float, "a number"),
-        lam=field("lambda", int, "an integer"),
-        fold=bool(field("fold", int, "an integer")),
-    )
-    lam = params.lam
-    for w, m, lineno in origins:
-        if w // lam != m:
-            raise ValueError(f"{path}:{lineno}: origin line maps {w} to {m}, expected {w // lam}")
+    probs = {name: field(name, float, "a number") for name in ("p_plus", "p_minus", "eps_plus", "eps_minus")}
+    lam = field("lambda", int, "an integer")
+    fold = field("fold", int, "an integer")
+    if fold not in (0, 1):
+        raise ValueError(f"{path}: header field 'fold' is not 0 or 1: {meta['fold']!r}")
+    try:
+        params = SampleParams(**probs, lam=lam, fold=bool(fold))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if n_meaning < 0:
         raise ValueError(f"{path}: header field 'meaning-nodes' is negative: {n_meaning}")
     n = lam * n_meaning
+    # The origin block is absent or line i maps symbol i to i // lam, for every symbol.
+    block = np.array(origins, dtype=np.int64).reshape(-1, 3)
+    at = np.arange(len(block))
+    wrong = np.flatnonzero((block[:, 0] != at) | (block[:, 1] != at // lam) | (at >= n))
+    if wrong.size:
+        i = int(wrong[0])
+        w, m, lineno = block[i].tolist()
+        if i >= n:
+            what = f"lists more than the {n} symbols"
+        elif w != i:
+            what = f"lists symbol {w}, expected {i}"
+        else:
+            what = f"maps {w} to {m}, expected {i // lam}"
+        raise ValueError(f"{path}:{lineno}: origin line {what}")
+    if 0 < len(block) < n:
+        raise ValueError(f"{path}: origin block lists {len(block)} of {n} symbols")
     rows = np.array(rows, dtype=np.int64).reshape(-1, 4)
     pairs, structural = np.sort(rows[:, :2], axis=1), rows[:, 3] == 1
     fault = _edge_fault(n, pairs)  # before forming keys: an out-of-range key aliases another edge's
@@ -373,4 +396,4 @@ def read_symbol_graph(path) -> SymbolGraph:
         u, v = pairs[inside[0]].tolist()
         raise ValueError(f"{path}:{rows[inside[0], 2]}: structural edge ({u}, {v}) inside a cluster")
     keys = pairs[:, 0] * n + pairs[:, 1]
-    return _symbol_graph(np.sort(keys[structural]), np.sort(keys[~structural]), lam, n_meaning, params, seed)
+    return _symbol_graph(np.sort(keys[structural]), np.sort(keys[~structural]), n, params, seed)

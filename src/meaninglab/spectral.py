@@ -18,7 +18,7 @@ fixed order, and its small tridiagonal problem is solved in Python floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -27,7 +27,7 @@ from .bounds import laplacian_diff_bound
 from .graph import Graph, _as_nodes, _neighbor_reduce, _sweep
 from .meaning import CutPair
 from .rng import stream
-from .sampler import SampleParams, SymbolGraph, sample_coupled
+from .sampler import SampleParams, sample_coupled
 
 # Fixed entropy for the Lanczos start vector. Deterministic on purpose:
 # norm computations must not perturb caller seed streams.
@@ -296,13 +296,10 @@ class SpectralTrial:
     resid: float
 
 
-def _local_nodes(sg: SymbolGraph, sgp: SymbolGraph, w: int, w_prime: int, d_tilde: int) -> list[int]:
-    """Sorted nodes within d_tilde of w or w_prime in either world's graph."""
-    local = np.zeros(sg.graph.n, dtype=bool)
-    for g in (sg.graph, sgp.graph):
-        for seen, _ in _sweep(g, d_tilde, (), np.array([w, w_prime], dtype=np.int64)):
-            local |= seen != 0
-    return np.flatnonzero(local).tolist()
+def _local_nodes(g: Graph, w: int, w_prime: int, d_tilde: int) -> list[int]:
+    """Sorted nodes of ``g`` within d_tilde of w or w_prime: one BFS pass from both."""
+    ((seen, _),) = _sweep(g, d_tilde, (), np.array([w, w_prime], dtype=np.int64))
+    return np.flatnonzero(seen).tolist()
 
 
 def coupled_cut_trial(
@@ -315,7 +312,9 @@ def coupled_cut_trial(
     """Sample both worlds, compare normalized local Laplacians.
 
     The local node set is the union of the d_tilde-neighborhoods of the
-    representatives of m and m' in both sampled graphs. Each Laplacian is
+    representatives of m and m' in both sampled graphs. The worlds' edge
+    sets are nested, so that union is the neighborhoods in the world with
+    more edges, and one sweep of it finds them. Each Laplacian is
     normalized by its own spectral norm (a zero-norm one is left as is),
     and the difference is applied as ``L @ x / |L| - L' @ x / |L'|``. All
     three norms default to a relative tolerance of 1e-6, ample against
@@ -326,7 +325,9 @@ def coupled_cut_trial(
     sg, sgp = sample_coupled(cp, params, seed)
     w = sg.representative(cp.m)
     w_prime = sg.representative(cp.m_prime)
-    nodes = _local_nodes(sg, sgp, w, w_prime, d_tilde)
+    # One world's edges contain the other's (see sample_coupled) and balls only
+    # grow with edges, so the balls of the world with more edges hold both.
+    nodes = _local_nodes(max(sg.graph, sgp.graph, key=lambda g: g.edge_count), w, w_prime, d_tilde)
     lap = laplacian_of(sg.graph, nodes)
     lap_p = laplacian_of(sgp.graph, nodes)
     res = spectral_norm(lap, tol=tol)
@@ -371,10 +372,6 @@ SPECTRAL_CSV_HEADER = "seed,n,lambda,p_minus,d,d_tilde,cut_size,U_size,normL,nor
 
 
 def spectral_csv_record(trial: SpectralTrial) -> str:
-    fields = [
-        trial.seed, trial.n, trial.lam, trial.p_minus, trial.d, trial.d_tilde,
-        trial.cut_size, trial.neighborhood_size, trial.norm_l, trial.norm_l_prime,
-        trial.diff_normalized, trial.analytic_bound, int(trial.within_bound),
-        int(trial.converged), trial.resid,
-    ]
-    return ",".join(repr(f) if isinstance(f, float) else str(f) for f in fields)
+    """One CSV row in ``SPECTRAL_CSV_HEADER`` order: the trial's fields, floats by repr and the rest as integers."""
+    values = (getattr(trial, f.name) for f in fields(trial))
+    return ",".join(repr(v) if isinstance(v, float) else str(int(v)) for v in values)

@@ -8,7 +8,8 @@ enough that heat-map probes span several 64-source BFS chunks and pair
 picks read ring table columns of several words. The two extra
 ``sample`` cases run the cross-cluster similarity pass: without folding
 it writes edges that carry both an ``S`` and an ``R`` line, and with
-``--fold`` its noise moves into the structural passes.
+``--fold`` its noise moves into the structural passes. ``bounds-text``
+is the ``bounds`` case without ``--json``: the text report.
 
 A change that alters output bytes on purpose regenerates the file with
 ``PYTHONPATH=src python tests/test_golden.py`` and says why in CHANGES.md.
@@ -86,6 +87,11 @@ CASES = {
         ["gamma", "--er", "300", "0.008", "--graph-seed", "2", "--d", "4",
          "--trials", "30", "--p-minus", "1e-3", "--seed", "13", "--allow-trivial"],
         True,
+    ),
+    "bounds-text": (
+        ["bounds", "--n", "100", "--d", "2", "--lambda", "2", "--p-plus", "0.9",
+         "--eps-plus", "1e-4", "--p-minus", "1e-7", "--ball-d", "5"],
+        False,
     ),
 }
 

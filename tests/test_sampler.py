@@ -274,6 +274,24 @@ def test_coupled_monotone_when_p_minus_below_p_plus():
     assert kind_edges(sg_prime, STRUCTURAL) <= kind_edges(sg, STRUCTURAL)
 
 
+@pytest.mark.parametrize(
+    "p_plus, p_minus, fold",
+    [(0.7, 0.05, False), (0.05, 0.7, False), (0.6, 0.2, True), (0.2, 0.6, True)],
+)
+def test_coupled_worlds_are_nested(p_plus, p_minus, fold):
+    # Cut slots share one uniform across the worlds, so the world with the
+    # larger cut-slot probability holds every union edge of the other.
+    cp = cut_fixture()
+    p = params(p_plus=p_plus, p_minus=p_minus, eps_minus=0.05, lam=2, fold=fold)
+    grew = 0
+    for seed in range(6):
+        sg, sg_prime = sample_coupled(cp, p, seed=seed)
+        small, big = (sg_prime, sg) if p_minus <= p_plus else (sg, sg_prime)
+        assert set(edges(small.graph)) <= set(edges(big.graph))
+        grew += big.graph.edge_count > small.graph.edge_count
+    assert grew
+
+
 def test_coupled_cut_slot_marginal_frequency():
     # In the g' world each of the |cut|*lam^2 cut slots fires with
     # probability p_minus; check the long-run total, 4 sigma.
@@ -438,8 +456,6 @@ def test_dual_kind_edge_round_trip(tmp_path):
     sg = SymbolGraph(
         graph=Graph(4, [(0, 1), (0, 3)]),
         kinds=bytes([SIMILARITY, STRUCTURAL | SIMILARITY]),
-        lam=2,
-        n_meaning=2,
         params=params(),
         seed=0,
     )
@@ -465,11 +481,19 @@ def test_read_symbol_graph_names_missing_header_field(tmp_path):
         ("meaning-nodes=1 lambda=2 seed=0.5", "header field 'seed' is not an integer: '0.5'"),
         ("meaning-nodes=1 lambda 2 seed=0", "header field 'lambda' is not name=value"),
         ("meaning-nodes=-1 lambda=2 seed=0", "header field 'meaning-nodes' is negative: -1"),
+        ("meaning-nodes=1 lambda=0 seed=0", "lam must be a positive integer, got 0"),
+        ("meaning-nodes=1 lambda=2 seed=0 p_plus=2", "p_plus=2.0 outside [0, 1]"),
+        ("meaning-nodes=1 lambda=2 seed=0 fold=2", "header field 'fold' is not 0 or 1: '2'"),
     ],
 )
 def test_read_symbol_graph_names_malformed_header_field(tmp_path, header, error):
     path = tmp_path / "bad-header.tsv"
-    params = "p_plus=0.9 p_minus=0.001 eps_plus=0.01 eps_minus=0.001 fold=0"
+    # The reader takes a field from either header line; the params line leaves out those the case sets.
+    given = {item.partition("=")[0] for item in header.split()}
+    params = " ".join(
+        item for item in "p_plus=0.9 p_minus=0.001 eps_plus=0.01 eps_minus=0.001 fold=0".split()
+        if item.partition("=")[0] not in given
+    )
     path.write_text(f"# symbol-graph {header}\n# params {params}\n0\t1\tR\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}: {error}")):
         read_symbol_graph(path)
@@ -521,6 +545,9 @@ def test_read_symbol_graph_rejects_bad_edges(tmp_path, lines, error):
         ("0\t3\tS\n0\t99\tR\n", 4, "edge (0, 99) out of range for 4 nodes"),
         ("1\t1\tR\n", 3, "self-loop at node 1"),
         ("0\t3\tS\n#origin 0 0\n#origin 1 1\n", 5, "origin line maps 1 to 1, expected 0"),
+        ("#origin 100 50\n", 3, "origin line lists symbol 100, expected 0"),
+        ("#origin 0 0\n#origin 0 0\n", 4, "origin line lists symbol 0, expected 1"),
+        ("".join(f"#origin {w} {w // 2}\n" for w in range(5)), 7, "origin line lists more than the 4 symbols"),
         ("0\t3\tS\n1\t0\tS\n", 4, "structural edge (0, 1) inside a cluster"),
     ],
 )
@@ -528,6 +555,15 @@ def test_read_symbol_graph_names_the_file_and_line(tmp_path, lines, line, error)
     path = tmp_path / "bad.tsv"
     path.write_text(HEADER + lines)
     with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: {error}")):
+        read_symbol_graph(path)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_read_symbol_graph_names_a_short_origin_block(tmp_path, count):
+    # A whole block is read by the round-trip tests, and no block by the edge-line ones.
+    path = tmp_path / "origins.tsv"
+    path.write_text(HEADER + "".join(f"#origin {w} {w // 2}\n" for w in range(count)) + "0\t3\tS\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: origin block lists {count} of 4 symbols")):
         read_symbol_graph(path)
 
 
@@ -560,8 +596,6 @@ def test_symbol_graph_constructor_rejects_intra_structural():
         SymbolGraph(
             graph=Graph(4, [(0, 1)]),
             kinds=bytes([STRUCTURAL]),
-            lam=2,
-            n_meaning=2,
             params=params(),
             seed=0,
         )
@@ -573,14 +607,12 @@ def test_symbol_graph_constructor_rejects_bad_kinds(kinds):
         SymbolGraph(
             graph=Graph(4, [(0, 2), (1, 3)]),
             kinds=kinds,
-            lam=2,
-            n_meaning=2,
             params=params(),
             seed=0,
         )
 
 
 def test_symbol_graph_constructor_rejects_wrong_node_count():
-    with pytest.raises(ValueError, match="lam\\*n"):
-        SymbolGraph(Graph(5, []), b"", 2, 2, params(), 0)
+    with pytest.raises(ValueError, match="5 symbol nodes is not a multiple of lam = 2"):
+        SymbolGraph(Graph(5, []), b"", params(), 0)
 

@@ -375,6 +375,29 @@ def test_coupled_cut_trial_matches_dense_reference(params, seed):
     assert math.isclose(trial.diff_normalized, diff, rel_tol=1e-8)
 
 
+@pytest.mark.parametrize("p_plus, p_minus", [(0.8, 0.01), (0.0, 0.2)])
+@pytest.mark.parametrize("seed", range(4))
+def test_coupled_cut_trial_local_set_is_both_worlds_balls(monkeypatch, p_plus, p_minus, seed):
+    # One sweep per trial, of the world with more edges: g for p_minus < p_plus,
+    # g' for p_minus > p_plus. The set must still be the networkx union of both
+    # worlds' balls. Both cut edges end at m', so the 1-balls see the cut slots.
+    sweeps = []
+    sweep = meaninglab.spectral._sweep
+    monkeypatch.setattr(meaninglab.spectral, "_sweep", lambda *args: sweeps.append(args[0]) or sweep(*args))
+    cp = cut_fixture()
+    params = SampleParams(p_plus, p_minus, 0.2, 0.0, 2)
+    trial = coupled_cut_trial(cp, params, 1, seed=seed)
+    sg, sgp = sample_coupled(cp, params, seed)
+    ends = (sg.representative(cp.m), sg.representative(cp.m_prime))
+    reach = (
+        nx.single_source_shortest_path_length(to_networkx(world.graph), s, cutoff=1)
+        for world in (sg, sgp)
+        for s in ends
+    )
+    assert len(sweeps) == 1
+    assert trial.neighborhood_size == len(set().union(*reach))
+
+
 def test_coupled_cut_trial_above_old_node_cap():
     # Local sets have no node cap: this one covers all 5000 symbols.
     gm = gen_er(2500, 3.0 / 2500, 1)

@@ -112,7 +112,7 @@ def test_edge_list_of_dense_small_graph(tmp_path):
 
 
 def test_symbol_graph_one_node(tmp_path):
-    sg = SymbolGraph(Graph(1), b"", lam=1, n_meaning=1, params=params(lam=1), seed=0)
+    sg = SymbolGraph(Graph(1), b"", params=params(lam=1), seed=0)
     check_symbol_graph(sg, tmp_path / "sg.tsv")
 
 
@@ -122,8 +122,6 @@ def test_symbol_graph_both_kinds(tmp_path, fold):
     sg = SymbolGraph(
         graph=Graph(6, [(0, 1), (0, 3), (2, 5), (4, 5)]),
         kinds=bytes([SIMILARITY, STRUCTURAL | SIMILARITY, STRUCTURAL, SIMILARITY]),
-        lam=2,
-        n_meaning=3,
         params=params(fold=fold),
         seed=11,
     )
@@ -155,7 +153,7 @@ def symbol_graphs(draw):
     p = SampleParams(draw(probability), draw(probability), draw(probability), draw(probability), lam, draw(st.booleans()))
     seed = draw(st.integers(0, 2**63))
     # pairs are generated in edges() order, so the kinds line up with it
-    return SymbolGraph(Graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2)), bytes(kept), lam, n_meaning, p, seed)
+    return SymbolGraph(Graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2)), bytes(kept), p, seed)
 
 
 @settings(max_examples=150, deadline=None)
