@@ -63,15 +63,23 @@ class MeaningGraph:
         return u * self.n + v
 
     @cached_property
-    def _component_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(label, cum_weights)`` for disconnected-pair draws.
+    def _component_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(label, cum_weights, starts, gaps)`` for disconnected-pair draws.
 
         ``label`` is :func:`graph.components`' label per node, and
         ``cum_weights`` the running sum over nodes of the number of nodes
-        outside each node's component.
+        outside each node's component. The nodes sorted by label list each
+        component's members in order, those labelled c from ``starts[c]`` up
+        to ``starts[c + 1]``; ``gaps`` holds, per listed member, the number of
+        nodes outside its component below it.
         """
         label = components(self.graph)
-        return label, np.cumsum(self.n - np.bincount(label)[label])
+        sizes = np.bincount(label, minlength=self.n)
+        starts = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(sizes, out=starts[1:])
+        members = np.argsort(label, kind="stable")
+        gaps = members - (np.arange(self.n) - starts[label[members]])
+        return label, np.cumsum(self.n - sizes[label]), starts, gaps
 
     @cached_property
     def _rings(self) -> _RingTables:
@@ -282,14 +290,16 @@ def pick_disconnected_pair(gm: MeaningGraph, seed) -> tuple[int, int] | None:
     from the other components. Returns None when the graph has fewer than
     two components.
     """
-    label, cum_weights = gm._component_index
+    label, cum_weights, starts, gaps = gm._component_index
     if not gm.n or not cum_weights[-1]:
         return None
     rng = _as_rng(seed, STREAM_PAIR_DISCONNECTED)
     r = int(rng.integers(int(cum_weights[-1])))
     u = int(np.searchsorted(cum_weights, r, side="right"))
-    others = np.flatnonzero(label != label[u])
-    return (u, int(others[rng.integers(len(others))]))
+    lo, hi = starts[label[u] : label[u] + 2].tolist()
+    k = int(rng.integers(gm.n - (hi - lo)))
+    # The k-th node outside u's component, past the members below it.
+    return (u, k + int(np.searchsorted(gaps[lo:hi], k, side="right")))
 
 
 def make_cut_pair(gm: MeaningGraph, m: int, m_prime: int) -> CutPair:

@@ -15,9 +15,11 @@ named stream, which makes samples independent of pass order and safe to
 reproduce across worker processes.
 
 The passes emit symbol edges as int64 keys ``u * N + v`` (u < v, N the
-symbol count), never as pair arrays. Each kind's keys are sorted once and
-merged; the merged keys give each edge its kind byte by one search per
-kind and, through the builder ``Graph`` itself uses, the CSR arrays.
+symbol count), never as pair arrays. Each kind's keys are sorted once, tagged
+with their kind in one low bit and merged by one sort, where the keys of an
+edge form one run that gives its kind byte. The merged keys are checked as
+``SymbolGraph``'s constructor checks a graph, and they turn into the CSR
+arrays through the builder ``Graph`` itself uses.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .graph import Graph, _distinct, _edge_fault, _format_lines, _lookup, _upper_arcs
+from .graph import Graph, _edge_fault, _format_lines, _lookup, _upper_arcs
 from .meaning import CutPair, MeaningGraph
 from .rng import (
     STREAM_SIM_CROSS,
@@ -133,16 +135,15 @@ class SymbolGraph:
     seed: int
 
     def __post_init__(self):
-        if self.graph.n % self.lam:
-            raise ValueError(f"{self.graph.n} symbol nodes is not a multiple of lam = {self.lam}")
-        kinds = self.kind_array
-        if len(kinds) != self.graph.edge_count or not np.all((kinds >= 1) & (kinds <= 3)):
-            raise ValueError("need one nonzero kind per union edge")
         u, v = _upper_arcs(self.graph)  # the edges, in ``kinds`` order
-        inside = (kinds & STRUCTURAL).astype(bool) & (u // self.lam == v // self.lam)
-        if inside.any():
-            i = np.flatnonzero(inside)[0]
-            raise ValueError(f"structural edge ({u[i]}, {v[i]}) inside a cluster")
+        _check_edges(u * self.graph.n + v, self.kind_array, self.graph.n, self.lam)
+
+    @classmethod
+    def _checked(cls, graph: Graph, kinds: bytes, params: SampleParams, seed: int) -> "SymbolGraph":
+        """A SymbolGraph whose edge keys already passed :func:`_check_edges`, not checked again."""
+        sg = object.__new__(cls)
+        sg.__dict__.update(graph=graph, kinds=kinds, params=params, seed=seed)
+        return sg
 
     @property
     def lam(self) -> int:
@@ -166,15 +167,62 @@ class SymbolGraph:
         return self.lam * m
 
 
+def _check_edges(keys: np.ndarray, kinds: np.ndarray, n: int, lam: int) -> None:
+    """Refuse the edges of a symbol graph on ``n`` symbols that the model cannot draw.
+
+    ``keys`` are the sorted edge keys ``u * n + v`` (u < v) and ``kinds`` their
+    kind bytes. The node count must be a multiple of ``lam``, every edge needs
+    a kind in 1..3, and no structural edge may join two symbols of one cluster.
+    """
+    if n % lam:
+        raise ValueError(f"{n} symbol nodes is not a multiple of lam = {lam}")
+    if len(kinds) != len(keys) or not np.all((kinds >= 1) & (kinds <= 3)):
+        raise ValueError("need one nonzero kind per union edge")
+    structural = keys[(kinds & STRUCTURAL).astype(bool)]
+    u = structural // n
+    v = structural - u * n
+    inside = np.flatnonzero(u // lam == v // lam)
+    if inside.size:
+        i = inside[0]
+        raise ValueError(f"structural edge ({u[i]}, {v[i]}) inside a cluster")
+
+
+def _merge_kinds(structural: np.ndarray, similarity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct sorted keys of two kinds' sorted int64 keys, and each key's kind byte.
+
+    Every key is tagged with its kind in one low bit, ``2 * key`` for
+    structural and ``2 * key + 1`` for similarity, in uint64, where every
+    nonnegative int64 key still fits. After one sort the tagged keys of an
+    edge form one run, whose first tag is 0 if the edge is structural and
+    whose last tag is 1 if it is a similarity edge. A key may repeat within
+    one kind.
+    """
+    tagged = np.concatenate((structural, similarity)).view(np.uint64)
+    tagged <<= 1
+    tagged[len(structural) :] |= 1
+    tagged.sort(kind="stable")  # two sorted runs, so one merge
+    tag = np.empty(len(tagged), dtype=np.uint8)
+    np.bitwise_and(tagged, 1, out=tag, casting="unsafe")
+    tagged >>= 1
+    # bound[i] is whether element i starts a run, and bound[i + 1] whether it ends one.
+    bound = np.empty(len(tagged) + 1, dtype=bool)
+    bound[0] = bound[-1] = True
+    np.not_equal(tagged[1:], tagged[:-1], out=bound[1:-1])
+    kinds = tag[bound[1:]] * SIMILARITY
+    kinds |= tag[bound[:-1]] ^ STRUCTURAL
+    return tagged[bound[:-1]].view(np.int64), kinds
+
+
 def _symbol_graph(structural, similarity, n: int, params: SampleParams, seed: int) -> SymbolGraph:
-    """Assemble a SymbolGraph on ``n`` symbols from the sorted keys ``u * n + v`` (u < v) of its two edge kinds."""
-    keys = np.concatenate((structural, similarity))
-    keys.sort(kind="stable")  # two sorted runs, so one merge
-    keys = _distinct(keys)
-    kinds = np.zeros(len(keys), dtype=np.uint8)
-    kinds[np.searchsorted(keys, structural)] = STRUCTURAL
-    kinds[np.searchsorted(keys, similarity)] |= SIMILARITY
-    return SymbolGraph(Graph._from_keys(n, keys), kinds.tobytes(), params, seed)
+    """Assemble a SymbolGraph on ``n`` symbols from the sorted keys ``u * n + v`` (u < v) of its two edge kinds.
+
+    The keys of both kinds are merged by one sort of kind-tagged keys, and the
+    edges pass the constructor's checks on these keys, not again on the CSR
+    arrays built from them.
+    """
+    keys, kinds = _merge_kinds(structural, similarity)
+    _check_edges(keys, kinds, n, params.lam)
+    return SymbolGraph._checked(Graph._from_keys(n, keys), kinds.tobytes(), params, seed)
 
 
 # -- sampling passes ----------------------------------------------------
@@ -313,8 +361,8 @@ def read_symbol_graph(path) -> SymbolGraph:
     The origin block is absent or lists every symbol w, in order, as
     ``#origin w w // lambda``. A malformed line, an origin line out of that
     order or a structural edge inside a cluster raises ValueError naming
-    the file and the line; a bad header field, a short origin block or a
-    file that is not UTF-8 names the file.
+    the file and the line; a bad or repeated header field, a short origin
+    block or a file that is not UTF-8 names the file.
     """
     meta: dict[str, str] = {}  # the name=value fields of the "# symbol-graph" and "# params" lines
     origins: list[tuple[int, int, int]] = []  # (w, m, line number) per origin line
@@ -338,6 +386,8 @@ def read_symbol_graph(path) -> SymbolGraph:
                             name, eq, value = item.partition("=")
                             if not eq:
                                 raise ValueError(f"{path}: header field {item!r} is not name=value")
+                            if name in meta:
+                                raise ValueError(f"{path}: header field {name!r} repeated")
                             meta[name] = value
                     continue
                 match = _EDGE_LINE.fullmatch(line)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import meaninglab.meaning as meaning
-from meaninglab.graph import Graph, bfs_distance
+from meaninglab.graph import Graph, bfs_distance, components
 from meaninglab.meaning import (
     CutPair,
     MeaningGraph,
@@ -325,6 +325,33 @@ def test_pick_disconnected_uniformity():
     counts = [picks.count(pair) for pair in want]
     assert sum(counts) == len(picks)
     assert scipy.stats.chisquare(counts).pvalue >= 1e-4
+
+
+class ScriptedDraws(np.random.Generator):
+    """A Generator whose ``integers(high)`` returns the given values in turn."""
+
+    def __init__(self, values):
+        super().__init__(np.random.PCG64(0))
+        self.values = iter(values)
+
+    def integers(self, high):
+        value = next(self.values)
+        assert 0 <= value < high
+        return value
+
+
+def test_disconnected_partner_matches_the_scan_at_every_rank():
+    # Components of sizes 6, 4, 3 and 2 interleaved in node order, and isolated nodes.
+    paths = [[4, 12, 20, 21, 22, 23], [0, 5, 9, 17], [1, 2, 3], [6, 7]]
+    gm = MeaningGraph(Graph(26, [(a, b) for path in paths for a, b in zip(path, path[1:])]))
+    label = components(gm.graph)
+    weights = gm.n - np.bincount(label)[label]
+    first_draw = np.cumsum(weights) - weights  # the smallest anchor draw that lands on each node
+    for u in range(gm.n):
+        others = np.flatnonzero(label != label[u])
+        for k in range(len(others)):
+            pick = pick_disconnected_pair(gm, ScriptedDraws([first_draw[u], k]))
+            assert pick == (u, int(others[k]))
 
 
 # -- cut pairs ----------------------------------------------------------

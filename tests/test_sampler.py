@@ -36,6 +36,7 @@ from meaninglab.sampler import (
     sample_symbol_graph,
     write_symbol_graph,
 )
+from meaninglab.sampler import _check_edges, _merge_kinds, _symbol_graph
 
 from oracles import component_lists, count_edges_by_class, edges
 
@@ -431,6 +432,90 @@ def test_edge_key_assembly_matches_pair_reference(n, p_edge, probs, lam, fold, s
             assert_same_assembly(sg, want)
 
 
+def merge_oracle(structural, similarity) -> dict[int, int]:
+    """Each key's kind byte, from a plain dict."""
+    kinds: dict[int, int] = {}
+    for keys, kind in ((structural, STRUCTURAL), (similarity, SIMILARITY)):
+        for key in keys:
+            kinds[key] = kinds.get(key, 0) | kind
+    return kinds
+
+
+def assert_merge_matches_oracle(structural, similarity) -> None:
+    keys, kinds = _merge_kinds(np.array(structural, dtype=np.int64), np.array(similarity, dtype=np.int64))
+    want = merge_oracle(structural, similarity)
+    assert keys.dtype == np.int64 and kinds.dtype == np.uint8
+    assert keys.tolist() == sorted(want)
+    assert kinds.tolist() == [want[k] for k in sorted(want)]
+
+
+@pytest.mark.parametrize(
+    "structural, similarity",
+    [
+        ([], []),
+        ([1, 4, 9], []),  # one kind only
+        ([], [0, 2, 7]),
+        ([3, 5, 8], [3, 5, 8]),  # every edge in both kinds
+        ([2, 2, 6], [1, 6, 6, 6]),  # keys repeated within one kind, as the reader passes them
+        ([0, 0, 0], [0]),
+        ([5], [0, 5, 5, 11]),
+    ],
+)
+def test_merge_kinds_matches_dict_oracle(structural, similarity):
+    assert_merge_matches_oracle(structural, similarity)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    structural=st.lists(st.integers(0, 40), max_size=30),
+    similarity=st.lists(st.integers(0, 40), max_size=30),
+)
+def test_merge_kinds_matches_dict_oracle_on_random_keys(structural, similarity):
+    assert_merge_matches_oracle(sorted(structural), sorted(similarity))
+
+
+def test_merge_kinds_keeps_keys_near_int64_max():
+    # Tagging doubles a key in uint64, so the largest int64 keys must survive it.
+    top = 2**63 - 1
+    assert_merge_matches_oracle([0, top - 2, top], [top - 3, top - 2, top])
+    assert_merge_matches_oracle([top - 1, top - 1], [top])
+
+
+@pytest.mark.parametrize(
+    "keyed, graph, kinds, error",
+    [
+        (([1], [], 4), Graph(4, [(0, 1)]), [STRUCTURAL], "structural edge (0, 1) inside a cluster"),
+        (([6, 11], [2, 11], 4), Graph(4, [(0, 2), (1, 2), (2, 3)]), [SIMILARITY, STRUCTURAL, 3],
+         "structural edge (2, 3) inside a cluster"),
+        (([], [], 5), Graph(5, []), [], "5 symbol nodes is not a multiple of lam = 2"),
+        (([3], [8], 5), Graph(5, [(0, 3), (1, 3)]), [STRUCTURAL, SIMILARITY],
+         "5 symbol nodes is not a multiple of lam = 2"),
+    ],
+)
+def test_keyed_assembly_refuses_what_the_constructor_refuses(keyed, graph, kinds, error):
+    structural, similarity, n = keyed
+    with pytest.raises(ValueError) as from_keys:
+        _symbol_graph(np.array(structural, dtype=np.int64), np.array(similarity, dtype=np.int64), n, params(), 0)
+    with pytest.raises(ValueError) as from_graph:
+        SymbolGraph(graph, bytes(kinds), params(), 0)
+    assert str(from_keys.value) == str(from_graph.value) == error
+
+
+@pytest.mark.parametrize("kinds", [[], [1, 0], [1, 4], [1, 2, 3]])
+def test_edge_check_refuses_the_kinds_the_constructor_refuses(kinds):
+    graph = Graph(4, [(0, 2), (1, 3)])
+    with pytest.raises(ValueError) as on_keys:
+        _check_edges(np.array([2, 7], dtype=np.int64), np.array(kinds, dtype=np.uint8), 4, 2)
+    with pytest.raises(ValueError) as from_graph:
+        SymbolGraph(graph, bytes(kinds), params(), 0)
+    assert str(on_keys.value) == str(from_graph.value) == "need one nonzero kind per union edge"
+
+
+def test_keyed_assembly_equals_the_checked_constructor():
+    sg = sample_symbol_graph(gen_er(30, 0.2, 3), params(), seed=4)
+    assert SymbolGraph(sg.graph, sg.kinds, sg.params, sg.seed) == sg
+
+
 # -- serialization ------------------------------------------------------
 
 
@@ -496,6 +581,34 @@ def test_read_symbol_graph_names_malformed_header_field(tmp_path, header, error)
     )
     path.write_text(f"# symbol-graph {header}\n# params {params}\n0\t1\tR\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}: {error}")):
+        read_symbol_graph(path)
+
+
+@pytest.mark.parametrize(
+    "head, field",
+    [
+        # Both header lines name lambda and seed; the second must not override the first.
+        (
+            "# symbol-graph meaning-nodes=2 lambda=2 seed=0\n"
+            "# params p_plus=0.8 p_minus=0.01 eps_plus=0.2 eps_minus=0.05 fold=0 lambda=1 seed=7\n",
+            "lambda",
+        ),
+        (
+            "# symbol-graph meaning-nodes=2 lambda=2 seed=0 seed=0\n"
+            "# params p_plus=0.8 p_minus=0.01 eps_plus=0.2 eps_minus=0.05 fold=0\n",
+            "seed",
+        ),
+        (
+            "# symbol-graph meaning-nodes=2 lambda=2 seed=0\n"
+            "# params p_plus=0.8 p_minus=0.01 eps_plus=0.2 eps_minus=0.05 fold=0\n# params p_plus=0.5\n",
+            "p_plus",
+        ),
+    ],
+)
+def test_read_symbol_graph_refuses_a_repeated_header_field(tmp_path, head, field):
+    path = tmp_path / "repeated.tsv"
+    path.write_text(head + "0\t1\tS\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: header field {field!r} repeated")):
         read_symbol_graph(path)
 
 
