@@ -367,7 +367,9 @@ def cli(argv: list[str] | None = None) -> int:
         # Malformed input data reads as an I/O problem, not a usage one.
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
+        # An OverflowError is an integer flag too large for the float or
+        # index it feeds, a bad value like any other.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

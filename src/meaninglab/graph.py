@@ -7,27 +7,27 @@ small: BFS with an explicit cap, ball sizes and rings, unit-capacity
 minimum cut, connected components, and a plain text edge-list writer.
 
 A graph is stored only as CSR arrays: node u's sorted neighbours are
-``indices[indptr[u]:indptr[u + 1]]``. Every traversal runs on one kernel,
-a level-synchronous BFS from up to 64 sources at once: each source owns
-one bit of a ``uint64`` word per node. Each pass steps in one direction.
-A multi-source pass steps bottom-up: a level is a single
-``bitwise_or.reduceat`` of the frontier words over the CSR arrays,
-O(n + E) whatever the frontier. A single-source pass steps top-down and
-expands only its frontier's CSR slices, so a level costs O(frontier arcs).
-Batched and single distance queries read its levels, and so does one
-sweep of the whole graph (:func:`_sweep`, a pass per 64 consecutive
-sources) that yields each pass's reach and its distance-d rings: summed
-over the passes, a node's popcounts give its ball and ring sizes, so the
-ball bound and the ring tables and ring sizes that pair pickers read all
-come from that sweep. Batched queries group their pairs by source, so a
-pass runs 64 distinct sources and serves every pair that starts at one
-of them. A single distance query is bidirectional: two
-single-source passes, one from each end, grown a level at a time until
-their balls meet. Connected components come from the same
-gather-and-reduce step with ``minimum`` in place of ``bitwise_or``.
-Only :func:`min_cut` keeps its own search: it runs on the same CSR
-arcs, with one ``int8`` net flow per arc, and follows only arcs with
-residual capacity, which the undirected kernel cannot express.
+``indices[indptr[u]:indptr[u + 1]]``. Every traversal but two runs on
+one kernel, a level-synchronous, bottom-up BFS from up to 64 sources at
+once: each source owns one bit of a ``uint64`` word per node, and a
+level is a single ``bitwise_or.reduceat`` of the frontier words over the
+CSR arrays, O(n + E) whatever the frontier or the number of sources.
+Batched distance queries read its levels, and so does one sweep of the
+whole graph (:func:`_sweep`, a pass per 64 consecutive sources) that
+yields each pass's reach and its distance-d rings: summed over the
+passes, a node's popcounts give its ball and ring sizes, so the ball
+bound and the ring tables and ring sizes that pair pickers read all come
+from that sweep. Batched queries group their pairs by source, so a pass
+runs 64 distinct sources and serves every pair that starts at one of
+them. Connected components come from the same gather-and-reduce step
+with ``minimum`` in place of ``bitwise_or``.
+
+Two searches keep their own code. A single distance query
+(:func:`bfs_distance`, the separator) is a two-sided, top-down search:
+it grows a ball around each end, a level at a time, over only its
+frontier's CSR slices, until the balls meet. :func:`min_cut` runs on the
+same CSR arcs, with one ``int8`` net flow per arc, and follows only arcs
+with residual capacity, which the undirected kernel cannot express.
 
 Exact-distance pair picks read the ring tables the whole-graph sweep
 fills (:class:`_RingTables`). They ask for the number of pairs at a
@@ -233,58 +233,31 @@ def _neighbor_reduce(g: Graph, ufunc, empty, dtype):
     return step
 
 
-def _bit_levels(
-    g: Graph, src: np.ndarray, cap: int | None
-) -> Iterator[tuple[int, np.ndarray | None, np.ndarray]]:
-    """Level-synchronous BFS from up to 64 sources at once.
+def _bit_levels(g: Graph, src: np.ndarray, cap: int | None) -> Iterator[tuple[int, np.ndarray]]:
+    """Level-synchronous, bottom-up BFS from up to 64 sources at once.
 
-    Yields ``(level, nodes, seen)`` for level 0 (the sources) and every
-    later level up to ``cap`` that reaches a new node. ``seen`` (updated in
+    Yields ``(level, seen)`` for level 0 (the sources) and every later
+    level up to ``cap`` that reaches a new node. ``seen`` (updated in
     place) holds one word per node, with bit j set once the node is within
-    that distance of ``src[j]``. A single-source pass also lists, in
-    ``nodes``, the nodes first reached at that level; a multi-source pass
-    yields None there.
-
-    A single-source pass steps top-down: a level gathers only the
-    frontier's CSR slices, so it costs O(frontier arcs) and no O(n) work.
-    A multi-source pass steps bottom-up: every node ORs its neighbours'
-    frontier words in one ``reduceat`` over all arcs, since merging the
-    words that reach each head costs more than the reduceat saves.
+    that distance of ``src[j]``. At each level every node ORs its
+    neighbours' frontier words, in one ``reduceat`` over all arcs: O(n + E)
+    whatever the frontier or the number of sources.
     """
     seen = np.zeros(g.n, dtype=np.uint64)
-    # Only a multi-source pass keeps its frontier's words, in ``front``.
-    if len(src) == 1:
-        seen[src] = 1
-        nodes, front = src, None
-    else:
-        # A source may repeat within a pass; each copy keeps its own bit.
-        np.bitwise_or.at(seen, src, _BITS[: len(src)])
-        nodes, front = None, seen.copy()
-    yield 0, nodes, seen
-    step = None  # the bottom-up step, built when a level first needs it
+    # A source may repeat within a pass; each copy keeps its own bit.
+    np.bitwise_or.at(seen, src, _BITS[: len(src)])
+    yield 0, seen
+    step = _neighbor_reduce(g, np.bitwise_or, 0, np.uint64)
+    front = seen.copy()
     level = 0
     while cap is None or level < cap:
-        if front is None:
-            heads = g.indices[_arc_positions(g, nodes)]
-            heads.sort()
-            # Each new head once: unseen, and unlike the head before it.
-            # (np.unique takes several times as long on a few hundred heads.)
-            keep = seen[heads] == 0
-            keep[1:] &= heads[1:] != heads[:-1]
-            nodes = heads[keep]
-            if not len(nodes):
-                return
-            seen[nodes] = 1
-        else:
-            if step is None:
-                step = _neighbor_reduce(g, np.bitwise_or, 0, np.uint64)
-            front = step(front)
-            front &= ~seen
-            if not np.count_nonzero(front):
-                return
-            seen |= front
+        front = step(front)
+        front &= ~seen
+        if not np.count_nonzero(front):
+            return
+        seen |= front
         level += 1
-        yield level, nodes, seen
+        yield level, seen
 
 
 def _arc_positions(g: Graph, nodes: np.ndarray) -> np.ndarray:
@@ -322,10 +295,11 @@ def bfs_distances(g: Graph, src, dst, cap: int | None = None) -> np.ndarray:
 
     -1 marks a pair with no path of length at most ``cap``: an int64
     array cannot hold the None that :func:`bfs_distance` returns. Pairs are
-    grouped by source and each pass runs 64 distinct sources, so every
-    pair with a given source reads that source's lane; a pass stops as
-    soon as all its targets are found, its frontier empties, or it
-    reaches ``cap``.
+    grouped by source and each pass of the bottom-up kernel runs 64
+    distinct sources (the last pass, or a batch with one source, may run
+    fewer, down to one), so every pair with a given source reads that
+    source's lane; a pass stops as soon as all its targets are found, its
+    frontier empties, or it reaches ``cap``.
     """
     src = _as_nodes(g, src)
     dst = _as_nodes(g, dst)
@@ -334,14 +308,11 @@ def bfs_distances(g: Graph, src, dst, cap: int | None = None) -> np.ndarray:
     _check_cap(cap)
     out = np.full(len(src), -1, dtype=np.int64)
     sources, lane = np.unique(src, return_inverse=True)
-    order = np.argsort(lane, kind="stable")
-    # Pair positions order[cut[p]:cut[p + 1]] have their source in pass p.
-    cut = np.searchsorted(lane[order], np.arange(0, len(sources) + _WORD, _WORD))
     for p, lo in enumerate(range(0, len(sources), _WORD)):
-        idx = order[cut[p] : cut[p + 1]]
+        idx = np.flatnonzero(lane // _WORD == p)  # the pairs whose source is in pass p
         t, bits = dst[idx], _BITS[lane[idx] - lo]
         res = np.full(len(idx), -1, dtype=np.int64)
-        for level, _, seen in _bit_levels(g, sources[lo : lo + _WORD], cap):
+        for level, seen in _bit_levels(g, sources[lo : lo + _WORD], cap):
             hit = (seen[t] & bits) != 0
             res[hit & (res < 0)] = level
             if np.count_nonzero(hit) == len(hit):
@@ -354,34 +325,44 @@ def bfs_distance(g: Graph, u: int, v: int, cap: int | None = None) -> int | None
     """Shortest-path length from u to v, or None when there is no path.
 
     With a cap, any distance strictly greater than ``cap`` reports None.
-    The search is bidirectional: one single-source pass of the kernel
-    from each end, always advancing the side whose frontier holds fewer
-    arcs. The balls of radius ``a`` around u and ``b`` around v do not
-    meet, so the first new frontier (level ``a + 1``, say) that touches
-    the other side's ball puts v at distance exactly ``a + 1 + b``. The
-    search stops there, at ``cap``, or once either side runs out of new
-    nodes.
+    The search is its own two-sided, top-down BFS: one ``int8`` mark per
+    node says whether it lies in u's ball (1), v's ball (2) or neither
+    (0), and each round expands the CSR slices of the frontier with fewer
+    arcs, so a round costs O(frontier arcs) and no O(n) work. The balls
+    of radius ``a`` around u and ``b`` around v do not meet, so the first
+    round (growing u's side, say) whose heads touch v's ball puts v at
+    distance exactly ``a + 1 + b``. The search stops there, at ``cap``, or
+    once either side runs out of new nodes.
     """
     g._check_node(u)
     g._check_node(v)
     _check_cap(cap)
     if u == v:
         return 0
-    passes = [_bit_levels(g, np.array([x], dtype=np.int64), cap) for x in (u, v)]
-    balls = [next(p)[2] for p in passes]  # each side's seen words, grown in place
-    arcs = [g.degree(u), g.degree(v)]  # arcs leaving each side's frontier
-    reach = 0  # the two sides' levels together
+    mark = np.zeros(g.n, dtype=np.int8)
+    mark[u], mark[v] = 1, 2
+    fronts = [np.array([u]), np.array([v])]
+    arcs = [g.degrees[u], g.degrees[v]]  # arcs leaving each side's frontier
+    reach = 0  # the two balls' radii together
     while cap is None or reach < cap:
         side = 0 if arcs[0] <= arcs[1] else 1
-        grown = next(passes[side], None)
-        if grown is None:
+        heads = g.indices[_arc_positions(g, fronts[side])]
+        heads.sort()
+        marks = mark[heads]
+        if np.count_nonzero(marks == 2 - side):  # the other side's mark
+            return reach + 1
+        # Each new head once: unmarked, and unlike the head before it. Both
+        # masks in one pass beat sorting only the unmarked heads and then
+        # dropping repeats; np.unique takes several times as long again.
+        keep = marks == 0
+        keep[1:] &= heads[1:] != heads[:-1]
+        nodes = heads[keep]
+        if not len(nodes):
             return None
+        mark[nodes] = side + 1
+        fronts[side] = nodes
+        arcs[side] = np.add.reduce(g.degrees[nodes])
         reach += 1
-        nodes = grown[1]
-        if np.count_nonzero(balls[1 - side][nodes]):
-            return reach
-        if reach != cap:
-            arcs[side] = int(np.add.reduce(g.degrees[nodes]))
     return None
 
 
@@ -404,7 +385,7 @@ def _sweep(
     src = np.arange(g.n, dtype=np.int64) if src is None else src
     for lo in range(0, len(src), _WORD):
         rings, inner = {}, np.zeros(g.n, dtype=np.uint64)  # seen_{-1}: no node
-        for level, _, seen in _bit_levels(g, src[lo : lo + _WORD], radius):
+        for level, seen in _bit_levels(g, src[lo : lo + _WORD], radius):
             if level in keep:
                 rings[level] = seen & ~inner
             if level + 1 in keep:

@@ -24,6 +24,7 @@ arrays through the builder ``Graph`` itself uses.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -353,6 +354,8 @@ def write_symbol_graph(sg: SymbolGraph, path) -> None:
 # have at most 18 digits, so every one fits the int64 arrays they are read into.
 _ORIGIN_LINE = re.compile(r"#origin\s+(-?\d{1,18})\s+(-?\d{1,18})")
 _EDGE_LINE = re.compile(r"(-?\d{1,18})\t(-?\d{1,18})\t([SR])")
+# The most symbols n for which every edge key u * n + v fits int64.
+_MAX_SYMBOLS = math.isqrt(2**63 - 1)
 
 
 def read_symbol_graph(path) -> SymbolGraph:
@@ -361,8 +364,9 @@ def read_symbol_graph(path) -> SymbolGraph:
     The origin block is absent or lists every symbol w, in order, as
     ``#origin w w // lambda``. A malformed line, an origin line out of that
     order or a structural edge inside a cluster raises ValueError naming
-    the file and the line; a bad or repeated header field, a short origin
-    block or a file that is not UTF-8 names the file.
+    the file and the line; a bad or repeated header field, a symbol count
+    whose edge keys overflow int64, a short origin block or a file that is
+    not UTF-8 names the file.
     """
     meta: dict[str, str] = {}  # the name=value fields of the "# symbol-graph" and "# params" lines
     origins: list[tuple[int, int, int]] = []  # (w, m, line number) per origin line
@@ -420,6 +424,11 @@ def read_symbol_graph(path) -> SymbolGraph:
     if n_meaning < 0:
         raise ValueError(f"{path}: header field 'meaning-nodes' is negative: {n_meaning}")
     n = lam * n_meaning
+    if max(n, lam) > _MAX_SYMBOLS:  # a huge lambda overflows the origin check even with no meaning nodes
+        raise ValueError(
+            f"{path}: header fields 'lambda'={lam} and 'meaning-nodes'={n_meaning} allow more than"
+            f" {_MAX_SYMBOLS} symbols, past which edge keys overflow int64"
+        )
     # The origin block is absent or line i maps symbol i to i // lam, for every symbol.
     block = np.array(origins, dtype=np.int64).reshape(-1, 3)
     at = np.arange(len(block))

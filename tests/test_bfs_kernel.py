@@ -1,4 +1,4 @@
-"""The bitset BFS kernel and the queries built on it, against networkx as an independent oracle."""
+"""The bitset BFS kernel, the queries built on it and the separator's own search, against networkx as an independent oracle."""
 
 from __future__ import annotations
 
@@ -52,12 +52,14 @@ def test_matches_networkx(case):
 @pytest.mark.parametrize("n", [5, 63, 64, 65, 130])
 def test_isolated_nodes_mid_range_and_last(n):
     # Path over the even nodes only: every odd node is isolated, and so is
-    # the last node whenever n is even.
+    # the last node whenever n is even. At n = 65 the last pass has one
+    # source; the second batch, from node 0 alone, is one whatever n is.
     g = Graph(n, [(u, u + 2) for u in range(0, n - 2, 2)])
     src = list(range(n)) * 2
     dst = list(reversed(range(n))) * 2
-    for cap in (None, 0, 1, 3):
+    for cap in (None, 0, 1, 2, 3):
         assert bfs_distances(g, src, dst, cap=cap).tolist() == oracle_distances(g, src, dst, cap)
+        assert bfs_distances(g, [0] * n, dst[:n], cap=cap).tolist() == oracle_distances(g, [0] * n, dst[:n], cap)
 
 
 @st.composite
@@ -178,7 +180,7 @@ def test_ball_bound_edge_cases():
     assert swept_ball(Graph(3, [(0, 1), (1, 2)]), 0) == 1
 
 
-# -- single-pair queries: the bidirectional bfs_distance ------------------
+# -- single-pair queries: bfs_distance's own two-sided search -------------
 
 
 def oracle_distance(g: Graph, u: int, v: int, cap):
@@ -215,7 +217,9 @@ def bottom_up_steps(mp: pytest.MonkeyPatch) -> list[int]:
 
 
 def test_long_path_stays_top_down():
-    # Every frontier holds at most 4 of the path's 598 arcs.
+    # bfs_distance runs its own top-down search, apart from the bottom-up
+    # kernel, so it builds no bottom-up step; every frontier here holds at
+    # most 4 of the path's 598 arcs.
     g = path(300)
     with pytest.MonkeyPatch.context() as mp:
         built = bottom_up_steps(mp)
@@ -235,8 +239,8 @@ def two_stars(k: int) -> Graph:
 def test_star_frontier_stays_top_down():
     # From two leaves both sides first reach a centre; the next frontier
     # holds all of one star's arcs and meets the other side there at
-    # distance 3. A single-source pass steps top-down however large its
-    # frontier grows.
+    # distance 3. bfs_distance's own search steps top-down however large
+    # its frontier grows, and never builds the kernel's bottom-up step.
     g = two_stars(40)
     with pytest.MonkeyPatch.context() as mp:
         built = bottom_up_steps(mp)
@@ -251,8 +255,9 @@ def test_star_frontier_stays_top_down():
 def test_dense_graph_stays_top_down():
     # Two copies of a dense 80-node graph, joined by a path of 4 edges.
     # A first level's frontier holds more than 1/8 of the ~3800 arcs, and
-    # a query from one copy to the other still steps top-down all the way
-    # to where the two sides meet on the path.
+    # bfs_distance's own search, from one copy to the other, still steps
+    # top-down all the way to where the two sides meet on the path, and
+    # never builds the kernel's bottom-up step.
     rng = np.random.default_rng(11)
     n = 80
     iu, ju = np.triu_indices(n, 1)

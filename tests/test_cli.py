@@ -395,6 +395,27 @@ def test_bounds_rejects_non_finite_constants(capsys, flag, value):
     assert "finite and positive" in stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--n", "10", "--d", "2", "--ball-d", "1" + "0" * 200],
+        ["bounds", "--n", "1" + "0" * 320, "--d", "2", "--ball-d", "3"],
+        ["bounds", "--n", "10", "--d", "1" + "0" * 320, "--ball-d", "3"],
+        ["bounds", "--n", "10", "--d", "2", "--ball-d", "3", "--lambda", "1" + "0" * 200],
+        ["gamma", "--er", "50", "0.1", "--d", "1", "--trials", "1" + "0" * 30, "--allow-trivial"],
+    ],
+)
+def test_huge_integer_flags_are_bad_values(tmp_path, capsys, argv):
+    # Each used to end in an OverflowError traceback: the value is too large
+    # for the float or the index it feeds.
+    out = tmp_path / "run"
+    code, stdout, stderr = run(capsys, *argv, *(["--out", str(out)] if argv[0] == "gamma" else []))
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert not out.exists()
+
+
 def test_no_disconnected_fixture_exits_three(tmp_path, capsys):
     # A dense ER graph is connected, so the H2 fixture cannot exist. With
     # --threads 2 the error is raised in a worker process.

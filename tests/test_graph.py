@@ -209,10 +209,13 @@ def ball_sizes(g: Graph, d: int) -> list[int]:
 
 
 def test_neighborhood_size_examples():
-    # On a path of 5, node i's d-ball is every j with |i - j| <= d.
+    # On a path of n, node i's d-ball is every j with |i - j| <= d. At
+    # n = 65 the sweep's last pass has one source.
+    for n in (5, 65):
+        g = path_graph(n)
+        for d in range(6):
+            assert ball_sizes(g, d) == [min(i + d, n - 1) - max(i - d, 0) + 1 for i in range(n)]
     g = path_graph(5)
-    for d in range(6):
-        assert ball_sizes(g, d) == [min(i + d, 4) - max(i - d, 0) + 1 for i in range(5)]
     assert swept_ball(g, 1) == 3
     assert swept_ball(g, 4) == 5
 

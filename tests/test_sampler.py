@@ -602,6 +602,24 @@ def test_read_symbol_graph_refuses_a_repeated_header_field(tmp_path, head, field
         read_symbol_graph(path)
 
 
+@pytest.mark.parametrize(
+    "lam, nodes",
+    [(10**20, 2), (2, 10**20), (4_000_000_000, 4_000_000_000), (10**20, 0)],
+)
+def test_read_symbol_graph_refuses_a_symbol_count_whose_keys_overflow(tmp_path, lam, nodes):
+    # Each used to end in a bare OverflowError. The header is refused before
+    # any array as long as the symbol count is made; the last one has no symbols,
+    # but its lambda alone overflows the origin check.
+    path = tmp_path / "huge.tsv"
+    path.write_text(
+        f"# symbol-graph meaning-nodes={nodes} lambda={lam} seed=0\n"
+        "# params p_plus=0.8 p_minus=0.01 eps_plus=0.2 eps_minus=0.05 fold=0\n0\t1\tR\n"
+    )
+    error = f"{path}: header fields 'lambda'={lam} and 'meaning-nodes'={nodes} allow more than 3037000499 symbols"
+    with pytest.raises(ValueError, match=re.escape(error)):
+        read_symbol_graph(path)
+
+
 def test_read_symbol_graph_names_malformed_params_float(tmp_path):
     path = tmp_path / "bad-params.tsv"
     path.write_text(
