@@ -8,7 +8,9 @@ enough that heat-map probes span several 64-source BFS chunks and pair
 picks read ring table columns of several words. The two extra
 ``sample`` cases run the cross-cluster similarity pass: without folding
 it writes edges that carry both an ``S`` and an ``R`` line, and with
-``--fold`` its noise moves into the structural passes. ``bounds-text``
+``--fold`` its noise moves into the structural passes. ``sample-five-digit``
+writes 12000 symbols, so its origin and edge lines hold ids of one to five
+digits. ``bounds-text``
 is the ``bounds`` case without ``--json``: the text report.
 
 A change that alters output bytes on purpose regenerates the file with
@@ -52,6 +54,10 @@ CASES = {
     "sample-fold": (
         ["sample", "--er", "40", "0.1", "--graph-seed", "2", "--lambda", "3",
          "--p-minus", "0.01", "--eps-minus", "0.02", "--fold", "--seed", "9"],
+        True,
+    ),
+    "sample-five-digit": (
+        ["sample", "--er", "4000", "0.0005", "--graph-seed", "2", "--lambda", "3", "--seed", "9"],
         True,
     ),
     "gamma": (
