@@ -52,7 +52,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_at_least(least: int, what: str):
-    """Argument type for integers of at least ``least``; a smaller one is an error saying it must be ``what``."""
+    """Argument type for integers from ``least`` up to ``2**63 - 1``.
+
+    A smaller value is an error saying it must be ``what``. The upper bound
+    keeps a value within the int64 index or the float it feeds, so a huge
+    one is refused in the flag's name rather than by an overflow.
+    """
 
     def parse(text: str) -> int:
         try:
@@ -61,6 +66,8 @@ def _int_at_least(least: int, what: str):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
         if value < least:
             raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
+        if value >= 2**63:
+            raise argparse.ArgumentTypeError(f"must be below 2**63, got {len(str(value))} digits")
         return value
 
     return parse
@@ -90,7 +97,7 @@ def build_parser() -> _Parser:
     params.add_argument("--p-minus", type=float, default=1e-6)
     params.add_argument("--eps-plus", type=float, default=1e-4)
     params.add_argument("--eps-minus", type=float, default=0.0)
-    params.add_argument("--lambda", dest="lam", type=int, default=2, help="replicas per meaning node")
+    params.add_argument("--lambda", dest="lam", type=_positive_int, default=2, help="replicas per meaning node")
     fold.add_argument("--fold", action="store_true", help="fold eps_minus into the structural probabilities")
     sampling = [config, out, run, source, params, fold]
     screened = [config, out, run, screen, source, params, fold]
@@ -109,10 +116,10 @@ def build_parser() -> _Parser:
     sp.set_defaults(handler=_cmd_gamma)
 
     sp = sub.add_parser("bounds", parents=[config, params], help="evaluate the closed-form bounds")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_positive_int, required=True)
     sp.add_argument("--d", type=_positive_int, required=True)
-    sp.add_argument("--ball-d", type=int, required=True, help="d-neighborhood size bound B(d)")
-    sp.add_argument("--ball-1", type=int, default=1, help="1-neighborhood size bound B(1)")
+    sp.add_argument("--ball-d", type=_positive_int, required=True, help="d-neighborhood size bound B(d)")
+    sp.add_argument("--ball-1", type=_positive_int, default=1, help="1-neighborhood size bound B(1)")
     sp.add_argument("--c2", type=float, default=2.0)
     sp.add_argument("--c3", type=float, default=2.0)
     sp.add_argument("--json", action="store_true", help="print JSON instead of aligned text")
@@ -368,8 +375,8 @@ def cli(argv: list[str] | None = None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OverflowError) as exc:
-        # An OverflowError is an integer flag too large for the float or
-        # index it feeds, a bad value like any other.
+        # An OverflowError is a value too large for the float or index it
+        # feeds, a bad value like any other.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -33,8 +33,8 @@ Exact-distance pair picks read the ring tables the whole-graph sweep
 fills (:class:`_RingTables`). They ask for the number of pairs at a
 distance and for the r-th of them, so no other module reads the bit lanes.
 
-The text writers, here and in :mod:`sampler`, build each block of lines
-in bulk as one digit matrix with :func:`_format_lines`.
+The text writers, here and in :mod:`sampler`, format each id once with
+:func:`_decimals` and gather their lines with :func:`_format_lines`.
 """
 
 from __future__ import annotations
@@ -580,34 +580,33 @@ def min_cut(g: Graph, s: int, t: int) -> list[tuple[int, int]]:
     return list(map(tuple, edges[reached[edges[:, 0]] != reached[edges[:, 1]]].tolist()))
 
 
+def _decimals(n: int) -> np.ndarray:
+    """The ids ``0..n-1`` in decimal, one ``S`` string each: digits right-aligned, leading blanks NUL."""
+    q = ids = np.arange(n, dtype=np.int64)
+    width = len(str(max(n - 1, 0)))
+    digits = np.empty((n, width), dtype=np.uint8)
+    for j in range(width - 1, -1, -1):  # one pass per decimal place
+        q, digits[:, j] = np.divmod(q, 10)
+    digits += ord("0")
+    digits[:, :-1][ids[:, None] < 10 ** np.arange(width - 1, 0, -1)] = 0
+    return digits.view(f"S{width}").ravel()
+
+
 def _format_lines(*fields) -> bytes:
     """One text line per row, built as a single byte matrix.
 
-    Each field is a ``bytes`` literal repeated on every line, an ``S``-dtype
-    array holding one string per line, or a nonnegative integer array
-    written in decimal. An integer column becomes right-aligned ASCII digits
-    as wide as its largest value, with leading zeros blanked to NUL; ``S``
-    arrays are NUL-padded already. The fields sit side by side and one mask
-    drops every NUL, so no literal or string may contain one.
+    Each field is a ``bytes`` literal repeated on every line or an ``S``-dtype
+    array of one NUL-padded string per line, such as a gather from
+    :func:`_decimals`. The fields fill one ``(rows, width)`` matrix side by
+    side and one mask drops every NUL, so no literal or string may contain one.
     """
     rows = next(len(f) for f in fields if isinstance(f, np.ndarray))
-    blocks = []
-    for f in fields:
-        if isinstance(f, bytes):
-            blocks.append(np.broadcast_to(np.frombuffer(f, dtype=np.uint8), (rows, len(f))))
-        elif f.dtype.kind == "S":
-            blocks.append(f.view(np.uint8).reshape(rows, f.itemsize))
-        else:
-            width = len(str(int(f.max()))) if rows else 1
-            digits = np.empty((rows, width), dtype=np.uint8)
-            q = f
-            for j in range(width - 1, -1, -1):  # one pass per decimal place
-                q, digits[:, j] = np.divmod(q, 10)
-            digits += ord("0")
-            digits[:, :-1][f[:, None] < 10 ** np.arange(width - 1, 0, -1)] = 0
-            blocks.append(digits)
-    flat = np.hstack(blocks).ravel()
-    return flat[flat != 0].tobytes()
+    widths = [len(f) if isinstance(f, bytes) else f.itemsize for f in fields]
+    lines = np.empty((rows, sum(widths)), dtype=np.uint8)
+    for f, at, width in zip(fields, np.cumsum([0, *widths]), widths):
+        # A literal is one row, broadcast to every line.
+        lines[:, at : at + width] = np.frombuffer(f, dtype=np.uint8).reshape(-1, width)
+    return lines[lines != 0].tobytes()
 
 
 def write_edge_list(g: Graph, path, labels: Sequence[str] | None = None) -> None:
@@ -615,10 +614,11 @@ def write_edge_list(g: Graph, path, labels: Sequence[str] | None = None) -> None
 
     A ``# nodes N`` comment keeps isolated nodes and ``# label i name``
     comments carry ``labels``; readers that skip comments get every edge.
-    The edge lines are formatted in bulk by :func:`_format_lines`.
+    The edge lines gather both ends from one :func:`_decimals` table.
     """
     head = f"# nodes {g.n}\n" + "".join(f"# label {i} {label}\n" for i, label in enumerate(labels or ()))
-    edges = g.edge_array()
+    dec = _decimals(g.n)
+    u, v = (dec.take(ends) for ends in _upper_arcs(g))
     with open(path, "wb") as fh:
         fh.write(head.encode("utf-8"))
-        fh.write(_format_lines(edges[:, 0], b"\t", edges[:, 1], b"\n"))
+        fh.write(_format_lines(u, b"\t", v, b"\n"))

@@ -31,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .graph import Graph, _edge_fault, _format_lines, _lookup, _upper_arcs
+from .graph import Graph, _decimals, _edge_fault, _format_lines, _lookup, _upper_arcs
 from .meaning import CutPair, MeaningGraph
 from .rng import (
     STREAM_SIM_CROSS,
@@ -327,8 +327,8 @@ def write_symbol_graph(sg: SymbolGraph, path) -> None:
     """Write the extended edge-list form with kind column and origin block.
 
     An edge carrying both kinds emits one ``S`` line and one ``R`` line;
-    readers merge them. The origin and edge lines are formatted in bulk by
-    ``graph._format_lines``. Output is byte-stable for a given graph.
+    readers merge them. Each id is formatted once, in ``graph._decimals``;
+    the lines gather from that table. Output is byte-stable for a given graph.
     """
     p = sg.params
     head = (
@@ -338,16 +338,16 @@ def write_symbol_graph(sg: SymbolGraph, path) -> None:
         f" eps_plus={p.eps_plus!r} eps_minus={p.eps_minus!r}"
         f" fold={int(p.fold)}\n"
     )
-    w = np.arange(sg.graph.n, dtype=np.int64)
+    dec = _decimals(sg.graph.n)
     # Line slot 2i is edge i's S line and slot 2i + 1 its R line; an edge
     # writes the slots its kind byte has, so a dual edge writes S, then R.
     kind = np.tile(np.array([STRUCTURAL, SIMILARITY], dtype=np.uint8), sg.graph.edge_count)
     slot = np.flatnonzero(np.repeat(sg.kind_array, 2) & kind)
-    edges = sg.graph.edge_array()[slot // 2]
+    u, v = (dec.take(ends.take(slot // 2)) for ends in _upper_arcs(sg.graph))
     with open(path, "wb") as fh:
         fh.write(head.encode("utf-8"))
-        fh.write(_format_lines(b"#origin ", w, b" ", w // sg.lam, b"\n"))
-        fh.write(_format_lines(edges[:, 0], b"\t", edges[:, 1], b"\t", np.where(slot % 2, b"R", b"S"), b"\n"))
+        fh.write(_format_lines(b"#origin ", dec, b" ", dec[: sg.n_meaning].repeat(sg.lam), b"\n"))
+        fh.write(_format_lines(u, b"\t", v, b"\t", np.array([b"S", b"R"]).take(slot & 1), b"\n"))
 
 
 # The origin and edge lines :func:`write_symbol_graph` writes. Their numbers

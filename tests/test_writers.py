@@ -1,10 +1,12 @@
 """Byte oracles for the bulk text writers.
 
-``write_edge_list`` and ``write_symbol_graph`` format whole blocks of lines
-as digit matrices. The references below are the per-line writers they
-replaced, one f-string per line; every case must give the same bytes and
-read back to the graph that was written. Edge lists are read back without
-meaninglab: the header by regex, the edges by ``np.loadtxt``.
+``write_edge_list`` and ``write_symbol_graph`` format each node id once,
+in one table of decimal strings (``graph._decimals``), and gather whole
+blocks of lines from it into one byte matrix. The references below are the
+per-line writers they replaced, one f-string per line; every case must give
+the same bytes and read back to the graph that was written. Edge lists are
+read back without meaninglab: the header by regex, the edges by
+``np.loadtxt``. The table itself is checked against ``str``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meaninglab.graph import Graph, write_edge_list
+from meaninglab.graph import Graph, _decimals, write_edge_list
 from meaninglab.meaning import gen_er
 from meaninglab.sampler import (
     SIMILARITY,
@@ -84,6 +86,18 @@ def params(lam=2, fold=False):
     return SampleParams(0.8, 0.01, 0.2, 0.05, lam, fold)
 
 
+# -- the decimal table -------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 100, 101, 10**5 + 1])
+def test_decimals_are_str_right_aligned(n):
+    width = len(str(max(n - 1, 0)))
+    dec = _decimals(n)
+    assert dec.dtype == np.dtype(f"S{width}") and dec.shape == (n,)
+    # Each string holds its id's digits, padded on the left with NULs.
+    assert dec.tobytes() == b"".join(str(i).rjust(width, "\0").encode() for i in range(n))
+
+
 # -- edge lists -----------------------------------------------------------
 
 
@@ -127,6 +141,26 @@ def test_symbol_graph_both_kinds(tmp_path, fold):
     )
     check_symbol_graph(sg, tmp_path / "sg.tsv")
     assert b"0\t3\tS\n0\t3\tR\n" in (tmp_path / "sg.tsv").read_bytes()
+
+
+@pytest.mark.parametrize("lam", [1, 3])
+def test_symbol_graph_without_meaning_nodes(tmp_path, lam):
+    sg = SymbolGraph(Graph(0), b"", params=params(lam=lam), seed=0)
+    check_symbol_graph(sg, tmp_path / "sg.tsv")
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("lam, extra", [(1, 0), (1, 1), (3, -1), (3, 2)])
+def test_symbol_graph_at_a_power_of_ten(tmp_path, k, lam, extra):
+    # 10**k + extra symbols: the symbol ids end just below or just past a
+    # digit width, and with lam = 3 the meaning ids on the origin lines
+    # are a digit narrower than the symbol ids beside them.
+    n = 10**k + extra
+    pairs = sorted({(0, n - 1), *((10**j - 1, 10**j) for j in range(1, k + 1) if 10**j < n)})
+    # Kinds go in sorted edge order; a structural edge never joins two replicas of one node.
+    kinds = [SIMILARITY if u // lam == v // lam else STRUCTURAL | SIMILARITY for u, v in pairs]
+    sg = SymbolGraph(Graph(n, pairs), bytes(kinds), params=params(lam=lam), seed=k)
+    check_symbol_graph(sg, tmp_path / "sg.tsv")
 
 
 def test_symbol_graph_past_ten_thousand_nodes(tmp_path):
