@@ -406,9 +406,8 @@ def test_bounds_rejects_non_finite_constants(capsys, flag, value):
     ],
 )
 def test_huge_integer_flags_are_bad_values(tmp_path, capsys, argv):
-    # Each used to end in an OverflowError traceback, and then in the
-    # interpreter's own message: the value is too large for the float or the
-    # index it feeds. Parsing now refuses it by the flag's name.
+    # Each value is too large for the float or the index it feeds, and
+    # parsing refuses it by the flag's name (the flag before the huge value).
     flag = next(argv[i - 1] for i, value in enumerate(argv) if len(value) > 19)
     out = tmp_path / "run"
     code, stdout, stderr = run(capsys, *argv, *(["--out", str(out)] if argv[0] == "gamma" else []))

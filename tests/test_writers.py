@@ -153,8 +153,8 @@ def test_symbol_graph_without_meaning_nodes(tmp_path, lam):
 @pytest.mark.parametrize("lam, extra", [(1, 0), (1, 1), (3, -1), (3, 2)])
 def test_symbol_graph_at_a_power_of_ten(tmp_path, k, lam, extra):
     # 10**k + extra symbols: the symbol ids end just below or just past a
-    # digit width, and with lam = 3 the meaning ids on the origin lines
-    # are a digit narrower than the symbol ids beside them.
+    # digit width. At 10**k + 2 symbols (lam = 3) the meaning ids on the
+    # origin lines are a digit narrower than the symbol ids beside them.
     n = 10**k + extra
     pairs = sorted({(0, n - 1), *((10**j - 1, 10**j) for j in range(1, k + 1) if 10**j < n)})
     # Kinds go in sorted edge order; a structural edge never joins two replicas of one node.
