@@ -13,7 +13,6 @@ from .bounds import (
     BoundReport,
     GilbertBounds,
     bound_report,
-    gamma_star_raw,
     gilbert_bounds,
     laplacian_diff_bound,
     lb_connected,

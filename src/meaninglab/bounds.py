@@ -66,24 +66,6 @@ def ub_disconnected(n: int, lam: int, p_minus: float, eps_minus: float, ball_d: 
     return _clamp01(raw) if applies else None
 
 
-def gamma_star_raw(
-    n: int,
-    d: int,
-    lam: int,
-    p_plus: float,
-    p_minus: float,
-    eps_plus: float,
-    eps_minus: float,
-    ball_d: int,
-) -> float:
-    """Separation target before clamping: the lower bound minus the raw upper-bound expression.
-
-    :class:`BoundReport` reports it, and floored at zero as ``gamma_star``.
-    """
-    lb = lb_connected(d, lam, p_plus, eps_plus, eps_minus)
-    return lb - ub_disconnected_raw(n, lam, p_minus, eps_minus, ball_d)
-
-
 class GilbertBounds(NamedTuple):
     exact: float
     corollary: float
@@ -200,8 +182,7 @@ def theorem_preconditions(
     Possibility needs folded noise below 1/(2e lam^2 n) after the B(d)^2
     factor; the impossibility regimes need it at or above c/(lam n) (with
     d at least ceil(ln n)) or above c ln n/(lam n) (with d above ln n).
-    For c2 >= 1 the first two regimes are mutually exclusive, which is
-    asserted here rather than trusted.
+    For c2 >= 1 the first two never both hold: that needs B(d)^2 < 1/(2e lam) < 1.
     """
     if n < 1 or d < 1 or ball_d < 1:
         raise ValueError("n, d and ball_d must be positive")
@@ -225,8 +206,6 @@ def theorem_preconditions(
         lhs=q,
         rhs=c3 * math.log(n) / (lam * n),
     )
-    if c2 >= 1.0 and t1.holds and t2.holds:
-        raise AssertionError("possibility and connectivity regimes cannot overlap")
     return t1, t2, t3
 
 
@@ -246,7 +225,8 @@ def bound_report(
     """Assemble the full report for one parameter point."""
     if ball_1 < 1:
         raise ValueError(f"1-ball bound must be positive, got {ball_1}")
-    gs_raw = gamma_star_raw(n, d, lam, p_plus, p_minus, eps_plus, eps_minus, ball_d)
+    lb = lb_connected(d, lam, p_plus, eps_plus, eps_minus)
+    raw = ub_disconnected_raw(n, lam, p_minus, eps_minus, ball_d)
     t1, t2, t3 = theorem_preconditions(n, d, lam, p_plus, p_minus, eps_minus, ball_d, c2, c3)
     return BoundReport(
         n=n,
@@ -260,11 +240,11 @@ def bound_report(
         ball_1=ball_1,
         c2=c2,
         c3=c3,
-        lb_connected=lb_connected(d, lam, p_plus, eps_plus, eps_minus),
+        lb_connected=lb,
         ub_disconnected=ub_disconnected(n, lam, p_minus, eps_minus, ball_d),
-        ub_disconnected_raw=ub_disconnected_raw(n, lam, p_minus, eps_minus, ball_d),
-        gamma_star=max(0.0, gs_raw),
-        gamma_star_raw=gs_raw,
+        ub_disconnected_raw=raw,
+        gamma_star=max(0.0, lb - raw),
+        gamma_star_raw=lb - raw,
         theorem1=t1,
         theorem2=t2,
         theorem3=t3,

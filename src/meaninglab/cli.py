@@ -40,7 +40,7 @@ from .reasoning import (
     choose_d_tilde,
     estimate_gamma,
 )
-from .rng import STREAM_SPECTRAL_TRIAL, run_tasks, stream, subseed
+from .rng import MAX_PAIR_NODES, STREAM_SPECTRAL_TRIAL, run_tasks, stream, subseed
 from .sampler import SIMILARITY, STRUCTURAL, SampleParams, sample_symbol_graph, write_symbol_graph
 from .spectral import SPECTRAL_CSV_HEADER, SpectralTrial, coupled_cut_trial, spectral_csv_record
 
@@ -208,6 +208,8 @@ def _load_graph(args: argparse.Namespace) -> MeaningGraph:
             p = float(args.er[1])
         except ValueError:
             raise ValueError(f"--er expects an integer and a probability, got {args.er}")
+        if n > MAX_PAIR_NODES:  # past it, pair indices overflow int64
+            raise ValueError(f"--er node count must be at most {MAX_PAIR_NODES}, got {len(str(n))} digits")
         return gen_er(n, p, args.graph_seed)
     return load_triples(args.triples, args.prefix)
 

@@ -145,10 +145,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.indices) // 2
 
-    def degree(self, u: int) -> int:
-        self._check_node(u)
-        return int(self.degrees[u])
-
     def max_degree(self) -> int:
         return int(self.degrees.max(initial=0))
 
@@ -415,8 +411,9 @@ class _RingTables:
     its ball size from the final ``seen`` words. A sweep records sizes at
     the levels it keeps tables for and at its own radius, and allocates a
     table only at a level some pass reaches: past the graph's depth every
-    ring is empty. The screen's sweep (:meth:`ball_bound`) keeps the
-    tables the picks after it read, so they traverse nothing. Callers see
+    ring is empty. One rule, in :meth:`_fill`, picks the tables a sweep
+    keeps, whether the screen's :meth:`ball_bound` or a :meth:`count`
+    asks for it, so the picks after a screen traverse nothing. Callers see
     ranks, not bits: :meth:`count` and :meth:`pairs`, and the ball bound.
     """
 
@@ -431,24 +428,13 @@ class _RingTables:
         return self.size * (len(self.tables) + more) <= _RING_BYTES
 
     def ball_bound(self, d: int) -> int:
-        """The largest d-ball (0 without nodes), from one sweep to d that keeps the tables up to d.
-
-        It keeps every table at 1..d when they all fit, else only d's if
-        that fits.
-        """
-        if self._fits(d - sum(k <= d for k in self.tables)):
-            tabled = range(1, d + 1)
-        else:
-            tabled = (d,) if d not in self.tables and self._fits(1) else ()
-        return self._fill(d, tabled)
+        """The largest d-ball (0 without nodes), from one sweep to d."""
+        return self._fill(d)
 
     def count(self, d: int) -> int:
-        """The number of ordered pairs at distance d.
-
-        A distance no sweep has reached yet gets one, which keeps its table if it fits.
-        """
+        """The number of ordered pairs at distance d, from a sweep to d if none has reached it yet."""
         if d not in self.starts:
-            self._fill(d, (d,) if self._fits(1) else ())
+            self._fill(d)
         return int(self.starts[d][-1])
 
     def pairs(self, d: int, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -469,11 +455,16 @@ class _RingTables:
             columns = _anchor_rings(self.g, d, anchors)[lane]
         return u, _kth_member(columns, r - starts[u])
 
-    def _fill(self, radius: int, tabled) -> int:
-        """Sweep to ``radius``, keeping tables at the levels in ``tabled`` and sizes there and at ``radius``.
+    def _fill(self, radius: int) -> int:
+        """Sweep to ``radius``, keeping its ring sizes and a table, with sizes, at each level the rule picks.
 
-        Returns the ball bound.
+        The rule: every level 1..radius when all those tables fit, else
+        ``radius`` alone if its table is new and fits. Returns the ball bound.
         """
+        if self._fits(radius - sum(k <= radius for k in self.tables)):
+            tabled = range(1, radius + 1)
+        else:
+            tabled = (radius,) if radius not in self.tables and self._fits(1) else ()
         n = self.g.n
         balls = np.zeros(n, dtype=np.int64)
         # Ring sizes land one slot up, so a running sum in place gives the starts.

@@ -350,10 +350,12 @@ def write_symbol_graph(sg: SymbolGraph, path) -> None:
         fh.write(_format_lines(u, b"\t", v, b"\t", np.array([b"S", b"R"]).take(slot & 1), b"\n"))
 
 
-# The origin and edge lines :func:`write_symbol_graph` writes. Their numbers
-# have at most 18 digits, so every one fits the int64 arrays they are read into.
-_ORIGIN_LINE = re.compile(r"#origin\s+(-?\d{1,18})\s+(-?\d{1,18})")
-_EDGE_LINE = re.compile(r"(-?\d{1,18})\t(-?\d{1,18})\t([SR])")
+# The origin and edge lines :func:`write_symbol_graph` writes, in ASCII, as
+# is every space the reader strips or splits on. Their numbers have at most
+# 18 digits, so every one fits the int64 arrays they are read into.
+_ORIGIN_LINE = re.compile(r"#origin\s+(-?\d{1,18})\s+(-?\d{1,18})", re.ASCII)
+_EDGE_LINE = re.compile(r"(-?\d{1,18})\t(-?\d{1,18})\t([SR])", re.ASCII)
+_SPACE = " \t\n\r\f\v"
 # The most symbols n for which every edge key u * n + v fits int64.
 _MAX_SYMBOLS = math.isqrt(2**63 - 1)
 
@@ -374,7 +376,7 @@ def read_symbol_graph(path) -> SymbolGraph:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             for lineno, raw in enumerate(fh, 1):
-                line = raw.strip()
+                line = raw.strip(_SPACE)
                 if not line:
                     continue
                 if line.startswith("#origin"):
@@ -384,7 +386,7 @@ def read_symbol_graph(path) -> SymbolGraph:
                     origins.append((int(match[1]), int(match[2]), lineno))
                     continue
                 if line.startswith("#"):
-                    fields = line[1:].split()
+                    fields = re.findall(r"\S+", line[1:], re.ASCII)
                     if fields[:1] in (["symbol-graph"], ["params"]):
                         for item in fields[1:]:
                             name, eq, value = item.partition("=")
@@ -406,9 +408,11 @@ def read_symbol_graph(path) -> SymbolGraph:
         if name not in meta:
             raise ValueError(f"{path}: missing header field {name!r}")
         try:
-            return kind(meta[name])
+            if meta[name].isascii():
+                return kind(meta[name])
         except ValueError:
-            raise ValueError(f"{path}: header field {name!r} is not {what}: {meta[name]!r}") from None
+            pass
+        raise ValueError(f"{path}: header field {name!r} is not {what}: {meta[name]!r}")
 
     n_meaning = field("meaning-nodes", int, "an integer")
     seed = field("seed", int, "an integer")

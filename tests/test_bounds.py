@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from meaninglab.bounds import (
     bound_report,
-    gamma_star_raw,
     gilbert_bounds,
     lb_connected,
     laplacian_diff_bound,
@@ -140,7 +139,7 @@ def test_gamma_star_frozen_value():
 
 def test_gamma_star_clamped_to_zero():
     assert reported_gamma_star(100, 2, 2, 0.9, 1e-3, 1e-4, 0.0, 5) == 0.0
-    assert gamma_star_raw(100, 2, 2, 0.9, 1e-3, 1e-4, 0.0, 5) < 0.0
+    assert bound_report(100, 2, 2, 0.9, 1e-3, 1e-4, 0.0, 5, 1).gamma_star_raw < 0.0
 
 
 def test_gamma_star_equals_lb_minus_ub():
@@ -173,9 +172,9 @@ def test_gamma_star_bare_noise_variant():
         return lb - 2.0 * math.e * n * (lam * ball_d) ** 2 * p_minus
 
     args = (100, 2, 2, 0.9, 1e-7, 1e-4, 1e-6, 5)
-    assert gamma_star_raw(*args) < bare(*args)
+    assert bound_report(*args, 1).gamma_star_raw < bare(*args)
     args0 = (100, 2, 2, 0.9, 1e-7, 1e-4, 0.0, 5)
-    assert gamma_star_raw(*args0) == bare(*args0)
+    assert bound_report(*args0, 1).gamma_star_raw == bare(*args0)
 
 
 def test_gamma_star_monotone_in_noise():
@@ -209,7 +208,6 @@ def test_gamma_star_is_the_lower_bound_minus_the_folded_penalty(
     ub = None if (lam * ball_d) ** 2 * folded > 1.0 / (2.0 * math.e * n) else min(1.0, max(0.0, raw))
     args = (n, d, lam, p_plus, p_minus, eps_plus, eps_minus, ball_d)
     rep = bound_report(*args, ball_1)
-    assert gamma_star_raw(*args).hex() == (lb - raw).hex()
     assert rep.gamma_star_raw.hex() == (lb - raw).hex()
     assert rep.gamma_star.hex() == max(0.0, lb - raw).hex()
     assert rep.lb_connected.hex() == lb.hex()
@@ -301,15 +299,35 @@ def test_regimes_strong_noise_example():
 
 
 def test_regimes_never_overlap_when_exclusive():
-    # Sweeping a broad grid with c2 >= 1 must never trip the internal
-    # disjointness assertion.
+    # Over a broad grid with c2 >= 1, theorems 1 and 2 never both hold.
     for n in (50, 500, 5000):
         for lam in (1, 2, 4):
             for ball in (1, 5, 25):
                 for q_exp in range(-9, 0):
-                    theorem_preconditions(
+                    t1, t2, _ = theorem_preconditions(
                         n, max(1, math.ceil(math.log(n))), lam, 0.9, 10.0**q_exp, 0.0, ball
                     )
+                    assert not (t1.holds and t2.holds)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 10**7),
+    d=st.integers(1, 40),
+    lam=st.integers(1, 10),
+    ball_d=st.integers(1, 10),
+    c2=st.floats(min_value=1.0, max_value=100.0),
+    scale=st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=2.0)),
+    eps_minus=st.one_of(st.just(0.0), probabilities),
+)
+def test_possibility_and_connectivity_regimes_never_both_hold(n, d, lam, ball_d, c2, scale, eps_minus):
+    # p_minus reaches theorem 2's threshold c2/(lam n) exactly at scale 1.
+    # If theorems 1 and 2 both held with c2 >= 1, then
+    # 1/(lam n) * B^2 <= q * B^2 < 1/(2e lam^2 n), so B^2 < 1/(2e lam) < 0.19;
+    # but B(d) >= 1. The margin is a factor 2e lam >= 5.4, far past rounding.
+    p_minus = min(1.0, scale * c2 / (lam * n))
+    t1, t2, _ = theorem_preconditions(n, d, lam, 0.9, p_minus, eps_minus, ball_d, c2=c2)
+    assert not (t1.holds and t2.holds)
 
 
 def test_regimes_validation():

@@ -311,6 +311,16 @@ def test_bad_er_arguments(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("n", [10**30, 2**32 + 1])
+def test_er_node_count_past_the_pair_bound_names_the_flag(tmp_path, capsys, monkeypatch, n):
+    # Past rng.MAX_PAIR_NODES pair indices overflow int64. The count is refused
+    # in the flag's name before gen_er allocates anything.
+    monkeypatch.setattr(sys.modules["meaninglab.cli"], "gen_er", lambda *a: pytest.fail("gen_er ran"))
+    code, stdout, stderr = run(capsys, "sample", "--er", str(n), "0.0", "--out", str(tmp_path / "run"))
+    assert code == 1 and stdout == ""
+    assert stderr == f"error: --er node count must be at most 4294967296, got {len(str(n))} digits\n"
+
+
 def test_bad_probability_is_validation_error(tmp_path, capsys):
     code, _, _ = run(
         capsys, "sample", "--er", "10", "0.1", "--p-plus", "1.5", "--out", str(tmp_path)

@@ -49,43 +49,55 @@ def test_every_export_has_a_caller():
     assert set(PAPER_FORMULAS) <= set(exports())
 
 
-def definitions() -> list[tuple[str, str]]:
-    """``(where, name)`` of every module-level function and non-dunder method in the package."""
+def definitions() -> list[tuple[str, str, str]]:
+    """``(where, name, kind)`` of every module-level function and non-dunder method in the package.
+
+    ``kind`` is ``"function"``, ``"property"`` for a ``property`` or
+    ``cached_property``, or ``"method"`` for any other method.
+    """
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, ast.FunctionDef):
-                found.append((path.stem, node.name))
+                found.append((path.stem, node.name, "function"))
             elif isinstance(node, ast.ClassDef):
                 found.extend(
-                    (f"{path.stem}.{node.name}", item.name)
+                    (f"{path.stem}.{node.name}", item.name, "property" if is_property(item) else "method")
                     for item in node.body
                     if isinstance(item, ast.FunctionDef) and not (item.name.startswith("__") and item.name.endswith("__"))
                 )
     return found
 
 
-def names_read(paths) -> tuple[set[str], set[str]]:
-    """Every name loaded, and every attribute accessed, in ``paths``."""
-    loaded, attributes = set(), set()
+def is_property(item: ast.FunctionDef) -> bool:
+    return any(ast.unparse(d).rpartition(".")[2] in ("property", "cached_property") for d in item.decorator_list)
+
+
+def names_read(paths) -> tuple[set[str], set[str], set[str]]:
+    """Every name loaded, every attribute accessed, and every attribute called as ``x.name(...)`` in ``paths``."""
+    loaded, attributes, called = set(), set(), set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.id)
             elif isinstance(node, ast.Attribute):
                 attributes.add(node.attr)
-    return loaded, attributes
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                called.add(node.func.attr)
+    return loaded, attributes, called
 
 
 def test_every_function_is_read_outside_the_tests():
     # Code that only the tests reach belongs in the tests (``oracles.py``).
-    # A method is read only as an attribute: a local variable that shares
+    # A property is read only as an attribute, and any other method only
+    # by a call ``x.name(...)``: a local variable or a field that shares
     # its name reads nothing.
-    loaded, attributes = names_read([*PACKAGE.glob("*.py"), *(ROOT / "bench").glob("*.py")])
+    loaded, attributes, called = names_read([*PACKAGE.glob("*.py"), *(ROOT / "bench").glob("*.py")])
+    read = {"function": loaded | attributes, "property": attributes, "method": called}
     unread = [
         f"{where}.{name}"
-        for where, name in definitions()
-        if name not in (attributes if "." in where else loaded | attributes) and name not in PAPER_FORMULAS
+        for where, name, kind in definitions()
+        if name not in read[kind] and name not in PAPER_FORMULAS
     ]
     assert unread == []
 

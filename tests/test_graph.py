@@ -122,16 +122,16 @@ def test_edge_checks_report_the_first_bad_edge():
 def test_has_edge_and_degrees():
     g = Graph(5, [(0, 1), (1, 2), (1, 4)])
     assert (1, 4) in edges(g) and (0, 4) not in edges(g)
-    assert [g.degree(u) for u in range(5)] == [1, 3, 1, 0, 1]
+    assert g.degrees.tolist() == [1, 3, 1, 0, 1]
     assert g.max_degree() == 3 and Graph(0).max_degree() == 0
 
 
 @pytest.mark.parametrize("u", [-1, 3])
 def test_degree_rejects_node_out_of_range(u):
-    # numpy would wrap -1 to node 2, whose degree is 0.
+    # numpy would wrap -1 to node 2, whose degree ``degrees[-1]`` is 0.
     g = Graph(3, [(0, 1)])
     with pytest.raises(ValueError, match=f"node {u} out of range for 3 nodes"):
-        g.degree(u)
+        min_cut(g, 0, u)
     with pytest.raises(ValueError, match=f"node {u} out of range for 3 nodes"):
         bfs_distance(g, 0, u)
 

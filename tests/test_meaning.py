@@ -437,5 +437,5 @@ def test_cut_size_never_exceeds_min_degree():
         if pair is None:
             continue
         cp = make_cut_pair(gm, *pair)
-        assert len(cp.cut) <= min(gm.graph.degree(pair[0]), gm.graph.degree(pair[1]))
+        assert len(cp.cut) <= min(gm.graph.degrees[list(pair)])
         assert len(cp.cut) <= gm.graph.max_degree() + 1

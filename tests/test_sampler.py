@@ -554,6 +554,8 @@ def test_read_symbol_graph_names_missing_header_field(tmp_path):
     [
         ("meaning-nodes=1 lambda=two seed=0", "header field 'lambda' is not an integer: 'two'"),
         ("meaning-nodes=1 lambda=2 seed=0.5", "header field 'seed' is not an integer: '0.5'"),
+        # int() would read the Arabic-Indic digit as 2; the writer writes ASCII only.
+        ("meaning-nodes=1 lambda=\u0662 seed=0", "header field 'lambda' is not an integer: '\u0662'"),
         ("meaning-nodes=1 lambda 2 seed=0", "header field 'lambda' is not name=value"),
         ("meaning-nodes=-1 lambda=2 seed=0", "header field 'meaning-nodes' is negative: -1"),
         ("meaning-nodes=1 lambda=0 seed=0", "lam must be a positive integer, got 0"),
@@ -663,6 +665,10 @@ def test_read_symbol_graph_rejects_bad_edges(tmp_path, lines, error):
         ("x\t1\tR\n", 3, "expected 'u<TAB>v<TAB>S|R', got 'x\\t1\\tR'"),
         ("0\t3\tS\n" + "9" * 20 + "\t1\tR\n", 4, "expected 'u<TAB>v<TAB>S|R', got '" + "9" * 20),
         ("0\t3\tS\n#origin 3 y\n", 4, "bad origin line '#origin 3 y'"),
+        # Non-ASCII digits and spaces, which str methods and a Unicode \d or \s would take.
+        ("\u0660\t\u0663\tS\n", 3, "expected 'u<TAB>v<TAB>S|R', got '\u0660\\t\u0663\\tS'"),
+        ("0\t3\tS\u2003\n", 3, "expected 'u<TAB>v<TAB>S|R', got '0\\t3\\tS\\u2003'"),
+        ("#origin \u0660 \u0660\n", 3, "bad origin line '#origin \u0660 \u0660'"),
         ("0\t3\tS\n0\t99\tR\n", 4, "edge (0, 99) out of range for 4 nodes"),
         ("1\t1\tR\n", 3, "self-loop at node 1"),
         ("0\t3\tS\n#origin 0 0\n#origin 1 1\n", 5, "origin line maps 1 to 1, expected 0"),
