@@ -7,20 +7,24 @@ small: BFS with an explicit cap, ball sizes and rings, unit-capacity
 minimum cut, connected components, and a plain text edge-list writer.
 
 A graph is stored only as CSR arrays: node u's sorted neighbours are
-``indices[indptr[u]:indptr[u + 1]]``. Every traversal but two runs on
-one kernel, a level-synchronous, bottom-up BFS from up to 64 sources at
-once: each source owns one bit of a ``uint64`` word per node, and a
-level is a single ``bitwise_or.reduceat`` of the frontier words over the
-CSR arrays, O(n + E) whatever the frontier or the number of sources.
+``indices[indptr[u]:indptr[u + 1]]``. Every breadth-first traversal but
+two runs on one kernel, a level-synchronous, bottom-up BFS from many
+sources at once: each source owns one bit of a node's row of ``uint64``
+words, W words per pass, as many as a fixed byte budget holds, so a call
+runs ceil(sources / 64W) passes. A level is one jagged-diagonal step
+(:class:`_Diagonals`): one ``take`` of every arc's words, an in-place
+OR per diagonal and one ``reduceat`` over the nodes of highest degree,
+O(n + E) per word whatever the frontier.
 Batched distance queries read its levels, and so does one sweep of the
-whole graph (:func:`_sweep`, a pass per 64 consecutive sources) that
+whole graph (:func:`_sweep`, a pass per 64W consecutive sources) that
 yields each pass's reach and its distance-d rings: summed over the
 passes, a node's popcounts give its ball and ring sizes, so the ball
-bound and the ring tables and ring sizes that pair pickers read all come
-from that sweep. Batched queries group their pairs by source, so a pass
-runs 64 distinct sources and serves every pair that starts at one of
-them. Connected components come from the same gather-and-reduce step
-with ``minimum`` in place of ``bitwise_or``.
+bound and the ring tables and ring sizes that pair pickers read all
+come from that sweep. Batched queries group their pairs by source, so a
+pass runs distinct sources and serves every pair that starts at one of
+them. Connected components, and :mod:`spectral`'s Laplacian product,
+whose float sums keep their order, use a gather and one ``reduceat``
+over the CSR arrays instead (:func:`_neighbor_reduce`).
 
 Two searches keep their own code. A single distance query
 (:func:`bfs_distance`, the separator) is a two-sided, top-down search:
@@ -39,7 +43,7 @@ The text writers, here and in :mod:`sampler`, format each id once with
 
 from __future__ import annotations
 
-from typing import Container, Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -201,9 +205,16 @@ def _upper_arcs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return tails[upper], g.indices[upper]
 
 
-# Bit j of a node's word marks source j of the current 64-source pass.
+# Bit j of a node's word i marks source 64i + j of the current pass.
 _WORD = 64
 _BITS = np.left_shift(np.uint64(1), np.arange(_WORD, dtype=np.uint64))
+
+# A BFS pass's buffers, per word of sources its arcs' gathered words and
+# three words per node, and the ring words its caller keeps, stay within
+# this many bytes unless one word alone needs more. Wider passes run
+# faster but leave more of the heap in use: at 1 MiB a heat-map op's
+# peak RSS rose by about twice as much as at this size.
+_PASS_BYTES = 1 << 18
 
 
 def _neighbor_reduce(g: Graph, ufunc, empty, dtype):
@@ -229,31 +240,142 @@ def _neighbor_reduce(g: Graph, ufunc, empty, dtype):
     return step
 
 
-def _bit_levels(g: Graph, src: np.ndarray, cap: int | None) -> Iterator[tuple[int, np.ndarray]]:
-    """Level-synchronous, bottom-up BFS from up to 64 sources at once.
+# One ufunc call costs about as much time as ``reduceat`` spends on this
+# many segment words: about 1.1 us a call against 8-15 ns a segment word,
+# with numpy 2.4 on a 2-core Xeon host.
+_CALL_WORDS = 128
 
-    Yields ``(level, seen)`` for level 0 (the sources) and every later
-    level up to ``cap`` that reaches a new node. ``seen`` (updated in
-    place) holds one word per node, with bit j set once the node is within
-    that distance of ``src[j]``. At each level every node ORs its
-    neighbours' frontier words, in one ``reduceat`` over all arcs: O(n + E)
-    whatever the frontier or the number of sources.
+
+def _kept_diagonals(lengths: np.ndarray, width: int) -> int:
+    """How many diagonals a step ORs one by one before the tail: at least one if there are any.
+
+    ``lengths[k]`` counts the nodes of degree above k. Keeping k diagonals
+    costs k calls, and leaves the nodes of degree above k to the tail's
+    ``reduceat``, one segment of ``width`` words each; the count with
+    the least of the two together is kept.
     """
-    seen = np.zeros(g.n, dtype=np.uint64)
+    if not len(lengths):
+        return 0
+    tail = np.append(lengths[1:], 0)  # the tail's nodes after 1, 2, .. diagonals
+    return 1 + int(np.argmin(_CALL_WORDS * np.arange(len(lengths)) + width * tail))
+
+
+class _Diagonals:
+    """A graph's arcs in jagged-diagonal order (Saad, 1989), with one BFS pass's buffers.
+
+    Nodes are ranked by degree, descending, ties in node order: ``rank[u]``
+    is u's place, and the BFS works in rank space. Diagonal k lists the
+    rank of the k-th neighbour of every node of degree above k, in rank
+    order; those nodes are a prefix of the ranking. ``heads`` holds the
+    diagonals one after another, then the tail: the arcs past the last
+    diagonal of each node that has some, node by node. A step of
+    :func:`_bit_levels` gathers every arc's words with one ``take``, ORs
+    each diagonal in place into its prefix of the ranks, and the tail
+    with one ``reduceat``, one segment per node: a step makes one call
+    per diagonal, none per node.
+
+    :func:`_kept_diagonals` picks where the diagonals end: each costs a
+    call per step, and each node left in the tail a ``reduceat`` segment
+    per word, so short diagonals, such as a hub's many, go to the tail,
+    and on a pass of one word often all but the first. The first
+    diagonal, which covers every node with an arc, is always kept. The
+    build takes no arc-sized temporary beyond ``heads``: the arcs' CSR
+    positions are laid out in the pass buffer first.
+
+    ``width`` is the words of sources a pass carries, one ``(n, width)``
+    array of words each for ``seen``, the frontier and the next frontier,
+    and ``(E, width)`` gathered words, in one buffer. With ``copies``
+    more words per node per word of sources, which the caller keeps, a
+    pass stays within ``_PASS_BYTES``: the passes are the fewest that
+    fit (at least one word each), and as even as they can be.
+    """
+
+    def __init__(self, g: Graph, sources: int, copies: int = 0):
+        n, arcs = g.n, len(g.indices)
+        words = -(-sources // _WORD)
+        passes = -(-words // max(1, _PASS_BYTES // (8 * (arcs + (3 + copies) * n) or 1)))
+        self.width = max(1, -(-words // max(passes, 1)))
+        order = np.argsort(-g.degrees, kind="stable")
+        self.rank = np.empty(n, dtype=np.int64)
+        self.rank[order] = np.arange(n)
+        # The number of nodes of degree above k, for k below the largest degree.
+        lengths = n - np.cumsum(np.bincount(g.degrees, minlength=1))[:-1]
+        kept = _kept_diagonals(lengths, self.width)
+        self.reach = int(lengths[0]) if len(lengths) else 0  # the ranks with an arc
+        firsts = g.indptr[order]
+        self.buffer = np.empty((3 * n + arcs) * self.width, dtype=np.uint64)
+        # The buffer first holds each arc's CSR position, in heads order.
+        where = self.buffer[:arcs].view(np.int64)
+        self.diagonals = []  # (start in heads, length) of each diagonal after the first
+        at = 0
+        for k, m in enumerate(lengths[:kept].tolist()):
+            np.add(firsts[:m], k, out=where[at : at + m])
+            if k:
+                self.diagonals.append((at, m))
+            at += m
+        self.tail = None  # (start in heads, each node's first arc within the tail)
+        if at < arcs:
+            # Runs of consecutive positions, one per node: a running sum of
+            # steps of 1, with each node's jump from the previous run's end.
+            counts = g.degrees.take(order[: lengths[kept]]) - kept
+            firsts = firsts[: len(counts)] + kept
+            starts = np.cumsum(counts) - counts
+            tail = where[at:]
+            tail.fill(1)
+            tail[starts] = firsts - np.append(0, firsts[:-1] + counts[:-1] - 1)
+            np.cumsum(tail, out=tail)
+            self.tail = at, starts
+        self.heads = g.indices.take(where)
+        np.take(self.rank, self.heads, out=where, mode="clip")
+        self.heads[:] = where
+
+
+def _bit_levels(
+    bfs: _Diagonals, src: np.ndarray, cap: int | None
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Level-synchronous, bottom-up BFS from up to ``64 * bfs.width`` sources at once.
+
+    Yields ``(level, seen, ring)`` for level 0 (the sources) and every
+    later level up to ``cap`` that reaches a new node. Both arrays hold
+    ``ceil(len(src) / 64)`` words per node, row ``bfs.rank[u]`` for node
+    u: bit j of word i is set in ``seen`` once the node is within that
+    distance of ``src[64i + j]``, and in ``ring`` if it is at exactly
+    that distance. They are the pass's buffers, updated in place and
+    overwritten by the next pass. At each level every node ORs its
+    neighbours' ring words in one jagged-diagonal step over all arcs:
+    O(n + E) per word whatever the frontier.
+    """
+    n, w = len(bfs.rank), -(-len(src) // _WORD)
+    words = bfs.buffer[: (3 * n + len(bfs.heads)) * w].reshape(-1, w)
+    seen, front, new, gathered = np.split(words, [n, 2 * n, 3 * n])
+    seen.fill(0)
+    lanes = np.arange(len(src))
     # A source may repeat within a pass; each copy keeps its own bit.
-    np.bitwise_or.at(seen, src, _BITS[: len(src)])
-    yield 0, seen
-    step = _neighbor_reduce(g, np.bitwise_or, 0, np.uint64)
-    front = seen.copy()
-    level = 0
+    np.bitwise_or.at(seen, (bfs.rank[src], lanes >> 6), _BITS[lanes & 63])
+    np.copyto(front, seen)
+    yield 0, seen, front
+    reach, level = bfs.reach, 0
     while cap is None or level < cap:
-        front = step(front)
-        front &= ~seen
-        if not np.count_nonzero(front):
+        # Heads are < n by construction, so "clip" never clips; it spares
+        # the buffered copy numpy makes for a bounds-checked take into ``out``.
+        np.take(front, bfs.heads, axis=0, out=gathered, mode="clip")
+        new[:reach] = gathered[:reach]
+        new[reach:] = 0
+        for at, m in bfs.diagonals:
+            np.bitwise_or(new[:m], gathered[at : at + m], out=new[:m])
+        if bfs.tail is not None:
+            at, firsts = bfs.tail
+            tail = new[: len(firsts)]
+            np.bitwise_or(tail, np.bitwise_or.reduceat(gathered[at:], firsts, axis=0), out=tail)
+        # Keep only the nodes first reached at this level: new & ~seen.
+        new |= seen
+        new ^= seen
+        if not np.count_nonzero(new):
             return
-        seen |= front
+        seen |= new
+        front, new = new, front
         level += 1
-        yield level, seen
+        yield level, seen, front
 
 
 def _arc_positions(g: Graph, nodes: np.ndarray) -> np.ndarray:
@@ -267,8 +389,8 @@ def _arc_positions(g: Graph, nodes: np.ndarray) -> np.ndarray:
 
 
 def _source_bits(words: np.ndarray) -> np.ndarray:
-    """``(n, 64)`` 0/1 matrix: column j is bit j (source j) of each node's word."""
-    return np.unpackbits(words.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
+    """``(n, 64w)`` 0/1 matrix from ``(n, w)`` words: column 64i + j is bit j (a source's lane) of word i."""
+    return np.unpackbits(np.ascontiguousarray(words, dtype="<u8").view(np.uint8), axis=1, bitorder="little")
 
 
 def _as_nodes(g: Graph, nodes) -> np.ndarray:
@@ -291,11 +413,11 @@ def bfs_distances(g: Graph, src, dst, cap: int | None = None) -> np.ndarray:
 
     -1 marks a pair with no path of length at most ``cap``: an int64
     array cannot hold the None that :func:`bfs_distance` returns. Pairs are
-    grouped by source and each pass of the bottom-up kernel runs 64
-    distinct sources (the last pass, or a batch with one source, may run
-    fewer, down to one), so every pair with a given source reads that
-    source's lane; a pass stops as soon as all its targets are found, its
-    frontier empties, or it reaches ``cap``.
+    grouped by source and each pass of the bottom-up kernel runs the next
+    ``64 * width`` distinct sources (the last pass, or a batch with few
+    sources, may run fewer, down to one), so every pair with a given
+    source reads that source's lane; a pass stops as soon as all its
+    targets are found, its frontier empties, or it reaches ``cap``.
     """
     src = _as_nodes(g, src)
     dst = _as_nodes(g, dst)
@@ -304,12 +426,15 @@ def bfs_distances(g: Graph, src, dst, cap: int | None = None) -> np.ndarray:
     _check_cap(cap)
     out = np.full(len(src), -1, dtype=np.int64)
     sources, lane = np.unique(src, return_inverse=True)
-    for p, lo in enumerate(range(0, len(sources), _WORD)):
-        idx = np.flatnonzero(lane // _WORD == p)  # the pairs whose source is in pass p
-        t, bits = dst[idx], _BITS[lane[idx] - lo]
+    bfs = _Diagonals(g, len(sources))
+    span = _WORD * bfs.width
+    for p, lo in enumerate(range(0, len(sources), span)):
+        idx = np.flatnonzero(lane // span == p)  # the pairs whose source is in pass p
+        j = lane[idx] - lo
+        t, word, bits = bfs.rank[dst[idx]], j >> 6, _BITS[j & 63]
         res = np.full(len(idx), -1, dtype=np.int64)
-        for level, seen in _bit_levels(g, sources[lo : lo + _WORD], cap):
-            hit = (seen[t] & bits) != 0
+        for level, seen, _ in _bit_levels(bfs, sources[lo : lo + span], cap):
+            hit = (seen[t, word] & bits) != 0
             res[hit & (res < 0)] = level
             if np.count_nonzero(hit) == len(hit):
                 break
@@ -363,30 +488,32 @@ def bfs_distance(g: Graph, u: int, v: int, cap: int | None = None) -> int | None
 
 
 def _sweep(
-    g: Graph, radius: int, keep: Container[int] = (), src: np.ndarray | None = None
+    g: Graph, radius: int, keep: Collection[int] = (), src: np.ndarray | None = None
 ) -> Iterator[tuple[np.ndarray, dict[int, np.ndarray]]]:
-    """Multi-source BFS to level ``radius``: one pass per 64 of ``src``, by default all nodes in order.
+    """Multi-source BFS to level ``radius``: one pass per ``64 * width`` of ``src``, by default all nodes in order.
 
-    Yields, for the pass over sources ``src[64r : 64r + 64]``, a pair
-    ``(seen, rings)``: the pass's final words, with bit j set where the
-    node is within ``radius`` of source j, and for every level d in
-    ``keep`` that the pass reaches, its ring words ``seen_d & ~seen_{d-1}``,
-    with bit j set where the node is at exact distance d from source j (a
-    level the pass does not reach has an empty ring and no entry).
+    Yields, for the pass over sources ``src[lo : lo + 64w]``, a pair
+    ``(seen, rings)`` of ``(n, w)`` word arrays, row u for node u: the
+    pass's final words, with bit j of word i set where the node is
+    within ``radius`` of source ``lo + 64i + j``, and for every level d
+    in ``keep`` that the pass reaches, its ring words, with the bit set
+    where the node is at exact distance d from that source (a level the
+    pass does not reach has an empty ring and no entry). The ring words
+    a pass keeps count against :class:`_Diagonals`' byte budget.
     Distance is symmetric, so a node's popcounts summed over the passes
     of a whole-graph sweep are its own ball or ring size: the ball bound,
     the pickers' ring tables and ring sizes, their reads past the table
     budget and spectral's local node sets all come from it.
     """
     src = np.arange(g.n, dtype=np.int64) if src is None else src
-    for lo in range(0, len(src), _WORD):
-        rings, inner = {}, np.zeros(g.n, dtype=np.uint64)  # seen_{-1}: no node
-        for level, seen in _bit_levels(g, src[lo : lo + _WORD], radius):
+    bfs = _Diagonals(g, len(src), len(keep) + 1)
+    span = _WORD * bfs.width
+    for lo in range(0, len(src), span):
+        rings = {}
+        for level, seen, ring in _bit_levels(bfs, src[lo : lo + span], radius):
             if level in keep:
-                rings[level] = seen & ~inner
-            if level + 1 in keep:
-                inner = seen.copy()
-        yield seen, rings
+                rings[level] = ring.take(bfs.rank, axis=0)
+        yield seen.take(bfs.rank, axis=0), rings
 
 
 # All of a graph's ring tables together never hold more than this many bytes.
@@ -398,7 +525,8 @@ class _RingTables:
 
     The table at d marks, for each anchor u, the nodes at exact distance d
     from u: bit ``u & 63`` of row ``u >> 6``, one word per node, so a
-    table is ceil(n/64) rows of n words, and all tables together stay
+    table is ceil(n/64) rows of n words (the layout does not depend on
+    how many words a sweep's pass carries), and all tables together stay
     within ``_RING_BYTES``. Distance is symmetric, so column u of the
     same table is u's ring packed as a bitset: bit j of word r marks node
     ``64r + j``. ``starts[d]`` holds the running sum of the ring sizes at
@@ -406,7 +534,8 @@ class _RingTables:
     ``starts[d][u + 1] - starts[d][u]``.
 
     Both come from sweeps of :func:`_sweep`, whose pass over anchors
-    ``64r ..`` fills row r of every table it keeps. A node's popcounts,
+    ``64r ..`` fills rows r .. r + w - 1 of every table it keeps, one per
+    word of the pass. A node's popcounts,
     summed over the passes, give its ring size from the ring words and
     its ball size from the final ``seen`` words. A sweep records sizes at
     the levels it keeps tables for and at its own radius, and allocates a
@@ -443,7 +572,7 @@ class _RingTables:
         Every rank is below :meth:`count` at d, which has run. u comes from
         a search of the running ring sizes, and v is the member of u's ring
         at the remaining rank, in node order: column u of the table at d,
-        or without that table, u's lane of one pass per 64 distinct anchors.
+        or without that table, u's lane of a sweep of the distinct anchors.
         """
         starts = self.starts[d]
         u = np.searchsorted(starts, r, side="right") - 1
@@ -469,17 +598,19 @@ class _RingTables:
         balls = np.zeros(n, dtype=np.int64)
         # Ring sizes land one slot up, so a running sum in place gives the starts.
         starts = {radius: np.zeros(n + 1, dtype=np.int64)}
+        row = 0  # the first table row of the pass's anchors
         # ``tabled`` is empty or holds ``radius``.
-        for r, (seen, rings) in enumerate(_sweep(self.g, radius, tabled or (radius,))):
-            balls += np.bitwise_count(seen)
+        for seen, rings in _sweep(self.g, radius, tabled or (radius,)):
+            balls += np.bitwise_count(seen).sum(axis=1, dtype=np.int64)
             for k, words in rings.items():
                 if k not in starts:
                     starts[k] = np.zeros(n + 1, dtype=np.int64)
-                starts[k][1:] += np.bitwise_count(words)
+                starts[k][1:] += np.bitwise_count(words).sum(axis=1, dtype=np.int64)
                 if k in tabled:
                     if k not in self.tables:
                         self.tables[k] = np.zeros(self.shape, dtype=np.uint64)
-                    self.tables[k][r] = words
+                    self.tables[k][row : row + words.shape[1]] = words.T
+            row += seen.shape[1]
         for counts in starts.values():
             np.cumsum(counts, out=counts)
         self.starts.update(starts)
@@ -492,10 +623,13 @@ def _anchor_rings(g: Graph, d: int, anchors: np.ndarray) -> np.ndarray:
     Every anchor has a nonempty ring, so each pass reaches level d.
     """
     columns = np.zeros((len(anchors), 8 * -(-g.n // _WORD)), dtype=np.uint8)
-    for lo, (_, rings) in zip(range(0, len(anchors), _WORD), _sweep(g, d, (d,), anchors)):
-        # Row j, bit j of every node's word, is source lo + j's ring; pack it into a column's words.
-        bits = (rings[d] & _BITS[: len(anchors) - lo, None]) != 0
-        columns[lo : lo + _WORD, : -(-g.n // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    lo = 0  # the anchor of bit 0 of the next word
+    for _, rings in _sweep(g, d, (d,), anchors):
+        for words in rings[d].T:
+            # Row j, bit j of every node's word, is anchor lo + j's ring; pack it into a column's words.
+            bits = (words & _BITS[: len(anchors) - lo, None]) != 0
+            columns[lo : lo + _WORD, : -(-g.n // 8)] = np.packbits(bits, axis=1, bitorder="little")
+            lo += _WORD
     return columns.view("<u8")
 
 
@@ -506,7 +640,7 @@ def _kth_member(columns: np.ndarray, k: np.ndarray) -> np.ndarray:
     word = np.count_nonzero(ends <= k[:, None], axis=1)
     i = np.arange(len(k))
     k = k - ends[i, word] + counts[i, word]  # its rank within that word
-    bits = np.cumsum(_source_bits(columns[i, word]), axis=1, dtype=np.int64)
+    bits = np.cumsum(_source_bits(columns[i, word, None]), axis=1, dtype=np.int64)
     return word * _WORD + np.count_nonzero(bits <= k[:, None], axis=1)
 
 

@@ -356,6 +356,11 @@ def write_symbol_graph(sg: SymbolGraph, path) -> None:
 _ORIGIN_LINE = re.compile(r"#origin\s+(-?\d{1,18})\s+(-?\d{1,18})", re.ASCII)
 _EDGE_LINE = re.compile(r"(-?\d{1,18})\t(-?\d{1,18})\t([SR])", re.ASCII)
 _SPACE = " \t\n\r\f\v"
+# The header values it writes: integers, and probabilities as ``repr`` writes
+# a float, fixed-point with a fraction or one digit, a fraction and a signed
+# exponent. ``int`` and ``float`` take more (``1_0``, ``+2``, ``1e-3``).
+_INTEGER = re.compile(r"-?[0-9]+")
+_FLOAT = re.compile(r"-?(?:[0-9]+\.[0-9]+|[0-9](?:\.[0-9]+)?e[+-][0-9]{2,})")
 # The most symbols n for which every edge key u * n + v fits int64.
 _MAX_SYMBOLS = math.isqrt(2**63 - 1)
 
@@ -404,21 +409,21 @@ def read_symbol_graph(path) -> SymbolGraph:
             # The file is decoded a block at a time, so no line number is known.
             raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
-    def field(name: str, kind, what: str):
+    def field(name: str, grammar: re.Pattern, kind, what: str):
         if name not in meta:
             raise ValueError(f"{path}: missing header field {name!r}")
         try:
-            if meta[name].isascii():
+            if grammar.fullmatch(meta[name]):
                 return kind(meta[name])
-        except ValueError:
+        except ValueError:  # an integer past int()'s digit limit
             pass
         raise ValueError(f"{path}: header field {name!r} is not {what}: {meta[name]!r}")
 
-    n_meaning = field("meaning-nodes", int, "an integer")
-    seed = field("seed", int, "an integer")
-    probs = {name: field(name, float, "a number") for name in ("p_plus", "p_minus", "eps_plus", "eps_minus")}
-    lam = field("lambda", int, "an integer")
-    fold = field("fold", int, "an integer")
+    n_meaning = field("meaning-nodes", _INTEGER, int, "an integer")
+    seed = field("seed", _INTEGER, int, "an integer")
+    probs = {name: field(name, _FLOAT, float, "a number") for name in ("p_plus", "p_minus", "eps_plus", "eps_minus")}
+    lam = field("lambda", _INTEGER, int, "an integer")
+    fold = field("fold", _INTEGER, int, "an integer")
     if fold not in (0, 1):
         raise ValueError(f"{path}: header field 'fold' is not 0 or 1: {meta['fold']!r}")
     try:

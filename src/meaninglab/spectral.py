@@ -299,7 +299,7 @@ class SpectralTrial:
 def _local_nodes(g: Graph, w: int, w_prime: int, d_tilde: int) -> list[int]:
     """Sorted nodes of ``g`` within d_tilde of w or w_prime: one BFS pass from both."""
     ((seen, _),) = _sweep(g, d_tilde, (), np.array([w, w_prime], dtype=np.int64))
-    return np.flatnonzero(seen).tolist()
+    return np.flatnonzero(seen.any(axis=1)).tolist()
 
 
 def coupled_cut_trial(

@@ -44,6 +44,14 @@ def dense_operator(m: np.ndarray) -> _Operator:
     return _Operator(len(m), lambda x: np.add.reduce(m * x, axis=1))
 
 
+def distance_matrix(g: Graph) -> np.ndarray:
+    """``(n, n)`` int64 shortest-path lengths by networkx, -1 where there is no path."""
+    dist = np.full((g.n, g.n), -1, dtype=np.int64)
+    for u, lengths in nx.all_pairs_shortest_path_length(to_networkx(g)):
+        dist[u, list(lengths)] = list(lengths.values())
+    return dist
+
+
 @functools.lru_cache(maxsize=256)
 def pairs_at_distance(g: Graph, d: int) -> list[tuple[int, int]]:
     """Every ordered pair at exact distance ``d``, by networkx distances, sorted by (u, v)."""

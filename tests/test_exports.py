@@ -102,8 +102,12 @@ def test_every_function_is_read_outside_the_tests():
     assert unread == []
 
 
-# The traversal kernel's 64-bit lane layout and the ring tables packed in it.
-LAYOUT = {"_BITS", "_WORD", "_source_bits", "_bit_levels", "_RING_BYTES", "_anchor_rings", "_kth_member"}
+# The traversal kernel's 64-bit lane layout, its diagonals and pass budget,
+# and the ring tables packed in it.
+LAYOUT = {
+    "_BITS", "_WORD", "_source_bits", "_bit_levels", "_Diagonals", "_PASS_BYTES", "_CALL_WORDS", "_kept_diagonals",
+    "_RING_BYTES", "_anchor_rings", "_kth_member",
+}
 
 
 def test_only_graph_reads_the_bit_layout():

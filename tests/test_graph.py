@@ -202,7 +202,7 @@ def ball_sizes(g: Graph, d: int) -> list[int]:
     """
     sizes = np.zeros(g.n, dtype=np.int64)
     for seen, _ in _sweep(g, d):
-        sizes += np.bitwise_count(seen)
+        sizes += np.bitwise_count(seen).sum(axis=1, dtype=np.int64)
     ref = to_networkx(g)
     assert sizes.tolist() == [len(nx.single_source_shortest_path_length(ref, v, cutoff=d)) for v in range(g.n)]
     return sizes.tolist()
@@ -210,7 +210,7 @@ def ball_sizes(g: Graph, d: int) -> list[int]:
 
 def test_neighborhood_size_examples():
     # On a path of n, node i's d-ball is every j with |i - j| <= d. At
-    # n = 65 the sweep's last pass has one source.
+    # n = 65 the sweep's last word has one source.
     for n in (5, 65):
         g = path_graph(n)
         for d in range(6):

@@ -388,7 +388,7 @@ def test_ring_beyond_the_diameter_is_empty(monkeypatch):
     # A 5-node path: every pass runs out of new nodes by level 4.
     g = Graph(5, [(i, i + 1) for i in range(4)])
     [(_, rings)] = graph._sweep(g, 4, (4,))
-    assert rings[4].tolist() == [1 << 4, 0, 0, 0, 1 << 0]
+    assert rings[4].tolist() == [[1 << 4], [0], [0], [0], [1 << 0]]
     [(_, rings)] = graph._sweep(g, 5, (5,))
     assert rings == {}
     gm = MeaningGraph(g)
@@ -406,27 +406,46 @@ def test_ring_beyond_the_diameter_is_empty(monkeypatch):
 
 def count_passes(mp: pytest.MonkeyPatch, g: Graph) -> list[int]:
     """Record the source count of every BFS pass run on ``g`` itself, not on an equal copy."""
-    passes = []
-    real = graph._bit_levels
+    passes, ours = [], []
+    real_kernel, real_levels = graph._Diagonals, graph._bit_levels
 
-    def counted(h, src, cap):
+    def kernel(h, *args):
+        bfs = real_kernel(h, *args)
         if h is g:
-            passes.append(len(src))
-        return real(h, src, cap)
+            ours.append(bfs)
+        return bfs
 
+    def counted(bfs, src, cap):
+        if any(bfs is k for k in ours):
+            passes.append(len(src))
+        return real_levels(bfs, src, cap)
+
+    mp.setattr(graph, "_Diagonals", kernel)
     mp.setattr(graph, "_bit_levels", counted)
     return passes
 
 
-def word_passes(k: int) -> list[int]:
-    """The source counts of the passes over k distinct sources, 64 at a time."""
-    return [64] * (k // 64) + ([k % 64] if k % 64 else [])
+def word_passes(k: int, width: int = 1) -> list[int]:
+    """The source counts of the passes over k distinct sources, ``64 * width`` at a time."""
+    span = 64 * width
+    return [span] * (k // span) + ([k % span] if k % span else [])
+
+
+def one_sweep(passes: list[int], n: int) -> bool:
+    """Whether ``passes`` cover n sources once, in spans of the first pass's whole words."""
+    return bool(passes) and passes == word_passes(n, -(-passes[0] // 64))
+
+
+def one_word_passes(mp: pytest.MonkeyPatch) -> None:
+    """Let no pass carry more than one word of sources: no budget fits a second."""
+    mp.setattr(graph, "_PASS_BYTES", 0)
 
 
 @pytest.mark.parametrize("n", [2, 63, 64, 65, 300])
 def test_table_is_one_pass_per_word_of_nodes_built_once(monkeypatch, sparse_graph, n):
     g = sparse_graph.graph if n == 300 else Graph(n, [(i, i + 1) for i in range(n - 1)])
     oracle = Graph(n, g.edge_array())
+    one_word_passes(monkeypatch)
     passes = count_passes(monkeypatch, g)
     gm = MeaningGraph(g)
     gm._rings.count(2)
@@ -444,6 +463,28 @@ def test_table_is_one_pass_per_word_of_nodes_built_once(monkeypatch, sparse_grap
     assert len(passes) == -(-n // 64)
 
 
+@pytest.mark.parametrize("n", [2, 63, 64, 65, 300])
+def test_small_table_is_one_wide_pass_built_once(monkeypatch, sparse_graph, n):
+    # Under the default budget a pass over these graphs carries every word
+    # of anchors, so the whole table comes from one pass, and equals the
+    # one-word passes' table.
+    g = sparse_graph.graph if n == 300 else Graph(n, [(i, i + 1) for i in range(n - 1)])
+    passes = count_passes(monkeypatch, g)
+    gm = MeaningGraph(g)
+    gm._rings.count(2)
+    assert passes == [n]
+    with pytest.MonkeyPatch.context() as mp:
+        one_word_passes(mp)
+        narrow = MeaningGraph(Graph(n, g.edge_array()))._rings
+        narrow.count(2)
+    assert sorted(narrow.tables) == sorted(gm._rings.tables)
+    for d, table in narrow.tables.items():
+        assert np.array_equal(gm._rings.tables[d], table)
+        assert np.array_equal(gm._rings.starts[d], narrow.starts[d])
+    gm._rings.count(2)
+    assert passes == [n]
+
+
 @pytest.mark.parametrize("d", [1, 3])
 def test_over_budget_batches_keep_no_rings(monkeypatch, sparse_graph, d):
     # Past the budget one sweep records the ring sizes at d and keeps no
@@ -451,6 +492,7 @@ def test_over_budget_batches_keep_no_rings(monkeypatch, sparse_graph, d):
     # picks and keeps nothing of them.
     g = sparse_graph.graph
     monkeypatch.setattr(graph, "_RING_BYTES", ring_bytes("none"))
+    one_word_passes(monkeypatch)
     passes = count_passes(monkeypatch, g)
     gm = MeaningGraph(g)
     gm._rings.count(d)
@@ -510,24 +552,34 @@ def graphs_and_radii(draw, least: int):
 
 
 @settings(max_examples=60, deadline=None)
-@given(graphs_and_radii(least=0))
-def test_sweep_ball_sizes_and_reach_match_single_source_bfs(case):
+@given(graphs_and_radii(least=0), st.sampled_from([0, 3 * 1024, None]))
+def test_sweep_ball_sizes_and_reach_match_single_source_bfs(case, budget):
+    # Pass budgets of one word, of a few words, and the default.
     g, d = case
-    sweep = list(graph._sweep(g, d, range(1, d + 1)))
-    # Bit j of a pass's final words marks source 64r + j's d-ball, and a
-    # node's popcounts summed over the passes are its own ball size.
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(graph, "_PASS_BYTES", budget)
+        sweep = list(graph._sweep(g, d, range(1, d + 1)))
+    # Passes carry whole words of sources in order, all but the last the
+    # same number, and none more than one at a budget of 0.
+    widths = [seen.shape[1] for seen, _ in sweep]
+    assert len(set(widths[:-1])) <= 1 and (budget != 0 or set(widths) == {1})
+    starts = np.cumsum([0] + widths)[:-1] * 64
+    # Bit j of word i of a pass's final words marks source lo + 64i + j's
+    # d-ball, and a node's popcounts summed over the passes are its own
+    # ball size.
     balls = [nx_levels(g, s, d) for s in range(g.n)]
     sizes = np.zeros(g.n, dtype=np.int64)
-    for r, (seen, _) in enumerate(sweep):
-        sources = range(64 * r, min(64 * r + 64, g.n))
+    for lo, (seen, _) in zip(starts, sweep):
+        sources = range(lo, min(lo + 64 * seen.shape[1], g.n))
         want = [[v in balls[s] for v in range(g.n)] for s in sources]
         assert (graph._source_bits(seen)[:, : len(sources)].T == np.array(want)).all()
-        sizes += np.bitwise_count(seen)
+        sizes += np.bitwise_count(seen).sum(axis=1, dtype=np.int64)
     assert sizes.tolist() == [len(ball) for ball in balls]
     # A pass reaches the largest eccentricity among its sources, up to d,
     # and keeps a ring at every level it reaches.
     ecc = [max(ball.values()) for ball in balls]
-    reach = [max(ecc[lo : lo + 64]) for lo in range(0, g.n, 64)]
+    reach = [max(ecc[lo : lo + 64 * w]) for lo, w in zip(starts, widths)]
     assert [sorted(rings) for _, rings in sweep] == [list(range(1, r + 1)) for r in reach]
 
 
@@ -613,7 +665,7 @@ def test_check_then_heatmap_rows_run_one_sweep(monkeypatch):
     passes = count_passes(monkeypatch, gm.graph)
     check_nontrivial(gm, params, 5)
     heatmap(gm, [1e-6, 1e-2], 5, 50, params, seed=0)
-    assert passes == word_passes(1000)
+    assert one_sweep(passes, 1000)
     assert sorted(gm._rings.tables) == [1, 2, 3, 4, 5]
 
 
@@ -624,7 +676,7 @@ def test_check_then_gamma_picks_run_one_sweep(monkeypatch):
     passes = count_passes(monkeypatch, gm.graph)
     check_nontrivial(gm, params, 8)
     estimate_gamma(gm, 8, params, 16, trials=12, seed=0)
-    assert passes == word_passes(2000)
+    assert one_sweep(passes, 2000)
     assert sorted(gm._rings.tables) == [8]
 
 

@@ -559,8 +559,16 @@ def test_read_symbol_graph_names_missing_header_field(tmp_path):
         ("meaning-nodes=1 lambda 2 seed=0", "header field 'lambda' is not name=value"),
         ("meaning-nodes=-1 lambda=2 seed=0", "header field 'meaning-nodes' is negative: -1"),
         ("meaning-nodes=1 lambda=0 seed=0", "lam must be a positive integer, got 0"),
-        ("meaning-nodes=1 lambda=2 seed=0 p_plus=2", "p_plus=2.0 outside [0, 1]"),
+        ("meaning-nodes=1 lambda=2 seed=0 p_plus=2.0", "p_plus=2.0 outside [0, 1]"),
         ("meaning-nodes=1 lambda=2 seed=0 fold=2", "header field 'fold' is not 0 or 1: '2'"),
+        # int() and float() take these, but the writer never writes them.
+        ("meaning-nodes=1 lambda=2 seed=1_0", "header field 'seed' is not an integer: '1_0'"),
+        ("meaning-nodes=1 lambda=+2 seed=0", "header field 'lambda' is not an integer: '+2'"),
+        ("meaning-nodes=1 lambda=2 seed=0 p_plus=1_0e-1", "header field 'p_plus' is not a number: '1_0e-1'"),
+        ("meaning-nodes=1 lambda=2 seed=0 p_plus=1", "header field 'p_plus' is not a number: '1'"),
+        ("meaning-nodes=1 lambda=2 seed=0 p_minus=1e-3", "header field 'p_minus' is not a number: '1e-3'"),
+        ("meaning-nodes=1 lambda=2 seed=0 eps_plus=.5", "header field 'eps_plus' is not a number: '.5'"),
+        ("meaning-nodes=1 lambda=2 seed=0 eps_minus=nan", "header field 'eps_minus' is not a number: 'nan'"),
     ],
 )
 def test_read_symbol_graph_names_malformed_header_field(tmp_path, header, error):
@@ -620,6 +628,19 @@ def test_read_symbol_graph_refuses_a_symbol_count_whose_keys_overflow(tmp_path, 
     error = f"{path}: header fields 'lambda'={lam} and 'meaning-nodes'={nodes} allow more than 3037000499 symbols"
     with pytest.raises(ValueError, match=re.escape(error)):
         read_symbol_graph(path)
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0, 0.5, 1 / 3, 1e-4, 9.5e-05, 1e-06, 2.5e-10, 5e-324])
+def test_read_symbol_graph_takes_every_probability_repr_writes(tmp_path, p):
+    # Fixed-point with a fraction, and one digit with an optional fraction
+    # and a signed exponent of two or three digits.
+    path = tmp_path / "probability.tsv"
+    path.write_text(
+        "# symbol-graph meaning-nodes=1 lambda=2 seed=-3\n"
+        f"# params p_plus=0.9 p_minus={p!r} eps_plus=0.01 eps_minus=0.001 fold=0\n0\t1\tR\n"
+    )
+    sg = read_symbol_graph(path)
+    assert sg.params.p_minus == p and sg.seed == -3
 
 
 def test_read_symbol_graph_names_malformed_params_float(tmp_path):
