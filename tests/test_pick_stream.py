@@ -552,18 +552,21 @@ def graphs_and_radii(draw, least: int):
 
 
 @settings(max_examples=60, deadline=None)
-@given(graphs_and_radii(least=0), st.sampled_from([0, 3 * 1024, None]))
-def test_sweep_ball_sizes_and_reach_match_single_source_bfs(case, budget):
-    # Pass budgets of one word, of a few words, and the default.
+@given(graphs_and_radii(least=0), st.sampled_from([1, 2, None]))
+def test_sweep_ball_sizes_and_reach_match_single_source_bfs(case, words):
+    # Pass budgets that fit one word of sources, exactly two (the buffers'
+    # three rows and the d + 1 kept rows per node, and the arcs), and the
+    # default.
     g, d = case
     with pytest.MonkeyPatch.context() as mp:
-        if budget is not None:
-            mp.setattr(graph, "_PASS_BYTES", budget)
+        if words is not None:
+            mp.setattr(graph, "_PASS_BYTES", words * 8 * (len(g.indices) + (3 + d + 1) * g.n))
         sweep = list(graph._sweep(g, d, range(1, d + 1)))
     # Passes carry whole words of sources in order, all but the last the
-    # same number, and none more than one at a budget of 0.
+    # same number, and as many as the budget fits, as evenly as they can.
     widths = [seen.shape[1] for seen, _ in sweep]
-    assert len(set(widths[:-1])) <= 1 and (budget != 0 or set(widths) == {1})
+    assert len(set(widths[:-1])) <= 1
+    assert words is None or widths == [min(words, -(-g.n // 64))] * (len(widths) - 1) + widths[-1:]
     starts = np.cumsum([0] + widths)[:-1] * 64
     # Bit j of word i of a pass's final words marks source lo + 64i + j's
     # d-ball, and a node's popcounts summed over the passes are its own
