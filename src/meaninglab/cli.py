@@ -381,6 +381,11 @@ def cli(argv: list[str] | None = None) -> int:
         # feeds, a bad value like any other.
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # A request too large for the memory at hand, such as numpy's
+        # "Unable to allocate 6.71 GiB for an array ...", is a bad value too.
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2

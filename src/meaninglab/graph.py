@@ -7,7 +7,10 @@ small: BFS with an explicit cap, ball sizes and rings, unit-capacity
 minimum cut, connected components, and a plain text edge-list writer.
 
 A graph is stored only as CSR arrays: node u's sorted neighbours are
-``indices[indptr[u]:indptr[u + 1]]``. Every breadth-first traversal but
+``indices[indptr[u]:indptr[u + 1]]``, built by one sort of arc keys
+``src * n + dst``. The sampler and ``remove_edges`` hold each edge's
+ends, so their constructor (``_from_ends``) counts degrees from the ends
+and divides no key. Every breadth-first traversal but
 two runs on one kernel, a level-synchronous, bottom-up BFS from many
 sources at once: each source owns one bit of a node's row of ``uint64``
 words, W words per pass, as many as a fixed byte budget holds, so a call
@@ -112,28 +115,35 @@ class Graph:
         # neighbours in order, and equal neighbours (duplicates) sit together.
         keys = np.concatenate((u * n + v, v * n + u))
         keys.sort()
-        self._build(n, _distinct(keys))
+        arcs = _distinct(keys)
+        self._build(n, arcs, np.bincount(arcs // n, minlength=n))
 
     @classmethod
-    def _from_keys(cls, n: int, keys: np.ndarray) -> "Graph":
-        """Graph whose edges have the sorted, distinct keys ``u * n + v`` (u < v), unchecked."""
-        u = keys // n
-        arcs = np.concatenate((keys, (keys - u * n) * n + u))
+    def _from_ends(cls, n: int, keys: np.ndarray, u: np.ndarray, v: np.ndarray) -> "Graph":
+        """Graph whose edges have the sorted, distinct keys ``u * n + v`` (u < v), ends ``u`` and ``v``, unchecked.
+
+        Degrees count the ends, so no key is divided.
+        """
+        arcs = np.empty(2 * len(keys), dtype=np.int64)
+        arcs[: len(keys)] = keys
+        np.multiply(v, n, out=arcs[len(keys) :])
+        arcs[len(keys) :] += u
         arcs.sort()
+        degrees = np.bincount(u, minlength=n)
+        degrees += np.bincount(v, minlength=n)
         g = object.__new__(cls)
-        g._build(n, arcs)
+        g._build(n, arcs, degrees)
         return g
 
-    def _build(self, n: int, arcs: np.ndarray) -> None:
-        """Set the CSR arrays from sorted, distinct arc keys ``src * n + dst``, both ways per edge."""
+    def _build(self, n: int, arcs: np.ndarray, degrees: np.ndarray) -> None:
+        """Set the CSR arrays from node degrees and sorted, distinct arc keys ``src * n + dst``, both ways per edge.
+
+        The arcs become ``indices`` in place, each less its tail's ``src * n``.
+        """
         indptr = np.zeros(n + 1, dtype=np.int64)
-        indices, degrees = arcs, np.zeros(n, dtype=np.int64)
-        if n:
-            # ``//`` by a scalar has a fast path that ``%`` lacks.
-            tails = arcs // n
-            degrees = np.bincount(tails, minlength=n)
-            np.cumsum(degrees, out=indptr[1:])
-            indices = arcs - tails * n
+        np.cumsum(degrees, out=indptr[1:])
+        indices = arcs
+        indices -= np.repeat(np.arange(n, dtype=np.int64) * n, degrees)
         indptr.flags.writeable = indices.flags.writeable = degrees.flags.writeable = False
         object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "n", n)
@@ -173,7 +183,7 @@ class Graph:
             raise ValueError(f"cannot remove absent edge ({u}, {v})")
         keep = np.ones(len(keys), dtype=bool)
         keep[pos] = False
-        return Graph._from_keys(self.n, keys[keep])
+        return Graph._from_ends(self.n, keys[keep], u[keep], v[keep])
 
     def __reduce__(self):
         return (Graph, (self.n, self.edge_array()))

@@ -18,8 +18,9 @@ The passes emit symbol edges as int64 keys ``u * N + v`` (u < v, N the
 symbol count), never as pair arrays. Each kind's keys are sorted once, tagged
 with their kind in one low bit and merged by one sort, where the keys of an
 edge form one run that gives its kind byte. The merged keys are checked as
-``SymbolGraph``'s constructor checks a graph, and they turn into the CSR
-arrays through the builder ``Graph`` itself uses.
+``SymbolGraph``'s constructor checks a graph, on their ends ``(u, v)``,
+formed once; the keys and those ends build the CSR arrays
+(``Graph._from_ends``) with no key divided again.
 """
 
 from __future__ import annotations
@@ -136,8 +137,8 @@ class SymbolGraph:
     seed: int
 
     def __post_init__(self):
-        u, v = _upper_arcs(self.graph)  # the edges, in ``kinds`` order
-        _check_edges(u * self.graph.n + v, self.kind_array, self.graph.n, self.lam)
+        # The edges' ends, in ``kinds`` order, stand in for their keys.
+        _check_edges(None, self.kind_array, self.graph.n, self.lam, _upper_arcs(self.graph))
 
     @classmethod
     def _checked(cls, graph: Graph, kinds: bytes, params: SampleParams, seed: int) -> "SymbolGraph":
@@ -168,24 +169,30 @@ class SymbolGraph:
         return self.lam * m
 
 
-def _check_edges(keys: np.ndarray, kinds: np.ndarray, n: int, lam: int) -> None:
-    """Refuse the edges of a symbol graph on ``n`` symbols that the model cannot draw.
+def _check_edges(keys, kinds: np.ndarray, n: int, lam: int, ends=None) -> tuple[np.ndarray, np.ndarray]:
+    """Refuse the edges of a symbol graph on ``n`` symbols that the model cannot draw, and return their ends.
 
     ``keys`` are the sorted edge keys ``u * n + v`` (u < v) and ``kinds`` their
-    kind bytes. The node count must be a multiple of ``lam``, every edge needs
-    a kind in 1..3, and no structural edge may join two symbols of one cluster.
+    kind bytes. The ends ``(u, v)`` are ``divmod(keys, n)``, formed once here
+    unless the caller passes them as ``ends`` (then ``keys`` may be None).
+    The node count must be a multiple of ``lam``, every edge needs a kind in
+    1..3, and no structural edge may join two symbols of one cluster.
     """
     if n % lam:
         raise ValueError(f"{n} symbol nodes is not a multiple of lam = {lam}")
-    if len(kinds) != len(keys) or not np.all((kinds >= 1) & (kinds <= 3)):
+    if ends is None:
+        u = keys // n  # ``//`` by a scalar has a fast path that ``divmod`` lacks
+        ends = u, keys - u * n
+    u, v = ends
+    if len(kinds) != len(u) or not np.all((kinds >= 1) & (kinds <= 3)):
         raise ValueError("need one nonzero kind per union edge")
-    structural = keys[(kinds & STRUCTURAL).astype(bool)]
-    u = structural // n
-    v = structural - u * n
-    inside = np.flatnonzero(u // lam == v // lam)
+    # Ends of one cluster are less than lam apart, so only those few are divided.
+    near = np.flatnonzero((v - u < lam) & (kinds & STRUCTURAL).astype(bool))
+    inside = near[u[near] // lam == v[near] // lam]
     if inside.size:
         i = inside[0]
         raise ValueError(f"structural edge ({u[i]}, {v[i]}) inside a cluster")
+    return u, v
 
 
 def _merge_kinds(structural: np.ndarray, similarity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -222,8 +229,8 @@ def _symbol_graph(structural, similarity, n: int, params: SampleParams, seed: in
     arrays built from them.
     """
     keys, kinds = _merge_kinds(structural, similarity)
-    _check_edges(keys, kinds, n, params.lam)
-    return SymbolGraph._checked(Graph._from_keys(n, keys), kinds.tobytes(), params, seed)
+    u, v = _check_edges(keys, kinds, n, params.lam)
+    return SymbolGraph._checked(Graph._from_ends(n, keys, u, v), kinds.tobytes(), params, seed)
 
 
 # -- sampling passes ----------------------------------------------------
@@ -233,7 +240,8 @@ def _symbol_keys(m1, m2, slot, lam: int, n: int) -> np.ndarray:
     """Keys ``u * N + v`` (N = lam * n) of the symbol pairs of meaning pairs (m1 <= m2) at ``slot``.
 
     Slot s joins replica s // lam of m1 to replica s % lam of m2, so a key
-    is ``lam * (m1 * N + m2)`` plus the slot's offset.
+    is ``lam * (m1 * N + m2)`` plus the slot's offset. The arguments
+    broadcast: a column of meaning pairs and a row of slots give a matrix.
     """
     big = lam * n
     offset = (np.arange(lam, dtype=np.int64)[:, None] * big + np.arange(lam)).ravel()
@@ -247,6 +255,12 @@ def _sample(gm: MeaningGraph, params: SampleParams, seed: int, cut=None) -> list
     returns a second graph for the world where those edges are meaning
     non-edges: the same draws, except that the uniforms on the cut-edge
     slots are compared against p_minus instead of p_plus.
+
+    The passes over meaning edges and over clusters draw one uniform per
+    slot, a row per meaning edge or node. Their keys are one broadcast
+    :func:`_symbol_keys` matrix of the same shape, formed once for both
+    worlds, and a boolean mask of the hits takes them in row-major order,
+    the order ``np.nonzero`` gives.
     """
     eff = params.effective()
     n = gm.n
@@ -266,6 +280,7 @@ def _sample(gm: MeaningGraph, params: SampleParams, seed: int, cut=None) -> list
         hit_gp = hit.copy()
         hit_gp[in_cut] = u[in_cut] < eff.p_minus
         worlds.append(hit_gp)
+    positive = _symbol_keys(m1[:, None], m2[:, None], np.arange(lam * lam), lam, n)
 
     # Structural pass over meaning non-edges: sample the whole slot space
     # sparsely, then drop hits that landed on actual meaning edges (the
@@ -276,8 +291,9 @@ def _sample(gm: MeaningGraph, params: SampleParams, seed: int, cut=None) -> list
 
     # Similarity inside clusters, one slot per replica pair a < b.
     a, b = np.triu_indices(lam, 1)
-    midx, k = np.nonzero(stream(seed, STREAM_SIM_INTRA).random((n, len(a))) < (1.0 - eff.eps_plus))
-    intra = _symbol_keys(midx, midx, (a * lam + b)[k], lam, n)
+    nodes = np.arange(n)[:, None]
+    drawn = stream(seed, STREAM_SIM_INTRA).random((n, len(a))) < (1.0 - eff.eps_plus)
+    intra = _symbol_keys(nodes, nodes, a * lam + b, lam, n)[drawn]
 
     # Similarity false positives across clusters (absent when folded).
     n1, n2, slot = sparse_pairs(seed, STREAM_SIM_CROSS, n, eff.eps_minus, lam * lam)
@@ -286,8 +302,7 @@ def _sample(gm: MeaningGraph, params: SampleParams, seed: int, cut=None) -> list
 
     out = []
     for world in worlds:
-        eidx, slot = np.nonzero(world)
-        structural = np.concatenate((_symbol_keys(m1[eidx], m2[eidx], slot, lam, n), negative))
+        structural = np.concatenate((positive[world], negative))
         structural.sort()
         out.append(_symbol_graph(structural, similarity, lam * n, params, seed))
     return out

@@ -321,6 +321,25 @@ def test_er_node_count_past_the_pair_bound_names_the_flag(tmp_path, capsys, monk
     assert stderr == f"error: --er node count must be at most 4294967296, got {len(str(n))} digits\n"
 
 
+@pytest.mark.parametrize(
+    "exc, line",
+    [
+        (MemoryError("Unable to allocate 6.71 GiB for an array with shape (900000000,) and data type int64"),
+         "error: out of memory: Unable to allocate 6.71 GiB for an array with shape (900000000,) and data type int64\n"),
+        (MemoryError(), "error: out of memory\n"),
+    ],
+)
+def test_a_request_past_memory_is_one_error_line(tmp_path, capsys, monkeypatch, exc, line):
+    # A sample too large for the memory at hand ends in one line, not a
+    # traceback. The sampler is replaced, so nothing large is allocated.
+    def sample(*args):
+        raise exc
+
+    monkeypatch.setattr(sys.modules["meaninglab.cli"], "sample_symbol_graph", sample)
+    code, stdout, stderr = run(capsys, "sample", "--er", "20", "0.1", "--lambda", "3", "--out", str(tmp_path / "run"))
+    assert (code, stdout, stderr) == (1, "", line)
+
+
 def test_bad_probability_is_validation_error(tmp_path, capsys):
     code, _, _ = run(
         capsys, "sample", "--er", "10", "0.1", "--p-plus", "1.5", "--out", str(tmp_path)

@@ -337,8 +337,7 @@ def sparse_graphs(max_nodes=60) -> st.SearchStrategy[Graph]:
 @given(node_pairs(max_nodes=40))
 def test_csr_build_matches_networkx(case):
     # Duplicates and reversed pairs collapse to one edge; nodes no pair
-    # names stay as isolated nodes. Building from the sorted edge keys
-    # gives the same arrays.
+    # names stay as isolated nodes.
     n, pairs = case
     pairs += [(v, u) for u, v in pairs[::2]] + pairs[::3]
     g = Graph(n, pairs)
@@ -349,10 +348,45 @@ def test_csr_build_matches_networkx(case):
     assert g.degrees.tolist() == [ref.degree(u) for u in range(n)]
     assert g.indptr.tolist() == [0, *itertools.accumulate(g.degrees.tolist())]
     assert g.edge_count == ref.number_of_edges()
-    keys = np.array(sorted(min(e) * n + max(e) for e in ref.edges()), dtype=np.int64)
-    built = Graph._from_keys(n, keys)
+
+
+def assert_same_csr(built: Graph, want: Graph) -> None:
+    assert built.n == want.n
     for name in ("indptr", "indices", "degrees"):
-        assert np.array_equal(getattr(built, name), getattr(g, name)), name
+        got = getattr(built, name)
+        assert got.dtype == np.int64 and not got.flags.writeable, name
+        assert np.array_equal(got, getattr(want, name)), name
+
+
+@settings(max_examples=80, deadline=None)
+@given(node_pairs(max_nodes=40))
+@example((0, []))
+@example((1, []))
+@example((5, []))  # no edges at all
+@example((4, [(0, 1), (1, 2)]))  # the last node isolated
+@example((7, [(0, u) for u in range(1, 7)] + [(2, 3)]))  # a hub
+@example((7, [(6, u) for u in range(6)]))  # a hub at the last node
+def test_from_ends_matches_the_pair_constructor(case):
+    # The sampler's constructor, from the sorted edge keys and their ends,
+    # gives the arrays the pair constructor gives.
+    n, pairs = case
+    want = Graph(n, pairs)
+    keys = np.unique(np.array([min(e) * n + max(e) for e in pairs], dtype=np.int64))
+    assert_same_csr(Graph._from_ends(n, keys, *np.divmod(keys, n)), want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(node_pairs(max_nodes=40), st.lists(st.booleans(), max_size=80))
+@example((1, []), [])
+@example((3, [(0, 2)]), [True])  # every edge removed
+@example((4, [(0, 3), (1, 3), (2, 3)]), [True, False, True])  # the hub at the last node keeps one edge
+def test_remove_edges_equals_a_rebuild(case, bits):
+    n, pairs = case
+    g = Graph(n, pairs)
+    marked = list(zip(edges(g), itertools.chain(bits, itertools.repeat(False))))
+    # Either end may come first in a removal, as in a cut.
+    drop = [(v, u) if i % 2 else (u, v) for i, ((u, v), out) in enumerate(marked) if out]
+    assert_same_csr(g.remove_edges(drop), Graph(n, [e for e, out in marked if not out]))
 
 
 @settings(max_examples=80, deadline=None)

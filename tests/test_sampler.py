@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from meaninglab.sampler import (
     sample_symbol_graph,
     write_symbol_graph,
 )
-from meaninglab.sampler import _check_edges, _merge_kinds, _symbol_graph
+from meaninglab.sampler import _check_edges, _merge_kinds, _symbol_graph, _symbol_keys
 
 from oracles import component_lists, count_edges_by_class, edges
 
@@ -341,6 +342,26 @@ def test_sampled_graph_invariants(n, p_edge, lam, seed):
     assert again.graph == sg.graph
 
 
+def test_sampling_peak_memory_is_a_few_times_its_output():
+    # tracemalloc's peak during one sample, over the bytes of the CSR arrays
+    # and kind bytes it returns, on a graph shaped like the benchmark's
+    # sample-large at 3000 meaning nodes (about 41k symbol edges). With
+    # numpy 2.4 it read 4.42; when the check and the CSR build each divided
+    # every key, with their own 2E-element temporaries, it read 5.93. The
+    # bound leaves 13% of room above 4.42.
+    gm = gen_er(3000, 0.001, 1)
+    p = SampleParams(0.9, 1e-5, 0.0, 1e-5, 3)
+    sample_symbol_graph(gm, p, 0)  # the meaning graph's cached keys, and imports
+    tracemalloc.start()
+    try:
+        sg = sample_symbol_graph(gm, p, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    g = sg.graph
+    assert peak / (g.indptr.nbytes + g.indices.nbytes + g.degrees.nbytes + len(sg.kinds)) < 5.0
+
+
 # -- key assembly against the pair-array reference ----------------------
 
 
@@ -430,6 +451,46 @@ def test_edge_key_assembly_matches_pair_reference(n, p_edge, probs, lam, fold, s
         worlds = sample_coupled(cp, p, seed=seed + 2)
         for sg, want in zip(worlds, reference_sample(cp.g, p, seed + 2, cp.cut), strict=True):
             assert_same_assembly(sg, want)
+
+
+@pytest.mark.parametrize("lam", [1, 2, 3, 5])
+def test_masked_key_matrix_matches_the_nonzero_form(lam):
+    # The sampler takes a pass's keys from its key matrix with the hit
+    # matrix as a mask; the form it replaced gathered them at
+    # ``np.nonzero(hit)``. Both give the same keys in the same order, for
+    # the meaning-edge pass in both coupled worlds and the cluster pass.
+    rng = np.random.default_rng(lam)
+    n = 40
+    m1 = np.sort(rng.integers(0, n - 1, size=30))
+    m2 = m1 + rng.integers(1, n - m1)
+    a, b = np.triu_indices(lam, 1)
+    nodes = np.arange(n)
+    u = rng.random((len(m1), lam * lam))
+    hit = u < 0.6
+    hit_gp = hit.copy()
+    in_cut = rng.random(len(m1)) < 0.3
+    hit_gp[in_cut] = u[in_cut] < 0.1
+    drawn = rng.random((n, len(a))) < 0.5
+    for rows1, rows2, slots, mask in [
+        (m1, m2, np.arange(lam * lam), hit),
+        (m1, m2, np.arange(lam * lam), hit_gp),
+        (nodes, nodes, a * lam + b, drawn),
+    ]:
+        row, col = np.nonzero(mask)
+        want = _symbol_keys(rows1[row], rows2[row], slots[col], lam, n)
+        got = _symbol_keys(rows1[:, None], rows2[:, None], slots, lam, n)[mask]
+        assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("lam", [1, 2, 3, 5])
+def test_coupled_keys_match_the_pair_reference(lam):
+    gm = gen_er(30, 0.15, lam)
+    big = max(component_lists(gm.graph), key=len)
+    cp = make_cut_pair(gm, big[0], big[-1])
+    worlds = sample_coupled(cp, params(p_plus=0.7, p_minus=0.2, lam=lam), seed=lam)
+    assert cp.cut
+    for sg, want in zip(worlds, reference_sample(cp.g, params(p_plus=0.7, p_minus=0.2, lam=lam), lam, cp.cut), strict=True):
+        assert_same_assembly(sg, want)
 
 
 def merge_oracle(structural, similarity) -> dict[int, int]:
@@ -761,6 +822,36 @@ def test_symbol_graph_constructor_rejects_bad_kinds(kinds):
     # The check on the keys of the same two edges, as the sampler and the reader run it.
     with pytest.raises(ValueError, match="one nonzero kind per union edge"):
         _check_edges(np.array([2, 7], dtype=np.int64), np.frombuffer(kinds, dtype=np.uint8), 4, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 50).map(lambda m: 2 * m), data=st.data())
+def test_check_edges_returns_the_ends_of_the_keys(n, data):
+    keys = np.array(sorted(data.draw(st.sets(st.integers(0, n * n - 1)))), dtype=np.int64)
+    u, v = np.divmod(keys, n)
+    keys = keys[u < v]
+    u, v = _check_edges(keys, np.full(len(keys), SIMILARITY, dtype=np.uint8), n, 2)
+    assert u.tolist() == (keys // n).tolist() and v.tolist() == (keys % n).tolist()
+
+
+def test_check_edges_refuses_the_first_structural_edge_inside_a_cluster():
+    # Keys u * 6 + v of (0, 3) R, (2, 3) S, (4, 5) S, all but the first inside a cluster of lam = 2.
+    keys = np.array([3, 15, 29], dtype=np.int64)
+    kinds = np.array([SIMILARITY, STRUCTURAL, 3], dtype=np.uint8)
+    with pytest.raises(ValueError, match=re.escape("structural edge (2, 3) inside a cluster")):
+        _check_edges(keys, kinds, 6, 2)
+    # The same check on ends the caller already has.
+    with pytest.raises(ValueError, match=re.escape("structural edge (2, 3) inside a cluster")):
+        _check_edges(None, kinds, 6, 2, np.divmod(keys, 6))
+    # A similarity edge may lie inside a cluster. A structural edge may join
+    # ends fewer than lam apart in two clusters, (2, 3) at lam = 3, or ends lam apart, (0, 3).
+    kinds[1:] = SIMILARITY
+    assert [e.tolist() for e in _check_edges(keys, kinds, 6, 2)] == [[0, 2, 4], [3, 3, 5]]
+    assert _check_edges(keys[:2], np.array([3, 1], dtype=np.uint8), 6, 3)[0].tolist() == [0, 2]
+    with pytest.raises(ValueError, match="6 symbol nodes is not a multiple of lam = 4"):
+        _check_edges(keys, kinds, 6, 4)
+    with pytest.raises(ValueError, match="one nonzero kind per union edge"):
+        _check_edges(keys, np.array([1, 2, 5], dtype=np.uint8), 6, 2)
 
 
 def test_symbol_graph_constructor_rejects_wrong_node_count():
