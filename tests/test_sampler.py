@@ -484,12 +484,13 @@ def test_masked_key_matrix_matches_the_nonzero_form(lam):
 
 @pytest.mark.parametrize("lam", [1, 2, 3, 5])
 def test_coupled_keys_match_the_pair_reference(lam):
+    # The masked keys of both coupled worlds, through the whole assembly.
     gm = gen_er(30, 0.15, lam)
     big = max(component_lists(gm.graph), key=len)
     cp = make_cut_pair(gm, big[0], big[-1])
-    worlds = sample_coupled(cp, params(p_plus=0.7, p_minus=0.2, lam=lam), seed=lam)
     assert cp.cut
-    for sg, want in zip(worlds, reference_sample(cp.g, params(p_plus=0.7, p_minus=0.2, lam=lam), lam, cp.cut), strict=True):
+    p = params(p_plus=0.7, p_minus=0.2, lam=lam)
+    for sg, want in zip(sample_coupled(cp, p, seed=lam), reference_sample(cp.g, p, lam, cp.cut), strict=True):
         assert_same_assembly(sg, want)
 
 
@@ -835,7 +836,8 @@ def test_check_edges_returns_the_ends_of_the_keys(n, data):
 
 
 def test_check_edges_refuses_the_first_structural_edge_inside_a_cluster():
-    # Keys u * 6 + v of (0, 3) R, (2, 3) S, (4, 5) S, all but the first inside a cluster of lam = 2.
+    # Keys u * 6 + v of (0, 3) R, (2, 3) S and (4, 5) S+R: at lam = 2 the
+    # last two lie inside a cluster, and the first of them is named.
     keys = np.array([3, 15, 29], dtype=np.int64)
     kinds = np.array([SIMILARITY, STRUCTURAL, 3], dtype=np.uint8)
     with pytest.raises(ValueError, match=re.escape("structural edge (2, 3) inside a cluster")):
