@@ -12,6 +12,9 @@ it writes edges that carry both an ``S`` and an ``R`` line, and with
 writes 12000 symbols, so its origin and edge lines hold ids of one to five
 digits. ``bounds-text``
 is the ``bounds`` case without ``--json``: the text report.
+``heatmap-past-budget`` runs on 3000 meaning nodes, where one ring table
+alone is over the tables' byte budget, so every pick reads its anchors'
+rings from passes of their own.
 
 A change that alters output bytes on purpose regenerates the file with
 ``PYTHONPATH=src python tests/test_golden.py`` and says why in CHANGES.md.
@@ -98,6 +101,12 @@ CASES = {
         ["bounds", "--n", "100", "--d", "2", "--lambda", "2", "--p-plus", "0.9",
          "--eps-plus", "1e-4", "--p-minus", "1e-7", "--ball-d", "5"],
         False,
+    ),
+    "heatmap-past-budget": (
+        ["heatmap", "--er", "3000", "0.0012", "--graph-seed", "5", "--d-max", "3",
+         "--pairs-per-cell", "20", "--p-minus-grid", "1e-6,1e-3", "--seed", "2",
+         "--allow-trivial"],
+        True,
     ),
 }
 
