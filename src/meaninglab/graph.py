@@ -18,16 +18,17 @@ runs ceil(sources / 64W) passes. A level is one jagged-diagonal step
 (:class:`_Diagonals`): one ``take`` of every arc's words, an in-place
 OR per diagonal and one ``reduceat`` over the nodes of highest degree,
 O(n + E) per word whatever the frontier.
-Batched distance queries read its levels, and so does one sweep of the
-whole graph (:func:`_sweep`, a pass per 64W consecutive sources) that
-yields each pass's reach and its distance-d rings: summed over the
-passes, a node's popcounts give its ball and ring sizes, so the ball
-bound and the ring tables and ring sizes that pair pickers read all
-come from that sweep. Batched queries group their pairs by source, so a
-pass runs distinct sources and serves every pair that starts at one of
-them. Connected components, and :mod:`spectral`'s Laplacian product,
-whose float sums keep their order, use a gather and one ``reduceat``
-over the CSR arrays instead (:func:`_neighbor_reduce`).
+One generator (:func:`_passes`) runs a call's passes, 64W consecutive
+sources each, and hands the caller each pass's levels as they complete:
+batched distance queries read them until every target is found, and the
+whole-graph sweeps behind the ball bound and the ring tables write each
+kept ring into its table as its level completes. Distance is symmetric,
+so a node's popcounts summed over the passes of a whole-graph sweep are
+its own ball and ring sizes. Batched queries group their pairs by
+source, so a pass runs distinct sources and serves every pair that
+starts at one of them. Connected components, and :mod:`spectral`'s
+Laplacian product, whose float sums keep their order, use a gather and
+one ``reduceat`` over the CSR arrays instead (:func:`_neighbor_reduce`).
 
 Two searches keep their own code. A single distance query
 (:func:`bfs_distance`, the separator) is a two-sided, top-down search:
@@ -38,7 +39,9 @@ with residual capacity, which the undirected kernel cannot express.
 
 Exact-distance pair picks read the ring tables the whole-graph sweep
 fills (:class:`_RingTables`). They ask for the number of pairs at a
-distance and for the r-th of them, so no other module reads the bit lanes.
+distance and for the r-th of them, and :mod:`spectral` asks for the
+nodes near a few sources (:func:`_ball_nodes`), so no other module reads
+the bit lanes.
 
 The text writers, here and in :mod:`sampler`, format each id once with
 :func:`_decimals` and gather their lines with :func:`_format_lines`.
@@ -46,7 +49,7 @@ The text writers, here and in :mod:`sampler`, format each id once with
 
 from __future__ import annotations
 
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -220,10 +223,10 @@ _WORD = 64
 _BITS = np.left_shift(np.uint64(1), np.arange(_WORD, dtype=np.uint64))
 
 # A BFS pass's buffers, per word of sources its arcs' gathered words and
-# three words per node, and the ring words its caller keeps, stay within
-# this many bytes unless one word alone needs more. Wider passes run
-# faster but leave more of the heap in use: at 1 MiB a heat-map op's
-# peak RSS rose by about twice as much as at this size.
+# three words per node, stay within this many bytes unless one word alone
+# needs more. Wider passes run faster but leave more of the heap in use:
+# at 1 MiB a heat-map op's peak RSS rose by about twice as much as at
+# this size.
 _PASS_BYTES = 1 << 18
 
 
@@ -294,16 +297,15 @@ class _Diagonals:
 
     ``width`` is the words of sources a pass carries, one ``(n, width)``
     array of words each for ``seen``, the frontier and the next frontier,
-    and ``(E, width)`` gathered words, in one buffer. With ``copies``
-    more words per node per word of sources, which the caller keeps, a
-    pass stays within ``_PASS_BYTES``: the passes are the fewest that
-    fit (at least one word each), and as even as they can be.
+    and ``(E, width)`` gathered words, in one buffer that stays within
+    ``_PASS_BYTES``: the passes are the fewest that fit (at least one
+    word each), and as even as they can be.
     """
 
-    def __init__(self, g: Graph, sources: int, copies: int = 0):
+    def __init__(self, g: Graph, sources: int):
         n, arcs = g.n, len(g.indices)
         words = -(-sources // _WORD)
-        passes = -(-words // max(1, _PASS_BYTES // (8 * (arcs + (3 + copies) * n) or 1)))
+        passes = -(-words // max(1, _PASS_BYTES // (8 * (arcs + 3 * n) or 1)))
         self.width = max(1, -(-words // max(passes, 1)))
         order = np.argsort(-g.degrees, kind="stable")
         self.rank = np.empty(n, dtype=np.int64)
@@ -351,7 +353,8 @@ def _bit_levels(
     u: bit j of word i is set in ``seen`` once the node is within that
     distance of ``src[64i + j]``, and in ``ring`` if it is at exactly
     that distance. They are the pass's buffers, updated in place and
-    overwritten by the next pass. At each level every node ORs its
+    overwritten by the next pass, so a caller of :func:`_passes` reads
+    each level as it comes. At each level every node ORs its
     neighbours' ring words in one jagged-diagonal step over all arcs:
     O(n + E) per word whatever the frontier.
     """
@@ -418,16 +421,43 @@ def _check_cap(cap: int | None) -> None:
         raise ValueError(f"cap must be nonnegative, got {cap}")
 
 
+def _passes(
+    g: Graph, src: np.ndarray, cap: int | None
+) -> Iterator[tuple[int, int, np.ndarray, Iterator[tuple[int, np.ndarray, np.ndarray]]]]:
+    """Multi-source BFS from ``src`` to level ``cap``, one pass per ``64 * width`` consecutive sources.
+
+    Yields ``(lo, hi, rank, levels)`` for the pass over ``src[lo:hi]``:
+    ``levels`` is its :func:`_bit_levels`, in rank space (row ``rank[u]``
+    for node u), with bit j of word i marking source ``lo + 64i + j``.
+    Every pass shares one set of buffers, so a caller reads a pass's
+    levels before it asks for the next pass, and may leave a pass early.
+    """
+    bfs = _Diagonals(g, len(src))
+    span = _WORD * bfs.width
+    for lo in range(0, len(src), span):
+        hi = min(lo + span, len(src))
+        yield lo, hi, bfs.rank, _bit_levels(bfs, src[lo:hi], cap)
+
+
+def _ball_nodes(g: Graph, src: np.ndarray, radius: int) -> np.ndarray:
+    """The nodes within ``radius`` of any node of ``src``, in order."""
+    near = np.zeros(g.n, dtype=bool)
+    for *_, rank, levels in _passes(g, src, radius):
+        for _, seen, _ in levels:  # ``seen`` ends as the pass's balls
+            pass
+        near |= seen.any(axis=1).take(rank)
+    return np.flatnonzero(near)
+
+
 def bfs_distances(g: Graph, src, dst, cap: int | None = None) -> np.ndarray:
     """Shortest-path lengths for the pairs ``(src[i], dst[i])``, batched.
 
     -1 marks a pair with no path of length at most ``cap``: an int64
     array cannot hold the None that :func:`bfs_distance` returns. Pairs are
-    grouped by source and each pass of the bottom-up kernel runs the next
-    ``64 * width`` distinct sources (the last pass, or a batch with few
-    sources, may run fewer, down to one), so every pair with a given
-    source reads that source's lane; a pass stops as soon as all its
-    targets are found, its frontier empties, or it reaches ``cap``.
+    grouped by source and each of :func:`_passes` runs the next distinct
+    sources, so every pair with a given source reads that source's lane;
+    a pass stops as soon as all its targets are found, its frontier
+    empties, or it reaches ``cap``.
     """
     src = _as_nodes(g, src)
     dst = _as_nodes(g, dst)
@@ -436,14 +466,12 @@ def bfs_distances(g: Graph, src, dst, cap: int | None = None) -> np.ndarray:
     _check_cap(cap)
     out = np.full(len(src), -1, dtype=np.int64)
     sources, lane = np.unique(src, return_inverse=True)
-    bfs = _Diagonals(g, len(sources))
-    span = _WORD * bfs.width
-    for p, lo in enumerate(range(0, len(sources), span)):
-        idx = np.flatnonzero(lane // span == p)  # the pairs whose source is in pass p
+    for lo, hi, rank, levels in _passes(g, sources, cap):
+        idx = np.flatnonzero((lane >= lo) & (lane < hi))  # the pairs whose source is in this pass
         j = lane[idx] - lo
-        t, word, bits = bfs.rank[dst[idx]], j >> 6, _BITS[j & 63]
+        t, word, bits = rank[dst[idx]], j >> 6, _BITS[j & 63]
         res = np.full(len(idx), -1, dtype=np.int64)
-        for level, seen, _ in _bit_levels(bfs, sources[lo : lo + span], cap):
+        for level, seen, _ in levels:
             hit = (seen[t, word] & bits) != 0
             res[hit & (res < 0)] = level
             if np.count_nonzero(hit) == len(hit):
@@ -497,35 +525,6 @@ def bfs_distance(g: Graph, u: int, v: int, cap: int | None = None) -> int | None
     return None
 
 
-def _sweep(
-    g: Graph, radius: int, keep: Collection[int] = (), src: np.ndarray | None = None
-) -> Iterator[tuple[np.ndarray, dict[int, np.ndarray]]]:
-    """Multi-source BFS to level ``radius``: one pass per ``64 * width`` of ``src``, by default all nodes in order.
-
-    Yields, for the pass over sources ``src[lo : lo + 64w]``, a pair
-    ``(seen, rings)`` of ``(n, w)`` word arrays, row u for node u: the
-    pass's final words, with bit j of word i set where the node is
-    within ``radius`` of source ``lo + 64i + j``, and for every level d
-    in ``keep`` that the pass reaches, its ring words, with the bit set
-    where the node is at exact distance d from that source (a level the
-    pass does not reach has an empty ring and no entry). The ring words
-    a pass keeps count against :class:`_Diagonals`' byte budget.
-    Distance is symmetric, so a node's popcounts summed over the passes
-    of a whole-graph sweep are its own ball or ring size: the ball bound,
-    the pickers' ring tables and ring sizes, their reads past the table
-    budget and spectral's local node sets all come from it.
-    """
-    src = np.arange(g.n, dtype=np.int64) if src is None else src
-    bfs = _Diagonals(g, len(src), len(keep) + 1)
-    span = _WORD * bfs.width
-    for lo in range(0, len(src), span):
-        rings = {}
-        for level, seen, ring in _bit_levels(bfs, src[lo : lo + span], radius):
-            if level in keep:
-                rings[level] = ring.take(bfs.rank, axis=0)
-        yield seen.take(bfs.rank, axis=0), rings
-
-
 # All of a graph's ring tables together never hold more than this many bytes.
 _RING_BYTES = 1 << 20
 
@@ -533,47 +532,42 @@ _RING_BYTES = 1 << 20
 class _RingTables:
     """A graph's ring sizes and tables of rings, kept as long as the graph.
 
-    The table at d marks, for each anchor u, the nodes at exact distance d
-    from u: bit ``u & 63`` of row ``u >> 6``, one word per node, so a
-    table is ceil(n/64) rows of n words (the layout does not depend on
-    how many words a sweep's pass carries), and all tables together stay
-    within ``_RING_BYTES``. Distance is symmetric, so column u of the
-    same table is u's ring packed as a bitset: bit j of word r marks node
-    ``64r + j``. ``starts[d]`` holds the running sum of the ring sizes at
-    d, n + 1 entries from 0 as in ``indptr``: u's ring size is
-    ``starts[d][u + 1] - starts[d][u]``.
+    The table at d holds one row per anchor u: u's ring, the nodes at
+    exact distance d from u, as a bitset over nodes, bit ``v & 63`` of
+    word ``v >> 6`` for node v. A table is n rows of ceil(n/64) words,
+    and all tables together stay within ``_RING_BYTES``. ``starts[d]``
+    holds the running sum of the ring sizes at d, n + 1 entries from 0
+    as in ``indptr``: u's ring size is ``starts[d][u + 1] - starts[d][u]``.
 
-    Both come from sweeps of :func:`_sweep`, whose pass over anchors
-    ``64r ..`` fills rows r .. r + w - 1 of every table it keeps, one per
-    word of the pass. A node's popcounts,
-    summed over the passes, give its ring size from the ring words and
-    its ball size from the final ``seen`` words. A sweep records sizes at
-    the levels it keeps tables for and at its own radius, and allocates a
-    table only at a level some pass reaches: past the graph's depth every
-    ring is empty. One rule, in :meth:`_fill`, picks the tables a sweep
-    keeps, whether the screen's :meth:`ball_bound` or a :meth:`count`
-    asks for it, so the picks after a screen traverse nothing. Callers see
-    ranks, not bits: :meth:`count` and :meth:`pairs`, and the ball bound.
+    Both come from whole-graph sweeps of :func:`_passes`. Distance is
+    symmetric, so the pass over sources ``lo .. hi - 1`` marks, in each
+    node's ring words, which of those sources its ring holds: words
+    ``lo/64 ..`` of its row, written as soon as the level completes. A
+    node's popcounts, summed over the passes, give its ring size from
+    the ring words and its ball size from the final ``seen`` words. A
+    sweep records sizes at the levels it keeps tables for and at its own
+    radius, and allocates a table only at a level some pass reaches:
+    past the graph's depth every ring is empty. One rule, in
+    :meth:`ball_bound`, picks the tables a sweep keeps, whether the
+    screen or a :meth:`count` asks for it, so the picks after a screen
+    traverse nothing. Callers see ranks, not bits: :meth:`count` and
+    :meth:`pairs`, and the ball bound.
     """
 
     def __init__(self, g: Graph):
         self.g = g
         self.tables: dict[int, np.ndarray] = {}
         self.starts: dict[int, np.ndarray] = {}
-        self.shape = (-(-g.n // _WORD), g.n)
-        self.size = 8 * self.shape[0] * g.n  # bytes in one table
+        self.shape = (g.n, -(-g.n // _WORD))
+        self.size = 8 * g.n * self.shape[1]  # bytes in one table
 
     def _fits(self, more: int) -> bool:
         return self.size * (len(self.tables) + more) <= _RING_BYTES
 
-    def ball_bound(self, d: int) -> int:
-        """The largest d-ball (0 without nodes), from one sweep to d."""
-        return self._fill(d)
-
     def count(self, d: int) -> int:
         """The number of ordered pairs at distance d, from a sweep to d if none has reached it yet."""
         if d not in self.starts:
-            self._fill(d)
+            self.ball_bound(d)
         return int(self.starts[d][-1])
 
     def pairs(self, d: int, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -581,46 +575,48 @@ class _RingTables:
 
         Every rank is below :meth:`count` at d, which has run. u comes from
         a search of the running ring sizes, and v is the member of u's ring
-        at the remaining rank, in node order: column u of the table at d,
-        or without that table, u's lane of a sweep of the distinct anchors.
+        at the remaining rank, in node order: row u of the table at d, or
+        without that table, u's ring from passes over the distinct anchors.
         """
         starts = self.starts[d]
         u = np.searchsorted(starts, r, side="right") - 1
         table = self.tables.get(d)
         if table is not None:
-            columns = table[:, u].T
+            rows = table[u]
         else:
             anchors, lane = np.unique(u, return_inverse=True)
-            columns = _anchor_rings(self.g, d, anchors)[lane]
-        return u, _kth_member(columns, r - starts[u])
+            rows = _anchor_rings(self.g, d, anchors)[lane]
+        return u, _kth_member(rows, r - starts[u])
 
-    def _fill(self, radius: int) -> int:
-        """Sweep to ``radius``, keeping its ring sizes and a table, with sizes, at each level the rule picks.
+    def ball_bound(self, radius: int) -> int:
+        """The largest ``radius``-ball (0 without nodes), from one sweep to ``radius``.
 
-        The rule: every level 1..radius when all those tables fit, else
-        ``radius`` alone if its table is new and fits. Returns the ball bound.
+        The sweep keeps its ring sizes and a table, with sizes, at each
+        level the rule picks: every level 1..radius when all those tables
+        fit, else ``radius`` alone if its table is new and fits.
         """
         if self._fits(radius - sum(k <= radius for k in self.tables)):
             tabled = range(1, radius + 1)
         else:
             tabled = (radius,) if radius not in self.tables and self._fits(1) else ()
+        sized = tabled or (radius,)  # ``tabled`` is empty or holds ``radius``
         n = self.g.n
-        balls = np.zeros(n, dtype=np.int64)
+        balls = np.zeros(n, dtype=np.int64)  # in rank order
         # Ring sizes land one slot up, so a running sum in place gives the starts.
         starts = {radius: np.zeros(n + 1, dtype=np.int64)}
-        row = 0  # the first table row of the pass's anchors
-        # ``tabled`` is empty or holds ``radius``.
-        for seen, rings in _sweep(self.g, radius, tabled or (radius,)):
+        for lo, _, rank, levels in _passes(self.g, np.arange(n), radius):
+            for level, seen, ring in levels:
+                if level not in sized:
+                    continue
+                if level not in starts:
+                    starts[level] = np.zeros(n + 1, dtype=np.int64)
+                starts[level][1:] += np.bitwise_count(ring).sum(axis=1, dtype=np.int64).take(rank)
+                if level in tabled:
+                    if level not in self.tables:
+                        self.tables[level] = np.zeros(self.shape, dtype=np.uint64)
+                    words = self.tables[level][:, lo // _WORD : lo // _WORD + ring.shape[1]]
+                    np.take(ring, rank, axis=0, out=words, mode="clip")
             balls += np.bitwise_count(seen).sum(axis=1, dtype=np.int64)
-            for k, words in rings.items():
-                if k not in starts:
-                    starts[k] = np.zeros(n + 1, dtype=np.int64)
-                starts[k][1:] += np.bitwise_count(words).sum(axis=1, dtype=np.int64)
-                if k in tabled:
-                    if k not in self.tables:
-                        self.tables[k] = np.zeros(self.shape, dtype=np.uint64)
-                    self.tables[k][row : row + words.shape[1]] = words.T
-            row += seen.shape[1]
         for counts in starts.values():
             np.cumsum(counts, out=counts)
         self.starts.update(starts)
@@ -628,29 +624,29 @@ class _RingTables:
 
 
 def _anchor_rings(g: Graph, d: int, anchors: np.ndarray) -> np.ndarray:
-    """Row i: the distance-d ring of ``anchors[i]``, packed as its ring table column would be.
+    """Row i: the distance-d ring of ``anchors[i]``, packed as its ring table row would be.
 
     Every anchor has a nonempty ring, so each pass reaches level d.
     """
-    columns = np.zeros((len(anchors), 8 * -(-g.n // _WORD)), dtype=np.uint8)
-    lo = 0  # the anchor of bit 0 of the next word
-    for _, rings in _sweep(g, d, (d,), anchors):
-        for words in rings[d].T:
-            # Row j, bit j of every node's word, is anchor lo + j's ring; pack it into a column's words.
-            bits = (words & _BITS[: len(anchors) - lo, None]) != 0
-            columns[lo : lo + _WORD, : -(-g.n // 8)] = np.packbits(bits, axis=1, bitorder="little")
-            lo += _WORD
-    return columns.view("<u8")
+    rows = np.zeros((len(anchors), 8 * -(-g.n // _WORD)), dtype=np.uint8)
+    for lo, hi, rank, levels in _passes(g, anchors, d):
+        for level, _, ring in levels:
+            if level == d:
+                for at, words in zip(range(lo, hi, _WORD), ring.take(rank, axis=0).T):
+                    # Bit j of every node's word marks anchor ``at + j``'s ring; pack it into a row's words.
+                    bits = (words & _BITS[: hi - at, None]) != 0
+                    rows[at : at + _WORD, : -(-g.n // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    return rows.view("<u8")
 
 
-def _kth_member(columns: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """For each i, the node of rank ``k[i]`` in node order among the set bits of ring column ``columns[i]``."""
-    counts = np.bitwise_count(columns)
+def _kth_member(rows: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """For each i, the node of rank ``k[i]`` in node order among the set bits of ring row ``rows[i]``."""
+    counts = np.bitwise_count(rows)
     ends = np.cumsum(counts, axis=1, dtype=np.int64)
     word = np.count_nonzero(ends <= k[:, None], axis=1)
     i = np.arange(len(k))
     k = k - ends[i, word] + counts[i, word]  # its rank within that word
-    bits = np.cumsum(_source_bits(columns[i, word, None]), axis=1, dtype=np.int64)
+    bits = np.cumsum(_source_bits(rows[i, word, None]), axis=1, dtype=np.int64)
     return word * _WORD + np.count_nonzero(bits <= k[:, None], axis=1)
 
 

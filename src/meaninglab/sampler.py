@@ -280,6 +280,7 @@ def _sample(gm: MeaningGraph, params: SampleParams, seed: int, cut=None) -> list
         hit_gp = hit.copy()
         hit_gp[in_cut] = u[in_cut] < eff.p_minus
         worlds.append(hit_gp)
+    del u  # the hit matrices hold all that is read of it
     positive = _symbol_keys(m1[:, None], m2[:, None], np.arange(lam * lam), lam, n)
 
     # Structural pass over meaning non-edges: sample the whole slot space

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .bounds import laplacian_diff_bound
-from .graph import Graph, _as_nodes, _neighbor_reduce, _sweep
+from .graph import Graph, _as_nodes, _ball_nodes, _neighbor_reduce
 from .meaning import CutPair
 from .rng import stream
 from .sampler import SampleParams, sample_coupled
@@ -296,12 +296,6 @@ class SpectralTrial:
     resid: float
 
 
-def _local_nodes(g: Graph, w: int, w_prime: int, d_tilde: int) -> list[int]:
-    """Sorted nodes of ``g`` within d_tilde of w or w_prime: one BFS pass from both."""
-    ((seen, _),) = _sweep(g, d_tilde, (), np.array([w, w_prime], dtype=np.int64))
-    return np.flatnonzero(seen.any(axis=1)).tolist()
-
-
 def coupled_cut_trial(
     cp: CutPair,
     params: SampleParams,
@@ -314,11 +308,11 @@ def coupled_cut_trial(
     The local node set is the union of the d_tilde-neighborhoods of the
     representatives of m and m' in both sampled graphs. The worlds' edge
     sets are nested, so that union is the neighborhoods in the world with
-    more edges, and one sweep of it finds them. Each Laplacian is
-    normalized by its own spectral norm (a zero-norm one is left as is),
-    and the difference is applied as ``L @ x / |L| - L' @ x / |L'|``. All
-    three norms default to a relative tolerance of 1e-6, ample against
-    bounds of order 0.1.
+    more edges, and one BFS of it from both representatives finds them.
+    Each Laplacian is normalized by its own spectral norm (a zero-norm one
+    is left as is), and the difference is applied as ``L @ x / |L| - L' @
+    x / |L'|``. All three norms default to a relative tolerance of 1e-6,
+    ample against bounds of order 0.1.
     """
     if d_tilde < 0:
         raise ValueError(f"search radius must be nonnegative, got {d_tilde}")
@@ -327,7 +321,7 @@ def coupled_cut_trial(
     w_prime = sg.representative(cp.m_prime)
     # One world's edges contain the other's (see sample_coupled) and balls only
     # grow with edges, so the balls of the world with more edges hold both.
-    nodes = _local_nodes(max(sg.graph, sgp.graph, key=lambda g: g.edge_count), w, w_prime, d_tilde)
+    nodes = _ball_nodes(max(sg.graph, sgp.graph, key=lambda g: g.edge_count), np.array([w, w_prime]), d_tilde)
     lap = laplacian_of(sg.graph, nodes)
     lap_p = laplacian_of(sgp.graph, nodes)
     res = spectral_norm(lap, tol=tol)

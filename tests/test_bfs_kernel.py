@@ -120,21 +120,20 @@ def test_pairs_with_one_source_share_its_lane(case, budget):
 @given(
     graphs_with_queries(),
     st.integers(min_value=0, max_value=5000),
-    st.integers(min_value=0, max_value=8),
     st.sampled_from([0, 1, 4096, *BUDGETS[1:]]),
 )
-def test_pass_width_is_the_fewest_even_passes_within_the_budget(case, sources, copies, budget):
+def test_pass_width_is_the_fewest_even_passes_within_the_budget(case, sources, budget):
     g = case[0]
     with pytest.MonkeyPatch.context() as mp:
         set_budget(mp, budget)
-        bfs = graph._Diagonals(g, sources, copies)
+        bfs = graph._Diagonals(g, sources)
         budget = graph._PASS_BYTES
     words = -(-sources // 64)
-    per_word = 8 * (len(g.indices) + (3 + copies) * g.n)
+    per_word = 8 * (len(g.indices) + 3 * g.n)
     width = bfs.width
     passes = -(-words // width)
     assert width >= 1
-    # Within the budget, buffers and kept copies together, unless one word alone is over it.
+    # Within the budget, unless one word alone is over it.
     assert width == 1 or width * per_word <= budget
     assert bfs.buffer.nbytes == 8 * width * (len(g.indices) + 3 * g.n)
     # The fewest passes that fit, each as narrow as that many allows.
@@ -156,7 +155,7 @@ def kernel_graphs(draw):
 
 
 def packed_rows(rows: np.ndarray) -> np.ndarray:
-    """Boolean rows as words, the way a ring-table column packs a ring: bit j of word r is column 64r + j."""
+    """Boolean rows as words, the way a ring-table row packs a ring: bit j of word r is column 64r + j."""
     words = -(-rows.shape[1] // 64)
     padded = np.zeros((len(rows), 64 * words), dtype=bool)
     padded[:, : rows.shape[1]] = rows
@@ -191,7 +190,7 @@ def oracle_outputs(g: Graph, d: int) -> dict:
     return {
         "distances": capped.ravel().tolist(),
         "ball": int(ball.max(initial=0)),
-        "tables": {k: packed_rows(dist == k).T.tolist() for k in levels},
+        "tables": {k: packed_rows(dist == k).tolist() for k in levels},
         "starts": starts,
         "anchors": {k: packed_rows(dist[(dist == k).any(axis=1)] == k).tolist() for k in levels},
     }

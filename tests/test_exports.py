@@ -105,8 +105,8 @@ def test_every_function_is_read_outside_the_tests():
 # The traversal kernel's 64-bit lane layout, its diagonals and pass budget,
 # and the ring tables packed in it.
 LAYOUT = {
-    "_BITS", "_WORD", "_source_bits", "_bit_levels", "_Diagonals", "_PASS_BYTES", "_CALL_WORDS", "_kept_diagonals",
-    "_RING_BYTES", "_anchor_rings", "_kth_member",
+    "_BITS", "_WORD", "_source_bits", "_bit_levels", "_passes", "_Diagonals", "_PASS_BYTES", "_CALL_WORDS",
+    "_kept_diagonals", "_RING_BYTES", "_anchor_rings", "_kth_member",
 }
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from meaninglab.graph import Graph, _sweep, bfs_distance, components, min_cut, write_edge_list
+from meaninglab.graph import Graph, _passes, bfs_distance, components, min_cut, write_edge_list
 
 from oracles import component_lists, edges, swept_ball, to_networkx
 
@@ -201,8 +201,10 @@ def ball_sizes(g: Graph, d: int) -> list[int]:
     Asserts that each equals the node's networkx ball size.
     """
     sizes = np.zeros(g.n, dtype=np.int64)
-    for seen, _ in _sweep(g, d):
-        sizes += np.bitwise_count(seen).sum(axis=1, dtype=np.int64)
+    for *_, rank, levels in _passes(g, np.arange(g.n), d):
+        for _, seen, _ in levels:  # ``seen`` ends as the pass's balls
+            pass
+        sizes += np.bitwise_count(seen).sum(axis=1, dtype=np.int64).take(rank)
     ref = to_networkx(g)
     assert sizes.tolist() == [len(nx.single_source_shortest_path_length(ref, v, cutoff=d)) for v in range(g.n)]
     return sizes.tolist()

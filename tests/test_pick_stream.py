@@ -270,7 +270,7 @@ def test_array_draws_equal_scalar_draws(n, offset):
 # Sizes and rings are read from tables of rings, the nodes at exact distance
 # d from each anchor, which a meaning graph keeps within _RING_BYTES in all.
 # The budgets below let a table fit ("all") or not ("none"), so both the
-# column reads and the per-call anchor passes run. A budget is tried on a
+# row reads and the per-call anchor passes run. A budget is tried on a
 # new MeaningGraph: the module's sparse_graph keeps the tables that earlier
 # tests built.
 
@@ -330,11 +330,11 @@ def rings_read(gm: MeaningGraph, d: int, anchors: np.ndarray) -> list[list[int]]
         return [[] for _ in anchors]
     k = np.arange(len(u)) - np.repeat(np.cumsum(sizes[anchors]) - sizes[anchors], sizes[anchors])
     if table is not None:
-        columns = table[:, u].T
+        rows = table[u]
     else:
         distinct, lane = np.unique(u, return_inverse=True)
-        columns = graph._anchor_rings(gm.graph, d, distinct)[lane]
-    members = graph._kth_member(columns, k).tolist()
+        rows = graph._anchor_rings(gm.graph, d, distinct)[lane]
+    members = graph._kth_member(rows, k).tolist()
     out, at = [], 0
     for size in sizes[anchors].tolist():
         out.append(members[at : at + size])
@@ -354,7 +354,7 @@ def graphs_with_anchors(draw):
 @settings(max_examples=120, deadline=None)
 @given(graphs_with_anchors())
 def test_ring_lookup_matches_bfs_distances(case):
-    # Every member of every anchor's ring, read from a table column or from
+    # Every member of every anchor's ring, read from a table row or from
     # the anchors' own passes, is the node list at distance d in order.
     g, d, anchors, budget = case
     with pytest.MonkeyPatch.context() as mp:
@@ -384,13 +384,25 @@ def test_pairs_list_every_rank_in_order(g, d, budget):
         assert budget == "all" or rings.tables == {}
 
 
+def sweep(g: Graph, d: int) -> list[tuple[np.ndarray, dict[int, np.ndarray]]]:
+    """Each pass of a whole-graph sweep to d, row u for node u: its final ``seen`` words, and its ring words at each level 1..d it reaches."""
+    out = []
+    for *_, rank, levels in graph._passes(g, np.arange(g.n), d):
+        rings = {}
+        for level, seen, ring in levels:
+            if level:
+                rings[level] = ring.take(rank, axis=0)
+        out.append((seen.take(rank, axis=0), rings))
+    return out
+
+
 def test_ring_beyond_the_diameter_is_empty(monkeypatch):
     # A 5-node path: every pass runs out of new nodes by level 4.
     g = Graph(5, [(i, i + 1) for i in range(4)])
-    [(_, rings)] = graph._sweep(g, 4, (4,))
+    [(_, rings)] = sweep(g, 4)
     assert rings[4].tolist() == [[1 << 4], [0], [0], [0], [1 << 0]]
-    [(_, rings)] = graph._sweep(g, 5, (5,))
-    assert rings == {}
+    [(_, rings)] = sweep(g, 5)
+    assert sorted(rings) == [1, 2, 3, 4]
     gm = MeaningGraph(g)
     gm._rings.count(9)
     starts, table = gm._rings.starts[9], gm._rings.tables.get(9)
@@ -532,9 +544,9 @@ def held_bytes(gm: MeaningGraph) -> int:
 
 
 def ring_matrix(table: np.ndarray, n: int) -> np.ndarray:
-    """``(n, n)`` booleans: entry (u, v) is bit ``u & 63`` of ``table[u >> 6, v]``."""
-    u = np.arange(n)
-    return (table[u >> 6] & graph._BITS[u & 63][:, None]) != 0
+    """``(n, n)`` booleans: entry (u, v) is bit ``v & 63`` of ``table[u, v >> 6]``."""
+    v = np.arange(n)
+    return (table[:, v >> 6] & graph._BITS[v & 63]) != 0
 
 
 def all_distances(g: Graph, cap: int) -> np.ndarray:
@@ -555,16 +567,15 @@ def graphs_and_radii(draw, least: int):
 @given(graphs_and_radii(least=0), st.sampled_from([1, 2, None]))
 def test_sweep_ball_sizes_and_reach_match_single_source_bfs(case, words):
     # Pass budgets that fit one word of sources, exactly two (the buffers'
-    # three rows and the d + 1 kept rows per node, and the arcs), and the
-    # default.
+    # three rows per node, and the arcs), and the default.
     g, d = case
     with pytest.MonkeyPatch.context() as mp:
         if words is not None:
-            mp.setattr(graph, "_PASS_BYTES", words * 8 * (len(g.indices) + (3 + d + 1) * g.n))
-        sweep = list(graph._sweep(g, d, range(1, d + 1)))
+            mp.setattr(graph, "_PASS_BYTES", words * 8 * (len(g.indices) + 3 * g.n))
+        passes = sweep(g, d)
     # Passes carry whole words of sources in order, all but the last the
     # same number, and as many as the budget fits, as evenly as they can.
-    widths = [seen.shape[1] for seen, _ in sweep]
+    widths = [seen.shape[1] for seen, _ in passes]
     assert len(set(widths[:-1])) <= 1
     assert words is None or widths == [min(words, -(-g.n // 64))] * (len(widths) - 1) + widths[-1:]
     starts = np.cumsum([0] + widths)[:-1] * 64
@@ -573,7 +584,7 @@ def test_sweep_ball_sizes_and_reach_match_single_source_bfs(case, words):
     # ball size.
     balls = [nx_levels(g, s, d) for s in range(g.n)]
     sizes = np.zeros(g.n, dtype=np.int64)
-    for lo, (seen, _) in zip(starts, sweep):
+    for lo, (seen, _) in zip(starts, passes):
         sources = range(lo, min(lo + 64 * seen.shape[1], g.n))
         want = [[v in balls[s] for v in range(g.n)] for s in sources]
         assert (graph._source_bits(seen)[:, : len(sources)].T == np.array(want)).all()
@@ -583,7 +594,7 @@ def test_sweep_ball_sizes_and_reach_match_single_source_bfs(case, words):
     # and keeps a ring at every level it reaches.
     ecc = [max(ball.values()) for ball in balls]
     reach = [max(ecc[lo : lo + 64 * w]) for lo, w in zip(starts, widths)]
-    assert [sorted(rings) for _, rings in sweep] == [list(range(1, r + 1)) for r in reach]
+    assert [sorted(rings) for _, rings in passes] == [list(range(1, r + 1)) for r in reach]
 
 
 @settings(max_examples=60, deadline=None)
@@ -603,13 +614,13 @@ def test_every_kept_table_is_the_ring_at_its_distance(case):
     assert all(t.any() for t in gm._rings.tables.values())
     # Running ring sizes sit beside every table and at d itself: 0, then
     # the running sum of each node's ring size, which is also the popcount
-    # of the node's column of the table.
+    # of the node's row of the table.
     assert sorted(gm._rings.starts) == sorted({*gm._rings.tables, d})
     for k, starts in gm._rings.starts.items():
         assert starts.tolist() == [0] + np.cumsum((dist == k).sum(axis=1)).tolist()
         if k in gm._rings.tables:
-            columns = np.bitwise_count(gm._rings.tables[k]).sum(axis=0)
-            assert starts.tolist() == [0] + np.cumsum(columns).tolist()
+            rows = np.bitwise_count(gm._rings.tables[k]).sum(axis=1)
+            assert starts.tolist() == [0] + np.cumsum(rows).tolist()
 
 
 @pytest.mark.parametrize("n", [2, 65, 300, 1000, 1500, 2880, 2881])
@@ -669,6 +680,20 @@ def test_check_then_heatmap_rows_run_one_sweep(monkeypatch):
     check_nontrivial(gm, params, 5)
     heatmap(gm, [1e-6, 1e-2], 5, 50, params, seed=0)
     assert one_sweep(passes, 1000)
+    assert sorted(gm._rings.tables) == [1, 2, 3, 4, 5]
+
+
+def test_screen_passes_are_as_wide_as_the_budget_allows(monkeypatch):
+    # heatmap-probe's screen to d = 5 keeps all five tables, and its passes
+    # hold only their own buffers: the fewest that fit 16 words of sources
+    # within the pass budget, 4 passes of 4 words.
+    gm = gen_er(1000, 0.0035, 0)
+    g = gm.graph
+    passes = count_passes(monkeypatch, g)
+    check_nontrivial(gm, PARAMS, 5)
+    per_word = 8 * (len(g.indices) + 3 * g.n)
+    assert len(passes) == -(-16 // (graph._PASS_BYTES // per_word)) == 4
+    assert passes == word_passes(1000, 4)
     assert sorted(gm._rings.tables) == [1, 2, 3, 4, 5]
 
 

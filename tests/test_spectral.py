@@ -378,12 +378,12 @@ def test_coupled_cut_trial_matches_dense_reference(params, seed):
 @pytest.mark.parametrize("p_plus, p_minus", [(0.8, 0.01), (0.0, 0.2)])
 @pytest.mark.parametrize("seed", range(4))
 def test_coupled_cut_trial_local_set_is_both_worlds_balls(monkeypatch, p_plus, p_minus, seed):
-    # One sweep per trial, of the world with more edges: g for p_minus < p_plus,
+    # One BFS per trial, of the world with more edges: g for p_minus < p_plus,
     # g' for p_minus > p_plus. The set must still be the networkx union of both
     # worlds' balls. Both cut edges end at m', so the 1-balls see the cut slots.
     sweeps = []
-    sweep = meaninglab.spectral._sweep
-    monkeypatch.setattr(meaninglab.spectral, "_sweep", lambda *args: sweeps.append(args[0]) or sweep(*args))
+    balls = meaninglab.spectral._ball_nodes
+    monkeypatch.setattr(meaninglab.spectral, "_ball_nodes", lambda *args: sweeps.append(args[0]) or balls(*args))
     cp = cut_fixture()
     params = SampleParams(p_plus, p_minus, 0.2, 0.0, 2)
     trial = coupled_cut_trial(cp, params, 1, seed=seed)
