@@ -4,20 +4,25 @@ from __future__ import annotations
 
 import csv
 import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meaninglab.experiments import (
     DISCONNECTED,
     HeatmapTable,
+    _heatmap_row,
     distance_cap,
     emit_heatmap_csv,
     emit_svg_heatmap,
     heatmap,
 )
-from meaninglab.graph import Graph
-from meaninglab.meaning import MeaningGraph, gen_er
-from meaninglab.sampler import SampleParams
+from meaninglab.graph import Graph, bfs_distance
+from meaninglab.meaning import MeaningGraph, gen_er, pick_disconnected_pair, pick_pair_at_distance
+from meaninglab.rng import STREAM_HEATMAP_CELL, STREAM_HEATMAP_ROW, stream, subseed
+from meaninglab.sampler import SampleParams, sample_symbol_graph
 
 IDENTITY = SampleParams(1.0, 0.0, 1.0, 0.0, 1)
 
@@ -99,6 +104,63 @@ def test_heatmap_validation():
         heatmap(gm, [0.1], d_max=2, pairs_per_cell=0, params_base=IDENTITY, seed=1)
     with pytest.raises(ValueError):
         HeatmapTable((0.2, 0.1), 2, 1, 10, IDENTITY, 0, ((1.0, 1.0, 1.0), (1.0, 1.0, 1.0)))
+
+
+def reference_row(gm, params_base, p_minus, row_index, d_max, pairs_per_cell, cap, seed):
+    """A heat-map row by plain loops: the same picks and streams, each probe its own separator search."""
+    params = replace(params_base, p_minus=p_minus)
+    sg = sample_symbol_graph(gm, params, subseed(seed, STREAM_HEATMAP_ROW, row_index))
+    lam = params.lam
+    cells = []
+    for d in range(1, d_max + 1):
+        rng = stream(seed, STREAM_HEATMAP_CELL, row_index, d)
+        cells.append(pick_pair_at_distance(gm, d, rng, count=pairs_per_cell))
+    rng = stream(seed, STREAM_HEATMAP_CELL, row_index, 0)
+    disconnected = [pick_disconnected_pair(gm, rng) for _ in range(pairs_per_cell)]
+    cells.append(None if None in disconnected else disconnected)
+    row = []
+    for pairs in cells:
+        if pairs is None:
+            row.append(None)
+            continue
+        total = 0.0
+        for u, v in pairs:
+            dist = bfs_distance(sg.graph, lam * u, lam * v, cap)
+            total += cap if dist is None else dist  # a probe past the cap counts at the cap
+        row.append(total / pairs_per_cell)
+    return tuple(row)
+
+
+@st.composite
+def heatmap_rows(draw):
+    # Small meaning graphs, connected (a spanning path plus chords) or not,
+    # and distances up to past the diameter, so every kind of empty cell shows.
+    n = draw(st.integers(min_value=2, max_value=10))
+    node = st.integers(min_value=0, max_value=n - 1)
+    edges = [(u, v) for u, v in draw(st.lists(st.tuples(node, node), max_size=2 * n)) if u != v]
+    if draw(st.booleans()):
+        edges += [(i, i + 1) for i in range(n - 1)]
+    gm = MeaningGraph(Graph(n, edges))
+    lam = draw(st.integers(min_value=1, max_value=3))
+    params = SampleParams(
+        draw(st.sampled_from([0.5, 0.9, 1.0])), 0.0, draw(st.sampled_from([0.0, 0.1])), 0.0, lam
+    )
+    p_minus = draw(st.sampled_from([0.0, 0.01, 0.2]))
+    d_max = draw(st.integers(min_value=1, max_value=n + 2))
+    pairs_per_cell = draw(st.integers(min_value=1, max_value=6))
+    cap = draw(st.integers(min_value=0, max_value=distance_cap(n, lam)))
+    row_index = draw(st.integers(min_value=0, max_value=3))
+    seed = draw(st.integers(min_value=0, max_value=2**32))
+    return gm, params, p_minus, row_index, d_max, pairs_per_cell, cap, seed
+
+
+@settings(max_examples=100, deadline=None)
+@given(heatmap_rows())
+def test_heatmap_row_matches_plain_loop_reference(case):
+    got = _heatmap_row(*case)
+    want = reference_row(*case)
+    assert got == want
+    assert [type(c) for c in got] == [type(c) for c in want]
 
 
 # -- emitters -----------------------------------------------------------

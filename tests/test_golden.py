@@ -15,6 +15,10 @@ is the ``bounds`` case without ``--json``: the text report.
 ``heatmap-past-budget`` runs on 3000 meaning nodes, where one ring table
 alone is over the tables' byte budget, so every pick reads its anchors'
 rings from passes of their own.
+``heatmap-no-disconnected-pair`` and ``heatmap-past-diameter`` ask for
+distances past the meaning graph's diameter, so their last distance
+columns are blank; the first graph is connected, so its disconnected
+column is blank too, while the second's is filled.
 
 A change that alters output bytes on purpose regenerates the file with
 ``PYTHONPATH=src python tests/test_golden.py`` and says why in CHANGES.md.
@@ -106,6 +110,18 @@ CASES = {
         ["heatmap", "--er", "3000", "0.0012", "--graph-seed", "5", "--d-max", "3",
          "--pairs-per-cell", "20", "--p-minus-grid", "1e-6,1e-3", "--seed", "2",
          "--allow-trivial"],
+        True,
+    ),
+    "heatmap-no-disconnected-pair": (
+        ["heatmap", "--er", "30", "0.1", "--graph-seed", "1", "--d-max", "12",
+         "--pairs-per-cell", "5", "--p-minus-grid", "1e-4,1e-2", "--seed", "3",
+         "--allow-trivial"],
+        True,
+    ),
+    "heatmap-past-diameter": (
+        ["heatmap", "--er", "40", "0.08", "--graph-seed", "3", "--d-max", "14",
+         "--pairs-per-cell", "6", "--p-minus-grid", "1e-4,5e-2", "--lambda", "3",
+         "--seed", "7", "--allow-trivial"],
         True,
     ),
 }
