@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .graph import bfs_distances
 from .meaning import MeaningGraph, pick_disconnected_pair, pick_pair_at_distance
 from .rng import STREAM_HEATMAP_CELL, STREAM_HEATMAP_ROW, run_tasks, stream, subseed
@@ -77,10 +79,10 @@ def _heatmap_row(
 ) -> tuple[float | None, ...]:
     params = replace(params_base, p_minus=p_minus)
     sg = sample_symbol_graph(gm, params, subseed(seed, STREAM_HEATMAP_ROW, row_index))
-    lam = params.lam
     # Pick every cell's pairs first, each cell with one call that reads the
-    # meaning graph's table of rings; one symbol graph serves the whole
-    # row, so all of its probes then go through one batched BFS call.
+    # meaning graph's table of rings. A cell with pairs holds exactly
+    # ``pairs_per_cell``, so the row's probes are one block of first
+    # replicas, measured by one batched BFS call on the row's symbol graph.
     picked = [
         pick_pair_at_distance(gm, d, stream(seed, STREAM_HEATMAP_CELL, row_index, d), count=pairs_per_cell)
         for d in range(1, d_max + 1)
@@ -88,22 +90,13 @@ def _heatmap_row(
     rng = stream(seed, STREAM_HEATMAP_CELL, row_index, 0)
     pairs = [pick_disconnected_pair(gm, rng) for _ in range(pairs_per_cell)]
     picked.append(None if None in pairs else pairs)
-    probes = [pair for pairs in picked if pairs is not None for pair in pairs]
-    src = [lam * u for u, _ in probes]
-    dst = [lam * v for _, v in probes]
-    dists = iter(bfs_distances(sg.graph, src, dst, cap=cap).tolist())
-    row: list[float | None] = []
-    for pairs in picked:
-        if pairs is None:
-            row.append(None)
-            continue
-        # Summed in pick order from 0.0, so the mean keeps its bytes.
-        total = 0.0
-        for _ in pairs:
-            dist = next(dists)
-            total += cap if dist < 0 else dist
-        row.append(total / pairs_per_cell)
-    return tuple(row)
+    probes = params.lam * np.array([cell for cell in picked if cell is not None], dtype=np.int64).reshape(-1, 2)
+    dists = bfs_distances(sg.graph, probes[:, 0], probes[:, 1], cap=cap)
+    dists[dists < 0] = cap  # a probe past the cap counts at the cap
+    # Each cell's sum is an exact integer, so one division gives the float
+    # a running sum from 0.0 would.
+    means = iter((dists.reshape(-1, pairs_per_cell).sum(axis=1) / pairs_per_cell).tolist())
+    return tuple(None if cell is None else next(means) for cell in picked)
 
 
 def heatmap(

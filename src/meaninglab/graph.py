@@ -54,11 +54,23 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 
+def _integer_ids(ids) -> np.ndarray:
+    """``ids`` as an int64 array; an id of any other type is refused, not truncated or parsed."""
+    arr = np.asarray(ids)
+    if arr.size and not np.issubdtype(arr.dtype, np.integer):
+        # Each id by its own type: numpy promotes signed and unsigned integers together to float.
+        arr = np.asarray(ids, dtype=object)
+        bad = [x for x in arr.ravel() if not isinstance(x, (int, np.integer))]
+        if bad:
+            raise ValueError(f"node ids must be integers, got {bad[0]!r}")
+    return arr.astype(np.int64, copy=False)
+
+
 def _pair_array(edges) -> np.ndarray:
     """Edges as an ``(E, 2)`` int64 array, from an array or any iterable of pairs."""
     if not isinstance(edges, np.ndarray):
         edges = list(edges)
-    arr = np.asarray(edges, dtype=np.int64)
+    arr = _integer_ids(edges)
     if arr.size == 0:
         return arr.reshape(0, 2)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -170,6 +182,8 @@ class Graph:
         return np.column_stack(_upper_arcs(self))
 
     def _check_node(self, u: int) -> None:
+        if not isinstance(u, (int, np.integer)):
+            raise ValueError(f"node ids must be integers, got {u!r}")
         if not 0 <= u < self.n:
             raise ValueError(f"node {u} out of range for {self.n} nodes")
 
@@ -407,7 +421,7 @@ def _source_bits(words: np.ndarray) -> np.ndarray:
 
 
 def _as_nodes(g: Graph, nodes) -> np.ndarray:
-    arr = np.asarray(nodes, dtype=np.int64)
+    arr = _integer_ids(nodes)
     if arr.ndim != 1:
         raise ValueError("node lists must be one-dimensional")
     if arr.size and (arr.min() < 0 or arr.max() >= g.n):
@@ -547,7 +561,9 @@ class _RingTables:
     the ring words and its ball size from the final ``seen`` words. A
     sweep records sizes at the levels it keeps tables for and at its own
     radius, and allocates a table only at a level some pass reaches:
-    past the graph's depth every ring is empty. One rule, in
+    past the graph's depth every ring is empty. ``empty`` is the least
+    distance a :meth:`count` found with no pairs; every distance past it
+    shares its sizes and runs no sweep. One rule, in
     :meth:`ball_bound`, picks the tables a sweep keeps, whether the
     screen or a :meth:`count` asks for it, so the picks after a screen
     traverse nothing. Callers see ranks, not bits: :meth:`count` and
@@ -558,6 +574,7 @@ class _RingTables:
         self.g = g
         self.tables: dict[int, np.ndarray] = {}
         self.starts: dict[int, np.ndarray] = {}
+        self.empty: int | None = None
         self.shape = (g.n, -(-g.n // _WORD))
         self.size = 8 * g.n * self.shape[1]  # bytes in one table
 
@@ -565,10 +582,20 @@ class _RingTables:
         return self.size * (len(self.tables) + more) <= _RING_BYTES
 
     def count(self, d: int) -> int:
-        """The number of ordered pairs at distance d, from a sweep to d if none has reached it yet."""
+        """The number of ordered pairs at distance d, from a sweep to d if none has reached it yet.
+
+        A shortest path of length d passes through a pair at each shorter
+        distance, so past a distance with no pairs no distance has any.
+        """
         if d not in self.starts:
-            self.ball_bound(d)
-        return int(self.starts[d][-1])
+            if self.empty is not None and d > self.empty:
+                self.starts[d] = self.starts[self.empty]
+            else:
+                self.ball_bound(d)
+        total = int(self.starts[d][-1])
+        if not total and (self.empty is None or d < self.empty):
+            self.empty = d
+        return total
 
     def pairs(self, d: int, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The ``r[i]``-th ordered pairs at distance d in (u, v) order, as arrays u and v.

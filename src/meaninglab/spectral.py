@@ -78,7 +78,7 @@ def laplacian_of(g: Graph, nodes: Sequence[int]) -> Laplacian:
     ``nodes[i]`` becomes node i of the induced graph, and degrees are induced
     degrees. Duplicate nodes are refused rather than silently collapsed.
     """
-    nodes = _as_nodes(g, list(nodes))
+    nodes = _as_nodes(g, nodes)
     k = len(nodes)
     pos = np.full(g.n, -1, dtype=np.int64)
     pos[nodes] = np.arange(k)

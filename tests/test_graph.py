@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from meaninglab.graph import Graph, _passes, bfs_distance, components, min_cut, write_edge_list
+from meaninglab.graph import Graph, _passes, bfs_distance, bfs_distances, components, min_cut, write_edge_list
 
 from oracles import component_lists, edges, swept_ball, to_networkx
 
@@ -117,6 +117,40 @@ def test_edge_checks_report_the_first_bad_edge():
         Graph(4, [(0, 1), (2, 2), (0, 7)])
     with pytest.raises(ValueError, match="pairs"):
         Graph(4, [(0, 1, 2)])
+
+
+def test_node_ids_must_be_integers():
+    # numpy would truncate a float id and parse a string one; each is
+    # refused with the first id that is not an integer.
+    g = path_graph(3)
+    with pytest.raises(ValueError, match="node ids must be integers, got 0.5"):
+        Graph(3, [(0.5, 1.7), (1, 2)])
+    with pytest.raises(ValueError, match="node ids must be integers, got 0.0"):
+        Graph(3, np.array([[0, 1], [1.5, 2]]))  # every id of a float array is a float
+    with pytest.raises(ValueError, match="node ids must be integers, got '0'"):
+        Graph(3, [("0", "1")])
+    with pytest.raises(ValueError, match="node ids must be integers, got None"):
+        Graph(3, [(0, 1), (1, None)])
+    with pytest.raises(ValueError, match="node ids must be integers, got 0.9"):
+        bfs_distances(g, [0.9], [2.2])
+    with pytest.raises(ValueError, match="node ids must be integers, got 0.5"):
+        bfs_distance(g, 0.5, 2)
+    with pytest.raises(ValueError, match="node ids must be integers, got 2.0"):
+        min_cut(g, 0, 2.0)
+    with pytest.raises(ValueError, match="node ids must be integers, got 1.0"):
+        g.remove_edges([(0, 1.0)])
+
+
+def test_integer_node_ids_of_every_kind_pass():
+    g = path_graph(3)
+    # A signed and an unsigned numpy integer together would promote to float.
+    assert Graph(3, [(np.int64(0), np.uint64(1)), (1, np.int8(2))]) == g
+    assert Graph(3, np.array([[0, 1], [1, 2]], dtype=np.uint8)) == g
+    assert Graph(3, []) == Graph(3, np.zeros((0, 2))) == Graph(3)
+    assert bfs_distance(g, np.int32(0), np.uint16(2)) == 2
+    assert bfs_distances(g, np.array([0, 1], dtype=np.uint32), [2, np.int64(0)]).tolist() == [2, 1]
+    assert bfs_distances(g, [], []).tolist() == []
+    assert min_cut(g, np.uint8(0), 2) == [(0, 1)]
 
 
 def test_has_edge_and_degrees():

@@ -191,6 +191,21 @@ def test_count_picks_at_and_beyond_the_diameter(count):
     assert None in want and all(w in ([], None) for w in want)
 
 
+def test_counts_past_the_first_empty_distance_run_no_sweep(monkeypatch):
+    # A 5-node path has no pair at distance 5, so no distance past it has
+    # one either: only the first ask sweeps, and every later d shares its
+    # sizes, so ``pairs`` still answers there.
+    rings = MeaningGraph(Graph(5, [(i, i + 1) for i in range(4)]))._rings
+    sweeps = []
+    bound = graph._RingTables.ball_bound
+    monkeypatch.setattr(graph._RingTables, "ball_bound", lambda self, d: sweeps.append(d) or bound(self, d))
+    assert [rings.count(k) for k in range(5, 201)] == [0] * 196
+    assert sweeps == [5]
+    u, v = rings.pairs(200, np.arange(0))
+    assert u.tolist() == v.tolist() == []
+    assert rings.count(4) == 2 and sweeps == [5]  # the sweep to 5 sized every level
+
+
 def test_count_zero_and_one(sparse_graph):
     new, ref = stream(6), stream(6)
     assert pick_pair_at_distance(sparse_graph, 3, new, count=0) == []

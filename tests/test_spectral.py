@@ -99,6 +99,15 @@ def test_laplacian_matvec_matches_networkx_small_cases(g, nodes):
     assert np.array_equal(laplacian_of(g, nodes) @ x, want @ x)
 
 
+def test_laplacian_of_takes_integer_nodes_as_they_come():
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    want = laplacian_of(g, [2, 1]) @ np.array([1.0, 0.0])
+    for nodes in (range(2, 0, -1), np.array([2, 1], dtype=np.uint8), (np.int64(2), 1)):
+        assert np.array_equal(laplacian_of(g, nodes) @ np.array([1.0, 0.0]), want)
+    with pytest.raises(ValueError, match="node ids must be integers, got 1.5"):
+        laplacian_of(g, [0, 1.5])
+
+
 def test_laplacian_of_empty_subset():
     # networkx refuses a graph without nodes; the empty operator maps the
     # empty vector to itself and has norm zero.
