@@ -8,9 +8,12 @@ minimum cut, connected components, and a plain text edge-list writer.
 
 A graph is stored only as CSR arrays: node u's sorted neighbours are
 ``indices[indptr[u]:indptr[u + 1]]``, built by one sort of arc keys
-``src * n + dst``. The sampler and ``remove_edges`` hold each edge's
-ends, so their constructor (``_from_ends``) counts degrees from the ends
-and divides no key. Every breadth-first traversal but
+``src * n + dst``, which become ``indices`` in place. Besides the pair
+constructor, one constructor takes the arc keys, both ways per edge and
+in any order, with the degrees (``Graph._from_arcs``): the sampler forms
+them from its edge keys and their ends, ``remove_edges`` keeps the arcs
+it does not drop, and :func:`spectral.laplacian_of` renumbers the arcs
+inside its node set. Every breadth-first traversal but
 two runs on one kernel, a level-synchronous, bottom-up BFS from many
 sources at once: each source owns one bit of a node's row of ``uint64``
 words, W words per pass, as many as a fixed byte budget holds, so a call
@@ -44,7 +47,9 @@ nodes near a few sources (:func:`_ball_nodes`), so no other module reads
 the bit lanes.
 
 The text writers, here and in :mod:`sampler`, format each id once with
-:func:`_decimals` and gather their lines with :func:`_format_lines`.
+:func:`_decimals` and gather their lines with :func:`_format_lines`, a
+node range at a time (:func:`_node_ranges`), so no file's text is held
+whole.
 """
 
 from __future__ import annotations
@@ -54,8 +59,11 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 
+_INT64 = np.iinfo(np.int64)
+
+
 def _integer_ids(ids) -> np.ndarray:
-    """``ids`` as an int64 array; an id of any other type is refused, not truncated or parsed."""
+    """``ids`` as an int64 array; an id of any other type, or past int64, is refused, not truncated, wrapped or parsed."""
     arr = np.asarray(ids)
     if arr.size and not np.issubdtype(arr.dtype, np.integer):
         # Each id by its own type: numpy promotes signed and unsigned integers together to float.
@@ -63,6 +71,11 @@ def _integer_ids(ids) -> np.ndarray:
         bad = [x for x in arr.ravel() if not isinstance(x, (int, np.integer))]
         if bad:
             raise ValueError(f"node ids must be integers, got {bad[0]!r}")
+    if arr.size and not np.can_cast(arr.dtype, np.int64):
+        # uint64 ids and Python ints may lie past int64, where the cast wraps or overflows.
+        wide = arr[(arr < _INT64.min) | (arr > _INT64.max)]
+        if wide.size:
+            raise ValueError(f"node id {wide[0]} does not fit int64")
     return arr.astype(np.int64, copy=False)
 
 
@@ -134,18 +147,13 @@ class Graph:
         self._build(n, arcs, np.bincount(arcs // n, minlength=n))
 
     @classmethod
-    def _from_ends(cls, n: int, keys: np.ndarray, u: np.ndarray, v: np.ndarray) -> "Graph":
-        """Graph whose edges have the sorted, distinct keys ``u * n + v`` (u < v), ends ``u`` and ``v``, unchecked.
+    def _from_arcs(cls, n: int, arcs: np.ndarray, degrees: np.ndarray) -> "Graph":
+        """Graph with the distinct arc keys ``src * n + dst``, both ways per edge and in any order, and node degrees; unchecked.
 
-        Degrees count the ends, so no key is divided.
+        ``arcs`` is sorted and becomes ``indices`` in place, so the caller
+        hands it over.
         """
-        arcs = np.empty(2 * len(keys), dtype=np.int64)
-        arcs[: len(keys)] = keys
-        np.multiply(v, n, out=arcs[len(keys) :])
-        arcs[len(keys) :] += u
         arcs.sort()
-        degrees = np.bincount(u, minlength=n)
-        degrees += np.bincount(v, minlength=n)
         g = object.__new__(cls)
         g._build(n, arcs, degrees)
         return g
@@ -153,12 +161,11 @@ class Graph:
     def _build(self, n: int, arcs: np.ndarray, degrees: np.ndarray) -> None:
         """Set the CSR arrays from node degrees and sorted, distinct arc keys ``src * n + dst``, both ways per edge.
 
-        The arcs become ``indices`` in place, each less its tail's ``src * n``.
+        The arcs become ``indices`` in place, each key taken mod n.
         """
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
-        indices = arcs
-        indices -= np.repeat(np.arange(n, dtype=np.int64) * n, degrees)
+        indices = np.remainder(arcs, n, out=arcs)
         indptr.flags.writeable = indices.flags.writeable = degrees.flags.writeable = False
         object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "n", n)
@@ -191,16 +198,18 @@ class Graph:
         """New graph with the given edges deleted; absent edges are an error."""
         drop = _pair_array(edges)
         _as_nodes(self, drop.ravel())
-        u, v = _upper_arcs(self)
-        keys = u * self.n + v
-        pos, found = _lookup(keys, drop.min(axis=1) * self.n + drop.max(axis=1))
+        n = self.n
+        tails = _arc_tails(self)
+        arcs = tails * n + self.indices  # sorted
+        pos, found = _lookup(arcs, drop[:, 0] * n + drop[:, 1])
         absent = np.flatnonzero(~found)
         if absent.size:
             u, v = drop[absent[0]].tolist()
             raise ValueError(f"cannot remove absent edge ({u}, {v})")
-        keep = np.ones(len(keys), dtype=bool)
+        keep = np.ones(len(arcs), dtype=bool)
         keep[pos] = False
-        return Graph._from_ends(self.n, keys[keep], u[keep], v[keep])
+        keep[_lookup(arcs, drop[:, 1] * n + drop[:, 0])[0]] = False
+        return Graph._from_arcs(n, arcs[keep], np.bincount(tails[keep], minlength=n))
 
     def __reduce__(self):
         return (Graph, (self.n, self.edge_array()))
@@ -225,11 +234,13 @@ def _arc_tails(g: Graph) -> np.ndarray:
     return np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
 
 
-def _upper_arcs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Tails and heads of the arcs with tail < head: each edge once, in sorted order."""
-    tails = _arc_tails(g)
-    upper = np.flatnonzero(g.indices > tails)
-    return tails[upper], g.indices[upper]
+def _upper_arcs(g: Graph, a: int = 0, b: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Tails and heads of the arcs with tail < head, tails in ``a..b-1`` (all by default): each edge once, in sorted order."""
+    b = g.n if b is None else b
+    tails = np.repeat(np.arange(a, b, dtype=np.int64), g.degrees[a:b])
+    heads = g.indices[g.indptr[a] : g.indptr[b]]
+    upper = np.flatnonzero(heads > tails)
+    return tails[upper], heads[upper]
 
 
 # Bit j of a node's word i marks source 64i + j of the current pass.
@@ -242,6 +253,15 @@ _BITS = np.left_shift(np.uint64(1), np.arange(_WORD, dtype=np.uint64))
 # at 1 MiB a heat-map op's peak RSS rose by about twice as much as at
 # this size.
 _PASS_BYTES = 1 << 18
+
+# The text writers format the lines of one node range at a time, each
+# range's line matrix within this many bytes unless one node's lines alone
+# need more (:func:`_node_ranges`), so no file's text is held whole. With
+# the range's index arrays, NUL mask and packed lines, and the decimal
+# table, a writer's traced peak on a 309k-edge symbol graph is 2.3 MB
+# (3.6 MB for its edge list). At 64 KiB the per-range calls made the
+# symbol-graph writer about 1.7 times as slow.
+_LINE_BYTES = 1 << 20
 
 
 def _neighbor_reduce(g: Graph, ufunc, empty, dtype):
@@ -750,8 +770,24 @@ def _decimals(n: int) -> np.ndarray:
     return digits.view(f"S{width}").ravel()
 
 
-def _format_lines(*fields) -> bytes:
-    """One text line per row, built as a single byte matrix.
+def _node_ranges(g: Graph, line_bytes: int) -> Iterator[tuple[int, int]]:
+    """Consecutive node ranges ``a..b-1`` covering ``g``, in order, for a writer whose lines take ``line_bytes`` per node and per arc.
+
+    A range's node count and arc count (both ways) each stay within
+    ``_LINE_BYTES // line_bytes``, unless it is one node with more arcs.
+    """
+    step = max(1, _LINE_BYTES // line_bytes)
+    a = 0
+    while a < g.n:
+        # The last b whose arcs from a fit the step, at most step nodes on and at least one.
+        b = int(np.searchsorted(g.indptr, g.indptr[a] + step, side="right")) - 1
+        b = max(a + 1, min(b, a + step))
+        yield a, b
+        a = b
+
+
+def _format_lines(*fields) -> np.ndarray:
+    """One text line per row, built as a single byte matrix, returned as a uint8 array of the text.
 
     Each field is a ``bytes`` literal repeated on every line or an ``S``-dtype
     array of one NUL-padded string per line, such as a gather from
@@ -761,10 +797,12 @@ def _format_lines(*fields) -> bytes:
     rows = next(len(f) for f in fields if isinstance(f, np.ndarray))
     widths = [len(f) if isinstance(f, bytes) else f.itemsize for f in fields]
     lines = np.empty((rows, sum(widths)), dtype=np.uint8)
-    for f, at, width in zip(fields, np.cumsum([0, *widths]), widths):
+    at = 0
+    for f, width in zip(fields, widths):
         # A literal is one row, broadcast to every line.
         lines[:, at : at + width] = np.frombuffer(f, dtype=np.uint8).reshape(-1, width)
-    return lines[lines != 0].tobytes()
+        at += width
+    return lines[lines != 0]
 
 
 def write_edge_list(g: Graph, path, labels: Sequence[str] | None = None) -> None:
@@ -772,11 +810,14 @@ def write_edge_list(g: Graph, path, labels: Sequence[str] | None = None) -> None
 
     A ``# nodes N`` comment keeps isolated nodes and ``# label i name``
     comments carry ``labels``; readers that skip comments get every edge.
-    The edge lines gather both ends from one :func:`_decimals` table.
+    The edge lines gather both ends from one :func:`_decimals` table, a node
+    range at a time.
     """
     head = f"# nodes {g.n}\n" + "".join(f"# label {i} {label}\n" for i, label in enumerate(labels or ()))
     dec = _decimals(g.n)
-    u, v = (dec.take(ends) for ends in _upper_arcs(g))
     with open(path, "wb") as fh:
         fh.write(head.encode("utf-8"))
-        fh.write(_format_lines(u, b"\t", v, b"\n"))
+        # An arc is at most one line, "u\tv\n".
+        for a, b in _node_ranges(g, 2 * dec.itemsize + 2):
+            u, v = (dec.take(ends) for ends in _upper_arcs(g, a, b))
+            fh.write(_format_lines(u, b"\t", v, b"\n"))

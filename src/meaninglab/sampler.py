@@ -15,12 +15,26 @@ named stream, which makes samples independent of pass order and safe to
 reproduce across worker processes.
 
 The passes emit symbol edges as int64 keys ``u * N + v`` (u < v, N the
-symbol count), never as pair arrays. Each kind's keys are sorted once, tagged
-with their kind in one low bit and merged by one sort, where the keys of an
-edge form one run that gives its kind byte. The merged keys are checked as
-``SymbolGraph``'s constructor checks a graph, on their ends ``(u, v)``,
-formed once; the keys and those ends build the CSR arrays
-(``Graph._from_ends``) with no key divided again.
+symbol count), never as pair arrays. Each temporary is dropped after its
+last reader, in this order:
+
+- each world's structural keys and the sorted similarity keys are copied
+  into one buffer per world; then the hit masks, the positive-key matrix
+  and the negative and similarity keys go (the uniforms went once the hit
+  masks existed);
+- the kind merge takes a world's buffer over: it sorts the structural
+  keys, tags every key with its kind in one low bit and merges by one
+  sort in place, where the keys of an edge form one run that gives its
+  kind byte, and returns the distinct keys;
+- those keys are checked as ``SymbolGraph``'s constructor checks a
+  graph, on their ends ``(u, v)``, formed once; keys and ends form the 2E
+  arc keys and the degrees, and go;
+- the CSR build (``Graph._from_arcs``) sorts the arcs and turns them into
+  ``indices`` in place.
+
+So a sample's peak holds the keys, their ends and the arcs together,
+about 2.3 times the graph it returns. The writer formats its lines a node
+range at a time, within a fixed budget (``graph._LINE_BYTES``).
 """
 
 from __future__ import annotations
@@ -32,7 +46,7 @@ from enum import Enum
 
 import numpy as np
 
-from .graph import Graph, _decimals, _edge_fault, _format_lines, _lookup, _upper_arcs
+from .graph import Graph, _decimals, _edge_fault, _format_lines, _lookup, _node_ranges, _upper_arcs
 from .meaning import CutPair, MeaningGraph
 from .rng import (
     STREAM_SIM_CROSS,
@@ -117,6 +131,9 @@ def edge_probability(params: SampleParams, pair_class: PairClass) -> float:
 # Kind bits of a union edge; an edge both channels drew carries both.
 STRUCTURAL = 1
 SIMILARITY = 2
+# Each kind bit, and the letter that marks it in a written edge line.
+_KIND_BITS = np.array([STRUCTURAL, SIMILARITY], dtype=np.uint8)
+_KIND_LETTERS = np.array([b"S", b"R"])
 
 
 @dataclass(frozen=True)
@@ -195,19 +212,22 @@ def _check_edges(keys, kinds: np.ndarray, n: int, lam: int, ends=None) -> tuple[
     return u, v
 
 
-def _merge_kinds(structural: np.ndarray, similarity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct sorted keys of two kinds' sorted int64 keys, and each key's kind byte.
+def _merge_kinds(keys: np.ndarray, structural: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct sorted keys of two kinds' int64 keys, and each key's kind byte.
 
-    Every key is tagged with its kind in one low bit, ``2 * key`` for
-    structural and ``2 * key + 1`` for similarity, in uint64, where every
-    nonnegative int64 key still fits. After one sort the tagged keys of an
-    edge form one run, whose first tag is 0 if the edge is structural and
-    whose last tag is 1 if it is a similarity edge. A key may repeat within
-    one kind.
+    ``keys`` holds the ``structural`` keys of structural edges, in any
+    order, then the sorted keys of similarity edges, and is taken over: the
+    structural keys are sorted and every key is tagged with its kind in one
+    low bit in place, ``2 * key`` for structural and ``2 * key + 1`` for
+    similarity, in uint64, where every nonnegative int64 key still fits.
+    After one sort the tagged keys of an edge form one run, whose first tag
+    is 0 if the edge is structural and whose last tag is 1 if it is a
+    similarity edge. A key may repeat within one kind.
     """
-    tagged = np.concatenate((structural, similarity)).view(np.uint64)
+    keys[:structural].sort()
+    tagged = keys.view(np.uint64)
     tagged <<= 1
-    tagged[len(structural) :] |= 1
+    tagged[structural:] |= 1
     tagged.sort(kind="stable")  # two sorted runs, so one merge
     tag = np.empty(len(tagged), dtype=np.uint8)
     np.bitwise_and(tagged, 1, out=tag, casting="unsafe")
@@ -221,16 +241,28 @@ def _merge_kinds(structural: np.ndarray, similarity: np.ndarray) -> tuple[np.nda
     return tagged[bound[:-1]].view(np.int64), kinds
 
 
-def _symbol_graph(structural, similarity, n: int, params: SampleParams, seed: int) -> SymbolGraph:
-    """Assemble a SymbolGraph on ``n`` symbols from the sorted keys ``u * n + v`` (u < v) of its two edge kinds.
+def _symbol_graph(keys: np.ndarray, structural: int, n: int, params: SampleParams, seed: int) -> SymbolGraph:
+    """Assemble a SymbolGraph on ``n`` symbols from the keys ``u * n + v`` (u < v) of its edges, taking ``keys`` over.
 
-    The keys of both kinds are merged by one sort of kind-tagged keys, and the
-    edges pass the constructor's checks on these keys, not again on the CSR
-    arrays built from them.
+    ``keys`` holds the keys of the structural edges, ``structural`` of
+    them, then the sorted keys of the similarity edges. The merge sorts and
+    tags them in place and returns the distinct keys; the edges pass the
+    constructor's checks on these keys, not again on the CSR arrays built
+    from them. The keys and the check's ends ``(u, v)`` form the 2E arc
+    keys and the degrees, and are dropped before the CSR build sorts and
+    converts the arcs in place.
     """
-    keys, kinds = _merge_kinds(structural, similarity)
+    keys, kinds = _merge_kinds(keys, structural)
     u, v = _check_edges(keys, kinds, n, params.lam)
-    return SymbolGraph._checked(Graph._from_ends(n, keys, u, v), kinds.tobytes(), params, seed)
+    edges = len(keys)
+    arcs = np.empty(2 * edges, dtype=np.int64)
+    arcs[:edges] = keys
+    np.multiply(v, n, out=arcs[edges:])
+    arcs[edges:] += u
+    degrees = np.bincount(u, minlength=n)
+    degrees += np.bincount(v, minlength=n)
+    del keys, u, v
+    return SymbolGraph._checked(Graph._from_arcs(n, arcs, degrees), kinds.tobytes(), params, seed)
 
 
 # -- sampling passes ----------------------------------------------------
@@ -270,16 +302,14 @@ def _sample(gm: MeaningGraph, params: SampleParams, seed: int, cut=None) -> list
 
     # Structural pass over meaning edges.
     u = stream(seed, STREAM_STRUCT_POS).random((len(edge_keys), lam * lam))
-    hit = u < eff.p_plus
-    worlds = [hit]
+    worlds = [u < eff.p_plus]  # each world's hits
     if cut is not None:
         cut = np.asarray(cut, dtype=np.int64).reshape(-1, 2)
         pos, found = _lookup(edge_keys, cut.min(axis=1) * n + cut.max(axis=1))
         in_cut = np.zeros(len(edge_keys), dtype=bool)
         in_cut[pos[found]] = True
-        hit_gp = hit.copy()
-        hit_gp[in_cut] = u[in_cut] < eff.p_minus
-        worlds.append(hit_gp)
+        worlds.append(worlds[0].copy())
+        worlds[1][in_cut] = u[in_cut] < eff.p_minus
     del u  # the hit matrices hold all that is read of it
     positive = _symbol_keys(m1[:, None], m2[:, None], np.arange(lam * lam), lam, n)
 
@@ -294,19 +324,20 @@ def _sample(gm: MeaningGraph, params: SampleParams, seed: int, cut=None) -> list
     a, b = np.triu_indices(lam, 1)
     nodes = np.arange(n)[:, None]
     drawn = stream(seed, STREAM_SIM_INTRA).random((n, len(a))) < (1.0 - eff.eps_plus)
-    intra = _symbol_keys(nodes, nodes, a * lam + b, lam, n)[drawn]
 
     # Similarity false positives across clusters (absent when folded).
     n1, n2, slot = sparse_pairs(seed, STREAM_SIM_CROSS, n, eff.eps_minus, lam * lam)
-    similarity = np.concatenate((intra, _symbol_keys(n1, n2, slot, lam, n)))
+    similarity = np.concatenate(
+        (_symbol_keys(nodes, nodes, a * lam + b, lam, n)[drawn], _symbol_keys(n1, n2, slot, lam, n))
+    )
     similarity.sort()
 
-    out = []
-    for world in worlds:
-        structural = np.concatenate((positive[world], negative))
-        structural.sort()
-        out.append(_symbol_graph(structural, similarity, lam * n, params, seed))
-    return out
+    # Each world's keys: its structural keys, then the similarity keys.
+    structural = [np.count_nonzero(world) + len(negative) for world in worlds]
+    keys = [np.concatenate((positive[world], negative, similarity)) for world in worlds]
+    del worlds, positive, negative, similarity  # the keys hold all that is read of them
+    # Each pop hands a world's keys over, so that no name here holds them.
+    return [_symbol_graph(keys.pop(0), count, lam * n, params, seed) for count in structural]
 
 
 def sample_symbol_graph(gm: MeaningGraph, params: SampleParams, seed: int) -> SymbolGraph:
@@ -344,7 +375,8 @@ def write_symbol_graph(sg: SymbolGraph, path) -> None:
 
     An edge carrying both kinds emits one ``S`` line and one ``R`` line;
     readers merge them. Each id is formatted once, in ``graph._decimals``;
-    the lines gather from that table. Output is byte-stable for a given graph.
+    the lines gather from that table, a node range at a time. Output is
+    byte-stable for a given graph.
     """
     p = sg.params
     head = (
@@ -354,16 +386,23 @@ def write_symbol_graph(sg: SymbolGraph, path) -> None:
         f" eps_plus={p.eps_plus!r} eps_minus={p.eps_minus!r}"
         f" fold={int(p.fold)}\n"
     )
-    dec = _decimals(sg.graph.n)
-    # Line slot 2i is edge i's S line and slot 2i + 1 its R line; an edge
-    # writes the slots its kind byte has, so a dual edge writes S, then R.
-    kind = np.tile(np.array([STRUCTURAL, SIMILARITY], dtype=np.uint8), sg.graph.edge_count)
-    slot = np.flatnonzero(np.repeat(sg.kind_array, 2) & kind)
-    u, v = (dec.take(ends.take(slot // 2)) for ends in _upper_arcs(sg.graph))
+    g, lam = sg.graph, sg.lam
+    dec = _decimals(g.n)
+    # A node's origin line, or an arc's S and R lines, "u\tv\tS\n" each.
+    ranges = list(_node_ranges(g, 2 * (2 * dec.itemsize + 4)))
     with open(path, "wb") as fh:
         fh.write(head.encode("utf-8"))
-        fh.write(_format_lines(b"#origin ", dec, b" ", dec[: sg.n_meaning].repeat(sg.lam), b"\n"))
-        fh.write(_format_lines(u, b"\t", v, b"\t", np.array([b"S", b"R"]).take(slot & 1), b"\n"))
+        for a, b in ranges:
+            fh.write(_format_lines(b"#origin ", dec[a:b], b" ", dec.take(np.arange(a, b) // lam), b"\n"))
+        kinds, done = sg.kind_array, 0  # done: the edges written
+        for a, b in ranges:
+            u, v = _upper_arcs(g, a, b)
+            # Line slot 2i is edge i's S line and slot 2i + 1 its R line; an edge
+            # writes the slots its kind byte has, so a dual edge writes S, then R.
+            slot = np.flatnonzero(kinds[done : done + len(u), None] & _KIND_BITS)
+            done += len(u)
+            u, v = (dec.take(ends.take(slot >> 1)) for ends in (u, v))
+            fh.write(_format_lines(u, b"\t", v, b"\t", _KIND_LETTERS.take(slot & 1), b"\n"))
 
 
 # The origin and edge lines :func:`write_symbol_graph` writes, in ASCII, as
@@ -480,4 +519,5 @@ def read_symbol_graph(path) -> SymbolGraph:
         u, v = pairs[inside[0]].tolist()
         raise ValueError(f"{path}:{rows[inside[0], 2]}: structural edge ({u}, {v}) inside a cluster")
     keys = pairs[:, 0] * n + pairs[:, 1]
-    return _symbol_graph(np.sort(keys[structural]), np.sort(keys[~structural]), n, params, seed)
+    keys = np.concatenate((keys[structural], np.sort(keys[~structural])))
+    return _symbol_graph(keys, np.count_nonzero(structural), n, params, seed)

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .bounds import laplacian_diff_bound
-from .graph import Graph, _as_nodes, _ball_nodes, _neighbor_reduce
+from .graph import Graph, _arc_tails, _as_nodes, _ball_nodes, _neighbor_reduce
 from .meaning import CutPair
 from .rng import stream
 from .sampler import SampleParams, sample_coupled
@@ -86,8 +86,11 @@ def laplacian_of(g: Graph, nodes: Sequence[int]) -> Laplacian:
     repeat = np.flatnonzero(pos[nodes] != np.arange(k))
     if repeat.size:
         raise ValueError(f"duplicate node {nodes[repeat[0]]} in induced subset")
-    ends = pos[g.edge_array()]
-    return Laplacian(Graph(k, ends[(ends >= 0).all(axis=1)]))
+    # g's arcs with both ends in ``nodes``, both ways, renumbered by ``pos``.
+    tails, heads = pos[_arc_tails(g)], pos[g.indices]
+    inside = (tails >= 0) & (heads >= 0)
+    tails, heads = tails[inside], heads[inside]
+    return Laplacian(Graph._from_arcs(k, tails * k + heads, np.bincount(tails, minlength=k)))
 
 
 def spectral_norm(m: _Operator, tol: float = 1e-9, max_iter: int = 10_000) -> SpectralNormResult:

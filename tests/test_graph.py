@@ -153,6 +153,23 @@ def test_integer_node_ids_of_every_kind_pass():
     assert min_cut(g, np.uint8(0), 2) == [(0, 1)]
 
 
+def test_node_ids_past_int64_are_named():
+    # A uint64 id of 2**63 or more would wrap to a negative id in the cast
+    # to int64, and a Python int past int64 would overflow it.
+    g = path_graph(3)
+    with pytest.raises(ValueError, match="node id 18446744073709551615 does not fit int64"):
+        bfs_distances(g, np.array([2**64 - 1], dtype=np.uint64), [0])
+    with pytest.raises(ValueError, match="node id 9223372036854775808 does not fit int64"):
+        Graph(3, np.array([[2**63, 1]], dtype=np.uint64))
+    with pytest.raises(ValueError, match=f"node id {2**70} does not fit int64"):
+        Graph(3, [(2**70, 1)])
+    with pytest.raises(ValueError, match=f"node id {-2**63 - 1} does not fit int64"):
+        g.remove_edges([(0, -2**63 - 1)])
+    # The largest uint64 id that fits is only out of range for the graph.
+    with pytest.raises(ValueError, match=f"node {2**63 - 1} out of range for 3 nodes"):
+        bfs_distances(g, np.array([2**63 - 1], dtype=np.uint64), [0])
+
+
 def test_has_edge_and_degrees():
     g = Graph(5, [(0, 1), (1, 2), (1, 4)])
     assert (1, 4) in edges(g) and (0, 4) not in edges(g)
@@ -402,13 +419,17 @@ def assert_same_csr(built: Graph, want: Graph) -> None:
 @example((4, [(0, 1), (1, 2)]))  # the last node isolated
 @example((7, [(0, u) for u in range(1, 7)] + [(2, 3)]))  # a hub
 @example((7, [(6, u) for u in range(6)]))  # a hub at the last node
-def test_from_ends_matches_the_pair_constructor(case):
-    # The sampler's constructor, from the sorted edge keys and their ends,
-    # gives the arrays the pair constructor gives.
+def test_from_arcs_matches_the_pair_constructor(case):
+    # The constructor the sampler, remove_edges and laplacian_of share, from
+    # the distinct arc keys both ways in any order and the degrees, gives the
+    # arrays the pair constructor gives.
     n, pairs = case
     want = Graph(n, pairs)
-    keys = np.unique(np.array([min(e) * n + max(e) for e in pairs], dtype=np.int64))
-    assert_same_csr(Graph._from_ends(n, keys, *np.divmod(keys, n)), want)
+    edges = {(min(e), max(e)) for e in pairs}
+    arcs = np.array([u * n + v for a, b in edges for u, v in ((a, b), (b, a))], dtype=np.int64)
+    arcs = np.random.default_rng(n).permutation(arcs)
+    degrees = np.bincount(arcs // max(n, 1), minlength=n)
+    assert_same_csr(Graph._from_arcs(n, arcs, degrees), want)
 
 
 @settings(max_examples=80, deadline=None)

@@ -108,6 +108,34 @@ def test_laplacian_of_takes_integer_nodes_as_they_come():
         laplacian_of(g, [0, 1.5])
 
 
+@pytest.mark.parametrize(
+    "nodes",
+    [
+        [],
+        list(range(30)),  # every node in order, as in every spectral-cut trial
+        [2, 5, 7, 11, 12, 20],
+        [20, 2, 12, 7, 29, 0, 5],
+        list(range(29, -1, -1)),
+        [3, 9, 3],
+    ],
+)
+def test_laplacian_of_builds_the_induced_graph(monkeypatch, nodes):
+    # laplacian_of renumbers g's own arcs; the pair constructor on the
+    # induced edges gives the same CSR arrays, and a repeated node is refused.
+    pairs = np.random.default_rng(7).integers(30, size=(90, 2))
+    g = Graph(30, pairs[pairs[:, 0] != pairs[:, 1]])
+    monkeypatch.setattr(meaninglab.spectral, "Laplacian", lambda graph: graph)
+    if len(set(nodes)) < len(nodes):
+        with pytest.raises(ValueError, match="duplicate node 3"):
+            laplacian_of(g, nodes)
+        return
+    pos = {u: i for i, u in enumerate(nodes)}
+    want = Graph(len(nodes), [(pos[u], pos[v]) for u, v in edges(g) if u in pos and v in pos])
+    got = laplacian_of(g, nodes)
+    assert got == want and np.array_equal(got.degrees, want.degrees)
+    assert not (got.indptr.flags.writeable or got.indices.flags.writeable or got.degrees.flags.writeable)
+
+
 def test_laplacian_of_empty_subset():
     # networkx refuses a graph without nodes; the empty operator maps the
     # empty vector to itself and has norm zero.

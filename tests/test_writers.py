@@ -12,6 +12,7 @@ read back without meaninglab: the header by regex, the edges by
 from __future__ import annotations
 
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,7 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meaninglab.graph import Graph, _decimals, write_edge_list
+from meaninglab import graph
+from meaninglab.graph import Graph, _decimals, _node_ranges, write_edge_list
 from meaninglab.meaning import gen_er
 from meaninglab.sampler import (
     SIMILARITY,
@@ -194,3 +196,69 @@ def symbol_graphs(draw):
 @given(sg=symbol_graphs())
 def test_symbol_graph_matches_reference(tmp_path_factory, sg):
     check_symbol_graph(sg, tmp_path_factory.mktemp("sg") / "sg.tsv")
+
+
+# -- node ranges ---------------------------------------------------------------
+
+
+def seam_graphs() -> list[SymbolGraph]:
+    # Six symbols, lambda = 2: edges (1, 4) and (3, 4) carry both kinds.
+    pairs = [(0, 1), (0, 3), (1, 4), (2, 5), (3, 4)]
+    kinds = [SIMILARITY, STRUCTURAL, STRUCTURAL | SIMILARITY, SIMILARITY, STRUCTURAL | SIMILARITY]
+    small = SymbolGraph(Graph(6, pairs), bytes(kinds), params(lam=2), seed=1)
+    sampled = sample_symbol_graph(gen_er(60, 0.1, 3), SampleParams(0.8, 0.05, 0.3, 0.2, 3), seed=5)
+    assert 3 in sampled.kinds
+    return [small, sampled]
+
+
+@pytest.mark.parametrize("budget", [1, 20, 48, 100, 1000])
+def test_writers_give_the_same_bytes_across_range_seams(tmp_path, monkeypatch, budget):
+    # A budget of a few lines splits both files at many seams; each must
+    # still be the bytes the default budget writes, which is one range here.
+    for sg in seam_graphs():
+        write_symbol_graph(sg, tmp_path / "sg.tsv")
+        write_edge_list(sg.graph, tmp_path / "el.tsv")
+        want = (tmp_path / "sg.tsv").read_bytes(), (tmp_path / "el.tsv").read_bytes()
+        assert want == (reference_symbol_graph(sg), reference_edge_list(sg.graph))
+        with monkeypatch.context() as mp:
+            mp.setattr(graph, "_LINE_BYTES", budget)
+            if budget == 48 and sg.graph.n == 6:
+                # Symbol lines take 2 * len("1\t4\tS\n") = 12 bytes per arc, so a
+                # range holds at most four arcs: each ends on a dual edge's R
+                # line, and the origin block splits after symbols 1 and 3.
+                assert list(_node_ranges(sg.graph, 12)) == [(0, 2), (2, 4), (4, 6)]
+            write_symbol_graph(sg, tmp_path / "sg.tsv")
+            write_edge_list(sg.graph, tmp_path / "el.tsv")
+        assert ((tmp_path / "sg.tsv").read_bytes(), (tmp_path / "el.tsv").read_bytes()) == want
+
+
+def test_writer_peak_does_not_grow_with_the_edges(tmp_path):
+    # Two sampled graphs on the same 30,000 symbols, so the same decimal
+    # table, one with about 3.6 times the other's 191k edges. Each writer
+    # formats a node range at a time, so its traced peak above the graph
+    # grows by less than one range's budget (by 0.16 MB with the 1 MiB
+    # budget: the denser graph's first ranges have more arcs upward, so
+    # more lines); with a budget that holds the whole file it grows by
+    # several times the default budget, so the measure can see the
+    # difference.
+    p = SampleParams(0.9, 1e-6, 0.0, 1e-6, 3)
+    few, many = (sample_symbol_graph(gen_er(10_000, q, 1), p, 0) for q in (0.0004, 0.0016))
+    assert 3.4 < many.graph.edge_count / few.graph.edge_count < 3.8
+
+    def peak(sg, write) -> int:
+        tracemalloc.start()
+        try:
+            write(sg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    budget = graph._LINE_BYTES
+    for write in (
+        lambda sg: write_symbol_graph(sg, tmp_path / "sg.tsv"),
+        lambda sg: write_edge_list(sg.graph, tmp_path / "el.tsv"),
+    ):
+        assert peak(many, write) - peak(few, write) <= budget
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "_LINE_BYTES", 1 << 40)
+            assert peak(many, write) - peak(few, write) > 4 * budget
