@@ -236,11 +236,11 @@ def test_writer_peak_does_not_grow_with_the_edges(tmp_path):
     # Two sampled graphs on the same 30,000 symbols, so the same decimal
     # table, one with about 3.6 times the other's 191k edges. Each writer
     # formats a node range at a time, so its traced peak above the graph
-    # grows by less than one range's budget (by 0.16 MB with the 1 MiB
-    # budget: the denser graph's first ranges have more arcs upward, so
-    # more lines); with a budget that holds the whole file it grows by
-    # several times the default budget, so the measure can see the
-    # difference.
+    # grows by less than one range's budget (with the 1 MiB budget, by
+    # 0.16 MB for the symbol graph and 0.42 MB for the edge list: the
+    # denser graph's first ranges have more arcs upward, so more lines);
+    # with a budget that holds the whole file it grows by several times
+    # the default budget, so the measure can see the difference.
     p = SampleParams(0.9, 1e-6, 0.0, 1e-6, 3)
     few, many = (sample_symbol_graph(gen_er(10_000, q, 1), p, 0) for q in (0.0004, 0.0016))
     assert 3.4 < many.graph.edge_count / few.graph.edge_count < 3.8
